@@ -9,8 +9,8 @@ import re
 from dataclasses import dataclass
 
 from . import schubert
-from .monoid import GradedMonoid, MonoidMorphism, TRIVIAL
-from .series import (FormalSeries, RationalSeries, TruncationError, exterior,
+from .monoid import GradedMonoid, MonoidMorphism
+from .series import (FormalSeries, RationalSeries, TruncationError, convolve,
                      first_difference, one, pushforward)
 
 FLAG012 = schubert.FlagType((0, 1), 2)
@@ -192,14 +192,19 @@ def _check_split_range(n: int, d: int, p: int):
         raise ValueError(f"p={p} out of range for ProjClosure(n={n},d={d})")
 
 
-def _assemble(factors, images, target, degree) -> FormalSeries:
-    """Exterior product of the factor series pushed forward along the
-    morphism with the given generator images."""
-    (m1, f1), (m2, f2), (m3, f3) = factors
-    f12, _ = exterior(f1, f2)
-    f123, source = exterior(f12, f3)
-    psi = MonoidMorphism(source, target, tuple(images))
-    out = pushforward(psi, f123)
+def _assemble(pieces, target, degree) -> FormalSeries:
+    """Product in the target of the factor series, each pushed forward
+    along the morphism that sends its generators to the given images.
+
+    Push-forward is a ring homomorphism, so this is the push-forward of
+    f1 (.) f2 (.) ... over the product monoid along the concatenated
+    images, without building that product.  Its bound floor(D * min ratio)
+    is the minimum over k of floor(D * ratio_k), which convolve takes.
+    """
+    out = one(target, degree)
+    for f, images in pieces:
+        psi = MonoidMorphism(f.monoid, target, tuple(images))
+        out = convolve(out, pushforward(psi, f))
     if out.bound < degree:
         raise TruncationError(
             f"insufficient truncation: requested degree {degree}, "
@@ -210,82 +215,57 @@ def _assemble(factors, images, target, degree) -> FormalSeries:
 def split_bundle_series(n: int, d: int, p: int, degree: int) -> FormalSeries:
     """Split-bundle pipeline for the projective closure of O(d) over Pn.
 
-    Pushes E_{p-1}(Pn) (.) E_p(Pn) (.) E_p(Pn) along the morphism with
-    generator images (1,0), (0,1), (d,1).
+    Pushes E_{p-1}(Pn), E_p(Pn) and E_p(Pn) forward along the generator
+    images (1,0), (0,1) and (d,1) and multiplies them in the target; as
+    push-forward is a ring homomorphism, this is the push-forward of
+    E_{p-1}(Pn) (.) E_p(Pn) (.) E_p(Pn).  For p = 0 the first factor is
+    absent.
     """
     _check_split_range(n, d, p)
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    target = GradedMonoid.free(["t0", "t1"])
-
+    f = lawson_yau_pn(n, p).expand(degree)
+    pieces = [(f, [(0, 1)]), (f, [(d, 1)])]
     if p >= 1:
-        m_a = GradedMonoid.free(["a"])
-        f_a = lawson_yau_pn(n, p - 1).expand(degree)
-        f_a = rename_series(f_a, ["a"])
-        images_a = [(1, 0)]
-    else:
-        m_a, f_a = TRIVIAL, one(TRIVIAL, degree)
-        images_a = []
-    f_b = rename_series(lawson_yau_pn(n, p).expand(degree), ["b"])
-    f_c = rename_series(lawson_yau_pn(n, p).expand(degree), ["c"])
-    m_b = f_b.monoid
-    m_c = f_c.monoid
-
-    images = images_a + [(0, 1), (d, 1)]
-    return _assemble([(m_a, f_a), (m_b, f_b), (m_c, f_c)],
-                     images, target, degree)
+        pieces.insert(0, (lawson_yau_pn(n, p - 1).expand(degree), [(1, 0)]))
+    return _assemble(pieces, GradedMonoid.free(["t0", "t1"]), degree)
 
 
-def _g2_factor(d: int, p: int, degree: int):
-    """E_p of G(d, 2) over its Schubert basis (unit on rank 0)."""
-    m = schubert.basis(schubert.grassmannian(d, 2), p)
-    if m.rank == 0:
-        return m, one(m, degree)
-    exponent = math.comb(3, p + 1)
-    r = RationalSeries(m, ((m.zero(), 1),), (((1,), exponent),))
-    return m, r.expand(degree)
-
-
-def _flag_factor(p: int, degree: int):
-    """E_{p-1} of F(0,1;2) over its Schubert basis; unit when p = 0."""
-    q = p - 1
-    if q < 0:
-        m = schubert.basis(FLAG012, -1)  # rank 0
-        return m, one(m, degree), []
-    r = _flag012_rational(q)
-    symbols = schubert.symbols_of_dimension(FLAG012, q)
-    return r.monoid, r.expand(degree), symbols
+def _g13_factors(p: int, degree: int):
+    """(series, basis symbols, map into G(1,3)) for each factor present:
+    E_{p-1}(F(0,1;2)) along the trace map, E_p(G(1,2)) and E_p(G(0,2))
+    along the inclusions.  A factor whose basis is empty is left out."""
+    if p >= 1:
+        yield (_flag012_rational(p - 1).expand(degree),
+               schubert.symbols_of_dimension(FLAG012, p - 1),
+               schubert.trace_phi)
+    for d, inclusion in ((1, schubert.inclusion_i), (0, schubert.inclusion_j)):
+        g = schubert.grassmannian(d, 2)
+        symbols = schubert.symbols_of_dimension(g, p)
+        if symbols:
+            m = schubert.basis(g, p)
+            r = RationalSeries(m, ((m.zero(), 1),),
+                               (((1,), math.comb(3, p + 1)),))
+            yield r.expand(degree), symbols, inclusion
 
 
 def grassmannian13_series(p: int, degree: int) -> FormalSeries:
     """Chow-quotient pipeline for G(1,3).
 
-    Pushes E_{p-1}(F(0,1;2)) (.) E_p(G(1,2)) (.) E_p(G(0,2)) along the
-    morphism assembled from the trace and inclusion maps.
+    Pushes E_{p-1}(F(0,1;2)), E_p(G(1,2)) and E_p(G(0,2)) forward along
+    the trace and inclusion maps on Schubert symbols and multiplies them in
+    the target; as push-forward is a ring homomorphism, this is the
+    push-forward of E_{p-1}(F(0,1;2)) (.) E_p(G(1,2)) (.) E_p(G(0,2)).
     """
     if not 0 <= p <= 4:
         raise ValueError(f"p={p} out of range for G(1,3)")
     if degree < 0:
         raise ValueError("degree must be >= 0")
     target = schubert.basis(G13, p)
-
-    m_flag, f_flag, flag_symbols = _flag_factor(p, degree)
-    m_i, f_i = _g2_factor(1, p, degree)
-    m_j, f_j = _g2_factor(0, p, degree)
-
-    images = []
-    for sym in flag_symbols:
-        images.append(target.generator(
-            target.index_of(schubert.trace_phi(sym).label())))
-    for sym in schubert.symbols_of_dimension(schubert.grassmannian(1, 2), p):
-        images.append(target.generator(
-            target.index_of(schubert.inclusion_i(sym).label())))
-    for sym in schubert.symbols_of_dimension(schubert.grassmannian(0, 2), p):
-        images.append(target.generator(
-            target.index_of(schubert.inclusion_j(sym).label())))
-
-    return _assemble([(m_flag, f_flag), (m_i, f_i), (m_j, f_j)],
-                     images, target, degree)
+    pieces = [(f, [target.generator(target.index_of(push(s).label()))
+                   for s in symbols])
+              for f, symbols, push in _g13_factors(p, degree)]
+    return _assemble(pieces, target, degree)
 
 
 def flag012_divisor_by_recurrence(R: int, S: int) -> list[list[int]]:
@@ -321,7 +301,6 @@ _VARIABLE_TABLES = {
     ("Flag012", 0): ["t"],
     ("Flag012", 1): ["r", "s"],
     ("Flag012", 2): ["x", "y"],
-    ("Flag012", 3): ["u"],
     ("G13", 0): ["t"],
     ("G13", 1): ["s"],
     ("G13", 2): ["x", "y"],

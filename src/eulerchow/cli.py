@@ -156,7 +156,7 @@ def cmd_compare(args) -> int:
     try:
         a = _load_expanded(args.file_a, args.degree)
         b = _load_expanded(args.file_b, args.degree)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if a.monoid != b.monoid:
@@ -180,7 +180,7 @@ def cmd_expand(args) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             obj = loads(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if not isinstance(obj, RationalSeries):
@@ -189,6 +189,18 @@ def cmd_expand(args) -> int:
         return EXIT_USAGE
     _emit(dumps(obj.expand(args.degree)), args.output)
     return EXIT_OK
+
+
+def _degree(text: str) -> int:
+    """argparse type of every --degree: a truncation degree is >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid degree: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"degree must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("variety", help='descriptor, e.g. "Pn(2)" or "G(1,3)"')
     p.add_argument("--p", type=int, default=0,
                    help="cycle dimension (default 0)")
-    p.add_argument("--degree", type=int, default=10)
+    p.add_argument("--degree", type=_degree, default=10)
     p.add_argument("--format", choices=["text", "json", "rational"],
                    default="text")
     p.add_argument("--output")
@@ -216,12 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare two series files")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--degree", type=int, default=10)
+    p.add_argument("--degree", type=_degree, default=10)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("expand", help="expand a rational-series file")
     p.add_argument("file")
-    p.add_argument("--degree", type=int, default=10)
+    p.add_argument("--degree", type=_degree, default=10)
     p.add_argument("--output")
     p.set_defaults(fn=cmd_expand)
     return parser

@@ -370,10 +370,6 @@ class RationalSeries:
         return cls(monoid, num, den)
 
 
-def rational_multiply(r1: RationalSeries, r2: RationalSeries) -> RationalSeries:
-    return r1.multiply(r2)
-
-
 def _coeff_to_json(c):
     if _is_poly(c):
         return {"poly": [str(x) for x in c.coeffs]}
@@ -414,7 +410,11 @@ def dumps(obj) -> str:
 
 
 def loads(text: str):
+    """Parse `dumps` output; any schema violation is one ValueError."""
     data = json.loads(text)
-    if "coefficients" in data:
-        return series_from_json(data)
-    return RationalSeries.from_json(data)
+    try:
+        if "coefficients" in data:
+            return series_from_json(data)
+        return RationalSeries.from_json(data)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed series file: {exc!r}") from None

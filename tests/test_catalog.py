@@ -3,7 +3,9 @@ import pytest
 from eulerchow import catalog
 from eulerchow.catalog import (UnsupportedRequestError, VerificationError,
                                euler_chow, parse_descriptor)
-from eulerchow.series import first_difference
+from eulerchow.monoid import MonoidMorphism
+from eulerchow.series import exterior, first_difference, pushforward
+from eulerchow.verify import BUNDLE_CASES
 
 
 def test_parse_descriptor_forms():
@@ -72,6 +74,47 @@ def test_grassmannian13_out_of_range():
         catalog.grassmannian13_series(5, 4)
     with pytest.raises(ValueError):
         catalog.grassmannian13_closed(5)
+
+
+def _unfactored_assemble(pieces, target, degree):
+    """Reference form of the pipelines: one push-forward of the exterior
+    product of all factors along the concatenated generator images."""
+    product, images = pieces[0][0], list(pieces[0][1])
+    for f, more in pieces[1:]:
+        product, _ = exterior(product, f)
+        images += more
+    out = pushforward(MonoidMorphism(product.monoid, target, tuple(images)),
+                      product)
+    assert out.bound >= degree
+    return out.restrict(degree)
+
+
+PIPELINES = (
+    [pytest.param(lambda D, c=c: catalog.split_bundle_series(*c, D),
+                  id=f"split{c}")
+     for c in BUNDLE_CASES + [(2, 2, 0)]]
+    + [pytest.param(lambda D, p=p: catalog.grassmannian13_series(p, D),
+                    id=f"G13-p{p}")
+       for p in range(5)])
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_factored_pipeline_equals_unfactored(monkeypatch, pipeline):
+    # push-forward is a ring homomorphism: the product of the pushed-forward
+    # factors must equal the push-forward of their exterior product
+    for degree in (0, 3, 8):
+        factored = pipeline(degree)
+        calls = []
+
+        def reference(*args):
+            calls.append(args[2])
+            return _unfactored_assemble(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(catalog, "_assemble", reference)
+            unfactored = pipeline(degree)
+        assert calls == [degree]
+        assert factored == unfactored
 
 
 def test_flag012_divisor_recurrence_matches_closed_form():

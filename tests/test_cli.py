@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from eulerchow import cli
 from eulerchow.catalog import lawson_yau_pn
 from eulerchow.series import dumps, loads
@@ -129,3 +131,39 @@ def test_missing_file(capsys, tmp_path):
     code, _, _ = run(capsys, "compare", str(tmp_path / "no.json"),
                      str(tmp_path / "no.json"))
     assert code == 2
+
+
+MALFORMED = ['[1]', '"x"', '{}', '{"coefficients": 3}',
+             '{"monoid": 1, "numerator": [], "denominator": []}']
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+@pytest.mark.parametrize("command", ["expand", "compare"])
+def test_malformed_series_file_is_a_usage_error(capsys, tmp_path, command,
+                                                text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    files = [str(bad)] if command == "expand" else [str(bad), str(bad)]
+    code, _, err = run(capsys, command, *files)
+    assert code == 2
+    assert err.startswith("error: malformed series file: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "Pn(2)", "--degree", "-1"],
+    ["series", "Macdonald(3)", "--degree", "-5", "--format", "json"],
+    ["series", "Pn(2)", "--degree", "x"],
+    ["expand", "{r}", "--degree", "-1"],
+    ["compare", "{s}", "{s}", "--degree", "-1"],
+])
+def test_negative_degree_is_a_usage_error(capsys, tmp_path, argv):
+    r = tmp_path / "r.json"
+    s = tmp_path / "s.json"
+    r.write_text(dumps(lawson_yau_pn(2, 0)))
+    s.write_text(dumps(lawson_yau_pn(2, 0).expand(4)))
+    argv = [a.format(r=r, s=s) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "argument --degree: " in err.splitlines()[-1]
