@@ -131,10 +131,6 @@ def split_bundle_closed(n: int, d: int, p: int) -> RationalSeries:
     return RationalSeries(m, ((m.zero(), 1),), tuple(den))
 
 
-def product_pn_p1_closed(n: int, p: int) -> RationalSeries:
-    return split_bundle_closed(n, 0, p)
-
-
 def flag012_series(p: int) -> RationalSeries:
     """Stored closed forms for F(0,1;2), over the Schubert-symbol basis."""
     if p not in (0, 1, 2):
@@ -222,8 +218,6 @@ def split_bundle_series(n: int, d: int, p: int, degree: int) -> FormalSeries:
     absent.
     """
     _check_split_range(n, d, p)
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
     f = lawson_yau_pn(n, p).expand(degree)
     pieces = [(f, [(0, 1)]), (f, [(d, 1)])]
     if p >= 1:
@@ -259,8 +253,6 @@ def grassmannian13_series(p: int, degree: int) -> FormalSeries:
     """
     if not 0 <= p <= 4:
         raise ValueError(f"p={p} out of range for G(1,3)")
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
     target = schubert.basis(G13, p)
     pieces = [(f, [target.generator(target.index_of(push(s).label()))
                    for s in symbols])

@@ -1,7 +1,11 @@
 """Finitely generated free graded abelian monoids and their morphisms.
 
 Elements are plain tuples of nonnegative integer exponents; the monoid
-object supplies grading, validation and enumeration.
+object supplies grading, validation and enumeration.  `validate` is the
+one element check.  It runs where an element enters from outside: in the
+constructors of series, rational series and morphisms, and in
+`FormalSeries.coefficient` and `series.delta`.  Grading, `add` and
+`MonoidMorphism.apply` trust their input and do not re-check it.
 """
 
 from __future__ import annotations
@@ -9,6 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 Element = tuple[int, ...]
 
@@ -38,7 +44,7 @@ class GradedMonoid:
             weights = [1] * len(labels)
         return cls(tuple(zip(labels, weights)))
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return len(self.generators)
 
@@ -46,7 +52,7 @@ class GradedMonoid:
     def labels(self) -> tuple[str, ...]:
         return tuple(lab for lab, _ in self.generators)
 
-    @property
+    @cached_property
     def weights(self) -> tuple[int, ...]:
         return tuple(w for _, w in self.generators)
 
@@ -65,25 +71,28 @@ class GradedMonoid:
         raise KeyError(label)
 
     def validate(self, m: Element) -> Element:
+        """m as an element: one exponent per generator, each an int >= 0."""
+        m = tuple(m)
         if len(m) != self.rank:
             raise MonoidMismatchError(
                 f"element of length {len(m)} in monoid of rank {self.rank}")
-        if any(e < 0 for e in m):
-            raise ValueError(f"negative exponent in {m}")
-        return tuple(m)
+        for e in m:
+            if type(e) is not int:
+                raise TypeError(f"exponent {e!r} in {m} is not an integer")
+            if e < 0:
+                raise ValueError(f"negative exponent in {m}")
+        return m
 
     def grade(self, m: Element) -> int:
-        """Weighted total degree of an exponent vector."""
-        self.validate(m)
-        return sum(e * w for e, w in zip(m, self.weights))
+        """Weighted total degree of a valid element."""
+        return sum(map(mul, m, self.weights))
 
     def add(self, a: Element, b: Element) -> Element:
-        self.validate(a)
-        self.validate(b)
+        """Sum of two valid elements."""
         return tuple(x + y for x, y in zip(a, b))
 
     def key(self, m: Element):
-        """Graded-lexicographic sort key."""
+        """Graded-lexicographic sort key of a valid element."""
         return (self.grade(m), m)
 
     def enumerate_up_to(self, bound: int) -> list[Element]:
@@ -130,12 +139,8 @@ class MonoidMorphism:
         for img in self.generator_images:
             self.target.validate(img)
 
-    @classmethod
-    def identity(cls, m: GradedMonoid) -> "MonoidMorphism":
-        return cls(m, m, tuple(m.generator(i) for i in range(m.rank)))
-
     def apply(self, m: Element) -> Element:
-        self.source.validate(m)
+        """Image of a valid element of the source."""
         out = list(self.target.zero())
         for e, img in zip(m, self.generator_images):
             if e:

@@ -7,7 +7,6 @@ No sparsity tricks and no early exits; keep these inspectable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .monoid import GradedMonoid, MonoidMorphism
@@ -21,12 +20,6 @@ class DenseTable:
     monoid: GradedMonoid
     bound: int
     values: tuple
-
-    @classmethod
-    def from_series(cls, f: FormalSeries, bound: int) -> "DenseTable":
-        elements = f.monoid.enumerate_up_to(bound)
-        return cls(f.monoid, bound,
-                   tuple(f.coefficient(m) for m in elements))
 
     def to_dict(self) -> dict:
         elements = self.monoid.enumerate_up_to(self.bound)
@@ -81,10 +74,3 @@ def weyl_dim_gl3(r: int, s: int) -> int:
     product = (r + 1) * (s + 1) * (r + s + 2)
     assert product % 2 == 0
     return product // 2
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient; 0 outside the Pascal triangle."""
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return math.comb(n, k)

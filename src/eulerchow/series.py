@@ -4,7 +4,14 @@ A FormalSeries stores a sparse coefficient table valid up to an explicit
 grade bound; every operation computes the exact bound of its output and
 errors rather than returning silently invalid coefficients.  Coefficients
 are arbitrary-precision integers or integer polynomials in one formal
-variable (used for Hilbert-style series); the two kinds never mix.
+variable (used for Hilbert-style series).
+
+Every FormalSeries satisfies one invariant, checked once, when it is
+constructed: each key is a valid element of its monoid
+(`GradedMonoid.validate`); the bound is >= 0 and no key has a grade
+above it; the stored coefficients are nonzero and of one kind, integer or
+polynomial.  Operations trust this of their operands and build their
+results through the same constructor.
 """
 
 from __future__ import annotations
@@ -71,10 +78,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    @classmethod
-    def const(cls, c: int) -> "IntPolynomial":
-        return cls((c,))
-
 
 POLY_ONE = IntPolynomial((1,))
 POLY_ZERO = IntPolynomial(())
@@ -99,14 +102,20 @@ class FormalSeries:
     coefficients: dict[Element, object] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.bound < 0:
+            raise ValueError(f"bound must be >= 0, got {self.bound}")
+        validate, grade = self.monoid.validate, self.monoid.grade
         clean = {}
         for m, c in self.coefficients.items():
-            m = self.monoid.validate(m)
-            if self.monoid.grade(m) > self.bound:
+            m = validate(m)
+            if grade(m) > self.bound:
                 raise TruncationError(
                     f"coefficient at {m} exceeds bound {self.bound}")
             if c:
                 clean[m] = c
+        poly = _is_poly(next(iter(clean.values()), None))
+        if any(_is_poly(c) != poly for c in clean.values()):
+            raise TypeError("cannot mix integer and polynomial coefficients")
         object.__setattr__(self, "coefficients", clean)
 
     @property
@@ -256,7 +265,8 @@ def pullback(phi: MonoidMorphism, g: FormalSeries) -> FormalSeries:
     bound = pullback_bound(phi, g.bound)
     acc = {}
     for m in phi.source.enumerate_up_to(bound):
-        c = g.coefficient(phi.apply(m))
+        # grade(phi(m)) <= g.bound for every m up to the pull-back bound
+        c = g.coefficients.get(phi.apply(m), 0)
         if c:
             acc[m] = c
     return FormalSeries(phi.source, bound, acc)

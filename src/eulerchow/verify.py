@@ -183,11 +183,204 @@ def check_macdonald() -> list[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
-# Criterion 5: randomized algebra laws
+# Criteria 5 and 6: randomized algebra laws.  A law maps one case to a
+# failure detail or None; `check_*` draw the cases from a seeded generator,
+# the property tests draw them with Hypothesis.
 
-def _law_loop(name, rng, case, cases=ALGEBRA_CASES):
+def _random_morphism(rng: random.Random) -> MonoidMorphism:
+    return random_morphism(rng, random_monoid(rng), random_monoid(rng))
+
+
+def series_triple_case(rng):
+    m = random_monoid(rng)
+    bound = random_bound(rng, m)
+    return tuple(random_series(rng, m, bound) for _ in range(3))
+
+
+def ring_laws(case):
+    f, g, h = case
+    if convolve(f, g) != convolve(g, f):
+        return "commutativity"
+    if convolve(convolve(f, g), h) != convolve(f, convolve(g, h)):
+        return "associativity"
+    if convolve(one(f.monoid, f.bound), f) != f:
+        return "unit"
+    if convolve(f, g + h) != convolve(f, g) + convolve(f, h):
+        return "distributivity"
+    return None
+
+
+def pushforward_case(rng):
+    phi = _random_morphism(rng)
+    bound = random_bound(rng, phi.source)
+    return (phi, random_series(rng, phi.source, bound),
+            random_series(rng, phi.source, bound))
+
+
+def pushforward_is_homomorphism(case):
+    phi, f, g = case
+    lhs = pushforward(phi, convolve(f, g))
+    rhs = convolve(pushforward(phi, f), pushforward(phi, g))
+    degree = min(lhs.bound, rhs.bound)
+    if not equals_up_to(lhs, rhs, degree):
+        return _diff_detail(first_difference(lhs, rhs, degree))
+    return None
+
+
+def pullback_case(rng):
+    phi = _random_morphism(rng)
+    bound = random_bound(rng, phi.target)
+    return (phi, random_series(rng, phi.target, bound),
+            random_series(rng, phi.target, bound), rng.randint(-3, 3))
+
+
+def pullback_is_linear(case):
+    phi, f, g, s = case
+    lhs = pullback(phi, f + g.scale(s))
+    rhs = pullback(phi, f) + pullback(phi, g).scale(s)
+    if not equals_up_to(lhs, rhs, min(lhs.bound, rhs.bound)):
+        return "linearity"
+    return None
+
+
+def chain_case(rng):
+    a, b, c = (random_monoid(rng) for _ in range(3))
+    phi = random_morphism(rng, a, b)
+    psi = random_morphism(rng, b, c)
+    f = random_series(rng, a, random_bound(rng, a))
+    return phi, psi, f, random_series(rng, c, random_bound(rng, c))
+
+
+def functoriality(case):
+    phi, psi, f, g = case
+    chain = compose(psi, phi)
+    if not chain.has_finite_fibers():
+        return "composition lost finite fibers"
+    lhs = pushforward(chain, f)
+    rhs = pushforward(psi, pushforward(phi, f))
+    if not equals_up_to(lhs, rhs, min(lhs.bound, rhs.bound)):
+        return "push-forward functoriality"
+    lhs = pullback(chain, g)
+    rhs = pullback(phi, pullback(psi, g))
+    if not equals_up_to(lhs, rhs, min(lhs.bound, rhs.bound)):
+        return "pull-back functoriality"
+    return None
+
+
+def exterior_case(rng):
+    ms = [random_monoid(rng, max_rank=2) for _ in range(3)]
+    bound = rng.randint(2, 5)
+    return tuple(random_series(rng, m, bound) for m in ms)
+
+
+def exterior_associativity(case):
+    f, g, h = case
+    lhs, _ = exterior(exterior(f, g)[0], h)
+    rhs, _ = exterior(f, exterior(g, h)[0])
+    if lhs.coefficients != rhs.coefficients or lhs.bound != rhs.bound:
+        return "exterior associativity"
+    return None
+
+
+def oracle_case(rng):
+    m = random_monoid(rng)
+    bound = random_bound(rng, m)
+    f = random_series(rng, m, bound)
+    g = random_series(rng, m, bound)
+    return f, g, random_morphism(rng, m, random_monoid(rng))
+
+
+def convolve_matches_oracle(case):
+    f, g = case
+    fast = convolve(f, g)
+    if fast.coefficients != oracle.naive_convolve(f, g, fast.bound).to_dict():
+        return "convolution oracle mismatch"
+    return None
+
+
+def engine_matches_oracle(case):
+    f, g, phi = case
+    detail = convolve_matches_oracle((f, g))
+    if detail:
+        return detail
+    pushed = pushforward(phi, f)
+    check_bound = min(pushed.bound, 8)
+    slow = oracle.naive_pushforward(phi, f, check_bound)
+    if pushed.restrict(check_bound).coefficients != slow.to_dict():
+        return "push-forward oracle mismatch"
+    return None
+
+
+def hilbert_case(rng):
+    phi = _random_morphism(rng)
+    a = random_series(rng, phi.source, random_bound(rng, phi.source),
+                      poly=True)
+    return phi, a, random_series(rng, phi.target,
+                                 random_bound(rng, phi.target), poly=True)
+
+
+def euler_is_hilbert_at_minus_one(case):
+    phi, a, b = case
+    lhs = evaluate_polynomial_coefficients(pushforward(phi, a), -1)
+    rhs = pushforward(phi, evaluate_polynomial_coefficients(a, -1))
+    if lhs != rhs:
+        return "evaluation at -1 vs push-forward"
+    lhs = evaluate_polynomial_coefficients(pullback(phi, b), -1)
+    rhs = pullback(phi, evaluate_polynomial_coefficients(b, -1))
+    if lhs != rhs:
+        return "evaluation at -1 vs pull-back"
+    return None
+
+
+def graded_slice_case(rng):
+    phi = _random_morphism(rng)
+    return phi, random_series(rng, phi.source,
+                              random_bound(rng, phi.source), poly=True)
+
+
+def pushforward_respects_slices(case):
+    # push-forward of the Hilbert series equals the Hilbert series of the
+    # pushed-forward grading, checked slice by slice in u-degree
+    phi, a = case
+    pushed = pushforward(phi, a)
+    max_deg = max((len(c.coeffs) for c in a.coefficients.values()),
+                  default=0)
+    for k in range(max_deg):
+        slice_k = FormalSeries(a.monoid, a.bound,
+                               {m: c.coeffs[k]
+                                for m, c in a.coefficients.items()
+                                if k < len(c.coeffs)})
+        pushed_slice = pushforward(phi, slice_k)
+        got = {m: c.coeffs[k] if k < len(c.coeffs) else 0
+               for m, c in pushed.coefficients.items()}
+        got = {m: v for m, v in got.items() if v}
+        if got != pushed_slice.coefficients:
+            return f"u-degree {k} slice mismatch"
+    return None
+
+
+ALGEBRA_LAWS = (
+    ("convolution ring laws", series_triple_case, ring_laws),
+    ("push-forward is a ring homomorphism", pushforward_case,
+     pushforward_is_homomorphism),
+    ("pull-back linearity", pullback_case, pullback_is_linear),
+    ("functoriality under composition", chain_case, functoriality),
+    ("exterior-product associativity", exterior_case,
+     exterior_associativity),
+    ("engine matches naive oracle bit-exactly", oracle_case,
+     engine_matches_oracle),
+)
+HILBERT_LAWS = (
+    ("Euler series = Hilbert series at -1", hilbert_case,
+     euler_is_hilbert_at_minus_one),
+    ("push-forward respects the internal grading", graded_slice_case,
+     pushforward_respects_slices),
+)
+
+
+def _law_loop(rng, name, make_case, law, cases=ALGEBRA_CASES):
     for i in range(cases):
-        detail = case(rng)
+        detail = law(make_case(rng))
         if detail:
             return _fail(name, f"case {i}: {detail}")
     return _ok(name, f"{cases} random cases")
@@ -195,174 +388,12 @@ def _law_loop(name, rng, case, cases=ALGEBRA_CASES):
 
 def check_algebra(seed=SEED) -> list[CheckResult]:
     rng = random.Random(seed)
-    out = []
+    return [_law_loop(rng, *law) for law in ALGEBRA_LAWS]
 
-    def ring_laws(rng):
-        m = random_monoid(rng)
-        bound = random_bound(rng, m)
-        f = random_series(rng, m, bound)
-        g = random_series(rng, m, bound)
-        h = random_series(rng, m, bound)
-        if convolve(f, g) != convolve(g, f):
-            return "commutativity"
-        if convolve(convolve(f, g), h) != convolve(f, convolve(g, h)):
-            return "associativity"
-        unit = one(m, bound)
-        if convolve(unit, f) != f:
-            return "unit"
-        if convolve(f, g + h) != convolve(f, g) + convolve(f, h):
-            return "distributivity"
-        return None
-
-    out.append(_law_loop("convolution ring laws", rng, ring_laws))
-
-    def push_hom(rng):
-        src = random_monoid(rng)
-        dst = random_monoid(rng)
-        phi = random_morphism(rng, src, dst)
-        bound = random_bound(rng, src)
-        f = random_series(rng, src, bound)
-        g = random_series(rng, src, bound)
-        lhs = pushforward(phi, convolve(f, g))
-        rhs = convolve(pushforward(phi, f), pushforward(phi, g))
-        degree = min(lhs.bound, rhs.bound)
-        if not equals_up_to(lhs, rhs, degree):
-            return _diff_detail(first_difference(lhs, rhs, degree))
-        return None
-
-    out.append(_law_loop("push-forward is a ring homomorphism", rng,
-                         push_hom))
-
-    def pull_linear(rng):
-        src = random_monoid(rng)
-        dst = random_monoid(rng)
-        phi = random_morphism(rng, src, dst)
-        bound = random_bound(rng, dst)
-        f = random_series(rng, dst, bound)
-        g = random_series(rng, dst, bound)
-        s = rng.randint(-3, 3)
-        lhs = pullback(phi, f + g.scale(s))
-        rhs = pullback(phi, f) + pullback(phi, g).scale(s)
-        if not equals_up_to(lhs, rhs, min(lhs.bound, rhs.bound)):
-            return "linearity"
-        return None
-
-    out.append(_law_loop("pull-back linearity", rng, pull_linear))
-
-    def functorial(rng):
-        a = random_monoid(rng)
-        b = random_monoid(rng)
-        c = random_monoid(rng)
-        phi = random_morphism(rng, a, b)
-        psi = random_morphism(rng, b, c)
-        chain = compose(psi, phi)
-        if not chain.has_finite_fibers():
-            return "composition lost finite fibers"
-        bound = random_bound(rng, a)
-        f = random_series(rng, a, bound)
-        lhs = pushforward(chain, f)
-        rhs = pushforward(psi, pushforward(phi, f))
-        if not equals_up_to(lhs, rhs, min(lhs.bound, rhs.bound)):
-            return "push-forward functoriality"
-        g = random_series(rng, c, random_bound(rng, c))
-        lhs = pullback(chain, g)
-        rhs = pullback(phi, pullback(psi, g))
-        if not equals_up_to(lhs, rhs, min(lhs.bound, rhs.bound)):
-            return "pull-back functoriality"
-        return None
-
-    out.append(_law_loop("functoriality under composition", rng, functorial))
-
-    def ext_assoc(rng):
-        ms = [random_monoid(rng, max_rank=2) for _ in range(3)]
-        bound = rng.randint(2, 5)
-        fs = [random_series(rng, m, bound) for m in ms]
-        lhs, _ = exterior(exterior(fs[0], fs[1])[0], fs[2])
-        rhs_inner, _ = exterior(fs[1], fs[2])
-        rhs, _ = exterior(fs[0], rhs_inner)
-        if lhs.coefficients != rhs.coefficients or lhs.bound != rhs.bound:
-            return "exterior associativity"
-        return None
-
-    out.append(_law_loop("exterior-product associativity", rng, ext_assoc))
-
-    def engine_vs_oracle(rng):
-        m = random_monoid(rng)
-        bound = random_bound(rng, m)
-        f = random_series(rng, m, bound)
-        g = random_series(rng, m, bound)
-        fast = convolve(f, g)
-        slow = oracle.naive_convolve(f, g, bound)
-        if fast.coefficients != slow.to_dict():
-            return "convolution oracle mismatch"
-        dst = random_monoid(rng)
-        phi = random_morphism(rng, m, dst)
-        pushed = pushforward(phi, f)
-        check_bound = min(pushed.bound, 8)
-        slow = oracle.naive_pushforward(phi, f, check_bound)
-        if pushed.restrict(check_bound).coefficients != slow.to_dict():
-            return "push-forward oracle mismatch"
-        return None
-
-    out.append(_law_loop("engine matches naive oracle bit-exactly", rng,
-                         engine_vs_oracle))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Criterion 6: Hilbert / Euler series compatibility
 
 def check_hilbert(seed=SEED + 1) -> list[CheckResult]:
     rng = random.Random(seed)
-    out = []
-
-    def eval_commutes(rng):
-        src = random_monoid(rng)
-        dst = random_monoid(rng)
-        phi = random_morphism(rng, src, dst)
-        bound = random_bound(rng, src)
-        a = random_series(rng, src, bound, poly=True)
-        lhs = evaluate_polynomial_coefficients(pushforward(phi, a), -1)
-        rhs = pushforward(phi, evaluate_polynomial_coefficients(a, -1))
-        if lhs != rhs:
-            return "evaluation at -1 vs push-forward"
-        b = random_series(rng, dst, random_bound(rng, dst), poly=True)
-        lhs = evaluate_polynomial_coefficients(pullback(phi, b), -1)
-        rhs = pullback(phi, evaluate_polynomial_coefficients(b, -1))
-        if lhs != rhs:
-            return "evaluation at -1 vs pull-back"
-        return None
-
-    out.append(_law_loop("Euler series = Hilbert series at -1", rng,
-                         eval_commutes))
-
-    def graded_slices(rng):
-        # push-forward of the Hilbert series equals the Hilbert series of
-        # the pushed-forward grading, checked slice by slice in u-degree
-        src = random_monoid(rng)
-        dst = random_monoid(rng)
-        phi = random_morphism(rng, src, dst)
-        bound = random_bound(rng, src)
-        a = random_series(rng, src, bound, poly=True)
-        pushed = pushforward(phi, a)
-        max_deg = max((len(c.coeffs) for c in a.coefficients.values()),
-                      default=0)
-        for k in range(max_deg):
-            slice_k = FormalSeries(src, bound,
-                                   {m: c.coeffs[k]
-                                    for m, c in a.coefficients.items()
-                                    if k < len(c.coeffs)})
-            pushed_slice = pushforward(phi, slice_k)
-            got = {m: c.coeffs[k] if k < len(c.coeffs) else 0
-                   for m, c in pushed.coefficients.items()}
-            got = {m: v for m, v in got.items() if v}
-            if got != pushed_slice.coefficients:
-                return f"u-degree {k} slice mismatch"
-        return None
-
-    out.append(_law_loop("push-forward respects the internal grading", rng,
-                         graded_slices))
-    return out
+    return [_law_loop(rng, *law) for law in HILBERT_LAWS]
 
 
 # ---------------------------------------------------------------------------

@@ -51,11 +51,6 @@ def test_hirzebruch_pipeline_matches_closed_form():
         assert first_difference(closed, pipe, 8) is None
 
 
-def test_product_pn_p1_is_d_zero():
-    assert catalog.product_pn_p1_closed(2, 1) == \
-        catalog.split_bundle_closed(2, 0, 1)
-
-
 def test_split_bundle_p0_pipeline():
     closed = catalog.split_bundle_closed(2, 2, 0).expand(6)
     pipe = catalog.split_bundle_series(2, 2, 0, 6)

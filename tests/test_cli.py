@@ -133,8 +133,18 @@ def test_missing_file(capsys, tmp_path):
     assert code == 2
 
 
+T_JSON = '{"generators": [{"label": "t", "weight": 1}]}'
 MALFORMED = ['[1]', '"x"', '{}', '{"coefficients": 3}',
-             '{"monoid": 1, "numerator": [], "denominator": []}']
+             '{"monoid": 1, "numerator": [], "denominator": []}',
+             # a float exponent, in a series and in a rational series
+             '{"monoid": %s, "bound": 10, "coefficients": '
+             '[{"exponents": [0.5], "value": "7"}]}' % T_JSON,
+             '{"monoid": %s, "numerator": [{"exponents": [0.5], '
+             '"value": "1"}], "denominator": []}' % T_JSON,
+             # integer and polynomial coefficients in one series
+             '{"monoid": %s, "bound": 10, "coefficients": '
+             '[{"exponents": [0], "value": "1"}, '
+             '{"exponents": [1], "value": {"poly": ["1", "2"]}}]}' % T_JSON]
 
 
 @pytest.mark.parametrize("text", MALFORMED)

@@ -36,6 +36,9 @@ def test_validate_rejects_wrong_rank_and_negatives():
         m.validate((1,))
     with pytest.raises(ValueError):
         m.validate((1, -1))
+    for bad in ((1, 0.5), (True, 0)):
+        with pytest.raises(TypeError):
+            m.validate(bad)
 
 
 def test_enumerate_counts_unit_weights():
@@ -105,12 +108,6 @@ def test_compose():
     assert chain.apply((2,)) == psi.apply(phi.apply((2,)))
     with pytest.raises(MonoidMismatchError):
         compose(phi, psi)
-
-
-def test_identity_morphism():
-    m = GradedMonoid.free(["a", "b"])
-    ident = MonoidMorphism.identity(m)
-    assert ident.apply((3, 4)) == (3, 4)
 
 
 def test_product_injections_and_projections():

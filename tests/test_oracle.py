@@ -1,20 +1,11 @@
-import math
-
 import pytest
 
 from eulerchow.monoid import GradedMonoid, MonoidMorphism
-from eulerchow.oracle import (DenseTable, binomial, naive_convolve,
-                              naive_pushforward, weyl_dim_gl3)
+from eulerchow.oracle import naive_convolve, naive_pushforward, weyl_dim_gl3
 from eulerchow.series import FormalSeries, convolve, pushforward
 
 T = GradedMonoid.free(["t"])
 XY = GradedMonoid.free(["x", "y"])
-
-
-def test_dense_table_round_trip():
-    f = FormalSeries(XY, 3, {(1, 1): 4, (0, 2): -2})
-    table = DenseTable.from_series(f, 3)
-    assert table.to_dict() == f.coefficients
 
 
 def test_naive_convolve_known_product():
@@ -57,9 +48,3 @@ def test_weyl_dim_known_values():
     assert weyl_dim_gl3(2, 2) == 27
     with pytest.raises(ValueError):
         weyl_dim_gl3(-1, 0)
-
-
-def test_binomial_edges():
-    assert binomial(5, 2) == math.comb(5, 2)
-    assert binomial(3, 5) == 0
-    assert binomial(-1, 0) == 0

@@ -1,12 +1,14 @@
-"""Property-based checks of the ring and morphism laws."""
+"""Property-based checks of the ring and morphism laws of `verify`, on
+cases drawn by Hypothesis."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerchow.monoid import GradedMonoid, MonoidMorphism, compose
-from eulerchow.oracle import naive_convolve
-from eulerchow.series import (FormalSeries, convolve, equals_up_to, exterior,
-                              loads, dumps, one, pullback, pushforward)
+from eulerchow.monoid import GradedMonoid, MonoidMorphism
+from eulerchow.series import FormalSeries, dumps, loads
+from eulerchow.verify import (convolve_matches_oracle, exterior_associativity,
+                              functoriality, pullback_is_linear,
+                              pushforward_is_homomorphism, ring_laws)
 
 
 @st.composite
@@ -33,28 +35,25 @@ def series_triples(draw):
     return tuple(draw(series_over(m)) for _ in range(3))
 
 
+def _nonzero_images(draw, source, target):
+    return tuple(
+        tuple(draw(st.lists(st.integers(0, 2), min_size=target.rank,
+                            max_size=target.rank).filter(any)))
+        for _ in range(source.rank))
+
+
 @st.composite
 def morphism_with_series(draw):
     src = draw(monoids(max_rank=2))
     dst = draw(monoids(max_rank=2))
-    images = []
-    for _ in range(src.rank):
-        img = draw(st.lists(st.integers(0, 2), min_size=dst.rank,
-                            max_size=dst.rank).filter(any))
-        images.append(tuple(img))
-    phi = MonoidMorphism(src, dst, tuple(images))
+    phi = MonoidMorphism(src, dst, _nonzero_images(draw, src, dst))
     return phi, draw(series_over(src)), draw(series_over(dst))
 
 
 @settings(max_examples=60, deadline=None)
 @given(series_triples())
 def test_convolution_ring_laws(fgh):
-    f, g, h = fgh
-    assert convolve(f, g) == convolve(g, f)
-    assert convolve(convolve(f, g), h) == convolve(f, convolve(g, h))
-    assert convolve(f, g + h) == convolve(f, g) + convolve(f, h)
-    unit = one(f.monoid, f.bound)
-    assert convolve(unit, f) == f
+    assert ring_laws(fgh) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -63,9 +62,7 @@ def test_pushforward_is_ring_homomorphism(case):
     phi, f, _ = case
     g = FormalSeries(f.monoid, f.bound,
                      {m: c + 1 for m, c in f.coefficients.items()})
-    lhs = pushforward(phi, convolve(f, g))
-    rhs = convolve(pushforward(phi, f), pushforward(phi, g))
-    assert equals_up_to(lhs, rhs, min(lhs.bound, rhs.bound))
+    assert pushforward_is_homomorphism((phi, f, g)) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -74,16 +71,7 @@ def test_pullback_is_linear(case, s):
     phi, _, g = case
     h = FormalSeries(g.monoid, g.bound,
                      {m: c - 2 for m, c in g.coefficients.items()})
-    lhs = pullback(phi, g + h.scale(s))
-    rhs = pullback(phi, g) + pullback(phi, h).scale(s)
-    assert equals_up_to(lhs, rhs, min(lhs.bound, rhs.bound))
-
-
-def _nonzero_images(draw, source, target):
-    return tuple(
-        tuple(draw(st.lists(st.integers(0, 2), min_size=target.rank,
-                            max_size=target.rank).filter(any)))
-        for _ in range(source.rank))
+    assert pullback_is_linear((phi, g, h, s)) is None
 
 
 @st.composite
@@ -102,33 +90,19 @@ def morphism_chains(draw):
 @settings(max_examples=40, deadline=None)
 @given(morphism_chains())
 def test_functoriality_under_composition(case):
-    phi, psi, f, g = case
-    chain = compose(psi, phi)
-    lhs = pushforward(chain, f)
-    rhs = pushforward(psi, pushforward(phi, f))
-    assert equals_up_to(lhs, rhs, min(lhs.bound, rhs.bound))
-    lhs = pullback(chain, g)
-    rhs = pullback(phi, pullback(psi, g))
-    assert equals_up_to(lhs, rhs, min(lhs.bound, rhs.bound))
+    assert functoriality(case) is None
 
 
 @settings(max_examples=40, deadline=None)
 @given(series_triples())
 def test_exterior_associativity(fgh):
-    f, g, h = fgh
-    lhs, _ = exterior(exterior(f, g)[0], h)
-    rhs, _ = exterior(f, exterior(g, h)[0])
-    assert lhs.coefficients == rhs.coefficients
-    assert lhs.bound == rhs.bound
+    assert exterior_associativity(fgh) is None
 
 
 @settings(max_examples=40, deadline=None)
 @given(series_triples())
 def test_engine_matches_oracle(fgh):
-    f, g, _ = fgh
-    fast = convolve(f, g)
-    slow = naive_convolve(f, g, fast.bound)
-    assert fast.coefficients == slow.to_dict()
+    assert convolve_matches_oracle(fgh[:2]) is None
 
 
 @settings(max_examples=40, deadline=None)

@@ -61,6 +61,8 @@ def test_coefficient_beyond_bound_raises():
 def test_constructor_rejects_terms_beyond_bound():
     with pytest.raises(TruncationError):
         FormalSeries(T, 2, {(3,): 1})
+    with pytest.raises(ValueError):
+        FormalSeries(T, -1, {})
 
 
 def test_restrict_cannot_extend():
@@ -92,6 +94,8 @@ def test_kind_detection_and_mixing():
         f + g
     with pytest.raises(TypeError):
         convolve(f, g)
+    with pytest.raises(TypeError):
+        FormalSeries(T, 2, {(0,): 1, (1,): POLY_ONE})
 
 
 def test_scale_and_negate():
@@ -224,6 +228,8 @@ def test_rational_expand_single_factor():
     f = r.expand(6)
     for d in range(7):
         assert f.coefficient((d,)) == math.comb(d + 2, 2)
+    with pytest.raises(ValueError):
+        r.expand(-1)
 
 
 def test_rational_numerator_and_multiply():
