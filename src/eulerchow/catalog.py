@@ -1,5 +1,7 @@
-"""Catalog of varieties with known Euler-Chow series: closed forms and
-the two computation pipelines (split projective bundle, Chow quotient).
+"""Catalog of varieties with known Euler-Chow series: closed forms, the
+two computation pipelines (split projective bundle, Chow quotient), and
+one row per kind of variety that says how it is spelled, which p it
+serves and how its series is computed.
 """
 
 from __future__ import annotations
@@ -7,6 +9,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import schubert
 from .monoid import GradedMonoid, MonoidMorphism
@@ -31,45 +34,27 @@ class VerificationError(AssertionError):
 
 @dataclass(frozen=True)
 class VarietyDescriptor:
+    """A catalog variety: its kind (a key of `KINDS`) and parameters."""
+
     kind: str
     n: int = 0
     d: int = 0
     chi: int = 0
 
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise UnsupportedRequestError(f"unknown variety kind: "
+                                          f"{self.kind!r}")
+
     def __str__(self):
-        return {
-            "Pn": f"Pn({self.n})",
-            "PnxP1": f"PnxP1({self.n})",
-            "ProjClosure": f"ProjClosure(n={self.n},d={self.d})",
-            "Hirzebruch": f"Hirzebruch({self.d})",
-            "BlowupPn": f"BlowupPn({self.n})",
-            "Flag012": "Flag012",
-            "G13": "G(1,3)",
-            "Macdonald": f"Macdonald({self.chi})",
-        }[self.kind]
-
-
-_DESCRIPTOR_FORMS = [
-    (r"Pn\((\d+)\)", lambda m: VarietyDescriptor("Pn", n=int(m[1]))),
-    (r"PnxP1\((\d+)\)", lambda m: VarietyDescriptor("PnxP1", n=int(m[1]))),
-    (r"ProjClosure\(n=(\d+),d=(\d+)\)",
-     lambda m: VarietyDescriptor("ProjClosure", n=int(m[1]), d=int(m[2]))),
-    (r"Hirzebruch\((\d+)\)",
-     lambda m: VarietyDescriptor("Hirzebruch", n=1, d=int(m[1]))),
-    (r"BlowupPn\((\d+)\)",
-     lambda m: VarietyDescriptor("BlowupPn", n=int(m[1]) - 1, d=1)),
-    (r"Flag012", lambda m: VarietyDescriptor("Flag012")),
-    (r"G\(1,3\)", lambda m: VarietyDescriptor("G13")),
-    (r"Macdonald\((-?\d+)\)",
-     lambda m: VarietyDescriptor("Macdonald", chi=int(m[1]))),
-]
+        return KINDS[self.kind].spell(self)
 
 
 def parse_descriptor(text: str) -> VarietyDescriptor:
-    for pattern, build in _DESCRIPTOR_FORMS:
-        m = re.fullmatch(pattern, text.strip())
+    for name, kind in KINDS.items():
+        m = re.fullmatch(kind.pattern, text.strip())
         if m:
-            return build(m)
+            return VarietyDescriptor(name, **kind.parse(*map(int, m.groups())))
     raise UnsupportedRequestError(f"unknown variety descriptor: {text!r}")
 
 
@@ -77,22 +62,9 @@ def parse_descriptor(text: str) -> VarietyDescriptor:
 class EulerChowResult:
     variety: VarietyDescriptor
     p: int
-    closed_form: RationalSeries | None
+    closed_form: RationalSeries
     expansion: FormalSeries | None
     generator_dictionary: tuple[tuple[str, str], ...]
-
-
-def _rename(monoid: GradedMonoid, labels) -> GradedMonoid:
-    return GradedMonoid(tuple(zip(labels, monoid.weights)))
-
-
-def rename_rational(r: RationalSeries, labels) -> RationalSeries:
-    return RationalSeries(_rename(r.monoid, labels), r.numerator,
-                          r.denominator)
-
-
-def rename_series(f: FormalSeries, labels) -> FormalSeries:
-    return FormalSeries(_rename(f.monoid, labels), f.bound, f.coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +103,23 @@ def split_bundle_closed(n: int, d: int, p: int) -> RationalSeries:
     return RationalSeries(m, ((m.zero(), 1),), tuple(den))
 
 
-def flag012_series(p: int) -> RationalSeries:
-    """Stored closed forms for F(0,1;2), over the Schubert-symbol basis."""
-    if p not in (0, 1, 2):
-        raise ValueError(f"no stored closed form for F(0,1;2) at p={p}")
-    return _flag012_rational(p)
+def _basis(ft: schubert.FlagType, p: int) -> GradedMonoid:
+    """Weight-1 generators, one per Schubert symbol of dimension p in
+    graded-lex order, named by the letters the series are printed in."""
+    letters = {FLAG012: ("t", "rs", "xy", "u"),
+               G13: ("t", "s", "xy", "z", "w")}[ft][p]
+    return GradedMonoid.free(letters)
 
 
-def _flag012_rational(p: int) -> RationalSeries:
-    m = schubert.basis(FLAG012, p)
+def flag012_closed(p: int) -> RationalSeries:
+    """Closed forms for F(0,1;2), over the Schubert-symbol basis.
+
+    The catalog serves p = 0..2; p = 3, the multiples of the fundamental
+    class, is a factor of the G(1,3) pipeline at p = 4.
+    """
+    if not 0 <= p <= 3:
+        raise ValueError(f"p={p} out of range for F(0,1;2)")
+    m = _basis(FLAG012, p)
     num = ((m.zero(), 1),)
     if p == 0:
         chi = schubert.fixed_point_count(FLAG012)
@@ -152,15 +132,15 @@ def _flag012_rational(p: int) -> RationalSeries:
         # generators: <1;1,2> (x), <2;0,2> (y)
         return RationalSeries(m, (((0, 0), 1), ((1, 1), -1)),
                               (((1, 0), 3), ((0, 1), 3)))
-    if p == 3:
-        # fundamental-class multiples: one component per degree
-        return RationalSeries(m, num, (((1,), 1),))
-    raise ValueError(f"p={p} out of range for F(0,1;2)")
+    # fundamental-class multiples: one component per degree
+    return RationalSeries(m, num, (((1,), 1),))
 
 
 def grassmannian13_closed(p: int) -> RationalSeries:
     """Closed forms for G(1,3), over the Schubert-symbol basis."""
-    m = schubert.basis(G13, p)
+    if not 0 <= p <= 4:
+        raise ValueError(f"p={p} out of range for G(1,3)")
+    m = _basis(G13, p)
     num = ((m.zero(), 1),)
     if p == 0:
         return RationalSeries(m, num,
@@ -173,9 +153,7 @@ def grassmannian13_closed(p: int) -> RationalSeries:
                               (((1, 0), 4), ((0, 1), 4), ((1, 1), 3)))
     if p == 3:
         return RationalSeries(m, (((0,), 1), ((1,), 1)), (((1,), 5),))
-    if p == 4:
-        return RationalSeries(m, num, (((1,), 1),))
-    raise ValueError(f"p={p} out of range for G(1,3)")
+    return RationalSeries(m, num, (((1,), 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +208,7 @@ def _g13_factors(p: int, degree: int):
     E_{p-1}(F(0,1;2)) along the trace map, E_p(G(1,2)) and E_p(G(0,2))
     along the inclusions.  A factor whose basis is empty is left out."""
     if p >= 1:
-        yield (_flag012_rational(p - 1).expand(degree),
+        yield (flag012_closed(p - 1).expand(degree),
                schubert.symbols_of_dimension(FLAG012, p - 1),
                schubert.trace_phi)
     for d, inclusion in ((1, schubert.inclusion_i), (0, schubert.inclusion_j)):
@@ -253,9 +231,9 @@ def grassmannian13_series(p: int, degree: int) -> FormalSeries:
     """
     if not 0 <= p <= 4:
         raise ValueError(f"p={p} out of range for G(1,3)")
-    target = schubert.basis(G13, p)
-    pieces = [(f, [target.generator(target.index_of(push(s).label()))
-                   for s in symbols])
+    target = _basis(G13, p)
+    classes = schubert.symbols_of_dimension(G13, p)
+    pieces = [(f, [target.generator(classes.index(push(s))) for s in symbols])
               for f, symbols, push in _g13_factors(p, degree)]
     return _assemble(pieces, target, degree)
 
@@ -284,100 +262,106 @@ def flag012_divisor_by_recurrence(R: int, S: int) -> list[list[int]]:
     return a0
 
 
+def _flag012_pipeline(p: int, degree: int) -> FormalSeries | None:
+    """The divisor series (p = 2) by recurrence; no pipeline at p = 0, 1."""
+    if p != 2:
+        return None
+    table = flag012_divisor_by_recurrence(degree, degree)
+    return FormalSeries(_basis(FLAG012, 2), degree,
+                        {(r, s): table[r][s] for r in range(degree + 1)
+                         for s in range(degree + 1 - r)})
+
+
 # ---------------------------------------------------------------------------
-# Dispatcher
+# The catalog: one row per kind of variety
 
-_VARIABLE_TABLES = {
-    # (kind, p) -> list of (variable, class name); class names follow the
-    # Schubert-symbol labels of the basis monoid, in graded-lex order.
-    ("Flag012", 0): ["t"],
-    ("Flag012", 1): ["r", "s"],
-    ("Flag012", 2): ["x", "y"],
-    ("G13", 0): ["t"],
-    ("G13", 1): ["s"],
-    ("G13", 2): ["x", "y"],
-    ("G13", 3): ["z"],
-    ("G13", 4): ["w"],
+class Kind(NamedTuple):
+    """Everything the catalog knows about one kind of variety."""
+
+    pattern: str                   # descriptor regex, one group per integer
+    parse: Callable[..., dict]     # those integers -> descriptor fields
+    spell: Callable[[VarietyDescriptor], str]   # inverse of the two above
+    top_p: Callable[[VarietyDescriptor], int]   # p = 0..top_p is served
+    closed: Callable[[VarietyDescriptor, int], RationalSeries]
+    # class of each generator of the closed form's monoid, in order
+    classes: Callable[[VarietyDescriptor, int], list[str]]
+    # (v, p, degree) -> expansion computed without the closed form, or
+    # None where no pipeline exists
+    pipeline: Callable[[VarietyDescriptor, int, int],
+                       FormalSeries | None] = lambda v, p, degree: None
+
+
+def _split_kind(pattern, parse, spell) -> Kind:
+    """A projective closure of O(d) over P^n."""
+    return Kind(pattern, parse, spell, top_p=lambda v: v.n,
+                closed=lambda v, p: split_bundle_closed(v.n, v.d, p),
+                classes=lambda v, p: [f"q*[P^{p - 1}]", f"section [P^{p}]"],
+                pipeline=lambda v, p, D: split_bundle_series(v.n, v.d, p, D))
+
+
+def _schubert_classes(ft: schubert.FlagType):
+    return lambda v, p: [s.label()
+                         for s in schubert.symbols_of_dimension(ft, p)]
+
+
+KINDS: dict[str, Kind] = {
+    "Pn": Kind(r"Pn\((\d+)\)", lambda n: {"n": n}, lambda v: f"Pn({v.n})",
+               top_p=lambda v: v.n,
+               closed=lambda v, p: lawson_yau_pn(v.n, p),
+               classes=lambda v, p: [f"degree-d multiples of [P^{p}]"]),
+    "PnxP1": _split_kind(r"PnxP1\((\d+)\)", lambda n: {"n": n},
+                         lambda v: f"PnxP1({v.n})"),
+    "ProjClosure": _split_kind(r"ProjClosure\(n=(\d+),d=(\d+)\)",
+                               lambda n, d: {"n": n, "d": d},
+                               lambda v: f"ProjClosure(n={v.n},d={v.d})"),
+    "Hirzebruch": _split_kind(r"Hirzebruch\((\d+)\)",
+                              lambda d: {"n": 1, "d": d},
+                              lambda v: f"Hirzebruch({v.d})"),
+    # P^n blown up at a point is the closure of O(1) over P^(n-1)
+    "BlowupPn": _split_kind(r"BlowupPn\((\d+)\)",
+                            lambda n: {"n": n - 1, "d": 1},
+                            lambda v: f"BlowupPn({v.n + 1})"),
+    "Flag012": Kind(r"Flag012", lambda: {}, lambda v: "Flag012",
+                    top_p=lambda v: 2,
+                    closed=lambda v, p: flag012_closed(p),
+                    classes=_schubert_classes(FLAG012),
+                    pipeline=lambda v, p, D: _flag012_pipeline(p, D)),
+    "G13": Kind(r"G\(1,3\)", lambda: {}, lambda v: "G(1,3)",
+                top_p=lambda v: 4,
+                closed=lambda v, p: grassmannian13_closed(p),
+                classes=_schubert_classes(G13),
+                pipeline=lambda v, p, D: grassmannian13_series(p, D)),
+    "Macdonald": Kind(r"Macdonald\((-?\d+)\)", lambda chi: {"chi": chi},
+                      lambda v: f"Macdonald({v.chi})", top_p=lambda v: 0,
+                      closed=lambda v, p: macdonald(v.chi),
+                      classes=lambda v, p: ["point class"]),
 }
-
-
-def _dimension_range(v: VarietyDescriptor) -> range:
-    if v.kind in ("Pn", "Macdonald"):
-        return range(0, v.n + 1) if v.kind == "Pn" else range(0, 1)
-    if v.kind in ("PnxP1", "ProjClosure", "Hirzebruch", "BlowupPn"):
-        return range(0, v.n + 1)
-    if v.kind == "Flag012":
-        return range(0, 3)
-    if v.kind == "G13":
-        return range(0, 5)
-    raise UnsupportedRequestError(v.kind)
 
 
 def euler_chow(v: VarietyDescriptor, p: int, degree: int = 10,
                method: str = "both") -> EulerChowResult:
     """Compute E_p of a catalog variety.
 
-    method 'closed' returns the stored rational form, 'pipeline' the
-    truncated pipeline expansion, 'both' verifies their agreement up to
-    the requested degree before returning.
+    method 'closed' returns the stored rational form alone.  'both' also
+    runs the variety's pipeline at this p, where one exists, checks it
+    against the closed form up to the requested degree and returns it as
+    `expansion`.  `expansion` is None exactly when no cross-check ran:
+    under 'closed', or where no pipeline exists.
     """
-    if method not in ("closed", "pipeline", "both"):
+    if method not in ("closed", "both"):
         raise ValueError(f"unknown method {method!r}")
-    if p not in _dimension_range(v):
+    kind = KINDS[v.kind]
+    if not 0 <= p <= kind.top_p(v):
         raise ValueError(f"p={p} out of range for {v}")
-
-    closed: RationalSeries | None = None
-    expansion: FormalSeries | None = None
-    dictionary: list[tuple[str, str]] = []
-
-    if v.kind == "Pn":
-        closed = lawson_yau_pn(v.n, p)
-        dictionary = [("t", f"degree-d multiples of [P^{p}]")]
-    elif v.kind == "Macdonald":
-        closed = macdonald(v.chi)
-        dictionary = [("t", "point class")]
-    elif v.kind in ("PnxP1", "ProjClosure", "Hirzebruch", "BlowupPn"):
-        n, d = v.n, (0 if v.kind == "PnxP1" else v.d)
-        closed = split_bundle_closed(n, d, p)
-        dictionary = [("t0", f"q*[P^{p - 1}]"), ("t1", f"section [P^{p}]")]
-        if method in ("pipeline", "both"):
-            expansion = split_bundle_series(n, d, p, degree)
-    elif v.kind == "Flag012":
-        symbols = schubert.symbols_of_dimension(FLAG012, p)
-        variables = _VARIABLE_TABLES[("Flag012", p)]
-        dictionary = [(var, s.label()) for var, s in zip(variables, symbols)]
-        closed = rename_rational(flag012_series(p), variables)
-        if p == 2 and method in ("pipeline", "both"):
-            table = flag012_divisor_by_recurrence(degree, degree)
-            coeffs = {(r, s): table[r][s]
-                      for r in range(degree + 1)
-                      for s in range(degree + 1) if r + s <= degree}
-            expansion = FormalSeries(closed.monoid, degree, coeffs)
-    elif v.kind == "G13":
-        symbols = schubert.symbols_of_dimension(G13, p)
-        variables = _VARIABLE_TABLES[("G13", p)]
-        dictionary = [(var, s.label()) for var, s in zip(variables, symbols)]
-        closed = rename_rational(grassmannian13_closed(p), variables)
-        if method in ("pipeline", "both"):
-            expansion = rename_series(grassmannian13_series(p, degree),
-                                      variables)
-    else:
-        raise UnsupportedRequestError(v.kind)
-
-    if method in ("pipeline", "both") and expansion is None:
-        raise UnsupportedRequestError(
-            f"no independent pipeline is available for {v}")
-
-    if method == "both":
+    closed = kind.closed(v, p)
+    dictionary = tuple(zip(closed.monoid.labels, kind.classes(v, p),
+                           strict=True))
+    expansion = kind.pipeline(v, p, degree) if method == "both" else None
+    if expansion is not None:
         diff = first_difference(closed.expand(degree), expansion, degree)
         if diff is not None:
             m, a, b = diff
             raise VerificationError(
                 f"{v} p={p}: closed form and pipeline differ at t^{m}: "
                 f"{a} vs {b}", diff)
-
-    if method == "closed":
-        expansion = None
-    if method == "pipeline":
-        closed = None
-    return EulerChowResult(v, p, closed, expansion, tuple(dictionary))
+    return EulerChowResult(v, p, closed, expansion, dictionary)

@@ -49,7 +49,8 @@ def _monomial(variables, exponents) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _format_rational(r: RationalSeries, variables) -> str:
+def _format_rational(r: RationalSeries) -> str:
+    variables = r.monoid.labels
     terms = []
     for m, c in r.numerator:
         mono = _monomial(variables, m)
@@ -71,65 +72,39 @@ def _format_rational(r: RationalSeries, variables) -> str:
     return f"{num}/{den}"
 
 
-def _series_text(result: catalog.EulerChowResult, degree: int) -> str:
+def _series_text(result: catalog.EulerChowResult, expansion: FormalSeries,
+                 degree: int) -> str:
     lines = [f"# E_{result.p}({result.variety}), degree <= {degree}"]
-    if result.generator_dictionary:
-        pairs = ", ".join(f"{var} = {cls}"
-                          for var, cls in result.generator_dictionary)
-        lines.append(f"# generators: {pairs}")
-    expansion = result.expansion
-    if expansion is None:
-        expansion = result.closed_form.expand(degree)
-    variables = [var for var, _ in result.generator_dictionary]
-    if not variables:
-        variables = list(expansion.monoid.labels)
+    pairs = ", ".join(f"{var} = {cls}"
+                      for var, cls in result.generator_dictionary)
+    lines.append(f"# generators: {pairs}")
     for m, c in expansion.items_by_grade():
-        lines.append(f"{_monomial(variables, m)}: {c}")
+        lines.append(f"{_monomial(expansion.monoid.labels, m)}: {c}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_series(args) -> int:
     try:
         variety = catalog.parse_descriptor(args.variety)
-    except catalog.UnsupportedRequestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        result = catalog.euler_chow(variety, args.p, args.degree,
-                                    method="both")
+        result = catalog.euler_chow(variety, args.p, args.degree)
     except catalog.VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except catalog.UnsupportedRequestError:
-        # no independent pipeline; fall back to the stored closed form
-        try:
-            result = catalog.euler_chow(variety, args.p, args.degree,
-                                        method="closed")
-        except (ValueError, catalog.UnsupportedRequestError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    if args.format == "rational":
+        _emit(f"# E_{result.p}({result.variety})\n"
+              f"{_format_rational(result.closed_form)}\n", args.output)
+        return EXIT_OK
+    expansion = result.expansion
+    if expansion is None:
+        expansion = result.closed_form.expand(args.degree)
     if args.format == "text":
-        _emit(_series_text(result, args.degree), args.output)
-    elif args.format == "json":
-        expansion = result.expansion
-        if expansion is None:
-            expansion = result.closed_form.expand(args.degree)
+        _emit(_series_text(result, expansion, args.degree), args.output)
+    else:
         _emit(dumps(expansion), args.output)
-    else:  # rational
-        if result.closed_form is None:
-            print(f"error: no closed form available for {variety}",
-                  file=sys.stderr)
-            return EXIT_UNSUPPORTED
-        variables = [var for var, _ in result.generator_dictionary]
-        if not variables:
-            variables = list(result.closed_form.monoid.labels)
-        header = (f"# E_{result.p}({result.variety})\n"
-                  f"{_format_rational(result.closed_form, variables)}\n")
-        _emit(header, args.output)
     return EXIT_OK
 
 

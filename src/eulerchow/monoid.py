@@ -18,6 +18,20 @@ from operator import mul
 
 Element = tuple[int, ...]
 
+def int_from_json(v) -> int:
+    """An integer field of a JSON document: an int (not a bool or a float)
+    or a decimal string; `int` raises ValueError on any other string."""
+    if type(v) is int or type(v) is str:
+        return int(v)
+    raise TypeError(f"expected an integer, got {v!r}")
+
+
+def list_from_json(v) -> list:
+    """An array field of a JSON document."""
+    if type(v) is not list:
+        raise TypeError(f"expected an array, got {v!r}")
+    return v
+
 
 class MonoidMismatchError(ValueError):
     """Raised when an operation mixes incompatible monoids."""
@@ -63,12 +77,6 @@ class GradedMonoid:
         e = [0] * self.rank
         e[i] = 1
         return tuple(e)
-
-    def index_of(self, label: str) -> int:
-        for i, (lab, _) in enumerate(self.generators):
-            if lab == label:
-                return i
-        raise KeyError(label)
 
     def validate(self, m: Element) -> Element:
         """m as an element: one exponent per generator, each an int >= 0."""
@@ -120,8 +128,8 @@ class GradedMonoid:
 
     @classmethod
     def from_json(cls, data: dict) -> "GradedMonoid":
-        return cls(tuple((g["label"], int(g["weight"]))
-                         for g in data["generators"]))
+        return cls(tuple((g["label"], int_from_json(g["weight"]))
+                         for g in list_from_json(data["generators"])))
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,7 @@ def fixed_point_count(ft: FlagType) -> int:
     return len(all_symbols(ft))
 
 
-def trace_phi(sym: SchubertSymbol, j: int | None = None) -> SchubertSymbol:
+def trace_phi(sym: SchubertSymbol) -> SchubertSymbol:
     """Trace-map image in G(d, n) of a symbol of F(d-1, d; n-1).
 
     The first sequence must omit exactly one entry of the second; that
@@ -142,10 +142,7 @@ def trace_phi(sym: SchubertSymbol, j: int | None = None) -> SchubertSymbol:
     omitted = sorted(set(full) - set(short))
     if len(omitted) != 1:
         raise ValueError(f"{sym.label()} does not omit exactly one entry")
-    if j is None:
-        j = full.index(omitted[0])
-    elif full[j] != omitted[0]:
-        raise ValueError(f"index {j} does not name the omitted entry")
+    j = full.index(omitted[0])
     image = full[:j] + tuple(a + 1 for a in full[j:])
     return SchubertSymbol(grassmannian(ft.dims[1], ft.ambient + 1), (image,))
 

@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .monoid import Element, GradedMonoid, MonoidMismatchError, MonoidMorphism
+from .monoid import (Element, GradedMonoid, MonoidMismatchError,
+                     MonoidMorphism, int_from_json, list_from_json)
 from .monoid import product as monoid_product
 
 
@@ -100,6 +101,8 @@ class FormalSeries:
     monoid: GradedMonoid
     bound: int
     coefficients: dict[Element, object] = field(default_factory=dict)
+
+    __hash__ = None  # the coefficient table is a dict
 
     def __post_init__(self):
         if self.bound < 0:
@@ -333,10 +336,6 @@ class RationalSeries:
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)
 
-    @classmethod
-    def unit(cls, monoid: GradedMonoid) -> "RationalSeries":
-        return cls(monoid, ((monoid.zero(), 1),), ())
-
     def expand(self, degree: int) -> FormalSeries:
         """Truncated geometric expansion, exact to the requested degree."""
         out = FormalSeries(self.monoid, degree,
@@ -373,10 +372,10 @@ class RationalSeries:
     @classmethod
     def from_json(cls, data: dict) -> "RationalSeries":
         monoid = GradedMonoid.from_json(data["monoid"])
-        num = tuple((tuple(t["exponents"]), int(t["value"]))
-                    for t in data["numerator"])
-        den = tuple((tuple(t["exponents"]), int(t["multiplicity"]))
-                    for t in data["denominator"])
+        num = tuple((tuple(t["exponents"]), int_from_json(t["value"]))
+                    for t in list_from_json(data["numerator"]))
+        den = tuple((tuple(t["exponents"]), int_from_json(t["multiplicity"]))
+                    for t in list_from_json(data["denominator"]))
         return cls(monoid, num, den)
 
 
@@ -388,8 +387,9 @@ def _coeff_to_json(c):
 
 def _coeff_from_json(v):
     if isinstance(v, dict):
-        return IntPolynomial(tuple(int(x) for x in v["poly"]))
-    return int(v)
+        return IntPolynomial(tuple(map(int_from_json,
+                                       list_from_json(v["poly"]))))
+    return int_from_json(v)
 
 
 def series_to_json(f: FormalSeries) -> dict:
@@ -404,8 +404,8 @@ def series_to_json(f: FormalSeries) -> dict:
 def series_from_json(data: dict) -> FormalSeries:
     monoid = GradedMonoid.from_json(data["monoid"])
     coeffs = {tuple(t["exponents"]): _coeff_from_json(t["value"])
-              for t in data["coefficients"]}
-    return FormalSeries(monoid, int(data["bound"]), coeffs)
+              for t in list_from_json(data["coefficients"])}
+    return FormalSeries(monoid, int_from_json(data["bound"]), coeffs)
 
 
 def dumps(obj) -> str:
@@ -420,11 +420,13 @@ def dumps(obj) -> str:
 
 
 def loads(text: str):
-    """Parse `dumps` output; any schema violation is one ValueError."""
-    data = json.loads(text)
+    """Parse `dumps` output; any text that is not a valid series or
+    rational series, as JSON or by the schema, is one ValueError."""
     try:
+        data = json.loads(text)
         if "coefficients" in data:
             return series_from_json(data)
         return RationalSeries.from_json(data)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError,
+            RecursionError) as exc:
         raise ValueError(f"malformed series file: {exc!r}") from None

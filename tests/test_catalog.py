@@ -1,8 +1,8 @@
 import pytest
 
 from eulerchow import catalog
-from eulerchow.catalog import (UnsupportedRequestError, VerificationError,
-                               euler_chow, parse_descriptor)
+from eulerchow.catalog import (UnsupportedRequestError, VarietyDescriptor,
+                               VerificationError, euler_chow, parse_descriptor)
 from eulerchow.monoid import MonoidMorphism
 from eulerchow.series import exterior, first_difference, pushforward
 from eulerchow.verify import BUNDLE_CASES
@@ -20,6 +20,18 @@ def test_parse_descriptor_forms():
     assert parse_descriptor("Macdonald(6)").chi == 6
     with pytest.raises(UnsupportedRequestError):
         parse_descriptor("Quadric(3)")
+
+
+def test_descriptor_round_trip():
+    texts = ["Pn(3)", "PnxP1(2)", "ProjClosure(n=2,d=3)", "Hirzebruch(2)",
+             "BlowupPn(3)", "Flag012", "G(1,3)", "Macdonald(-1)"]
+    for text in texts:
+        v = parse_descriptor(text)
+        assert str(v) == text
+        assert parse_descriptor(str(v)) == v
+    assert {parse_descriptor(t).kind for t in texts} == set(catalog.KINDS)
+    with pytest.raises(UnsupportedRequestError):
+        VarietyDescriptor("Quadric")
 
 
 def test_macdonald_is_chi_th_geometric_power():
@@ -114,7 +126,7 @@ def test_factored_pipeline_equals_unfactored(monkeypatch, pipeline):
 
 def test_flag012_divisor_recurrence_matches_closed_form():
     table = catalog.flag012_divisor_by_recurrence(8, 8)
-    f = catalog.flag012_series(2).expand(16)
+    f = catalog.flag012_closed(2).expand(16)
     for r in range(9):
         for s in range(9):
             assert table[r][s] == f.coefficient((r, s))
@@ -140,8 +152,7 @@ def test_euler_chow_closed_only_for_pn():
     v = parse_descriptor("Pn(3)")
     result = euler_chow(v, 1, method="closed")
     assert result.expansion is None
-    with pytest.raises(UnsupportedRequestError):
-        euler_chow(v, 1, method="pipeline")
+    assert euler_chow(v, 1, method="both").expansion is None
 
 
 def test_euler_chow_p_out_of_range():

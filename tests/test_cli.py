@@ -37,6 +37,14 @@ def test_series_rational_g13(capsys):
     assert "(1 + z)/(1-z)^5" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "rational"])
+def test_series_header_spells_the_descriptor(capsys, fmt):
+    code, out, _ = run(capsys, "series", "BlowupPn(3)", "--p", "1",
+                       "--format", fmt)
+    assert code == 0
+    assert out.startswith("# E_1(BlowupPn(3))")
+
+
 def test_series_default_degree_in_header(capsys):
     code, out, _ = run(capsys, "series", "Pn(1)", "--p", "0")
     assert code == 0
@@ -134,6 +142,14 @@ def test_missing_file(capsys, tmp_path):
 
 
 T_JSON = '{"generators": [{"label": "t", "weight": 1}]}'
+
+
+def _series_file(bound="10", value='"7"', weight="1"):
+    return ('{"monoid": {"generators": [{"label": "t", "weight": %s}]}, '
+            '"bound": %s, "coefficients": [{"exponents": [0], "value": %s}]}'
+            % (weight, bound, value))
+
+
 MALFORMED = ['[1]', '"x"', '{}', '{"coefficients": 3}',
              '{"monoid": 1, "numerator": [], "denominator": []}',
              # a float exponent, in a series and in a rational series
@@ -144,7 +160,16 @@ MALFORMED = ['[1]', '"x"', '{}', '{"coefficients": 3}',
              # integer and polynomial coefficients in one series
              '{"monoid": %s, "bound": 10, "coefficients": '
              '[{"exponents": [0], "value": "1"}, '
-             '{"exponents": [1], "value": {"poly": ["1", "2"]}}]}' % T_JSON]
+             '{"exponents": [1], "value": {"poly": ["1", "2"]}}]}' % T_JSON,
+             # a number is an int or a decimal string: not a float, a bool,
+             # an infinity or other text; an array must not be a string
+             *(_series_file(**kw) for kw in (
+                 {"value": "0.5"}, {"value": "true"}, {"value": '"abc"'},
+                 {"bound": "2.9"}, {"bound": "1e400"}, {"weight": "1e400"},
+                 {"value": '{"poly": "12"}'})),
+             '{"monoid": %s, "numerator": [], "denominator": '
+             '[{"exponents": [1], "multiplicity": 1e400}]}' % T_JSON,
+             pytest.param("[" * 100000 + "]" * 100000, id="nested-100k")]
 
 
 @pytest.mark.parametrize("text", MALFORMED)

@@ -1,11 +1,15 @@
-"""Property-based checks of the ring and morphism laws of `verify`, on
-cases drawn by Hypothesis."""
+"""Property-based checks of the ring and morphism laws of `verify`, and
+of `loads` on damaged series files, on cases drawn by Hypothesis."""
 
-from hypothesis import given, settings
+import json
+import math
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulerchow.monoid import GradedMonoid, MonoidMorphism
-from eulerchow.series import FormalSeries, dumps, loads
+from eulerchow.series import (FormalSeries, IntPolynomial, RationalSeries,
+                              dumps, loads)
 from eulerchow.verify import (convolve_matches_oracle, exterior_associativity,
                               functoriality, pullback_is_linear,
                               pushforward_is_homomorphism, ring_laws)
@@ -110,3 +114,63 @@ def test_engine_matches_oracle(fgh):
 def test_json_round_trip(fgh):
     f, _, _ = fgh
     assert loads(dumps(f)) == f
+
+
+_T = GradedMonoid.free(["t", "u"], [1, 2])
+_RATIONAL = RationalSeries(_T, (((0, 0), 1), ((1, 0), -2)),
+                           (((1, 0), 3), ((1, 1), 1)))
+# valid documents: an int series, a polynomial series, a rational series
+PAYLOADS = [json.loads(dumps(x)) for x in (
+    _RATIONAL.expand(3),
+    FormalSeries(_T, 2, {(0, 0): IntPolynomial((1, 2)),
+                         (0, 1): IntPolynomial((0, -3))}),
+    _RATIONAL)]
+
+# any JSON value, weighted toward the numbers a file must not hold
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+    | st.integers() | st.sampled_from([10**400, -10**400, "1e400", "0x10"]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _paths(node, path=()):
+    """The path of every node of a JSON document, the root first."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        items = ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@st.composite
+def damaged_files(draw):
+    doc = draw(st.sampled_from(PAYLOADS))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    return json.dumps(_replaced(doc, path, draw(JSON_VALUES)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_files())
+@example(json.dumps({**PAYLOADS[0], "bound": math.inf}))
+def test_loads_returns_or_raises_the_format_error(text):
+    try:
+        loads(text)
+    except ValueError as exc:
+        assert str(exc).startswith("malformed series file: ")

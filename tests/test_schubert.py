@@ -106,8 +106,6 @@ def test_trace_phi_raises_dimension_by_one():
 def test_trace_phi_rejects_wrong_shape():
     with pytest.raises(ValueError):
         trace_phi(SchubertSymbol(G13, ((0, 1),)))
-    with pytest.raises(ValueError):
-        trace_phi(SchubertSymbol(F012, ((0,), (0, 1))), j=0)
 
 
 def test_inclusions():

@@ -1,4 +1,5 @@
 import math
+from collections.abc import Hashable
 
 import pytest
 
@@ -63,6 +64,14 @@ def test_constructor_rejects_terms_beyond_bound():
         FormalSeries(T, 2, {(3,): 1})
     with pytest.raises(ValueError):
         FormalSeries(T, -1, {})
+
+
+def test_series_is_unhashable():
+    # the coefficient table is a dict, so a series must not pass for a key
+    f = FormalSeries(T, 2, {(1,): 3})
+    assert not isinstance(f, Hashable)
+    with pytest.raises(TypeError):
+        hash(f)
 
 
 def test_restrict_cannot_extend():
