@@ -52,7 +52,7 @@ class VarietyDescriptor:
 
 def parse_descriptor(text: str) -> VarietyDescriptor:
     for name, kind in KINDS.items():
-        m = re.fullmatch(kind.pattern, text.strip())
+        m = re.fullmatch(kind.pattern, text.strip(), re.ASCII)
         if m:
             return VarietyDescriptor(name, **kind.parse(*map(int, m.groups())))
     raise UnsupportedRequestError(f"unknown variety descriptor: {text!r}")

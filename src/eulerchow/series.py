@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .monoid import (Element, GradedMonoid, MonoidMismatchError,
                      MonoidMorphism, int_from_json, list_from_json)
@@ -88,6 +89,11 @@ def _is_poly(c) -> bool:
     return isinstance(c, IntPolynomial)
 
 
+def _check_monoids(f: "FormalSeries", g: "FormalSeries"):
+    if f.monoid != g.monoid:
+        raise MonoidMismatchError("series over different monoids")
+
+
 def _check_kinds(f: "FormalSeries", g: "FormalSeries"):
     kf, kg = f.kind, g.kind
     if kf is not None and kg is not None and kf != kg:
@@ -149,8 +155,7 @@ class FormalSeries:
                              if grade(m) <= bound})
 
     def __add__(self, other: "FormalSeries") -> "FormalSeries":
-        if self.monoid != other.monoid:
-            raise MonoidMismatchError("series over different monoids")
+        _check_monoids(self, other)
         _check_kinds(self, other)
         bound = min(self.bound, other.bound)
         grade = self.monoid.grade
@@ -191,8 +196,7 @@ def zero(monoid: GradedMonoid, bound: int) -> FormalSeries:
 
 def convolve(f: FormalSeries, g: FormalSeries) -> FormalSeries:
     """Convolution product: coefficient at m sums f(a)g(b) over a+b=m."""
-    if f.monoid != g.monoid:
-        raise MonoidMismatchError("series over different monoids")
+    _check_monoids(f, g)
     _check_kinds(f, g)
     monoid = f.monoid
     bound = min(f.bound, g.bound)
@@ -277,8 +281,6 @@ def pullback(phi: MonoidMorphism, g: FormalSeries) -> FormalSeries:
 
 def equals_up_to(f: FormalSeries, g: FormalSeries, degree: int) -> bool:
     """Exact coefficient agreement on every element of grade <= degree."""
-    if f.monoid != g.monoid:
-        raise MonoidMismatchError("series over different monoids")
     if degree > f.bound or degree > g.bound:
         raise TruncationError(
             f"degree {degree} exceeds a series bound "
@@ -287,7 +289,12 @@ def equals_up_to(f: FormalSeries, g: FormalSeries, degree: int) -> bool:
 
 
 def first_difference(f: FormalSeries, g: FormalSeries, degree: int):
-    """First graded-lex element where coefficients differ, or None."""
+    """First graded-lex element where coefficients differ, or None.
+
+    Series over different monoids raise MonoidMismatchError: equal
+    exponent tuples over different bases are not the same coefficient.
+    """
+    _check_monoids(f, g)
     grade = f.monoid.grade
     keys = {m for m in f.coefficients if grade(m) <= degree}
     keys |= {m for m in g.coefficients if grade(m) <= degree}
@@ -337,17 +344,35 @@ class RationalSeries:
         object.__setattr__(self, "denominator", den)
 
     def expand(self, degree: int) -> FormalSeries:
-        """Truncated geometric expansion, exact to the requested degree."""
-        out = FormalSeries(self.monoid, degree,
-                           {m: c for m, c in self.numerator
-                            if self.monoid.grade(m) <= degree})
+        """Truncated expansion, exact to the requested degree.
+
+        Dividing by (1 - t^m) is a running sum along each ray x + N*m, so
+        dividing by (1 - t^m)^e is e nested running sums.  For each factor
+        the terms so far are grouped by the base of their ray (x minus the
+        largest multiple of m that keeps every exponent >= 0), and each ray
+        is walked once, in grade order, up to the degree.
+        """
+        grade = self.monoid.grade
+        out = {m: c for m, c in self.numerator if grade(m) <= degree}
         for m, e in self.denominator:
-            gm = self.monoid.grade(m)
-            factor = {}
-            for j in range(degree // gm + 1):
-                factor[tuple(j * x for x in m)] = math.comb(j + e - 1, e - 1)
-            out = convolve(out, FormalSeries(self.monoid, degree, factor))
-        return out
+            gm = grade(m)
+            support = [i for i, x in enumerate(m) if x]
+            rays = {}
+            for x, c in out.items():
+                k = min(x[i] // m[i] for i in support)
+                base = tuple(a - k * b for a, b in zip(x, m))
+                rays.setdefault(base, {})[k] = c
+            out = {}
+            for y, ray in rays.items():
+                sums = [0] * e
+                for j in range((degree - grade(y)) // gm + 1):
+                    s = ray.get(j, 0)
+                    for i in range(e):
+                        s = sums[i] = sums[i] + s
+                    if s:
+                        out[y] = s
+                    y = tuple(map(add, y, m))
+        return FormalSeries(self.monoid, degree, out)
 
     def multiply(self, other: "RationalSeries") -> "RationalSeries":
         if self.monoid != other.monoid:

@@ -57,6 +57,15 @@ def test_series_unknown_descriptor(capsys):
     assert "unknown variety descriptor" in err
 
 
+@pytest.mark.parametrize("descriptor", ["Foo(1)", "Pn(\u0663)", "Pn(\uff13)",
+                                        "Macdonald(-\u0663)"])
+def test_series_descriptor_digits_are_ascii(capsys, descriptor):
+    # Arabic-Indic and full-width digits are not descriptor digits
+    code, out, err = run(capsys, "series", descriptor, "--p", "1")
+    assert code == 2 and out == ""
+    assert "unknown variety descriptor" in err
+
+
 def test_series_p_out_of_range(capsys):
     code, _, err = run(capsys, "series", "Pn(2)", "--p", "5")
     assert code == 2
@@ -202,3 +211,35 @@ def test_negative_degree_is_a_usage_error(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert "argument --degree: " in err.splitlines()[-1]
+
+
+EXIT_CODES = [
+    (["series", "Pn(2)", "--p", "1", "--degree", "3"], 0),
+    (["expand", "{r}", "--degree", "6", "--output", "{out}"], 0),
+    (["compare", "{s}", "{s}", "--degree", "4"], 0),
+    (["compare", "{r}", "{s}", "--degree", "4"], 0),
+    (["verify", "--suite", "flag"], 0),
+    (["compare", "{s}", "{s6}", "--degree", "1"], 1),
+    (["series", "Quadric(3)"], 2),
+    (["series", "Pn(2)", "--p", "5"], 2),
+    (["series", "Pn(2)", "--degree", "-1"], 2),
+    (["expand", "{bad}"], 2),
+    (["compare", "{bad}", "{s}"], 2),
+    (["expand", "{s}"], 2),
+    (["verify", "--suite", "nope"], 2),
+    (["compare", "{s}", "{s}", "--degree", "9"], 3),
+]
+
+
+@pytest.mark.parametrize("argv, code", EXIT_CODES,
+                         ids=[" ".join(a) for a, _ in EXIT_CODES])
+def test_exit_code(capsys, tmp_path, argv, code):
+    files = {"r": dumps(lawson_yau_pn(2, 0)),           # (1-t)^-3
+             "s": dumps(lawson_yau_pn(2, 0).expand(4)),
+             "s6": dumps(lawson_yau_pn(5, 0).expand(4)),  # (1-t)^-6
+             "bad": "[1]"}
+    paths = {"out": tmp_path / "out.json"}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    assert run(capsys, *(a.format(**paths) for a in argv))[0] == code

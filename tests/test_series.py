@@ -2,7 +2,10 @@ import math
 from collections.abc import Hashable
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from eulerchow import catalog, schubert
 from eulerchow.monoid import GradedMonoid, MonoidMismatchError, MonoidMorphism
 from eulerchow.series import (POLY_ONE, FormalSeries, IntPolynomial,
                               RationalSeries, TruncationError, convolve,
@@ -218,6 +221,20 @@ def test_equals_up_to_and_first_difference():
         equals_up_to(f, g, 7)
 
 
+def test_first_difference_rejects_different_monoids():
+    # the G(1,3) pipeline's coefficients over the Schubert-symbol labels,
+    # against the closed form over the printed letters: equal tuples,
+    # different bases, so no comparison may pass
+    closed = catalog.grassmannian13_closed(2).expand(6)
+    other = FormalSeries(schubert.basis(catalog.G13, 2), 6,
+                         catalog.grassmannian13_series(2, 6).coefficients)
+    assert other.coefficients == closed.coefficients
+    with pytest.raises(MonoidMismatchError):
+        first_difference(closed, other, 6)
+    with pytest.raises(MonoidMismatchError):
+        equals_up_to(closed, other, 6)
+
+
 # ---------------------------------------------------------------------------
 # Polynomial coefficients
 
@@ -250,6 +267,65 @@ def test_rational_numerator_and_multiply():
     g = sq.expand(5)
     # (1+t)^2/(1-t)^2 = 1 + 4t + 8t^2 + 12t^3 + ...
     assert [g.coefficient((d,)) for d in range(4)] == [1, 4, 8, 12]
+
+
+def expand_by_convolution(r, degree):
+    """Reference expansion: convolve the numerator with the binomial series
+    sum_j C(j+e-1, e-1) t^(j*m) of each denominator factor (m, e)."""
+    out = FormalSeries(r.monoid, degree,
+                       {m: c for m, c in r.numerator
+                        if r.monoid.grade(m) <= degree})
+    for m, e in r.denominator:
+        factor = {tuple(j * x for x in m): math.comb(j + e - 1, e - 1)
+                  for j in range(degree // r.monoid.grade(m) + 1)}
+        out = convolve(out, FormalSeries(r.monoid, degree, factor))
+    return out
+
+
+# one descriptor per catalog kind; every p it serves is checked
+DESCRIPTORS = ["Pn(3)", "PnxP1(2)", "ProjClosure(n=3,d=2)", "Hirzebruch(2)",
+               "BlowupPn(3)", "Flag012", "G(1,3)", "Macdonald(5)"]
+CLOSED_FORMS = [
+    pytest.param(kind.closed(v, p), id=f"{v}-p{p}")
+    for v in map(catalog.parse_descriptor, DESCRIPTORS)
+    for kind in [catalog.KINDS[v.kind]]
+    for p in range(kind.top_p(v) + 1)
+] + [pytest.param(catalog.flag012_closed(3), id="flag012_closed(3)")]
+
+
+def test_descriptors_cover_every_kind():
+    assert {catalog.parse_descriptor(d).kind for d in DESCRIPTORS} \
+        == set(catalog.KINDS)
+
+
+@pytest.mark.parametrize("r", CLOSED_FORMS)
+def test_expand_equals_convolution_form(r):
+    for degree in (0, 1, 2, 5, 17, 48):
+        assert r.expand(degree) == expand_by_convolution(r, degree)
+
+
+@st.composite
+def rational_series(draw):
+    rank = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(1, 3), min_size=rank, max_size=rank))
+    monoid = GradedMonoid.free([f"g{i}" for i in range(rank)], weights)
+    # small exponents, so numerator terms often coincide or cancel, and
+    # denominator elements often have zero entries
+    elements = st.lists(st.integers(0, 2), min_size=rank,
+                        max_size=rank).map(tuple)
+    numerator = draw(st.lists(st.tuples(elements, st.integers(-3, 3)),
+                              max_size=5))
+    denominator = draw(st.lists(st.tuples(elements.filter(any),
+                                          st.integers(1, 5)), max_size=3))
+    return RationalSeries(monoid, tuple(numerator), tuple(denominator))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_series(), st.integers(0, 20))
+# (1 - xy)/(1 - xy) = 1: the running sum along the ray through 0 cancels
+@example(RationalSeries(XY, (((0, 0), 1), ((1, 1), -1)), (((1, 1), 1),)), 6)
+def test_expand_equals_convolution_form_on_random_forms(r, degree):
+    assert r.expand(degree) == expand_by_convolution(r, degree)
 
 
 def test_rational_rejects_grade_zero_denominator():
