@@ -1,7 +1,8 @@
 """Catalog of varieties with known Euler-Chow series: closed forms, the
-two computation pipelines (split projective bundle, Chow quotient), and
-one row per kind of variety that says how it is spelled, which p it
-serves and how its series is computed.
+two computation pipelines (split projective bundle, Chow quotient), each
+as one list of rational factors that is either multiplied out exactly or
+expanded to a degree, and one row per kind of variety that says how it
+is spelled, which p it serves and how its series is computed.
 """
 
 from __future__ import annotations
@@ -14,10 +15,14 @@ from typing import Callable, NamedTuple
 from . import schubert
 from .monoid import GradedMonoid, MonoidMorphism
 from .series import (FormalSeries, RationalSeries, TruncationError, convolve,
-                     first_difference, one, pushforward)
+                     first_difference, first_rational_difference, one,
+                     pushforward)
 
 FLAG012 = schubert.FlagType((0, 1), 2)
 G13 = schubert.grassmannian(1, 3)
+# the monoid of a projective closure's series: t0 counts multiples of the
+# pulled-back classes q*[P^{p-1}], t1 those of the section classes [P^p]
+SPLIT_BASIS = GradedMonoid.free(["t0", "t1"])
 
 
 class UnsupportedRequestError(ValueError):
@@ -63,7 +68,10 @@ class EulerChowResult:
     variety: VarietyDescriptor
     p: int
     closed_form: RationalSeries
-    expansion: FormalSeries | None
+    # how the closed form was cross-checked: "identity" (a rational
+    # pipeline, at every degree), "recurrence" (to the requested degree)
+    # or "none"
+    check: str
     generator_dictionary: tuple[tuple[str, str], ...]
 
 
@@ -94,13 +102,12 @@ def split_bundle_closed(n: int, d: int, p: int) -> RationalSeries:
     For p = 0 the first factor is absent (the p-1 cycle monoid is trivial).
     """
     _check_split_range(n, d, p)
-    m = GradedMonoid.free(["t0", "t1"])
     den = []
     if p >= 1:
         den.append(((1, 0), math.comb(n + 1, p)))
     den.append(((0, 1), math.comb(n + 1, p + 1)))
     den.append(((d, 1), math.comb(n + 1, p + 1)))
-    return RationalSeries(m, ((m.zero(), 1),), tuple(den))
+    return RationalSeries(SPLIT_BASIS, ((SPLIT_BASIS.zero(), 1),), tuple(den))
 
 
 def _basis(ft: schubert.FlagType, p: int) -> GradedMonoid:
@@ -114,8 +121,8 @@ def _basis(ft: schubert.FlagType, p: int) -> GradedMonoid:
 def flag012_closed(p: int) -> RationalSeries:
     """Closed forms for F(0,1;2), over the Schubert-symbol basis.
 
-    The catalog serves p = 0..2; p = 3, the multiples of the fundamental
-    class, is a factor of the G(1,3) pipeline at p = 4.
+    p = 3 counts the multiples of the fundamental class; it is also the
+    F(0,1;2) factor of the G(1,3) pipeline at p = 4.
     """
     if not 0 <= p <= 3:
         raise ValueError(f"p={p} out of range for F(0,1;2)")
@@ -186,31 +193,33 @@ def _assemble(pieces, target, degree) -> FormalSeries:
     return out.restrict(degree)
 
 
-def split_bundle_series(n: int, d: int, p: int, degree: int) -> FormalSeries:
-    """Split-bundle pipeline for the projective closure of O(d) over Pn.
-
-    Pushes E_{p-1}(Pn), E_p(Pn) and E_p(Pn) forward along the generator
-    images (1,0), (0,1) and (d,1) and multiplies them in the target; as
-    push-forward is a ring homomorphism, this is the push-forward of
-    E_{p-1}(Pn) (.) E_p(Pn) (.) E_p(Pn).  For p = 0 the first factor is
-    absent.
-    """
+def _split_factors(n: int, d: int, p: int):
+    """(target, factors) of the split-bundle pipeline for the projective
+    closure of O(d) over Pn: E_{p-1}(Pn), E_p(Pn) and E_p(Pn), with the
+    images (1,0), (0,1) and (d,1) of their generators.  For p = 0 the
+    first factor is absent."""
     _check_split_range(n, d, p)
-    f = lawson_yau_pn(n, p).expand(degree)
-    pieces = [(f, [(0, 1)]), (f, [(d, 1)])]
+    f = lawson_yau_pn(n, p)
+    factors = [(f, [(0, 1)]), (f, [(d, 1)])]
     if p >= 1:
-        pieces.insert(0, (lawson_yau_pn(n, p - 1).expand(degree), [(1, 0)]))
-    return _assemble(pieces, GradedMonoid.free(["t0", "t1"]), degree)
+        factors.insert(0, (lawson_yau_pn(n, p - 1), [(1, 0)]))
+    return SPLIT_BASIS, factors
 
 
-def _g13_factors(p: int, degree: int):
-    """(series, basis symbols, map into G(1,3)) for each factor present:
+def _g13_factors(p: int):
+    """(target, factors) of the Chow-quotient pipeline for G(1,3):
     E_{p-1}(F(0,1;2)) along the trace map, E_p(G(1,2)) and E_p(G(0,2))
-    along the inclusions.  A factor whose basis is empty is left out."""
+    along the inclusions, each with the images of its generators on the
+    Schubert-symbol basis.  A factor whose basis is empty is left out."""
+    if not 0 <= p <= 4:
+        raise ValueError(f"p={p} out of range for G(1,3)")
+    target = _basis(G13, p)
+    classes = schubert.symbols_of_dimension(G13, p)
+    pieces = []
     if p >= 1:
-        yield (flag012_closed(p - 1).expand(degree),
-               schubert.symbols_of_dimension(FLAG012, p - 1),
-               schubert.trace_phi)
+        pieces.append((flag012_closed(p - 1),
+                       schubert.symbols_of_dimension(FLAG012, p - 1),
+                       schubert.trace_phi))
     for d, inclusion in ((1, schubert.inclusion_i), (0, schubert.inclusion_j)):
         g = schubert.grassmannian(d, 2)
         symbols = schubert.symbols_of_dimension(g, p)
@@ -218,24 +227,51 @@ def _g13_factors(p: int, degree: int):
             m = schubert.basis(g, p)
             r = RationalSeries(m, ((m.zero(), 1),),
                                (((1,), math.comb(3, p + 1)),))
-            yield r.expand(degree), symbols, inclusion
+            pieces.append((r, symbols, inclusion))
+    return target, [(r, [target.generator(classes.index(push(s)))
+                         for s in symbols])
+                    for r, symbols, push in pieces]
+
+
+def _push_product(target, factors) -> RationalSeries:
+    """The pipeline as one rational form, exact at every degree: the
+    product in the target of each factor pushed forward along its images."""
+    out = RationalSeries(target, ((target.zero(), 1),), ())
+    for r, images in factors:
+        psi = MonoidMorphism(r.monoid, target, tuple(images))
+        out = out.multiply(r.pushforward(psi))
+    return out
+
+
+def _expand_product(target, factors, degree) -> FormalSeries:
+    """The pipeline truncated at the degree: each factor expanded, then
+    pushed forward and multiplied by `_assemble`."""
+    return _assemble([(r.expand(degree), images) for r, images in factors],
+                     target, degree)
+
+
+def split_bundle_series(n: int, d: int, p: int, degree: int) -> FormalSeries:
+    """Split-bundle pipeline for the projective closure of O(d) over Pn,
+    truncated at the degree.
+
+    Pushes E_{p-1}(Pn), E_p(Pn) and E_p(Pn) forward along the generator
+    images (1,0), (0,1) and (d,1) and multiplies them in the target; as
+    push-forward is a ring homomorphism, this is the push-forward of
+    E_{p-1}(Pn) (.) E_p(Pn) (.) E_p(Pn).  For p = 0 the first factor is
+    absent.
+    """
+    return _expand_product(*_split_factors(n, d, p), degree)
 
 
 def grassmannian13_series(p: int, degree: int) -> FormalSeries:
-    """Chow-quotient pipeline for G(1,3).
+    """Chow-quotient pipeline for G(1,3), truncated at the degree.
 
     Pushes E_{p-1}(F(0,1;2)), E_p(G(1,2)) and E_p(G(0,2)) forward along
     the trace and inclusion maps on Schubert symbols and multiplies them in
     the target; as push-forward is a ring homomorphism, this is the
     push-forward of E_{p-1}(F(0,1;2)) (.) E_p(G(1,2)) (.) E_p(G(0,2)).
     """
-    if not 0 <= p <= 4:
-        raise ValueError(f"p={p} out of range for G(1,3)")
-    target = _basis(G13, p)
-    classes = schubert.symbols_of_dimension(G13, p)
-    pieces = [(f, [target.generator(classes.index(push(s))) for s in symbols])
-              for f, symbols, push in _g13_factors(p, degree)]
-    return _assemble(pieces, target, degree)
+    return _expand_product(*_g13_factors(p), degree)
 
 
 def flag012_divisor_by_recurrence(R: int, S: int) -> list[list[int]]:
@@ -285,10 +321,14 @@ class Kind(NamedTuple):
     closed: Callable[[VarietyDescriptor, int], RationalSeries]
     # class of each generator of the closed form's monoid, in order
     classes: Callable[[VarietyDescriptor, int], list[str]]
-    # (v, p, degree) -> expansion computed without the closed form, or
-    # None where no pipeline exists
+    # (v, p, degree) -> the series computed without the closed form: a
+    # RationalSeries (a pipeline of rational factors, compared with the
+    # closed form at every degree), a FormalSeries (a recurrence truncated
+    # at the degree, compared to that degree), or None where no
+    # independent computation exists
     pipeline: Callable[[VarietyDescriptor, int, int],
-                       FormalSeries | None] = lambda v, p, degree: None
+                       RationalSeries | FormalSeries | None] = \
+        lambda v, p, degree: None
 
 
 def _split_kind(pattern, parse, spell) -> Kind:
@@ -296,7 +336,8 @@ def _split_kind(pattern, parse, spell) -> Kind:
     return Kind(pattern, parse, spell, top_p=lambda v: v.n,
                 closed=lambda v, p: split_bundle_closed(v.n, v.d, p),
                 classes=lambda v, p: [f"q*[P^{p - 1}]", f"section [P^{p}]"],
-                pipeline=lambda v, p, D: split_bundle_series(v.n, v.d, p, D))
+                pipeline=lambda v, p, D: _push_product(
+                    *_split_factors(v.n, v.d, p)))
 
 
 def _schubert_classes(ft: schubert.FlagType):
@@ -322,7 +363,7 @@ KINDS: dict[str, Kind] = {
                             lambda n: {"n": n - 1, "d": 1},
                             lambda v: f"BlowupPn({v.n + 1})"),
     "Flag012": Kind(r"Flag012", lambda: {}, lambda v: "Flag012",
-                    top_p=lambda v: 2,
+                    top_p=lambda v: 3,
                     closed=lambda v, p: flag012_closed(p),
                     classes=_schubert_classes(FLAG012),
                     pipeline=lambda v, p, D: _flag012_pipeline(p, D)),
@@ -330,7 +371,7 @@ KINDS: dict[str, Kind] = {
                 top_p=lambda v: 4,
                 closed=lambda v, p: grassmannian13_closed(p),
                 classes=_schubert_classes(G13),
-                pipeline=lambda v, p, D: grassmannian13_series(p, D)),
+                pipeline=lambda v, p, D: _push_product(*_g13_factors(p))),
     "Macdonald": Kind(r"Macdonald\((-?\d+)\)", lambda chi: {"chi": chi},
                       lambda v: f"Macdonald({v.chi})", top_p=lambda v: 0,
                       closed=lambda v, p: macdonald(v.chi),
@@ -343,10 +384,12 @@ def euler_chow(v: VarietyDescriptor, p: int, degree: int = 10,
     """Compute E_p of a catalog variety.
 
     method 'closed' returns the stored rational form alone.  'both' also
-    runs the variety's pipeline at this p, where one exists, checks it
-    against the closed form up to the requested degree and returns it as
-    `expansion`.  `expansion` is None exactly when no cross-check ran:
-    under 'closed', or where no pipeline exists.
+    runs the variety's pipeline at this p, where one exists, and checks the
+    closed form against it: a rational pipeline by an identity of rational
+    functions, which holds at every degree, and the truncated recurrence up
+    to the requested degree.  A disagreement raises VerificationError with
+    the first differing coefficient.  The result's `check` says which check
+    ran: "identity", "recurrence" or "none".
     """
     if method not in ("closed", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -356,12 +399,17 @@ def euler_chow(v: VarietyDescriptor, p: int, degree: int = 10,
     closed = kind.closed(v, p)
     dictionary = tuple(zip(closed.monoid.labels, kind.classes(v, p),
                            strict=True))
-    expansion = kind.pipeline(v, p, degree) if method == "both" else None
-    if expansion is not None:
-        diff = first_difference(closed.expand(degree), expansion, degree)
-        if diff is not None:
-            m, a, b = diff
-            raise VerificationError(
-                f"{v} p={p}: closed form and pipeline differ at t^{m}: "
-                f"{a} vs {b}", diff)
-    return EulerChowResult(v, p, closed, expansion, dictionary)
+    pipeline = kind.pipeline(v, p, degree) if method == "both" else None
+    if pipeline is None:
+        check, diff = "none", None
+    elif isinstance(pipeline, RationalSeries):
+        check, diff = "identity", first_rational_difference(closed, pipeline)
+    else:
+        check = "recurrence"
+        diff = first_difference(closed.expand(degree), pipeline, degree)
+    if diff is not None:
+        m, a, b = diff
+        raise VerificationError(
+            f"{v} p={p}: closed form and pipeline differ at t^{m}: "
+            f"{a} vs {b}", diff)
+    return EulerChowResult(v, p, closed, check, dictionary)

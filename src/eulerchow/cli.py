@@ -98,9 +98,7 @@ def cmd_series(args) -> int:
         _emit(f"# E_{result.p}({result.variety})\n"
               f"{_format_rational(result.closed_form)}\n", args.output)
         return EXIT_OK
-    expansion = result.expansion
-    if expansion is None:
-        expansion = result.closed_form.expand(args.degree)
+    expansion = result.closed_form.expand(args.degree)
     if args.format == "text":
         _emit(_series_text(result, expansion, args.degree), args.output)
     else:

@@ -208,6 +208,3 @@ def product(m: GradedMonoid, n: GradedMonoid):
                             tuple(itertools.repeat(zero_n, m.rank)) +
                             tuple(n.generator(i) for i in range(n.rank)))
     return prod, (inj_m, inj_n), (proj_m, proj_n)
-
-
-TRIVIAL = GradedMonoid(())

@@ -28,11 +28,6 @@ class FlagType:
     def is_grassmannian(self) -> bool:
         return len(self.dims) == 1
 
-    @property
-    def variety_dimension(self) -> int:
-        """Dimension of the flag variety itself (largest symbol dimension)."""
-        return max(s.dimension() for s in all_symbols(self))
-
     def __str__(self):
         if self.is_grassmannian:
             return f"G({self.dims[0]},{self.ambient})"
@@ -81,19 +76,6 @@ class SchubertSymbol:
     def label(self) -> str:
         body = ";".join(",".join(map(str, seq)) for seq in self.sequences)
         return f"⟨{body}⟩^{self.flag_type.ambient}"
-
-    def ascii_label(self) -> str:
-        return self.label().replace("⟨", "<").replace("⟩", ">")
-
-    def to_json(self) -> dict:
-        return {"ambient": self.flag_type.ambient,
-                "dims": list(self.flag_type.dims),
-                "sequences": [list(s) for s in self.sequences]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SchubertSymbol":
-        ft = FlagType(tuple(data["dims"]), int(data["ambient"]))
-        return cls(ft, tuple(tuple(s) for s in data["sequences"]))
 
 
 def all_symbols(ft: FlagType) -> list[SchubertSymbol]:

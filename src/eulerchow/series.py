@@ -385,6 +385,24 @@ class RationalSeries:
         return RationalSeries(self.monoid, tuple(num),
                               self.denominator + other.denominator)
 
+    def pushforward(self, phi: MonoidMorphism) -> "RationalSeries":
+        """Push-forward along phi as a rational form, valid at every degree.
+
+        Push-forward is a ring homomorphism, and for finite fibers it sends
+        1/(1 - t^m) to 1/(1 - t^phi(m)); so N / prod (1 - t^m)^e goes to
+        phi(N) / prod (1 - t^phi(m))^e.
+        """
+        if phi.source != self.monoid:
+            raise MonoidMismatchError(
+                "rational series not over the source of the morphism")
+        if not phi.has_finite_fibers():
+            raise ValueError("push-forward requires finite fibers "
+                             "(a generator maps to zero)")
+        return RationalSeries(
+            phi.target,
+            tuple((phi.apply(m), c) for m, c in self.numerator),
+            tuple((phi.apply(m), e) for m, e in self.denominator))
+
     def to_json(self) -> dict:
         return {
             "monoid": self.monoid.to_json(),
@@ -402,6 +420,51 @@ class RationalSeries:
         den = tuple((tuple(t["exponents"]), int_from_json(t["multiplicity"]))
                     for t in list_from_json(data["denominator"]))
         return cls(monoid, num, den)
+
+
+def _times_denominator(poly: dict, factors) -> dict:
+    """poly * prod (1 - t^m)^e, for a polynomial given as {element: value}:
+    each factor (1 - t^m) subtracts the polynomial shifted by m."""
+    for m, e in factors:
+        for _ in range(e):
+            out = dict(poly)
+            for x, c in poly.items():
+                y = tuple(map(add, x, m))
+                v = out.get(y, 0) - c
+                if v:
+                    out[y] = v
+                else:
+                    del out[y]
+            poly = out
+    return poly
+
+
+def first_rational_difference(a: RationalSeries, b: RationalSeries):
+    """First graded-lex element, at any degree, where the expansions of two
+    rational series differ, as (element, a's value, b's value); or None.
+
+    After the common denominator factors (same m, the smaller e) cancel,
+    a - b = (N_a R_b - N_b R_a) / (C R_a R_b), where R_a and R_b are what
+    remains of each denominator.  So a == b exactly when that numerator is
+    the zero polynomial.  Otherwise 1/(C R_a R_b) = 1 + higher grades, so
+    the expansions first differ at the numerator's lowest grade g, and the
+    expansions to g give the difference.
+    """
+    if a.monoid != b.monoid:
+        raise MonoidMismatchError("rational series over different monoids")
+    den_a, den_b = dict(a.denominator), dict(b.denominator)
+    rest_a = [(m, e - den_b.get(m, 0)) for m, e in a.denominator
+              if e > den_b.get(m, 0)]
+    rest_b = [(m, e - den_a.get(m, 0)) for m, e in b.denominator
+              if e > den_a.get(m, 0)]
+    left = _times_denominator(dict(a.numerator), rest_b)
+    right = _times_denominator(dict(b.numerator), rest_a)
+    grades = [a.monoid.grade(m) for m in left.keys() | right.keys()
+              if left.get(m, 0) != right.get(m, 0)]
+    if not grades:
+        return None
+    g = min(grades)
+    return first_difference(a.expand(g), b.expand(g), g)
 
 
 def _coeff_to_json(c):

@@ -3,8 +3,9 @@ import pytest
 from eulerchow import catalog
 from eulerchow.catalog import (UnsupportedRequestError, VarietyDescriptor,
                                VerificationError, euler_chow, parse_descriptor)
-from eulerchow.monoid import MonoidMorphism
-from eulerchow.series import exterior, first_difference, pushforward
+from eulerchow.monoid import GradedMonoid, MonoidMorphism
+from eulerchow.series import (RationalSeries, exterior, first_difference,
+                              first_rational_difference, pushforward)
 from eulerchow.verify import BUNDLE_CASES
 
 
@@ -143,7 +144,7 @@ def test_euler_chow_both_verifies():
     v = parse_descriptor("G(1,3)")
     result = euler_chow(v, 2, degree=6, method="both")
     assert result.closed_form is not None
-    assert result.expansion is not None
+    assert result.check == "identity"
     assert result.generator_dictionary == (("x", "⟨0,3⟩^3"),
                                            ("y", "⟨1,2⟩^3"))
 
@@ -151,15 +152,21 @@ def test_euler_chow_both_verifies():
 def test_euler_chow_closed_only_for_pn():
     v = parse_descriptor("Pn(3)")
     result = euler_chow(v, 1, method="closed")
-    assert result.expansion is None
-    assert euler_chow(v, 1, method="both").expansion is None
+    assert result.check == "none"
+    assert euler_chow(v, 1, method="both").check == "none"
+
+
+def test_euler_chow_flag012_checks_by_recurrence():
+    v = parse_descriptor("Flag012")
+    assert [euler_chow(v, p, degree=4).check for p in range(4)] \
+        == ["none", "none", "recurrence", "none"]
 
 
 def test_euler_chow_p_out_of_range():
     with pytest.raises(ValueError):
         euler_chow(parse_descriptor("Pn(2)"), 3)
     with pytest.raises(ValueError):
-        euler_chow(parse_descriptor("Flag012"), 3)
+        euler_chow(parse_descriptor("Flag012"), 4)
 
 
 def test_euler_chow_detects_mismatch():
@@ -184,8 +191,84 @@ def test_pipeline_rejects_negative_degree():
 
 
 def test_variable_tables_cover_catalog():
-    for p in range(3):
+    for p in range(4):
         res = euler_chow(parse_descriptor("Flag012"), p, degree=4,
                          method="closed")
         assert len(res.generator_dictionary) == \
             res.closed_form.monoid.rank
+
+
+# ---------------------------------------------------------------------------
+# Rational pipelines: the truncated pipelines, multiplied out exactly
+
+def _truncated(v, p, degree):
+    if v.kind == "G13":
+        return catalog.grassmannian13_series(p, degree)
+    return catalog.split_bundle_series(v.n, v.d, p, degree)
+
+
+# one descriptor per kind, and every split-bundle case of `verify`
+SERVED = [parse_descriptor(text) for text in
+          ["Pn(3)", "PnxP1(2)", "ProjClosure(n=3,d=2)", "Hirzebruch(2)",
+           "BlowupPn(3)", "Flag012", "G(1,3)", "Macdonald(5)"]
+          + [f"ProjClosure(n={n},d={d})" for n, d, _ in BUNDLE_CASES]]
+# every (v, p) among them whose pipeline is rational
+RATIONAL_PIPELINES = [
+    pytest.param(v, p, id=f"{v}-p{p}")
+    for v in SERVED for p in range(catalog.KINDS[v.kind].top_p(v) + 1)
+    if isinstance(catalog.KINDS[v.kind].pipeline(v, p, 0), RationalSeries)]
+
+
+def test_rational_pipelines_are_the_two_pipelines():
+    assert {v.kind for v in SERVED} == set(catalog.KINDS)
+    assert {param.values[0].kind for param in RATIONAL_PIPELINES} == {
+        "PnxP1", "ProjClosure", "Hirzebruch", "BlowupPn", "G13"}
+
+
+@pytest.mark.parametrize("v, p", RATIONAL_PIPELINES)
+def test_rational_pipeline_equals_truncated_pipeline(monkeypatch, v, p):
+    # the pipelines never read the closed form they are checked against
+    def unreadable(*args):
+        raise AssertionError("a pipeline read a closed form")
+
+    kind = catalog.KINDS[v.kind]
+    closed = kind.closed(v, p)
+    with monkeypatch.context() as m:
+        m.setattr(catalog, "split_bundle_closed", unreadable)
+        m.setattr(catalog, "grassmannian13_closed", unreadable)
+        rational = kind.pipeline(v, p, 0)
+        for degree in (0, 3, 10):
+            assert rational.expand(degree) == _truncated(v, p, degree)
+    # the identity holds as an identity of polynomials: nothing is expanded
+    monkeypatch.setattr(RationalSeries, "expand", unreadable)
+    assert first_rational_difference(closed, rational) is None
+
+
+def _changed(r, numerator=(), denominator=()):
+    return RationalSeries(r.monoid, r.numerator + numerator,
+                          r.denominator + denominator)
+
+
+@pytest.mark.parametrize("v, p", RATIONAL_PIPELINES)
+def test_rational_identity_fails_on_a_changed_closed_form(v, p):
+    kind = catalog.KINDS[v.kind]
+    closed, rational = kind.closed(v, p), kind.pipeline(v, p, 0)
+    (m, c), (dm, de) = closed.numerator[0], closed.denominator[0]
+    for wrong in (_changed(closed, numerator=((m, 1),)),
+                  _changed(closed, denominator=((dm, 1),))):
+        diff = first_rational_difference(wrong, rational)
+        assert diff is not None
+        # it is the first difference of the expansions, at any degree
+        degree = wrong.monoid.grade(diff[0]) + 2
+        assert first_difference(wrong.expand(degree),
+                                rational.expand(degree), degree) == diff
+
+
+def test_g13_p3_pipeline_cancels_against_the_closed_form():
+    z = GradedMonoid.free(["z"])
+    rational = catalog.KINDS["G13"].pipeline(parse_descriptor("G(1,3)"), 3, 0)
+    assert rational == RationalSeries(z, (((0,), 1), ((2,), -1)),
+                                      (((1,), 6),))
+    closed = catalog.grassmannian13_closed(3)
+    assert closed == RationalSeries(z, (((0,), 1), ((1,), 1)), (((1,), 5),))
+    assert first_rational_difference(closed, rational) is None

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from eulerchow import cli
+from eulerchow import catalog, cli
 from eulerchow.catalog import lawson_yau_pn
-from eulerchow.series import dumps, loads
+from eulerchow.series import RationalSeries, dumps, loads
 
 
 def run(capsys, *argv):
@@ -35,6 +35,50 @@ def test_series_rational_g13(capsys):
                        "--format", "rational")
     assert code == 0
     assert "(1 + z)/(1-z)^5" in out
+
+
+def test_series_rational_format_expands_nothing(capsys, monkeypatch):
+    # the rational form does not depend on the degree, and G(1,3) is
+    # cross-checked by a rational identity, so no series is expanded
+    def expand(self, degree):
+        raise AssertionError("expanded a series for the rational format")
+
+    monkeypatch.setattr(RationalSeries, "expand", expand)
+    code, out, err = run(capsys, "series", "G(1,3)", "--p", "2",
+                         "--format", "rational", "--degree", "200")
+    assert (code, err) == (0, "")
+    assert out == "# E_2(G(1,3))\n1/(1-y)^4(1-x)^4(1-x*y)^3\n"
+
+
+def _with_numerator_term(monkeypatch, kind, m):
+    """Make the closed forms of one KINDS row wrong by the term t^m."""
+    row = catalog.KINDS[kind]
+
+    def wrong(v, p):
+        r = row.closed(v, p)
+        return RationalSeries(r.monoid, r.numerator + ((m, 1),),
+                              r.denominator)
+
+    monkeypatch.setitem(catalog.KINDS, kind, row._replace(closed=wrong))
+
+
+@pytest.mark.parametrize("variety, kind, p, degree, m", [
+    # a term off at a grade <= D: the rational identity of G(1,3) and the
+    # Flag012 recurrence both catch it
+    ("G(1,3)", "G13", 2, "10", (1, 1)),
+    ("Flag012", "Flag012", 2, "10", (1, 1)),
+    # a term off only at grade D + 1: the identity holds at every degree
+    ("Hirzebruch(2)", "Hirzebruch", 1, "4", (0, 5)),
+    ("BlowupPn(3)", "BlowupPn", 1, "0", (1, 0)),
+])
+def test_series_cross_check_failure_exits_1(capsys, monkeypatch, variety,
+                                            kind, p, degree, m):
+    _with_numerator_term(monkeypatch, kind, m)
+    code, out, err = run(capsys, "series", variety, "--p", str(p),
+                         "--degree", degree, "--format", "json")
+    assert (code, out) == (1, "")
+    assert f"closed form and pipeline differ at t^{m}: " in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("fmt", ["text", "rational"])
@@ -219,9 +263,11 @@ EXIT_CODES = [
     (["compare", "{s}", "{s}", "--degree", "4"], 0),
     (["compare", "{r}", "{s}", "--degree", "4"], 0),
     (["verify", "--suite", "flag"], 0),
+    (["series", "Flag012", "--p", "3"], 0),
     (["compare", "{s}", "{s6}", "--degree", "1"], 1),
     (["series", "Quadric(3)"], 2),
     (["series", "Pn(2)", "--p", "5"], 2),
+    (["series", "Flag012", "--p", "4"], 2),
     (["series", "Pn(2)", "--degree", "-1"], 2),
     (["expand", "{bad}"], 2),
     (["compare", "{bad}", "{s}"], 2),

@@ -11,7 +11,8 @@ from eulerchow.series import (POLY_ONE, FormalSeries, IntPolynomial,
                               RationalSeries, TruncationError, convolve,
                               delta, dumps, equals_up_to,
                               evaluate_polynomial_coefficients, exterior,
-                              first_difference, loads, one, pullback,
+                              first_difference, first_rational_difference,
+                              loads, one, pullback,
                               pullback_bound, pushforward, pushforward_bound,
                               zero)
 
@@ -290,7 +291,7 @@ CLOSED_FORMS = [
     for v in map(catalog.parse_descriptor, DESCRIPTORS)
     for kind in [catalog.KINDS[v.kind]]
     for p in range(kind.top_p(v) + 1)
-] + [pytest.param(catalog.flag012_closed(3), id="flag012_closed(3)")]
+]
 
 
 def test_descriptors_cover_every_kind():
@@ -326,6 +327,96 @@ def rational_series(draw):
 @example(RationalSeries(XY, (((0, 0), 1), ((1, 1), -1)), (((1, 1), 1),)), 6)
 def test_expand_equals_convolution_form_on_random_forms(r, degree):
     assert r.expand(degree) == expand_by_convolution(r, degree)
+
+
+def _nonzero_element(rank):
+    return st.lists(st.integers(0, 2), min_size=rank,
+                    max_size=rank).filter(any).map(tuple)
+
+
+@st.composite
+def rational_with_morphism(draw):
+    r = draw(rational_series())
+    rank = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(1, 2), min_size=rank, max_size=rank))
+    target = GradedMonoid.free([f"h{i}" for i in range(rank)], weights)
+    images = tuple(draw(_nonzero_element(rank)) for _ in range(r.monoid.rank))
+    return r, MonoidMorphism(r.monoid, target, images)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_with_morphism(), st.integers(0, 12))
+def test_rational_pushforward_equals_truncated_pushforward(case, degree):
+    # push-forward is a ring homomorphism: pushing the closed form forward
+    # and expanding gives the push-forward of its expansion, to that bound
+    r, phi = case
+    pushed = pushforward(phi, r.expand(degree))
+    bound = min(pushed.bound, 24)   # a large ratio makes a large bound
+    assert r.pushforward(phi).expand(bound) == pushed.restrict(bound)
+
+
+def test_rational_pushforward_requires_finite_fibers():
+    r = RationalSeries(XY, ((XY.zero(), 1),), (((1, 0), 1), ((0, 1), 2)))
+    with pytest.raises(ValueError):
+        r.pushforward(MonoidMorphism(XY, T, ((1,), (0,))))
+    with pytest.raises(MonoidMismatchError):
+        r.pushforward(MonoidMorphism(T, T, ((1,),)))
+    # x and y both go to t: 1/((1-t)(1-t)^2)
+    assert r.pushforward(MonoidMorphism(XY, T, ((1,), (1,)))) == \
+        RationalSeries(T, ((T.zero(), 1),), (((1,), 3),))
+
+
+@st.composite
+def rational_pairs(draw):
+    """(a, b): b is a rewritten over a larger denominator, so equal to a,
+    and then, half the time, given one more numerator term."""
+    a = draw(rational_series())
+    m, k = draw(_nonzero_element(a.monoid.rank)), draw(st.integers(0, 2))
+    unit = RationalSeries(a.monoid,
+                          tuple((tuple(j * x for x in m),
+                                 (-1) ** j * math.comb(k, j))
+                                for j in range(k + 1)),
+                          ((m, k),) if k else ())
+    b = a.multiply(unit)
+    if draw(st.booleans()):
+        x = tuple(draw(st.lists(st.integers(0, 2), min_size=a.monoid.rank,
+                                max_size=a.monoid.rank)))
+        b = RationalSeries(b.monoid, b.numerator + ((x, 1),), b.denominator)
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_pairs(), st.integers(0, 10))
+def test_first_rational_difference_is_first_difference_at_every_degree(
+        ab, degree):
+    a, b = ab
+    diff = first_rational_difference(a, b)
+    truncated = first_difference(a.expand(degree), b.expand(degree), degree)
+    if diff is None or a.monoid.grade(diff[0]) > degree:
+        assert truncated is None
+    else:
+        assert truncated == diff
+
+
+def test_first_rational_difference_beyond_any_expansion(monkeypatch):
+    # 1/(1-t) against (1 + t^50 + t^90)/(1-t): equal below grade 50, and
+    # expanded only to the lowest grade of the difference
+    a = RationalSeries(T, ((T.zero(), 1),), (((1,), 1),))
+    b = RationalSeries(T, ((T.zero(), 1), ((50,), 1), ((90,), 1)),
+                       (((1,), 1),))
+    degrees = []
+    expand = RationalSeries.expand
+
+    def recording(self, degree):
+        degrees.append(degree)
+        return expand(self, degree)
+
+    monkeypatch.setattr(RationalSeries, "expand", recording)
+    assert first_rational_difference(a, b) == ((50,), 1, 2)
+    assert degrees == [50, 50]
+    assert first_rational_difference(a, a.multiply(a)) == ((1,), 1, 2)
+    with pytest.raises(MonoidMismatchError):
+        first_rational_difference(a, RationalSeries(XY, (), ()))
 
 
 def test_rational_rejects_grade_zero_denominator():
