@@ -18,11 +18,17 @@ from operator import mul
 
 Element = tuple[int, ...]
 
+
 def int_from_json(v) -> int:
     """An integer field of a JSON document: an int (not a bool or a float)
-    or a decimal string; `int` raises ValueError on any other string."""
-    if type(v) is int or type(v) is str:
-        return int(v)
+    or an ASCII decimal string, -?[0-9]+.  `int` alone would also take
+    "1_000", " 7 ", "+7" and non-ASCII digits."""
+    if type(v) is int:
+        return v
+    if type(v) is str:
+        digits = v[1:] if v[:1] == "-" else v
+        if digits.isdigit() and digits.isascii():
+            return int(v)
     raise TypeError(f"expected an integer, got {v!r}")
 
 

@@ -9,9 +9,10 @@ variable (used for Hilbert-style series).
 Every FormalSeries satisfies one invariant, checked once, when it is
 constructed: each key is a valid element of its monoid
 (`GradedMonoid.validate`); the bound is >= 0 and no key has a grade
-above it; the stored coefficients are nonzero and of one kind, integer or
-polynomial.  Operations trust this of their operands and build their
-results through the same constructor.
+above it; every coefficient is an `int` (not a `bool`) or an
+`IntPolynomial`, and the stored ones are nonzero and of one kind.
+Operations trust this of their operands and build their results through
+the same constructor.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ class IntPolynomial:
 
     def __post_init__(self):
         c = self.coeffs
+        for x in c:
+            if type(x) is not int:
+                raise TypeError(f"polynomial coefficient {x!r} is not an int")
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", tuple(c))
@@ -83,6 +87,8 @@ class IntPolynomial:
 
 POLY_ONE = IntPolynomial((1,))
 POLY_ZERO = IntPolynomial(())
+# the coefficient types of a FormalSeries; `bool`, a subclass of int, is not
+_KINDS = {int, IntPolynomial}
 
 
 def _is_poly(c) -> bool:
@@ -111,8 +117,15 @@ class FormalSeries:
     __hash__ = None  # the coefficient table is a dict
 
     def __post_init__(self):
+        if type(self.bound) is not int:
+            raise TypeError(f"bound {self.bound!r} is not an int")
         if self.bound < 0:
             raise ValueError(f"bound must be >= 0, got {self.bound}")
+        if not set(map(type, self.coefficients.values())) <= _KINDS:
+            bad = next(c for c in self.coefficients.values()
+                       if type(c) not in _KINDS)
+            raise TypeError(f"coefficient {bad!r} is neither an int "
+                            "nor an IntPolynomial")
         validate, grade = self.monoid.validate, self.monoid.grade
         clean = {}
         for m, c in self.coefficients.items():
@@ -122,8 +135,7 @@ class FormalSeries:
                     f"coefficient at {m} exceeds bound {self.bound}")
             if c:
                 clean[m] = c
-        poly = _is_poly(next(iter(clean.values()), None))
-        if any(_is_poly(c) != poly for c in clean.values()):
+        if len(set(map(type, clean.values()))) > 1:
             raise TypeError("cannot mix integer and polynomial coefficients")
         object.__setattr__(self, "coefficients", clean)
 
@@ -142,8 +154,10 @@ class FormalSeries:
         return self.coefficients.get(tuple(m), 0)
 
     def items_by_grade(self):
-        return sorted(self.coefficients.items(),
-                      key=lambda kv: self.monoid.key(kv[0]))
+        """(element, coefficient) pairs in graded-lex order."""
+        grade = self.monoid.grade
+        return [(m, c) for _, m, c in sorted(
+            [(grade(m), m, c) for m, c in self.coefficients.items()])]
 
     def restrict(self, bound: int) -> "FormalSeries":
         if bound > self.bound:
@@ -289,21 +303,26 @@ def equals_up_to(f: FormalSeries, g: FormalSeries, degree: int) -> bool:
 
 
 def first_difference(f: FormalSeries, g: FormalSeries, degree: int):
-    """First graded-lex element where coefficients differ, or None.
+    """First graded-lex element of grade <= degree where the coefficients
+    differ, as (element, f's value, g's value); or None.
 
+    Only the keys whose values differ are collected, by lookups in both
+    tables; the smallest of those by `GradedMonoid.key` is the answer.
     Series over different monoids raise MonoidMismatchError: equal
     exponent tuples over different bases are not the same coefficient.
     """
     _check_monoids(f, g)
+    fc, gc = f.coefficients, g.coefficients
+    # stored coefficients are nonzero, so a key missing from one table
+    # always differs
+    keys = [m for m, a in fc.items() if gc.get(m, 0) != a]
+    keys += [m for m in gc if m not in fc]
     grade = f.monoid.grade
-    keys = {m for m in f.coefficients if grade(m) <= degree}
-    keys |= {m for m in g.coefficients if grade(m) <= degree}
-    for m in sorted(keys, key=f.monoid.key):
-        a = f.coefficients.get(m, 0)
-        b = g.coefficients.get(m, 0)
-        if (a or b) and a != b:
-            return m, a, b
-    return None
+    keys = [m for m in keys if grade(m) <= degree]
+    if not keys:
+        return None
+    m = min(keys, key=f.monoid.key)
+    return m, fc.get(m, 0), gc.get(m, 0)
 
 
 def evaluate_polynomial_coefficients(f: FormalSeries, x: int) -> FormalSeries:
@@ -467,54 +486,71 @@ def first_rational_difference(a: RationalSeries, b: RationalSeries):
     return first_difference(a.expand(g), b.expand(g), g)
 
 
-def _coeff_to_json(c):
-    if _is_poly(c):
-        return {"poly": [str(x) for x in c.coeffs]}
-    return str(c)
+def _poly_from_json(v: dict) -> IntPolynomial:
+    return IntPolynomial(tuple(map(int_from_json, list_from_json(v["poly"]))))
 
 
-def _coeff_from_json(v):
-    if isinstance(v, dict):
-        return IntPolynomial(tuple(map(int_from_json,
-                                       list_from_json(v["poly"]))))
-    return int_from_json(v)
-
-
-def series_to_json(f: FormalSeries) -> dict:
-    return {
-        "monoid": f.monoid.to_json(),
-        "bound": f.bound,
-        "coefficients": [{"exponents": list(m), "value": _coeff_to_json(c)}
-                         for m, c in f.items_by_grade()],
-    }
-
-
-def series_from_json(data: dict) -> FormalSeries:
-    monoid = GradedMonoid.from_json(data["monoid"])
-    coeffs = {tuple(t["exponents"]): _coeff_from_json(t["value"])
-              for t in list_from_json(data["coefficients"])}
-    return FormalSeries(monoid, int_from_json(data["bound"]), coeffs)
+def _series_dumps(f: FormalSeries) -> str:
+    """The text of `json.dumps(payload, indent=2, ensure_ascii=True)`,
+    written from a fixed template per coefficient entry; only the header
+    (monoid and bound) goes through `json`, for the escapes of labels."""
+    head = json.dumps({"monoid": f.monoid.to_json(), "bound": f.bound},
+                      indent=2, ensure_ascii=True)[:-2]
+    if not f.coefficients:
+        return head + ',\n  "coefficients": []\n}\n'
+    rank = f.monoid.rank
+    exponents = ("[\n        " + ",\n        ".join(["%d"] * rank)
+                 + "\n      ]" if rank else "[]")
+    entry = '    {\n      "exponents": ' + exponents + ',\n      "value": '
+    items = f.items_by_grade()
+    # "%d" writes str(c) only because every coefficient and exponent is an
+    # int and not a bool, which FormalSeries enforces at construction
+    if f.kind == "int":
+        entry += '"%d"\n    }'
+        body = [entry % (*m, c) for m, c in items]
+    else:
+        body = [entry % m + '{\n        "poly": [\n          "'
+                + '",\n          "'.join(map(str, c.coeffs))
+                + '"\n        ]\n      }\n    }' for m, c in items]
+    return (head + ',\n  "coefficients": [\n' + ",\n".join(body)
+            + "\n  ]\n}\n")
 
 
 def dumps(obj) -> str:
-    """Byte-stable JSON text for a series or rational series."""
+    """Byte-stable JSON text for a series or rational series: the text of
+    `json.dumps(payload, indent=2, ensure_ascii=True)` and a newline, with
+    the coefficient entries of a series in graded-lex order, each
+    {"exponents": [...], "value": "<int>" or {"poly": ["<int>", ...]}}.
+    The layout is a contract, pinned by a test against `json.dumps`."""
     if isinstance(obj, FormalSeries):
-        payload = series_to_json(obj)
-    elif isinstance(obj, RationalSeries):
-        payload = obj.to_json()
-    else:
-        raise TypeError(type(obj).__name__)
-    return json.dumps(payload, indent=2, ensure_ascii=True) + "\n"
+        return _series_dumps(obj)
+    if isinstance(obj, RationalSeries):
+        return json.dumps(obj.to_json(), indent=2, ensure_ascii=True) + "\n"
+    raise TypeError(type(obj).__name__)
 
 
 def loads(text: str):
     """Parse `dumps` output; any text that is not a valid series or
-    rational series, as JSON or by the schema, is one ValueError."""
+    rational series, as JSON or by the schema, is one ValueError.
+
+    Integers are JSON ints or ASCII decimal strings (-?[0-9]+); a series
+    may not repeat an exponents entry.  The coefficient table is read in
+    one pass, and `FormalSeries` validates its keys.
+    """
     try:
         data = json.loads(text)
-        if "coefficients" in data:
-            return series_from_json(data)
-        return RationalSeries.from_json(data)
+        if "coefficients" not in data:
+            return RationalSeries.from_json(data)
+        monoid = GradedMonoid.from_json(data["monoid"])
+        entries = list_from_json(data["coefficients"])
+        coeffs = {}
+        for t in entries:
+            v = t["value"]
+            coeffs[tuple(t["exponents"])] = (
+                _poly_from_json(v) if type(v) is dict else int_from_json(v))
+        if len(coeffs) != len(entries):
+            raise ValueError("repeated exponents in coefficients")
+        return FormalSeries(monoid, int_from_json(data["bound"]), coeffs)
     except (KeyError, TypeError, AttributeError, ValueError,
             RecursionError) as exc:
         raise ValueError(f"malformed series file: {exc!r}") from None

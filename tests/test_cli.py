@@ -222,6 +222,16 @@ MALFORMED = ['[1]', '"x"', '{}', '{"coefficients": 3}',
                  {"value": '{"poly": "12"}'})),
              '{"monoid": %s, "numerator": [], "denominator": '
              '[{"exponents": [1], "multiplicity": 1e400}]}' % T_JSON,
+             # one exponents entry twice: the loader may not keep either
+             '{"monoid": %s, "bound": 10, "coefficients": '
+             '[{"exponents": [1], "value": "3"}, '
+             '{"exponents": [1], "value": "999"}]}' % T_JSON,
+             # text that `int` takes but that is not -?[0-9]+ in ASCII
+             *(_series_file(value=v) for v in (
+                 '"1_000"', '" 7 "', '"+7"', '"\u0661\u0662"', '"7\\n"')),
+             _series_file(bound='"1_0"'),
+             '{"monoid": %s, "bound": 10, "coefficients": '
+             '[{"exponents": [0], "value": {"poly": ["1", " 2"]}}]}' % T_JSON,
              pytest.param("[" * 100000 + "]" * 100000, id="nested-100k")]
 
 

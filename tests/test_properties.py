@@ -1,4 +1,5 @@
-"""Property-based checks of the ring and morphism laws of `verify`, and
+"""Property-based checks of the ring and morphism laws of `verify`, of
+`dumps` and `first_difference` against their plain reference forms, and
 of `loads` on damaged series files, on cases drawn by Hypothesis."""
 
 import json
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from eulerchow.monoid import GradedMonoid, MonoidMorphism
 from eulerchow.series import (FormalSeries, IntPolynomial, RationalSeries,
-                              dumps, loads)
+                              dumps, first_difference, loads)
 from eulerchow.verify import (convolve_matches_oracle, exterior_associativity,
                               functoriality, pullback_is_linear,
                               pushforward_is_homomorphism, ring_laws)
@@ -114,6 +115,110 @@ def test_engine_matches_oracle(fgh):
 def test_json_round_trip(fgh):
     f, _, _ = fgh
     assert loads(dumps(f)) == f
+
+
+def reference_payload(f):
+    """The document `dumps` writes for a series, built as plain data for
+    `json.dumps(..., indent=2, ensure_ascii=True)`."""
+    def value(c):
+        if isinstance(c, IntPolynomial):
+            return {"poly": [str(x) for x in c.coeffs]}
+        return str(c)
+
+    items = sorted(f.coefficients.items(),
+                   key=lambda mc: f.monoid.key(mc[0]))
+    return {
+        "monoid": f.monoid.to_json(),
+        "bound": f.bound,
+        "coefficients": [{"exponents": list(m), "value": value(c)}
+                         for m, c in items],
+    }
+
+
+# labels weighted toward what JSON must escape: quotes, backslashes,
+# control characters and non-ASCII text
+LABELS = st.text(
+    st.sampled_from('a"\\\x00\x1f\x7f\u00e9\u27e8\u2028\U0001f600')
+    | st.characters(), max_size=3)
+BIG = st.integers(10**99, 10**120)
+INTS = st.integers(-1000, 1000) | BIG | BIG.map(lambda n: -n)
+
+
+@st.composite
+def printable_series(draw):
+    labels = draw(st.lists(LABELS, max_size=3, unique=True))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(labels),
+                            max_size=len(labels)))
+    monoid = GradedMonoid.free(labels, weights)
+    bound = draw(st.integers(0, 5))
+    poly = draw(st.booleans())
+    coeffs = {}
+    for m in monoid.enumerate_up_to(bound):
+        if draw(st.booleans()):
+            coeffs[m] = (IntPolynomial(tuple(draw(st.lists(INTS, min_size=1,
+                                                            max_size=3))))
+                         if poly else draw(INTS))
+    return FormalSeries(monoid, bound, coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(printable_series())
+@example(FormalSeries(GradedMonoid(()), 0, {}))
+@example(FormalSeries(GradedMonoid(()), 3, {(): -7}))
+@example(FormalSeries(GradedMonoid.free(["x"]), 2, {}))
+def test_dumps_is_the_reference_encoding(f):
+    text = dumps(f)
+    assert text == json.dumps(reference_payload(f), indent=2,
+                              ensure_ascii=True) + "\n"
+    assert loads(text) == f
+
+
+_XY = GradedMonoid.free(["x", "y"])
+_W = GradedMonoid.free(["t"], [2])
+
+
+@st.composite
+def series_pairs(draw):
+    """(f, g, degree): g is f with a few coefficients changed, dropped or
+    added, so some pairs are equal and some differ at several grades."""
+    f = draw(series_over(draw(monoids())))
+    coeffs = dict(f.coefficients)
+    for m in f.monoid.enumerate_up_to(f.bound):
+        if draw(st.integers(0, 4)) == 0:
+            coeffs[m] = draw(st.integers(-2, 2))
+    g = FormalSeries(f.monoid, f.bound, coeffs)
+    return f, g, draw(st.integers(0, f.bound))
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_pairs())
+# two differences at one grade: the lexicographic order picks (0, 1)
+@example((FormalSeries(_XY, 2, {(1, 0): 1, (0, 1): 1}),
+          FormalSeries(_XY, 2, {(1, 0): 2, (0, 1): 2}), 1))
+# a key in one series only, at a grade tied with a key in the other only
+@example((FormalSeries(_XY, 2, {(2, 0): 4}),
+          FormalSeries(_XY, 2, {(1, 1): 5}), 2))
+# the degree falls between two differences, and below both
+@example((FormalSeries(_W, 6, {(1,): 1, (3,): 1}), FormalSeries(_W, 6), 4))
+@example((FormalSeries(_W, 6, {(1,): 1, (3,): 1}), FormalSeries(_W, 6), 1))
+# equal series, and two zero series
+@example((FormalSeries(_XY, 3, {(0, 0): 1, (1, 2): -3}),
+          FormalSeries(_XY, 3, {(0, 0): 1, (1, 2): -3}), 3))
+@example((FormalSeries(_XY, 3), FormalSeries(_XY, 3), 3))
+def test_first_difference_is_the_first_in_sorted_order(case):
+    f, g, degree = case
+    grade = f.monoid.grade
+    keys = {m for m in f.coefficients.keys() | g.coefficients.keys()
+            if grade(m) <= degree}
+    expected = None
+    for m in sorted(keys, key=f.monoid.key):
+        a, b = f.coefficients.get(m, 0), g.coefficients.get(m, 0)
+        if a != b:
+            expected = m, a, b
+            break
+    assert first_difference(f, g, degree) == expected
+    assert first_difference(g, f, degree) == (
+        None if expected is None else (expected[0], expected[2], expected[1]))
 
 
 _T = GradedMonoid.free(["t", "u"], [1, 2])

@@ -1,5 +1,6 @@
 import math
 from collections.abc import Hashable
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -68,6 +69,27 @@ def test_constructor_rejects_terms_beyond_bound():
         FormalSeries(T, 2, {(3,): 1})
     with pytest.raises(ValueError):
         FormalSeries(T, -1, {})
+
+
+@pytest.mark.parametrize("value", [1.5, True, Fraction(1, 2), 0.0])
+def test_constructor_rejects_coefficients_that_are_not_integers(value):
+    # `dumps` would write "1.5", "True" or "1/2", which `loads` rejects
+    with pytest.raises(TypeError):
+        FormalSeries(T, 2, {(1,): value})
+
+
+def test_polynomial_rejects_entries_that_are_not_integers():
+    for entry in (1.5, True, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            IntPolynomial((1, entry))
+    with pytest.raises(TypeError):
+        FormalSeries(T, 2, {(1,): IntPolynomial((1, 2.5))})
+
+
+def test_constructor_rejects_a_bound_that_is_not_an_integer():
+    for bound in (2.0, True):
+        with pytest.raises(TypeError):
+            FormalSeries(T, bound, {})
 
 
 def test_series_is_unhashable():
