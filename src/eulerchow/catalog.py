@@ -1,8 +1,8 @@
 """Catalog of varieties with known Euler-Chow series: closed forms, the
-two computation pipelines (split projective bundle, Chow quotient), each
-as one list of rational factors that is either multiplied out exactly or
-expanded to a degree, and one row per kind of variety that says how it
-is spelled, which p it serves and how its series is computed.
+pipelines (split projective bundle, Chow quotient, flag excision), each one
+list of rational factors multiplied out exactly or, for the first two, also
+expanded to a degree, and one row per kind of variety that says how it is
+spelled, which p it serves and how its series is computed.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from typing import Callable, NamedTuple
 from . import schubert
 from .monoid import GradedMonoid, MonoidMorphism
 from .series import (FormalSeries, RationalSeries, TruncationError, convolve,
-                     first_difference, first_rational_difference, one,
-                     pushforward)
+                     first_rational_difference, one, pushforward)
 
 FLAG012 = schubert.FlagType((0, 1), 2)
 G13 = schubert.grassmannian(1, 3)
@@ -68,9 +67,9 @@ class EulerChowResult:
     variety: VarietyDescriptor
     p: int
     closed_form: RationalSeries
-    # how the closed form was cross-checked: "identity" (a rational
-    # pipeline, at every degree), "recurrence" (to the requested degree)
-    # or "none"
+    # how the closed form was cross-checked: "identity" (by its pipeline,
+    # an identity of rational functions that holds at every degree) or
+    # "none"
     check: str
     generator_dictionary: tuple[tuple[str, str], ...]
 
@@ -243,6 +242,19 @@ def _push_product(target, factors) -> RationalSeries:
     return out
 
 
+def _flag012_factors():
+    """(target, factors) of the excision pipeline for the divisors of
+    F(0,1;2): E_1(P1 x P1), its t0 and t1 sent to x and y, and the
+    excision factor (1 - xy)/((1 - x)(1 - y)).  In generating functions
+    the recurrence of `flag012_divisor_by_recurrence` says
+    a0 (1 - x)(1 - y) = b (1 - xy), with b = E_1(P1 x P1)."""
+    target = _basis(FLAG012, 2)
+    excision = RationalSeries(target, (((0, 0), 1), ((1, 1), -1)),
+                              (((1, 0), 1), ((0, 1), 1)))
+    seed = _push_product(*_split_factors(1, 0, 1))
+    return target, [(seed, [(1, 0), (0, 1)]), (excision, [(1, 0), (0, 1)])]
+
+
 def _expand_product(target, factors, degree) -> FormalSeries:
     """The pipeline truncated at the degree: each factor expanded, then
     pushed forward and multiplied by `_assemble`."""
@@ -298,16 +310,6 @@ def flag012_divisor_by_recurrence(R: int, S: int) -> list[list[int]]:
     return a0
 
 
-def _flag012_pipeline(p: int, degree: int) -> FormalSeries | None:
-    """The divisor series (p = 2) by recurrence; no pipeline at p = 0, 1."""
-    if p != 2:
-        return None
-    table = flag012_divisor_by_recurrence(degree, degree)
-    return FormalSeries(_basis(FLAG012, 2), degree,
-                        {(r, s): table[r][s] for r in range(degree + 1)
-                         for s in range(degree + 1 - r)})
-
-
 # ---------------------------------------------------------------------------
 # The catalog: one row per kind of variety
 
@@ -321,14 +323,11 @@ class Kind(NamedTuple):
     closed: Callable[[VarietyDescriptor, int], RationalSeries]
     # class of each generator of the closed form's monoid, in order
     classes: Callable[[VarietyDescriptor, int], list[str]]
-    # (v, p, degree) -> the series computed without the closed form: a
-    # RationalSeries (a pipeline of rational factors, compared with the
-    # closed form at every degree), a FormalSeries (a recurrence truncated
-    # at the degree, compared to that degree), or None where no
-    # independent computation exists
-    pipeline: Callable[[VarietyDescriptor, int, int],
-                       RationalSeries | FormalSeries | None] = \
-        lambda v, p, degree: None
+    # (v, p) -> the series computed without the closed form, a pipeline of
+    # rational factors multiplied out exactly; None where no independent
+    # computation exists
+    pipeline: Callable[[VarietyDescriptor, int], RationalSeries | None] = \
+        lambda v, p: None
 
 
 def _split_kind(pattern, parse, spell) -> Kind:
@@ -336,7 +335,7 @@ def _split_kind(pattern, parse, spell) -> Kind:
     return Kind(pattern, parse, spell, top_p=lambda v: v.n,
                 closed=lambda v, p: split_bundle_closed(v.n, v.d, p),
                 classes=lambda v, p: [f"q*[P^{p - 1}]", f"section [P^{p}]"],
-                pipeline=lambda v, p, D: _push_product(
+                pipeline=lambda v, p: _push_product(
                     *_split_factors(v.n, v.d, p)))
 
 
@@ -366,12 +365,13 @@ KINDS: dict[str, Kind] = {
                     top_p=lambda v: 3,
                     closed=lambda v, p: flag012_closed(p),
                     classes=_schubert_classes(FLAG012),
-                    pipeline=lambda v, p, D: _flag012_pipeline(p, D)),
+                    pipeline=lambda v, p: (_push_product(*_flag012_factors())
+                                           if p == 2 else None)),
     "G13": Kind(r"G\(1,3\)", lambda: {}, lambda v: "G(1,3)",
                 top_p=lambda v: 4,
                 closed=lambda v, p: grassmannian13_closed(p),
                 classes=_schubert_classes(G13),
-                pipeline=lambda v, p, D: _push_product(*_g13_factors(p))),
+                pipeline=lambda v, p: _push_product(*_g13_factors(p))),
     "Macdonald": Kind(r"Macdonald\((-?\d+)\)", lambda chi: {"chi": chi},
                       lambda v: f"Macdonald({v.chi})", top_p=lambda v: 0,
                       closed=lambda v, p: macdonald(v.chi),
@@ -379,17 +379,16 @@ KINDS: dict[str, Kind] = {
 }
 
 
-def euler_chow(v: VarietyDescriptor, p: int, degree: int = 10,
+def euler_chow(v: VarietyDescriptor, p: int,
                method: str = "both") -> EulerChowResult:
     """Compute E_p of a catalog variety.
 
     method 'closed' returns the stored rational form alone.  'both' also
-    runs the variety's pipeline at this p, where one exists, and checks the
-    closed form against it: a rational pipeline by an identity of rational
-    functions, which holds at every degree, and the truncated recurrence up
-    to the requested degree.  A disagreement raises VerificationError with
-    the first differing coefficient.  The result's `check` says which check
-    ran: "identity", "recurrence" or "none".
+    multiplies out the variety's pipeline at this p, where one exists, and
+    checks the closed form against it by an identity of rational functions,
+    which holds at every degree.  A disagreement raises VerificationError
+    with the first differing coefficient.  The result's `check` says which
+    check ran: "identity" or "none".
     """
     if method not in ("closed", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -399,17 +398,13 @@ def euler_chow(v: VarietyDescriptor, p: int, degree: int = 10,
     closed = kind.closed(v, p)
     dictionary = tuple(zip(closed.monoid.labels, kind.classes(v, p),
                            strict=True))
-    pipeline = kind.pipeline(v, p, degree) if method == "both" else None
+    pipeline = kind.pipeline(v, p) if method == "both" else None
     if pipeline is None:
-        check, diff = "none", None
-    elif isinstance(pipeline, RationalSeries):
-        check, diff = "identity", first_rational_difference(closed, pipeline)
-    else:
-        check = "recurrence"
-        diff = first_difference(closed.expand(degree), pipeline, degree)
+        return EulerChowResult(v, p, closed, "none", dictionary)
+    diff = first_rational_difference(closed, pipeline)
     if diff is not None:
         m, a, b = diff
         raise VerificationError(
             f"{v} p={p}: closed form and pipeline differ at t^{m}: "
             f"{a} vs {b}", diff)
-    return EulerChowResult(v, p, closed, check, dictionary)
+    return EulerChowResult(v, p, closed, "identity", dictionary)

@@ -86,7 +86,7 @@ def _series_text(result: catalog.EulerChowResult, expansion: FormalSeries,
 def cmd_series(args) -> int:
     try:
         variety = catalog.parse_descriptor(args.variety)
-        result = catalog.euler_chow(variety, args.p, args.degree)
+        result = catalog.euler_chow(variety, args.p)
     except catalog.VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY

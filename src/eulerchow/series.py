@@ -438,6 +438,8 @@ class RationalSeries:
                     for t in list_from_json(data["numerator"]))
         den = tuple((tuple(t["exponents"]), int_from_json(t["multiplicity"]))
                     for t in list_from_json(data["denominator"]))
+        if len(dict(num)) != len(num) or len(dict(den)) != len(den):
+            raise ValueError("repeated exponents in a rational series")
         return cls(monoid, num, den)
 
 
@@ -533,9 +535,10 @@ def loads(text: str):
     """Parse `dumps` output; any text that is not a valid series or
     rational series, as JSON or by the schema, is one ValueError.
 
-    Integers are JSON ints or ASCII decimal strings (-?[0-9]+); a series
-    may not repeat an exponents entry.  The coefficient table is read in
-    one pass, and `FormalSeries` validates its keys.
+    Integers are JSON ints or ASCII decimal strings (-?[0-9]+); a series,
+    numerator or denominator may not repeat an exponents entry.  The
+    coefficient table is read in one pass, and `FormalSeries` validates
+    its keys.
     """
     try:
         data = json.loads(text)

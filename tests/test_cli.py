@@ -37,17 +37,22 @@ def test_series_rational_g13(capsys):
     assert "(1 + z)/(1-z)^5" in out
 
 
-def test_series_rational_format_expands_nothing(capsys, monkeypatch):
-    # the rational form does not depend on the degree, and G(1,3) is
-    # cross-checked by a rational identity, so no series is expanded
+@pytest.mark.parametrize("variety, p, form", [
+    ("G(1,3)", 2, "1/(1-y)^4(1-x)^4(1-x*y)^3"),
+    ("Flag012", 2, "(1 - x*y)/(1-y)^3(1-x)^3"),
+])
+def test_series_rational_format_expands_nothing(capsys, monkeypatch,
+                                                variety, p, form):
+    # the rational form does not depend on the degree, and every pipeline
+    # is cross-checked by a rational identity, so no series is expanded
     def expand(self, degree):
         raise AssertionError("expanded a series for the rational format")
 
     monkeypatch.setattr(RationalSeries, "expand", expand)
-    code, out, err = run(capsys, "series", "G(1,3)", "--p", "2",
+    code, out, err = run(capsys, "series", variety, "--p", str(p),
                          "--format", "rational", "--degree", "200")
     assert (code, err) == (0, "")
-    assert out == "# E_2(G(1,3))\n1/(1-y)^4(1-x)^4(1-x*y)^3\n"
+    assert out == f"# E_{p}({variety})\n{form}\n"
 
 
 def _with_numerator_term(monkeypatch, kind, m):
@@ -63,12 +68,13 @@ def _with_numerator_term(monkeypatch, kind, m):
 
 
 @pytest.mark.parametrize("variety, kind, p, degree, m", [
-    # a term off at a grade <= D: the rational identity of G(1,3) and the
-    # Flag012 recurrence both catch it
+    # a term off at a grade <= D: the rational identities of G(1,3) and
+    # Flag012 catch it
     ("G(1,3)", "G13", 2, "10", (1, 1)),
     ("Flag012", "Flag012", 2, "10", (1, 1)),
-    # a term off only at grade D + 1: the identity holds at every degree
+    # a term off only at a grade > D: the identity holds at every degree
     ("Hirzebruch(2)", "Hirzebruch", 1, "4", (0, 5)),
+    ("Flag012", "Flag012", 2, "4", (0, 5)),
     ("BlowupPn(3)", "BlowupPn", 1, "0", (1, 0)),
 ])
 def test_series_cross_check_failure_exits_1(capsys, monkeypatch, variety,
@@ -226,6 +232,15 @@ MALFORMED = ['[1]', '"x"', '{}', '{"coefficients": 3}',
              '{"monoid": %s, "bound": 10, "coefficients": '
              '[{"exponents": [1], "value": "3"}, '
              '{"exponents": [1], "value": "999"}]}' % T_JSON,
+             # and in a rational series, where merging the two numerator
+             # terms and the two factors would read 999/(1 - t)^2
+             '{"monoid": %s, "numerator": [{"exponents": [0], "value": "1"}, '
+             '{"exponents": [0], "value": "998"}], "denominator": '
+             '[{"exponents": [1], "multiplicity": 1}, '
+             '{"exponents": [1], "multiplicity": 1}]}' % T_JSON,
+             '{"monoid": %s, "numerator": [{"exponents": [0], "value": "1"}], '
+             '"denominator": [{"exponents": [1], "multiplicity": 1}, '
+             '{"exponents": [1], "multiplicity": 2}]}' % T_JSON,
              # text that `int` takes but that is not -?[0-9]+ in ASCII
              *(_series_file(value=v) for v in (
                  '"1_000"', '" 7 "', '"+7"', '"\u0661\u0662"', '"7\\n"')),
