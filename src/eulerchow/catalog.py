@@ -25,7 +25,7 @@ SPLIT_BASIS = GradedMonoid.free(["t0", "t1"])
 
 
 class UnsupportedRequestError(ValueError):
-    """The requested representation does not exist for this variety."""
+    """The descriptor or variety kind is not in the catalog."""
 
 
 class VerificationError(AssertionError):

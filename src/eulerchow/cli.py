@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from . import catalog, verify
+from .monoid import int_from_json
 from .series import (FormalSeries, RationalSeries, TruncationError, dumps,
                      first_difference, loads)
 
@@ -164,13 +165,19 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
+def _integer(text: str) -> int:
+    """argparse type of --p and, through `_degree`, --degree: ASCII
+    -?[0-9]+, the integer rule of descriptors and series files."""
+    try:
+        return int_from_json(text)
+    except TypeError:
+        raise argparse.ArgumentTypeError(
+            f"invalid integer: {text!r}") from None
+
+
 def _degree(text: str) -> int:
     """argparse type of every --degree: a truncation degree is >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid degree: {text!r}") from None
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"degree must be >= 0, got {value}")
     return value
@@ -184,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="compute a catalog series")
     p.add_argument("variety", help='descriptor, e.g. "Pn(2)" or "G(1,3)"')
-    p.add_argument("--p", type=int, default=0,
+    p.add_argument("--p", type=_integer, default=0,
                    help="cycle dimension (default 0)")
     p.add_argument("--degree", type=_degree, default=10)
     p.add_argument("--format", choices=["text", "json", "rational"],

@@ -4,15 +4,13 @@ Elements are plain tuples of nonnegative integer exponents; the monoid
 object supplies grading, validation and enumeration.  `validate` is the
 one element check.  It runs where an element enters from outside: in the
 constructors of series, rational series and morphisms, and in
-`FormalSeries.coefficient` and `series.delta`.  Grading, `add` and
-`MonoidMorphism.apply` trust their input and do not re-check it.
+`FormalSeries.coefficient`.  Grading, `add` and `MonoidMorphism.apply`
+trust their input and do not re-check it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
@@ -134,8 +132,13 @@ class GradedMonoid:
 
     @classmethod
     def from_json(cls, data: dict) -> "GradedMonoid":
-        return cls(tuple((g["label"], int_from_json(g["weight"]))
-                         for g in list_from_json(data["generators"])))
+        generators = tuple((g["label"], int_from_json(g["weight"]))
+                           for g in list_from_json(data["generators"]))
+        # a label 5 or null would load, and differ from the label "5"
+        for lab, _ in generators:
+            if type(lab) is not str:
+                raise TypeError(f"generator label {lab!r} is not a string")
+        return cls(generators)
 
 
 @dataclass(frozen=True)
@@ -166,19 +169,6 @@ class MonoidMorphism:
         """True iff no generator maps to the zero element."""
         return all(any(img) for img in self.generator_images)
 
-    def image_grades(self) -> tuple[int, ...]:
-        return tuple(self.target.grade(img) for img in self.generator_images)
-
-    def min_expansion_ratio(self) -> Fraction | None:
-        """min_i grade(image_i)/weight_i, or None for the rank-0 source.
-
-        Target grade of apply(m) is at least this ratio times grade(m).
-        """
-        if self.source.rank == 0:
-            return None
-        return min(Fraction(g, w)
-                   for g, w in zip(self.image_grades(), self.source.weights))
-
 
 def compose(outer: MonoidMorphism, inner: MonoidMorphism) -> MonoidMorphism:
     """outer after inner; apply(compose(outer, inner), m) = outer(inner(m))."""
@@ -187,30 +177,3 @@ def compose(outer: MonoidMorphism, inner: MonoidMorphism) -> MonoidMorphism:
     return MonoidMorphism(
         inner.source, outer.target,
         tuple(outer.apply(img) for img in inner.generator_images))
-
-
-def product(m: GradedMonoid, n: GradedMonoid):
-    """Product monoid M x N with injections and projections.
-
-    Returns (monoid, (inj_m, inj_n), (proj_m, proj_n)).  Colliding labels
-    are namespaced by factor index.
-    """
-    labels = m.labels + n.labels
-    if len(set(labels)) != len(labels):
-        labels = tuple(f"0.{lab}" for lab in m.labels) + \
-            tuple(f"1.{lab}" for lab in n.labels)
-    prod = GradedMonoid(tuple(zip(labels, m.weights + n.weights)))
-
-    zero_n = n.zero()
-    zero_m = m.zero()
-    inj_m = MonoidMorphism(m, prod, tuple(m.generator(i) + zero_n
-                                          for i in range(m.rank)))
-    inj_n = MonoidMorphism(n, prod, tuple(zero_m + n.generator(i)
-                                          for i in range(n.rank)))
-    proj_m = MonoidMorphism(prod, m,
-                            tuple(m.generator(i) for i in range(m.rank)) +
-                            tuple(itertools.repeat(zero_m, n.rank)))
-    proj_n = MonoidMorphism(prod, n,
-                            tuple(itertools.repeat(zero_n, m.rank)) +
-                            tuple(n.generator(i) for i in range(n.rank)))
-    return prod, (inj_m, inj_n), (proj_m, proj_n)

@@ -1,38 +1,25 @@
 """Deliberately naive reference implementations used to validate the
-engine: definition-level convolution and push-forward over dense tables,
-plus the closed-form count oracles.
+engine: definition-level convolution and push-forward by scanning every
+element up to the bound, plus the closed-form count oracles.  The
+convolution and push-forward return plain {element: value} tables of
+their nonzero values, the form of `FormalSeries.coefficients`.
 
 No sparsity tricks and no early exits; keep these inspectable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .monoid import GradedMonoid, MonoidMorphism
+from .monoid import MonoidMorphism
 from .series import FormalSeries
 
 
-@dataclass(frozen=True)
-class DenseTable:
-    """Coefficients indexed densely in enumerate_up_to order."""
-
-    monoid: GradedMonoid
-    bound: int
-    values: tuple
-
-    def to_dict(self) -> dict:
-        elements = self.monoid.enumerate_up_to(self.bound)
-        return {m: v for m, v in zip(elements, self.values) if v}
-
-
-def naive_convolve(f: FormalSeries, g: FormalSeries, bound: int) -> DenseTable:
+def naive_convolve(f: FormalSeries, g: FormalSeries, bound: int) -> dict:
     """Literal double enumeration of (f*g)(m) = sum over a+b=m."""
     monoid = f.monoid
     if monoid != g.monoid:
         raise ValueError("series over different monoids")
     elements = monoid.enumerate_up_to(bound)
-    values = []
+    table = {}
     for m in elements:
         total = 0
         first = True
@@ -43,19 +30,19 @@ def naive_convolve(f: FormalSeries, g: FormalSeries, bound: int) -> DenseTable:
             term = f.coefficient(a) * g.coefficient(b)
             total = term if first else total + term
             first = False
-        values.append(total)
-    return DenseTable(monoid, bound, tuple(values))
+        if total:
+            table[m] = total
+    return table
 
 
 def naive_pushforward(phi: MonoidMorphism, f: FormalSeries,
-                      out_bound: int) -> DenseTable:
+                      out_bound: int) -> dict:
     """Exhaustive fiber enumeration by scanning the whole source domain."""
     if not phi.has_finite_fibers():
         raise ValueError("push-forward requires finite fibers")
     source_elements = phi.source.enumerate_up_to(f.bound)
-    targets = phi.target.enumerate_up_to(out_bound)
-    values = []
-    for n in targets:
+    table = {}
+    for n in phi.target.enumerate_up_to(out_bound):
         total = 0
         first = True
         for m in source_elements:
@@ -63,8 +50,9 @@ def naive_pushforward(phi: MonoidMorphism, f: FormalSeries,
                 total = f.coefficient(m) if first else \
                     total + f.coefficient(m)
                 first = False
-        values.append(total)
-    return DenseTable(phi.target, out_bound, tuple(values))
+        if total:
+            table[n] = total
+    return table
 
 
 def weyl_dim_gl3(r: int, s: int) -> int:

@@ -18,14 +18,11 @@ the same constructor.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import add
 
 from .monoid import (Element, GradedMonoid, MonoidMismatchError,
                      MonoidMorphism, int_from_json, list_from_json)
-from .monoid import product as monoid_product
 
 
 class TruncationError(ValueError):
@@ -58,14 +55,6 @@ class IntPolynomial:
         b = other.coeffs + (0,) * (n - len(other.coeffs))
         return IntPolynomial(tuple(x + y for x, y in zip(a, b)))
 
-    def __neg__(self):
-        return IntPolynomial(tuple(-x for x in self.coeffs))
-
-    def __sub__(self, other):
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, IntPolynomial):
             return NotImplemented
@@ -85,8 +74,6 @@ class IntPolynomial:
         return acc
 
 
-POLY_ONE = IntPolynomial((1,))
-POLY_ZERO = IntPolynomial(())
 # the coefficient types of a FormalSeries; `bool`, a subclass of int, is not
 _KINDS = {int, IntPolynomial}
 
@@ -95,9 +82,20 @@ def _is_poly(c) -> bool:
     return isinstance(c, IntPolynomial)
 
 
-def _check_monoids(f: "FormalSeries", g: "FormalSeries"):
+def _check_monoids(f, g):
+    """f and g, series or rational series, are over one monoid."""
     if f.monoid != g.monoid:
         raise MonoidMismatchError("series over different monoids")
+
+
+def _check_pushforward(phi: MonoidMorphism, f):
+    """f, a series or rational series, can be pushed forward along phi:
+    it is over phi's source, and phi has finite fibers."""
+    if phi.source != f.monoid:
+        raise MonoidMismatchError("series not over the source of the morphism")
+    if not phi.has_finite_fibers():
+        raise ValueError("push-forward requires finite fibers "
+                         "(a generator maps to zero)")
 
 
 def _check_kinds(f: "FormalSeries", g: "FormalSeries"):
@@ -186,26 +184,9 @@ class FormalSeries:
         return FormalSeries(self.monoid, self.bound,
                             {m: c * s for m, c in self.coefficients.items()})
 
-    def __neg__(self):
-        return self.scale(POLY_ZERO - POLY_ONE if self.kind == "poly" else -1)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-
-def delta(monoid: GradedMonoid, m: Element, c) -> FormalSeries:
-    """Monomial series c * t^m, valid to the grade of m by default."""
-    m = monoid.validate(m)
-    return FormalSeries(monoid, monoid.grade(m), {m: c})
-
-
-def one(monoid: GradedMonoid, bound: int, poly: bool = False) -> FormalSeries:
-    return FormalSeries(monoid, bound,
-                        {monoid.zero(): POLY_ONE if poly else 1})
-
-
-def zero(monoid: GradedMonoid, bound: int) -> FormalSeries:
-    return FormalSeries(monoid, bound, {})
+def one(monoid: GradedMonoid, bound: int) -> FormalSeries:
+    return FormalSeries(monoid, bound, {monoid.zero(): 1})
 
 
 def convolve(f: FormalSeries, g: FormalSeries) -> FormalSeries:
@@ -233,10 +214,17 @@ def convolve(f: FormalSeries, g: FormalSeries) -> FormalSeries:
 def exterior(f: FormalSeries, g: FormalSeries):
     """Exterior product over the product monoid: (f (.) g)(m,n) = f(m)g(n).
 
-    Returns (series, product_monoid).
+    Returns (series, product_monoid).  The product monoid has the labels
+    and weights of f's monoid followed by g's; if two labels collide, each
+    is prefixed by its factor, "0." or "1.".
     """
     _check_kinds(f, g)
-    prod, _, _ = monoid_product(f.monoid, g.monoid)
+    a, b = f.monoid, g.monoid
+    labels = a.labels + b.labels
+    if len(set(labels)) != len(labels):
+        labels = tuple(f"0.{lab}" for lab in a.labels) + \
+            tuple(f"1.{lab}" for lab in b.labels)
+    prod = GradedMonoid(tuple(zip(labels, a.weights + b.weights)))
     bound = min(f.bound, g.bound)
     gm, gn = f.monoid.grade, g.monoid.grade
     acc = {}
@@ -248,19 +236,19 @@ def exterior(f: FormalSeries, g: FormalSeries):
 
 
 def pushforward_bound(phi: MonoidMorphism, source_bound: int) -> int:
-    ratio = phi.min_expansion_ratio()
-    if ratio is None:
-        return source_bound
-    return int(math.floor(source_bound * ratio))
+    """Exact bound of a push-forward: floor(D * r), r = min_i
+    grade(image_i) / weight_i, or D for the rank-0 source.  An element of
+    grade g maps to grade >= r * g, so every element mapping to grade
+    <= D * r has grade <= D and is in the series.  Floor is monotone, so
+    floor(D * r) is the minimum of the D * grade(image_i) // weight_i."""
+    grade, d = phi.target.grade, source_bound
+    return min((d * grade(img) // w for img, w in
+                zip(phi.generator_images, phi.source.weights)), default=d)
 
 
 def pushforward(phi: MonoidMorphism, f: FormalSeries) -> FormalSeries:
     """Sum coefficients over fibers of phi; requires finite fibers."""
-    if phi.source != f.monoid:
-        raise MonoidMismatchError("series not over the source of the morphism")
-    if not phi.has_finite_fibers():
-        raise ValueError("push-forward requires finite fibers "
-                         "(a generator maps to zero)")
+    _check_pushforward(phi, f)
     out_bound = pushforward_bound(phi, f.bound)
     grade = phi.target.grade
     acc = {}
@@ -272,11 +260,13 @@ def pushforward(phi: MonoidMorphism, f: FormalSeries) -> FormalSeries:
 
 
 def pullback_bound(phi: MonoidMorphism, target_bound: int) -> int:
-    ratios = [Fraction(w, g)
-              for g, w in zip(phi.image_grades(), phi.source.weights) if g > 0]
-    if not ratios:
-        return target_bound
-    return int(math.floor(target_bound * min(ratios)))
+    """Exact bound of a pull-back: the minimum over the nonzero images of
+    D * weight_i // grade(image_i), or D if there are none; an element of
+    grade up to it maps within the target bound D."""
+    grade, d = phi.target.grade, target_bound
+    return min((d * w // g for g, w in
+                zip(map(grade, phi.generator_images), phi.source.weights)
+                if g), default=d)
 
 
 def pullback(phi: MonoidMorphism, g: FormalSeries) -> FormalSeries:
@@ -394,8 +384,7 @@ class RationalSeries:
         return FormalSeries(self.monoid, degree, out)
 
     def multiply(self, other: "RationalSeries") -> "RationalSeries":
-        if self.monoid != other.monoid:
-            raise MonoidMismatchError("rational series over different monoids")
+        _check_monoids(self, other)
         num = []
         add = self.monoid.add
         for m1, c1 in self.numerator:
@@ -411,12 +400,7 @@ class RationalSeries:
         1/(1 - t^m) to 1/(1 - t^phi(m)); so N / prod (1 - t^m)^e goes to
         phi(N) / prod (1 - t^phi(m))^e.
         """
-        if phi.source != self.monoid:
-            raise MonoidMismatchError(
-                "rational series not over the source of the morphism")
-        if not phi.has_finite_fibers():
-            raise ValueError("push-forward requires finite fibers "
-                             "(a generator maps to zero)")
+        _check_pushforward(phi, self)
         return RationalSeries(
             phi.target,
             tuple((phi.apply(m), c) for m, c in self.numerator),
@@ -471,8 +455,7 @@ def first_rational_difference(a: RationalSeries, b: RationalSeries):
     the expansions first differ at the numerator's lowest grade g, and the
     expansions to g give the difference.
     """
-    if a.monoid != b.monoid:
-        raise MonoidMismatchError("rational series over different monoids")
+    _check_monoids(a, b)
     den_a, den_b = dict(a.denominator), dict(b.denominator)
     rest_a = [(m, e - den_b.get(m, 0)) for m, e in a.denominator
               if e > den_b.get(m, 0)]

@@ -203,10 +203,10 @@ def test_missing_file(capsys, tmp_path):
 T_JSON = '{"generators": [{"label": "t", "weight": 1}]}'
 
 
-def _series_file(bound="10", value='"7"', weight="1"):
-    return ('{"monoid": {"generators": [{"label": "t", "weight": %s}]}, '
+def _series_file(bound="10", value='"7"', weight="1", label='"t"'):
+    return ('{"monoid": {"generators": [{"label": %s, "weight": %s}]}, '
             '"bound": %s, "coefficients": [{"exponents": [0], "value": %s}]}'
-            % (weight, bound, value))
+            % (label, weight, bound, value))
 
 
 MALFORMED = ['[1]', '"x"', '{}', '{"coefficients": 3}',
@@ -245,6 +245,10 @@ MALFORMED = ['[1]', '"x"', '{}', '{"coefficients": 3}',
              *(_series_file(value=v) for v in (
                  '"1_000"', '" 7 "', '"+7"', '"\u0661\u0662"', '"7\\n"')),
              _series_file(bound='"1_0"'),
+             # a label is a string: 5 would load and differ from "5"
+             *(_series_file(label=v) for v in ("5", "null", "true")),
+             '{"monoid": {"generators": [{"label": 5, "weight": 1}]}, '
+             '"numerator": [], "denominator": []}',
              '{"monoid": %s, "bound": 10, "coefficients": '
              '[{"exponents": [0], "value": {"poly": ["1", " 2"]}}]}' % T_JSON,
              pytest.param("[" * 100000 + "]" * 100000, id="nested-100k")]
@@ -294,6 +298,13 @@ EXIT_CODES = [
     (["series", "Pn(2)", "--p", "5"], 2),
     (["series", "Flag012", "--p", "4"], 2),
     (["series", "Pn(2)", "--degree", "-1"], 2),
+    # --p and --degree are ASCII -?[0-9]+, like descriptors and files
+    (["series", "Pn(3)", "--p", "\u0661"], 2),
+    (["series", "Pn(3)", "--degree", "\uff13"], 2),
+    (["series", "Pn(2)", "--p", "0_1"], 2),
+    (["series", "Pn(2)", "--degree", "1_0"], 2),
+    (["series", "Pn(2)", "--degree", " 2 "], 2),
+    (["series", "Pn(2)", "--p", "+1"], 2),
     (["expand", "{bad}"], 2),
     (["compare", "{bad}", "{s}"], 2),
     (["expand", "{s}"], 2),

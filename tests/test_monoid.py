@@ -3,7 +3,7 @@ import math
 import pytest
 
 from eulerchow.monoid import (GradedMonoid, MonoidMismatchError,
-                              MonoidMorphism, compose, product)
+                              MonoidMorphism, compose)
 
 
 def test_free_defaults_to_weight_one():
@@ -90,16 +90,6 @@ def test_morphism_finite_fibers():
     assert not MonoidMorphism(m, n, ((1,), (0,))).has_finite_fibers()
 
 
-def test_min_expansion_ratio():
-    m = GradedMonoid.free(["a", "b"], [1, 2])
-    n = GradedMonoid.free(["x", "y"], [1, 1])
-    phi = MonoidMorphism(m, n, ((1, 0), (1, 1)))
-    # image grades 1 and 2 against source weights 1 and 2
-    assert phi.min_expansion_ratio() == 1
-    assert MonoidMorphism(GradedMonoid(()), n,
-                          ()).min_expansion_ratio() is None
-
-
 def test_compose():
     a = GradedMonoid.free(["a"])
     b = GradedMonoid.free(["x", "y"])
@@ -110,22 +100,3 @@ def test_compose():
     assert chain.apply((2,)) == psi.apply(phi.apply((2,)))
     with pytest.raises(MonoidMismatchError):
         compose(phi, psi)
-
-
-def test_product_injections_and_projections():
-    m = GradedMonoid.free(["a"], [2])
-    n = GradedMonoid.free(["b", "c"])
-    prod, (inj_m, inj_n), (proj_m, proj_n) = product(m, n)
-    assert prod.labels == ("a", "b", "c")
-    assert prod.weights == (2, 1, 1)
-    assert inj_m.apply((1,)) == (1, 0, 0)
-    assert inj_n.apply((0, 1)) == (0, 0, 1)
-    assert proj_m.apply((1, 2, 3)) == (1,)
-    assert proj_n.apply((1, 2, 3)) == (2, 3)
-
-
-def test_product_namespaces_colliding_labels():
-    m = GradedMonoid.free(["a"])
-    n = GradedMonoid.free(["a"])
-    prod, _, _ = product(m, n)
-    assert prod.labels == ("0.a", "1.a")

@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 
 from eulerchow import catalog, schubert
 from eulerchow.monoid import GradedMonoid, MonoidMismatchError, MonoidMorphism
-from eulerchow.series import (POLY_ONE, FormalSeries, IntPolynomial,
-                              RationalSeries, TruncationError, convolve,
-                              delta, dumps, equals_up_to,
+from eulerchow.series import (FormalSeries, IntPolynomial, RationalSeries,
+                              TruncationError, convolve, dumps, equals_up_to,
                               evaluate_polynomial_coefficients, exterior,
                               first_difference, first_rational_difference,
-                              loads, one, pullback,
-                              pullback_bound, pushforward, pushforward_bound,
-                              zero)
+                              loads, one, pullback, pullback_bound,
+                              pushforward, pushforward_bound)
 
 T = GradedMonoid.free(["t"])
 XY = GradedMonoid.free(["x", "y"])
+POLY_ONE = IntPolynomial((1,))
 
 
 def geometric(monoid, bound):
@@ -35,7 +34,6 @@ def test_polynomial_arithmetic():
     q = IntPolynomial((0, 1))      # u
     assert (p + q).coeffs == (1, 3)
     assert (p * q).coeffs == (0, 1, 2)
-    assert (p - p).coeffs == ()
     assert p.evaluate(-1) == -1
     assert not IntPolynomial((0, 0))
 
@@ -124,7 +122,7 @@ def test_kind_detection_and_mixing():
     f = FormalSeries(T, 2, {(1,): 1})
     g = FormalSeries(T, 2, {(1,): POLY_ONE})
     assert f.kind == "int" and g.kind == "poly"
-    assert zero(T, 2).kind is None
+    assert FormalSeries(T, 2).kind is None
     with pytest.raises(TypeError):
         f + g
     with pytest.raises(TypeError):
@@ -136,8 +134,8 @@ def test_kind_detection_and_mixing():
 def test_scale_and_negate():
     f = FormalSeries(T, 2, {(1,): 3})
     assert f.scale(2).coefficient((1,)) == 6
-    assert (-f).coefficient((1,)) == -3
-    assert (f - f).coefficients == {}
+    assert f.scale(-1).coefficient((1,)) == -3
+    assert (f + f.scale(-1)).coefficients == {}
 
 
 # ---------------------------------------------------------------------------
@@ -161,21 +159,26 @@ def test_convolve_delta_shifts():
     assert g.coefficients == {(2,): 2, (4,): 5}
 
 
-def test_delta_bound_is_grade():
-    d = delta(XY, (1, 2), 7)
-    assert d.bound == 3 and d.coefficient((1, 2)) == 7
-
-
 # ---------------------------------------------------------------------------
 # Exterior product
 
 def test_exterior_concatenates_exponents():
-    f = FormalSeries(T, 4, {(1,): 2})
-    g = FormalSeries(GradedMonoid.free(["s"]), 4, {(2,): 3})
+    f = FormalSeries(GradedMonoid.free(["t"], [2]), 4, {(1,): 2})
+    g = FormalSeries(GradedMonoid.free(["s", "u"]), 4, {(2, 0): 3})
     h, prod = exterior(f, g)
-    assert prod.labels == ("t", "s")
-    assert h.coefficients == {(1, 2): 6}
+    assert prod == h.monoid
+    assert prod.labels == ("t", "s", "u")
+    assert prod.weights == (2, 1, 1)
+    assert h.coefficients == {(1, 2, 0): 6}  # grade 2 + 2 = 4 <= 4
     assert h.bound == 4
+
+
+def test_exterior_namespaces_colliding_labels():
+    f = FormalSeries(GradedMonoid.free(["a"]), 2, {(1,): 1})
+    g = FormalSeries(GradedMonoid.free(["a", "b"], [1, 2]), 2, {(0, 1): 1})
+    _, prod = exterior(f, g)
+    assert prod.labels == ("0.a", "1.a", "1.b")
+    assert prod.weights == (1, 1, 2)
 
 
 def test_exterior_drops_terms_beyond_joint_bound():
@@ -208,6 +211,8 @@ def test_pushforward_requires_finite_fibers():
     phi = MonoidMorphism(XY, T, ((1,), (0,)))
     with pytest.raises(ValueError):
         pushforward(phi, one(XY, 2))
+    with pytest.raises(MonoidMismatchError):
+        pushforward(phi, one(T, 2))
 
 
 def test_pullback_precomposes():
@@ -221,6 +226,54 @@ def test_pullback_precomposes():
 def test_pullback_bound_contracts():
     phi = MonoidMorphism(T, XY, ((2, 1),))
     assert pullback_bound(phi, 10) == 3  # floor(10 * 1/3)
+
+
+def test_bounds_of_a_rank_zero_source_are_the_given_bound():
+    # no generator, so no ratio: the series is exact to the bound it had
+    phi = MonoidMorphism(GradedMonoid(()), XY, ())
+    for d in (0, 1, 7):
+        assert pushforward_bound(phi, d) == d
+        assert pullback_bound(phi, d) == d
+    f = FormalSeries(GradedMonoid(()), 5, {(): 3})
+    assert pushforward(phi, f).bound == 5
+    assert pushforward(phi, f).coefficients == {(0, 0): 3}
+    # every image zero: nothing limits the pull-back either
+    zero_images = MonoidMorphism(T, XY, ((0, 0),))
+    assert pullback_bound(zero_images, 4) == 4
+
+
+def _fraction_bound(d, ratios):
+    """floor(d * min(ratios)) in exact rationals, or d if there are none."""
+    return math.floor(d * min(ratios)) if ratios else d
+
+
+@st.composite
+def bound_cases(draw):
+    """A morphism between monoids of rank <= 3 (the source may have rank
+    0) with weights 1-3 and image entries 0-3, zero images included, and a
+    bound 0-50."""
+    def monoid(min_rank, labels):
+        rank = draw(st.integers(min_rank, 3))
+        weights = draw(st.lists(st.integers(1, 3), min_size=rank,
+                                max_size=rank))
+        return GradedMonoid.free(labels[:rank], weights)
+
+    source, target = monoid(0, "abc"), monoid(1, "xyz")
+    images = tuple(tuple(draw(st.integers(0, 3)) for _ in target.weights)
+                   for _ in source.weights)
+    return MonoidMorphism(source, target, images), draw(st.integers(0, 50))
+
+
+@given(bound_cases())
+@settings(max_examples=300, deadline=None)
+def test_bounds_match_the_rational_formula(case):
+    phi, d = case
+    weights = phi.source.weights
+    grades = [phi.target.grade(img) for img in phi.generator_images]
+    assert pushforward_bound(phi, d) == _fraction_bound(
+        d, [Fraction(g, w) for g, w in zip(grades, weights)])
+    assert pullback_bound(phi, d) == _fraction_bound(
+        d, [Fraction(w, g) for g, w in zip(grades, weights) if g])
 
 
 def test_push_pull_adjoint_on_monomials():
@@ -290,6 +343,8 @@ def test_rational_numerator_and_multiply():
     g = sq.expand(5)
     # (1+t)^2/(1-t)^2 = 1 + 4t + 8t^2 + 12t^3 + ...
     assert [g.coefficient((d,)) for d in range(4)] == [1, 4, 8, 12]
+    with pytest.raises(MonoidMismatchError):
+        r.multiply(RationalSeries(XY, (), ()))
 
 
 def expand_by_convolution(r, degree):
