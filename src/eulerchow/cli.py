@@ -1,8 +1,8 @@
 """Command-line front end: series computation, verification suites,
 series-file comparison, and rational-form expansion.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/format error,
-3 unsupported request.
+Exit codes: 0 success, 1 verification failure, 2 usage/format error
+(also an --output file that cannot be written), 3 unsupported request.
 """
 
 from __future__ import annotations
@@ -30,14 +30,21 @@ def _supports_unicode(stream) -> bool:
         return False
 
 
-def _emit(text: str, output: str | None):
+def _emit(text: str, output: str | None) -> int:
+    """Write text to the output file, or to stdout; EXIT_USAGE, with an
+    error message, if the file cannot be written, else EXIT_OK."""
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        return EXIT_OK
     if not _supports_unicode(sys.stdout):
         text = text.replace("⟨", "<").replace("⟩", ">")
     sys.stdout.write(text)
+    return EXIT_OK
 
 
 def _monomial(variables, exponents) -> str:
@@ -96,15 +103,14 @@ def cmd_series(args) -> int:
         return EXIT_USAGE
 
     if args.format == "rational":
-        _emit(f"# E_{result.p}({result.variety})\n"
-              f"{_format_rational(result.closed_form)}\n", args.output)
-        return EXIT_OK
+        return _emit(f"# E_{result.p}({result.variety})\n"
+                     f"{_format_rational(result.closed_form)}\n",
+                     args.output)
     expansion = result.closed_form.expand(args.degree)
     if args.format == "text":
-        _emit(_series_text(result, expansion, args.degree), args.output)
-    else:
-        _emit(dumps(expansion), args.output)
-    return EXIT_OK
+        return _emit(_series_text(result, expansion, args.degree),
+                     args.output)
+    return _emit(dumps(expansion), args.output)
 
 
 def cmd_verify(args) -> int:
@@ -114,8 +120,9 @@ def cmd_verify(args) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     report = "".join(r.line() + "\n" for r in results)
-    _emit(report, args.output)
-    return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
+    # a report that was not written is a usage error, whatever it says
+    return (_emit(report, args.output)
+            or (EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY))
 
 
 def _load_expanded(path: str, degree: int) -> FormalSeries:
@@ -161,8 +168,7 @@ def cmd_expand(args) -> int:
         print("error: expand requires a rational-series file",
               file=sys.stderr)
         return EXIT_USAGE
-    _emit(dumps(obj.expand(args.degree)), args.output)
-    return EXIT_OK
+    return _emit(dumps(obj.expand(args.degree)), args.output)
 
 
 def _integer(text: str) -> int:

@@ -2,17 +2,20 @@
 
 Elements are plain tuples of nonnegative integer exponents; the monoid
 object supplies grading, validation and enumeration.  `validate` is the
-one element check.  It runs where an element enters from outside: in the
-constructors of series, rational series and morphisms, and in
-`FormalSeries.coefficient`.  Grading, `add` and `MonoidMorphism.apply`
-trust their input and do not re-check it.
+element check for one element entering from outside: in the constructors
+of rational series and morphisms, and in `FormalSeries.coefficient`.  The
+`FormalSeries` constructor checks its whole key table in a few builtin
+passes, and calls `validate` only to name a key it rejects.  Grading (`grade` for one
+element, `grades` for many), `add` and `MonoidMorphism.apply` trust their
+input and do not re-check it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
+from itertools import repeat
+from operator import add, itemgetter, mul
 
 Element = tuple[int, ...]
 
@@ -48,12 +51,20 @@ class GradedMonoid:
     generators: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        labels = [lab for lab, _ in self.generators]
-        if len(set(labels)) != len(labels):
-            raise ValueError("generator labels must be pairwise distinct")
+        # what `to_json` writes and `from_json` reads back: a label 5 or
+        # None would differ from the label "5", and a weight 1.5 or True
+        # would not load
         for lab, w in self.generators:
+            if type(lab) is not str:
+                raise TypeError(f"generator label {lab!r} is not a string")
+            if type(w) is not int:
+                raise TypeError(f"generator {lab!r} has weight {w!r}, "
+                                "not an int")
             if w < 1:
                 raise ValueError(f"generator {lab!r} has weight {w} < 1")
+        labels = self.labels
+        if len(set(labels)) != len(labels):
+            raise ValueError("generator labels must be pairwise distinct")
 
     @classmethod
     def free(cls, labels, weights=None) -> "GradedMonoid":
@@ -99,6 +110,18 @@ class GradedMonoid:
         """Weighted total degree of a valid element."""
         return sum(map(mul, m, self.weights))
 
+    def grades(self, elements) -> list[int]:
+        """Grades of a collection of valid elements, in iteration order:
+        the sum of each element, plus one pass over the exponent column
+        of each generator of weight w > 1, adding (w - 1) times it.  The
+        elements are iterated more than once, so not a generator."""
+        out = list(map(sum, elements))
+        for i, w in enumerate(self.weights):
+            if w != 1:
+                column = map(itemgetter(i), elements)
+                out = list(map(add, out, map(mul, column, repeat(w - 1))))
+        return out
+
     def add(self, a: Element, b: Element) -> Element:
         """Sum of two valid elements."""
         return tuple(x + y for x, y in zip(a, b))
@@ -132,13 +155,8 @@ class GradedMonoid:
 
     @classmethod
     def from_json(cls, data: dict) -> "GradedMonoid":
-        generators = tuple((g["label"], int_from_json(g["weight"]))
-                           for g in list_from_json(data["generators"]))
-        # a label 5 or null would load, and differ from the label "5"
-        for lab, _ in generators:
-            if type(lab) is not str:
-                raise TypeError(f"generator label {lab!r} is not a string")
-        return cls(generators)
+        return cls(tuple((g["label"], int_from_json(g["weight"]))
+                         for g in list_from_json(data["generators"])))
 
 
 @dataclass(frozen=True)

@@ -7,19 +7,22 @@ are arbitrary-precision integers or integer polynomials in one formal
 variable (used for Hilbert-style series).
 
 Every FormalSeries satisfies one invariant, checked once, when it is
-constructed: each key is a valid element of its monoid
-(`GradedMonoid.validate`); the bound is >= 0 and no key has a grade
-above it; every coefficient is an `int` (not a `bool`) or an
-`IntPolynomial`, and the stored ones are nonzero and of one kind.
-Operations trust this of their operands and build their results through
-the same constructor.
+constructed: each key is a tuple and a valid element of its monoid (one
+`int`, not a `bool`, >= 0 per generator); the bound is >= 0 and no key
+has a grade above it; every coefficient is an `int` (not a `bool`) or an
+`IntPolynomial`, and the stored ones are nonzero and of one kind.  The
+keys are checked in a few builtin passes over the whole table, with the
+grades taken by `GradedMonoid.grades`; only a table that fails is walked
+key by key, to name the first bad key.  Operations trust the invariant
+of their operands and build their results through the same constructor.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from operator import add
+from itertools import accumulate, chain, repeat
+from operator import add, floordiv, itemgetter, mul, sub
 
 from .monoid import (Element, GradedMonoid, MonoidMismatchError,
                      MonoidMorphism, int_from_json, list_from_json)
@@ -124,18 +127,41 @@ class FormalSeries:
                        if type(c) not in _KINDS)
             raise TypeError(f"coefficient {bad!r} is neither an int "
                             "nor an IntPolynomial")
-        validate, grade = self.monoid.validate, self.monoid.grade
-        clean = {}
-        for m, c in self.coefficients.items():
-            m = validate(m)
-            if grade(m) > self.bound:
-                raise TruncationError(
-                    f"coefficient at {m} exceeds bound {self.bound}")
-            if c:
-                clean[m] = c
+        if not self._keys_are_valid():
+            self._reject_first_bad_key()
+        clean = {m: c for m, c in self.coefficients.items() if c}
         if len(set(map(type, clean.values()))) > 1:
             raise TypeError("cannot mix integer and polynomial coefficients")
         object.__setattr__(self, "coefficients", clean)
+
+    def _keys_are_valid(self) -> bool:
+        """The key invariant, checked in a few builtin passes over the
+        whole table: every key is a tuple of length rank, every exponent
+        an int >= 0, and no grade is above the bound."""
+        keys = self.coefficients
+        if not keys:
+            return True
+        if (set(map(type, keys)) != {tuple}
+                or set(map(len, keys)) != {self.monoid.rank}):
+            return False
+        exponents = list(chain.from_iterable(keys))
+        if not set(map(type, exponents)) <= {int}:
+            return False
+        if exponents and min(exponents) < 0:
+            return False
+        return max(self.monoid.grades(keys)) <= self.bound
+
+    def _reject_first_bad_key(self):
+        """Raise the error of the first key, in table order, that breaks
+        the key invariant."""
+        validate, grade = self.monoid.validate, self.monoid.grade
+        for m in self.coefficients:
+            if type(m) is not tuple:
+                raise TypeError(f"key {m!r} is not a tuple")
+            validate(m)
+            if grade(m) > self.bound:
+                raise TruncationError(
+                    f"coefficient at {m} exceeds bound {self.bound}")
 
     @property
     def kind(self) -> str | None:
@@ -153,9 +179,9 @@ class FormalSeries:
 
     def items_by_grade(self):
         """(element, coefficient) pairs in graded-lex order."""
-        grade = self.monoid.grade
-        return [(m, c) for _, m, c in sorted(
-            [(grade(m), m, c) for m, c in self.coefficients.items()])]
+        keys = list(self.coefficients)
+        keys = [m for _, m in sorted(zip(self.monoid.grades(keys), keys))]
+        return list(zip(keys, map(self.coefficients.__getitem__, keys)))
 
     def restrict(self, bound: int) -> "FormalSeries":
         if bound > self.bound:
@@ -335,6 +361,8 @@ class RationalSeries:
         num = {}
         for m, c in self.numerator:
             m = self.monoid.validate(m)
+            if type(c) is not int:
+                raise TypeError(f"numerator value {c!r} is not an int")
             if c:
                 num[m] = num.get(m, 0) + c
         num = tuple(sorted(((m, c) for m, c in num.items() if c),
@@ -344,6 +372,9 @@ class RationalSeries:
             m = self.monoid.validate(m)
             if self.monoid.grade(m) == 0:
                 raise ValueError("denominator element has grade 0")
+            if type(e) is not int:
+                raise TypeError(f"denominator multiplicity {e!r} is not "
+                                "an int")
             if e < 1:
                 raise ValueError("denominator multiplicity must be >= 1")
             den[m] = den.get(m, 0) + e
@@ -358,30 +389,42 @@ class RationalSeries:
         Dividing by (1 - t^m) is a running sum along each ray x + N*m, so
         dividing by (1 - t^m)^e is e nested running sums.  For each factor
         the terms so far are grouped by the base of their ray (x minus the
-        largest multiple of m that keeps every exponent >= 0), and each ray
-        is walked once, in grade order, up to the degree.
+        largest multiple k of m that keeps every exponent >= 0), with k
+        and the base computed by column.  Each ray is one dense list of
+        its values up to the degree, and `accumulate` runs over it e
+        times.
         """
-        grade = self.monoid.grade
-        out = {m: c for m, c in self.numerator if grade(m) <= degree}
+        monoid = self.monoid
+        grades = monoid.grades([m for m, _ in self.numerator])
+        out = {m: c for (m, c), g in zip(self.numerator, grades)
+               if g <= degree}
         for m, e in self.denominator:
-            gm = grade(m)
-            support = [i for i, x in enumerate(m) if x]
+            if not out:
+                break  # zero stays zero, and an empty table has no columns
+            gm = monoid.grade(m)
+            keys = list(out)
+            columns = list(zip(*keys))
+            steps = [list(map(floordiv, columns[i], repeat(x)))
+                     for i, x in enumerate(m) if x]
+            ks = steps[0] if len(steps) == 1 else list(map(min, *steps))
+            bases = zip(*[map(sub, col, map(mul, ks, repeat(x))) if x
+                          else col for col, x in zip(columns, m)])
             rays = {}
-            for x, c in out.items():
-                k = min(x[i] // m[i] for i in support)
-                base = tuple(a - k * b for a, b in zip(x, m))
-                rays.setdefault(base, {})[k] = c
+            for y, k, c, g in zip(bases, ks, out.values(),
+                                  monoid.grades(keys)):
+                ray = rays.get(y)
+                if ray is None:
+                    # grade(y) = g - k * gm, so the ray has this many steps
+                    ray = rays[y] = [0] * ((degree - g) // gm + k + 1)
+                ray[k] = c
             out = {}
             for y, ray in rays.items():
-                sums = [0] * e
-                for j in range((degree - grade(y)) // gm + 1):
-                    s = ray.get(j, 0)
-                    for i in range(e):
-                        s = sums[i] = sums[i] + s
-                    if s:
-                        out[y] = s
-                    y = tuple(map(add, y, m))
-        return FormalSeries(self.monoid, degree, out)
+                for _ in range(e):
+                    ray = list(accumulate(ray))
+                points = zip(*[range(a, a + x * len(ray), x) if x
+                               else repeat(a) for a, x in zip(y, m)])
+                out.update(filter(itemgetter(1), zip(points, ray)))
+        return FormalSeries(monoid, degree, out)
 
     def multiply(self, other: "RationalSeries") -> "RationalSeries":
         _check_monoids(self, other)

@@ -309,6 +309,12 @@ EXIT_CODES = [
     (["compare", "{bad}", "{s}"], 2),
     (["expand", "{s}"], 2),
     (["verify", "--suite", "nope"], 2),
+    # an --output that cannot be opened is a usage error, not a failed
+    # verification
+    (["series", "Pn(2)", "--output", "{dir}"], 2),
+    (["series", "Pn(2)", "--format", "rational", "--output", "{dir}"], 2),
+    (["verify", "--suite", "flag", "--output", "{missing}"], 2),
+    (["expand", "{r}", "--output", "{missing}"], 2),
     (["compare", "{s}", "{s}", "--degree", "9"], 3),
 ]
 
@@ -320,8 +326,23 @@ def test_exit_code(capsys, tmp_path, argv, code):
              "s": dumps(lawson_yau_pn(2, 0).expand(4)),
              "s6": dumps(lawson_yau_pn(5, 0).expand(4)),  # (1-t)^-6
              "bad": "[1]"}
-    paths = {"out": tmp_path / "out.json"}
+    paths = {"out": tmp_path / "out.json", "dir": tmp_path,
+             "missing": tmp_path / "missing" / "out.json"}
     for name, text in files.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)
     assert run(capsys, *(a.format(**paths) for a in argv))[0] == code
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "Pn(2)", "--output", "{dir}"],
+    ["verify", "--suite", "flag", "--output", "{missing}"],
+])
+def test_unwritable_output_is_reported_without_a_traceback(capsys, tmp_path,
+                                                           argv):
+    missing = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *(a.format(dir=tmp_path, missing=missing)
+                                   for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not missing.parent.exists()

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from eulerchow.monoid import (GradedMonoid, MonoidMismatchError,
                               MonoidMorphism, compose)
@@ -23,11 +25,39 @@ def test_nonpositive_weight_rejected():
         GradedMonoid.free(["a"], [0])
 
 
+@pytest.mark.parametrize("labels, weights", [
+    (["x"], [1.5]), (["x"], [True]), (["x"], [1.0]), (["x"], ["1"]),
+    ([5], None), ([None], None), ([b"x"], None)])
+def test_constructor_rejects_what_a_file_cannot_hold(labels, weights):
+    # `dumps` would write "weight": 1.5 or true, or the label 5, and
+    # `loads` rejects each of those files
+    with pytest.raises(TypeError):
+        GradedMonoid.free(labels, weights)
+
+
 def test_grade_uses_weights():
     m = GradedMonoid.free(["a", "b"], [1, 3])
     assert m.grade((2, 0)) == 2
     assert m.grade((1, 2)) == 7
     assert m.grade(m.zero()) == 0
+
+
+@st.composite
+def element_lists(draw):
+    rank = draw(st.integers(0, 3))
+    weights = draw(st.lists(st.integers(1, 3), min_size=rank, max_size=rank))
+    monoid = GradedMonoid.free([f"g{i}" for i in range(rank)], weights)
+    elements = st.tuples(*[st.integers(0, 9)] * rank)
+    return monoid, draw(st.lists(elements, max_size=8))
+
+
+@given(element_lists())
+@example((GradedMonoid(()), [(), ()]))
+@example((GradedMonoid(()), []))
+@example((GradedMonoid.free(["a", "b"], [3, 1]), []))
+def test_grades_are_the_grade_of_each_element(case):
+    monoid, elements = case
+    assert monoid.grades(elements) == [monoid.grade(m) for m in elements]
 
 
 def test_validate_rejects_wrong_rank_and_negatives():

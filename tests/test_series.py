@@ -90,6 +90,88 @@ def test_constructor_rejects_a_bound_that_is_not_an_integer():
             FormalSeries(T, bound, {})
 
 
+@pytest.mark.parametrize("key, error", [
+    ((1,), MonoidMismatchError),
+    ((1, 0, 0), MonoidMismatchError),
+    ((), MonoidMismatchError),
+    ((True, 0), TypeError),
+    ((0, 1.0), TypeError),
+    (("1", 0), TypeError),
+    ((-1, 2), ValueError),
+    ((0, -1), ValueError),
+    ((3, 2), TruncationError),
+    (frozenset({1}), TypeError),
+    ("ab", TypeError),
+    (7, TypeError),
+], ids=repr)
+def test_constructor_rejects_a_malformed_key(key, error):
+    # one bad key among good ones, with any value, fails the whole table
+    for value in (1, 0):
+        table = {(0, 0): 1, key: value, (1, 1): 2}
+        with pytest.raises(error) as info:
+            FormalSeries(XY, 4, table)
+        assert type(info.value) is error
+
+
+def key_error(monoid, bound, m):
+    """The per-key rule of a series key, written out: the class of the
+    error a key raises, or None for a valid key."""
+    if type(m) is not tuple:
+        return TypeError
+    if len(m) != monoid.rank:
+        return MonoidMismatchError
+    for e in m:
+        if type(e) is not int:
+            return TypeError
+        if e < 0:
+            return ValueError
+    if sum(w * e for w, e in zip(monoid.weights, m)) > bound:
+        return TruncationError
+    return None
+
+
+EXPONENTS = st.one_of(st.integers(-1, 4), st.integers(0, 4),
+                      st.sampled_from([True, False, 1.0, "1", None]))
+
+
+@st.composite
+def key_tables(draw):
+    rank = draw(st.integers(0, 3))
+    weights = draw(st.lists(st.integers(1, 3), min_size=rank, max_size=rank))
+    monoid = GradedMonoid.free([f"g{i}" for i in range(rank)], weights)
+    good = st.tuples(*[st.integers(0, 4)] * rank)
+    keys = st.one_of(
+        good, good, good,
+        st.lists(EXPONENTS, min_size=rank, max_size=rank).map(tuple),
+        st.lists(st.integers(0, 2), max_size=4).map(tuple),
+        st.frozensets(st.integers(0, 2), max_size=2),
+        st.integers(0, 3))
+    pairs = draw(st.lists(st.tuples(keys, st.integers(-2, 2)), max_size=6))
+    return monoid, draw(st.integers(0, 8)), dict(pairs)
+
+
+@settings(max_examples=300)
+@given(key_tables())
+@example((XY, 4, {}))
+@example((GradedMonoid(()), 0, {(): 3}))
+@example((GradedMonoid(()), 0, {(0,): 3}))
+@example((XY, 4, {(0, 0): 0, (5, 0): 0}))
+def test_constructor_raises_exactly_when_a_key_breaks_the_rule(case):
+    monoid, bound, table = case
+    errors = [key_error(monoid, bound, m) for m in table]
+    error = next(filter(None, errors), None)
+    if error is None:
+        f = FormalSeries(monoid, bound, table)
+        kept = [(m, c) for m, c in table.items() if c]
+        assert list(f.coefficients.items()) == kept
+        # the keys are stored as given, not converted
+        assert all(a is b for a, (b, _) in zip(f.coefficients, kept))
+    else:
+        with pytest.raises(error) as info:
+            FormalSeries(monoid, bound, table)
+        assert type(info.value) is error
+
+
 def test_series_is_unhashable():
     # the coefficient table is a dict, so a series must not pass for a key
     f = FormalSeries(T, 2, {(1,): 3})
@@ -402,6 +484,8 @@ def rational_series(draw):
 @given(rational_series(), st.integers(0, 20))
 # (1 - xy)/(1 - xy) = 1: the running sum along the ray through 0 cancels
 @example(RationalSeries(XY, (((0, 0), 1), ((1, 1), -1)), (((1, 1), 1),)), 6)
+# a multiplicity above the length of every ray: 1/(1 - t)^7 to degree 3
+@example(RationalSeries(T, (((0,), 1),), (((1,), 7),)), 3)
 def test_expand_equals_convolution_form_on_random_forms(r, degree):
     assert r.expand(degree) == expand_by_convolution(r, degree)
 
@@ -500,6 +584,22 @@ def test_rational_rejects_grade_zero_denominator():
     m = GradedMonoid.free(["a", "b"])
     with pytest.raises(ValueError):
         RationalSeries(m, ((m.zero(), 1),), (((0, 0), 1),))
+
+
+@pytest.mark.parametrize("numerator, denominator", [
+    ((((0,), 1.5),), ()),
+    ((((0,), True),), ()),
+    ((((0,), Fraction(1, 2)),), ()),
+    ((((0,), 1),), (((1,), 1.5),)),
+    ((((0,), 1),), (((1,), True),)),
+    ((((0,), 1),), (((1,), 2.0),)),
+])
+def test_rational_rejects_values_and_multiplicities_that_are_not_ints(
+        numerator, denominator):
+    # `dumps` would write the value "1.5", which `loads` rejects, and
+    # `expand` cannot take a multiplicity 1.5 steps
+    with pytest.raises(TypeError):
+        RationalSeries(T, numerator, denominator)
 
 
 def test_rational_merges_repeated_factors():
