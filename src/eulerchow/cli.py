@@ -1,8 +1,12 @@
 """Command-line front end: series computation, verification suites,
 series-file comparison, and rational-form expansion.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/format error
-(also an --output file that cannot be written), 3 unsupported request.
+Commands raise; `main` maps each error to its exit code in one place:
+0 success, 1 verification failure (also a compare that finds a
+difference), 2 usage or format error (an unknown descriptor, a p out of
+range, a file that cannot be read or parsed, an --output file that
+cannot be written), 3 a degree above a series file's bound or an
+expansion over `series.MAX_EXPANSION_TERMS` terms.
 """
 
 from __future__ import annotations
@@ -30,21 +34,15 @@ def _supports_unicode(stream) -> bool:
         return False
 
 
-def _emit(text: str, output: str | None) -> int:
-    """Write text to the output file, or to stdout; EXIT_USAGE, with an
-    error message, if the file cannot be written, else EXIT_OK."""
+def _emit(text: str, output: str | None):
+    """Write text to the output file, or to stdout."""
     if output:
-        try:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        return EXIT_OK
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
     if not _supports_unicode(sys.stdout):
         text = text.replace("⟨", "<").replace("⟩", ">")
     sys.stdout.write(text)
-    return EXIT_OK
 
 
 def _monomial(variables, exponents) -> str:
@@ -92,62 +90,40 @@ def _series_text(result: catalog.EulerChowResult, expansion: FormalSeries,
 
 
 def cmd_series(args) -> int:
-    try:
-        variety = catalog.parse_descriptor(args.variety)
-        result = catalog.euler_chow(variety, args.p)
-    except catalog.VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    result = catalog.euler_chow(catalog.parse_descriptor(args.variety),
+                                args.p)
     if args.format == "rational":
-        return _emit(f"# E_{result.p}({result.variety})\n"
-                     f"{_format_rational(result.closed_form)}\n",
-                     args.output)
-    expansion = result.closed_form.expand(args.degree)
-    if args.format == "text":
-        return _emit(_series_text(result, expansion, args.degree),
-                     args.output)
-    return _emit(dumps(expansion), args.output)
+        text = (f"# E_{result.p}({result.variety})\n"
+                f"{_format_rational(result.closed_form)}\n")
+    else:
+        expansion = result.closed_form.expand(args.degree)
+        text = (_series_text(result, expansion, args.degree)
+                if args.format == "text" else dumps(expansion))
+    _emit(text, args.output)
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        results = verify.run_suite(args.suite)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
-    report = "".join(r.line() + "\n" for r in results)
-    # a report that was not written is a usage error, whatever it says
-    return (_emit(report, args.output)
-            or (EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY))
+    results = verify.run_suite(args.suite)
+    _emit("".join(r.line() + "\n" for r in results), args.output)
+    return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
+
+
+def _load(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return loads(fh.read())
 
 
 def _load_expanded(path: str, degree: int) -> FormalSeries:
-    with open(path, encoding="utf-8") as fh:
-        obj = loads(fh.read())
+    obj = _load(path)
     if isinstance(obj, RationalSeries):
         return obj.expand(degree)
     return obj
 
 
 def cmd_compare(args) -> int:
-    try:
-        a = _load_expanded(args.file_a, args.degree)
-        b = _load_expanded(args.file_b, args.degree)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if a.monoid != b.monoid:
-        print("error: series are over different monoids "
-              f"({a.monoid.labels} vs {b.monoid.labels})", file=sys.stderr)
-        return EXIT_USAGE
-    if args.degree > a.bound or args.degree > b.bound:
-        print(f"error: degree {args.degree} exceeds a series bound "
-              f"({a.bound}, {b.bound})", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+    a = _load_expanded(args.file_a, args.degree)
+    b = _load_expanded(args.file_b, args.degree)
     diff = first_difference(a, b, args.degree)
     if diff is None:
         print(f"equal to degree {args.degree}")
@@ -158,17 +134,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            obj = loads(fh.read())
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    obj = _load(args.file)
     if not isinstance(obj, RationalSeries):
-        print("error: expand requires a rational-series file",
-              file=sys.stderr)
-        return EXIT_USAGE
-    return _emit(dumps(obj.expand(args.degree)), args.output)
+        raise ValueError("expand requires a rational-series file")
+    _emit(dumps(obj.expand(args.degree)), args.output)
+    return EXIT_OK
 
 
 def _integer(text: str) -> int:
@@ -233,9 +203,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.fn(args)
+    except catalog.VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except TruncationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -71,7 +71,7 @@ class GradedMonoid:
         labels = list(labels)
         if weights is None:
             weights = [1] * len(labels)
-        return cls(tuple(zip(labels, weights)))
+        return cls(tuple(zip(labels, weights, strict=True)))
 
     @cached_property
     def rank(self) -> int:

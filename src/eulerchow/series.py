@@ -28,8 +28,14 @@ from .monoid import (Element, GradedMonoid, MonoidMismatchError,
                      MonoidMorphism, int_from_json, list_from_json)
 
 
+# the most terms `RationalSeries.expand` may allocate for one denominator
+# factor; a larger expansion raises TruncationError before it allocates more
+MAX_EXPANSION_TERMS = 10**6
+
+
 class TruncationError(ValueError):
-    """Requested degree exceeds the validity bound of a series."""
+    """A requested degree exceeds the validity bound of a series, or an
+    expansion would exceed MAX_EXPANSION_TERMS terms."""
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,9 @@ def _is_poly(c) -> bool:
 def _check_monoids(f, g):
     """f and g, series or rational series, are over one monoid."""
     if f.monoid != g.monoid:
-        raise MonoidMismatchError("series over different monoids")
+        raise MonoidMismatchError(
+            "series are over different monoids "
+            f"({f.monoid.labels} vs {g.monoid.labels})")
 
 
 def _check_pushforward(phi: MonoidMorphism, f):
@@ -309,15 +317,6 @@ def pullback(phi: MonoidMorphism, g: FormalSeries) -> FormalSeries:
     return FormalSeries(phi.source, bound, acc)
 
 
-def equals_up_to(f: FormalSeries, g: FormalSeries, degree: int) -> bool:
-    """Exact coefficient agreement on every element of grade <= degree."""
-    if degree > f.bound or degree > g.bound:
-        raise TruncationError(
-            f"degree {degree} exceeds a series bound "
-            f"({f.bound}, {g.bound})")
-    return first_difference(f, g, degree) is None
-
-
 def first_difference(f: FormalSeries, g: FormalSeries, degree: int):
     """First graded-lex element of grade <= degree where the coefficients
     differ, as (element, f's value, g's value); or None.
@@ -326,8 +325,14 @@ def first_difference(f: FormalSeries, g: FormalSeries, degree: int):
     tables; the smallest of those by `GradedMonoid.key` is the answer.
     Series over different monoids raise MonoidMismatchError: equal
     exponent tuples over different bases are not the same coefficient.
+    A degree above either bound raises TruncationError: a coefficient
+    beyond a bound is not known.
     """
     _check_monoids(f, g)
+    if degree > f.bound or degree > g.bound:
+        raise TruncationError(
+            f"degree {degree} exceeds a series bound "
+            f"({f.bound}, {g.bound})")
     fc, gc = f.coefficients, g.coefficients
     # stored coefficients are nonzero, so a key missing from one table
     # always differs
@@ -392,7 +397,10 @@ class RationalSeries:
         largest multiple k of m that keeps every exponent >= 0), with k
         and the base computed by column.  Each ray is one dense list of
         its values up to the degree, and `accumulate` runs over it e
-        times.
+        times.  Distinct rays are disjoint, so their lengths sum to at
+        most the number of elements of grade <= degree; once that sum
+        passes MAX_EXPANSION_TERMS, TruncationError is raised before the
+        ray that passes it is allocated.
         """
         monoid = self.monoid
         grades = monoid.grades([m for m, _ in self.numerator])
@@ -410,12 +418,19 @@ class RationalSeries:
             bases = zip(*[map(sub, col, map(mul, ks, repeat(x))) if x
                           else col for col, x in zip(columns, m)])
             rays = {}
+            total = 0
             for y, k, c, g in zip(bases, ks, out.values(),
                                   monoid.grades(keys)):
                 ray = rays.get(y)
                 if ray is None:
                     # grade(y) = g - k * gm, so the ray has this many steps
-                    ray = rays[y] = [0] * ((degree - g) // gm + k + 1)
+                    n = (degree - g) // gm + k + 1
+                    total += n
+                    if total > MAX_EXPANSION_TERMS:
+                        raise TruncationError(
+                            f"expansion to degree {degree} needs more than "
+                            f"{MAX_EXPANSION_TERMS} terms")
+                    ray = rays[y] = [0] * n
                 ray[k] = c
             out = {}
             for y, ray in rays.items():

@@ -4,7 +4,7 @@ import pytest
 
 from eulerchow import catalog, cli
 from eulerchow.catalog import lawson_yau_pn
-from eulerchow.series import RationalSeries, dumps, loads
+from eulerchow.series import MAX_EXPANSION_TERMS, RationalSeries, dumps, loads
 
 
 def run(capsys, *argv):
@@ -316,6 +316,14 @@ EXIT_CODES = [
     (["verify", "--suite", "flag", "--output", "{missing}"], 2),
     (["expand", "{r}", "--output", "{missing}"], 2),
     (["compare", "{s}", "{s}", "--degree", "9"], 3),
+    # an expansion over the cap is refused before it is allocated: the
+    # rank-1 form (1-t)^-3 to degree D is D + 1 terms
+    (["series", "Pn(2)", "--degree", str(10**30)], 3),
+    (["series", "Pn(2)", "--degree", str(MAX_EXPANSION_TERMS)], 3),
+    (["expand", "{r}", "--degree", str(10**30)], 3),
+    (["expand", "{r}", "--degree", str(MAX_EXPANSION_TERMS)], 3),
+    (["compare", "{r}", "{r}", "--degree", str(10**30)], 3),
+    (["compare", "{r}", "{r}", "--degree", str(MAX_EXPANSION_TERMS)], 3),
 ]
 
 
@@ -331,7 +339,11 @@ def test_exit_code(capsys, tmp_path, argv, code):
     for name, text in files.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)
-    assert run(capsys, *(a.format(**paths) for a in argv))[0] == code
+    got, _, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert got == code
+    if code in (2, 3) and not err.startswith("usage: "):
+        # what argparse does not reject, main reports in one line
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,6 +20,12 @@ def test_duplicate_labels_rejected():
         GradedMonoid.free(["a", "a"])
 
 
+def test_weights_must_match_the_labels():
+    for weights in ([1], [1, 1, 1]):
+        with pytest.raises(ValueError):
+            GradedMonoid.free(["x", "y"], weights)
+
+
 def test_nonpositive_weight_rejected():
     with pytest.raises(ValueError):
         GradedMonoid.free(["a"], [0])

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from eulerchow import catalog, schubert
 from eulerchow.monoid import GradedMonoid, MonoidMismatchError, MonoidMorphism
-from eulerchow.series import (FormalSeries, IntPolynomial, RationalSeries,
-                              TruncationError, convolve, dumps, equals_up_to,
+from eulerchow.series import (MAX_EXPANSION_TERMS, FormalSeries,
+                              IntPolynomial, RationalSeries, TruncationError,
+                              convolve, dumps,
                               evaluate_polynomial_coefficients, exterior,
                               first_difference, first_rational_difference,
                               loads, one, pullback, pullback_bound,
@@ -369,14 +370,25 @@ def test_push_pull_adjoint_on_monomials():
 # ---------------------------------------------------------------------------
 # Comparison helpers
 
-def test_equals_up_to_and_first_difference():
+def test_first_difference():
     f = geometric(T, 6)
     g = f + FormalSeries(T, 6, {(5,): 1})
-    assert equals_up_to(f, g, 4)
-    assert not equals_up_to(f, g, 5)
+    assert first_difference(f, g, 4) is None
+    assert first_difference(f, g, 5) == ((5,), 1, 2)
     assert first_difference(f, g, 6) == ((5,), 1, 2)
     with pytest.raises(TruncationError):
-        equals_up_to(f, g, 7)
+        first_difference(f, g, 7)
+
+
+def test_first_difference_refuses_a_degree_above_either_bound():
+    # f.restrict(2) does not know its coefficient at t^3, so no
+    # difference there may be reported
+    f = catalog.lawson_yau_pn(2, 0).expand(6)
+    for a, b in ((f.restrict(2), f), (f, f.restrict(2))):
+        with pytest.raises(TruncationError,
+                           match=r"^degree 5 exceeds a series bound"):
+            first_difference(a, b, 5)
+        assert first_difference(a, b, 2) is None
 
 
 def test_first_difference_rejects_different_monoids():
@@ -387,10 +399,12 @@ def test_first_difference_rejects_different_monoids():
     other = FormalSeries(schubert.basis(catalog.G13, 2), 6,
                          catalog.grassmannian13_series(2, 6).coefficients)
     assert other.coefficients == closed.coefficients
-    with pytest.raises(MonoidMismatchError):
+    with pytest.raises(MonoidMismatchError,
+                       match=r"^series are over different monoids \(\("):
         first_difference(closed, other, 6)
+    # the monoids are checked before the bounds
     with pytest.raises(MonoidMismatchError):
-        equals_up_to(closed, other, 6)
+        first_difference(closed, other, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +428,21 @@ def test_rational_expand_single_factor():
         assert f.coefficient((d,)) == math.comb(d + 2, 2)
     with pytest.raises(ValueError):
         r.expand(-1)
+
+
+def test_expand_refuses_more_terms_than_the_cap():
+    # 1/(1-t)^3 to degree D is one ray of D + 1 terms
+    r = catalog.lawson_yau_pn(2, 0)
+    for degree in (MAX_EXPANSION_TERMS, 10**30):
+        with pytest.raises(TruncationError, match=r"^expansion to degree"):
+            r.expand(degree)
+    # 1/((1-x)(1-y)) to degree D: the second factor has D + 1 rays, of
+    # (D + 1)(D + 2) / 2 terms in all, each ray well under the cap
+    r = RationalSeries(XY, ((XY.zero(), 1),), (((1, 0), 1), ((0, 1), 1)))
+    assert r.expand(3).coefficient((2, 1)) == 1
+    with pytest.raises(TruncationError,
+                       match=f"needs more than {MAX_EXPANSION_TERMS} terms"):
+        r.expand(1413)
 
 
 def test_rational_numerator_and_multiply():
