@@ -134,20 +134,14 @@ class GradedMonoid:
         """All elements of grade <= bound, in graded-lex order."""
         if bound < 0:
             raise ValueError("bound must be >= 0")
-        out = []
-        weights = self.weights
-
-        def rec(i, prefix, budget):
-            if i == len(weights):
-                out.append(tuple(prefix))
-                return
-            w = weights[i]
-            for e in range(budget // w + 1):
-                rec(i + 1, prefix + [e], budget - e * w)
-
-        rec(0, [], bound)
-        out.sort(key=self.key)
-        return out
+        # one level per generator: every prefix with the budget it leaves
+        level = [((), bound)]
+        for w in self.weights:
+            level = [(prefix + (e,), budget - e * w)
+                     for prefix, budget in level
+                     for e in range(budget // w + 1)]
+        out = [prefix for prefix, _ in level]
+        return [m for _, m in sorted(zip(self.grades(out), out))]
 
     def to_json(self) -> dict:
         return {"generators": [{"label": lab, "weight": w}

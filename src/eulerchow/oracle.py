@@ -4,7 +4,10 @@ element up to the bound, plus the closed-form count oracles.  The
 convolution and push-forward return plain {element: value} tables of
 their nonzero values, the form of `FormalSeries.coefficients`.
 
-No sparsity tricks and no early exits; keep these inspectable.
+The push-forward maps each source element once, since its image depends
+on that element alone, and then every target element still scans the
+whole source domain, zero coefficients included.  No sparsity tricks,
+no early exits and no engine calls; keep these inspectable.
 """
 
 from __future__ import annotations
@@ -41,12 +44,13 @@ def naive_pushforward(phi: MonoidMorphism, f: FormalSeries,
     if not phi.has_finite_fibers():
         raise ValueError("push-forward requires finite fibers")
     source_elements = phi.source.enumerate_up_to(f.bound)
+    images = [phi.apply(m) for m in source_elements]
     table = {}
     for n in phi.target.enumerate_up_to(out_bound):
         total = 0
         first = True
-        for m in source_elements:
-            if phi.apply(m) == n:
+        for m, image in zip(source_elements, images):
+            if image == n:
                 total = f.coefficient(m) if first else \
                     total + f.coefficient(m)
                 first = False

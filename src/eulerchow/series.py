@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add, floordiv, itemgetter, mul, sub
 
 from .monoid import (Element, GradedMonoid, MonoidMismatchError,
@@ -397,7 +397,13 @@ class RationalSeries:
         largest multiple k of m that keeps every exponent >= 0), with k
         and the base computed by column.  Each ray is one dense list of
         its values up to the degree, and `accumulate` runs over it e
-        times.  Distinct rays are disjoint, so their lengths sum to at
+        times, unless it has fewer than e nonzero entries: then it is
+        convolved with the kernel C(j + e - 1, e - 1), j = 0, 1, ..., the
+        coefficients of 1/(1 - t)^e, so a ray costs about min(e, nonzero
+        entries) times its length.  The kernel is built once per factor
+        by b_j = b_(j-1) * (j - 1 + e) // j, as long as the longest ray
+        that needs it, and each shorter ray uses a prefix of it.
+        Distinct rays are disjoint, so their lengths sum to at
         most the number of elements of grade <= degree; once that sum
         passes MAX_EXPANSION_TERMS, TruncationError is raised before the
         ray that passes it is allocated.
@@ -433,9 +439,20 @@ class RationalSeries:
                     ray = rays[y] = [0] * n
                 ray[k] = c
             out = {}
+            kernel = [1]
             for y, ray in rays.items():
-                for _ in range(e):
-                    ray = list(accumulate(ray))
+                n = len(ray)
+                if n - ray.count(0) < e:
+                    for j in range(len(kernel), n):
+                        kernel.append(kernel[-1] * (j - 1 + e) // j)
+                    conv = [0] * n
+                    for i in compress(range(n), ray):
+                        conv[i:] = map(add, conv[i:], map(
+                            mul, kernel, repeat(ray[i], n - i)))
+                    ray = conv
+                else:
+                    for _ in range(e):
+                        ray = list(accumulate(ray))
                 points = zip(*[range(a, a + x * len(ray), x) if x
                                else repeat(a) for a, x in zip(y, m)])
                 out.update(filter(itemgetter(1), zip(points, ray)))
@@ -564,7 +581,12 @@ def dumps(obj) -> str:
     `json.dumps(payload, indent=2, ensure_ascii=True)` and a newline, with
     the coefficient entries of a series in graded-lex order, each
     {"exponents": [...], "value": "<int>" or {"poly": ["<int>", ...]}}.
-    The layout is a contract, pinned by a test against `json.dumps`."""
+    The layout is a contract, pinned by a test against `json.dumps`.
+
+    Python limits int -> str conversion to 4300 digits by default, and
+    `dumps` raises ValueError on a larger number.  `cli.main` lifts the
+    limit for its process; a library caller lifts it itself, with
+    `sys.set_int_max_str_digits(0)`."""
     if isinstance(obj, FormalSeries):
         return _series_dumps(obj)
     if isinstance(obj, RationalSeries):
@@ -579,7 +601,9 @@ def loads(text: str):
     Integers are JSON ints or ASCII decimal strings (-?[0-9]+); a series,
     numerator or denominator may not repeat an exponents entry.  The
     coefficient table is read in one pass, and `FormalSeries` validates
-    its keys.
+    its keys.  A number of more than 4300 digits is a ValueError unless
+    the caller has lifted Python's limit on str -> int conversion, as
+    `cli.main` does (`sys.set_int_max_str_digits(0)`).
     """
     try:
         data = json.loads(text)

@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 
 import pytest
 
@@ -21,6 +23,25 @@ def test_series_text_pn(capsys):
     values = [line.split(": ")[1] for line in out.splitlines()
               if ": " in line and not line.startswith("#")]
     assert values == ["1", "3", "6", "10"]
+
+
+def test_series_text_prints_every_digit(capsys):
+    # the coefficient of t is C(16614, 8307), of 5000 digits: above
+    # Python's default limit of 4300 on int <-> str conversion
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    old = limit() if limit else None
+    try:
+        if limit:
+            sys.set_int_max_str_digits(4300)
+        code, out, err = run(capsys, "series", "Pn(16613)", "--p", "8306",
+                             "--degree", "1", "--format", "text")
+        assert (code, err) == (0, "")
+        value = out.splitlines()[-1].removeprefix("t: ")
+        assert len(value) == 5000
+        assert value == str(math.comb(16614, 8307))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(old)
 
 
 def test_series_text_flag_divisor(capsys):

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 from hypothesis import example, given
@@ -95,6 +96,16 @@ def test_enumerate_is_graded_lex_sorted():
     got = m.enumerate_up_to(2)
     assert got == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
     assert got == sorted(got, key=m.key)
+
+
+@given(st.integers(0, 3).flatmap(
+    lambda rank: st.lists(st.integers(1, 3), min_size=rank, max_size=rank)),
+    st.integers(0, 7))
+def test_enumerate_is_every_element_up_to_the_bound(weights, bound):
+    m = GradedMonoid.free([f"g{i}" for i in range(len(weights))], weights)
+    every = product(range(bound + 1), repeat=m.rank)
+    assert m.enumerate_up_to(bound) == sorted(
+        (e for e in every if m.grade(e) <= bound), key=m.key)
 
 
 def test_trivial_monoid():

@@ -37,6 +37,34 @@ def test_naive_pushforward_matches_engine():
     assert fast.coefficients == naive_pushforward(phi, f, fast.bound)
 
 
+def pushforward_by_pairs(phi, f, out_bound):
+    """The push-forward as a literal sum over every (target element, source
+    element) pair, mapping the source element afresh for each pair."""
+    table = {}
+    for n in phi.target.enumerate_up_to(out_bound):
+        total = sum(f.coefficient(m)
+                    for m in phi.source.enumerate_up_to(f.bound)
+                    if phi.apply(m) == n)
+        if total:
+            table[n] = total
+    return table
+
+
+def test_naive_pushforward_is_the_sum_over_pairs():
+    # x and y both map to t: x and y collide and cancel in t, x^2, x*y and
+    # y^2 collide in t^2, and y^2 itself has coefficient zero
+    phi = MonoidMorphism(XY, T, ((1,), (1,)))
+    f = FormalSeries(XY, 2, {(0, 0): 3, (1, 0): 2, (0, 1): -2, (2, 0): 1,
+                             (1, 1): 4})
+    assert naive_pushforward(phi, f, 2) == {(0,): 3, (2,): 5}
+    assert naive_pushforward(phi, f, 2) == pushforward_by_pairs(phi, f, 2)
+    # onto a weighted target, with a bound beyond the image of every term
+    w = GradedMonoid.free(["u", "v"], [1, 2])
+    phi = MonoidMorphism(XY, w, ((1, 1), (1, 0)))
+    f = FormalSeries(XY, 3, {(0, 0): 1, (1, 0): 7, (0, 3): -1, (1, 2): 2})
+    assert naive_pushforward(phi, f, 9) == pushforward_by_pairs(phi, f, 9)
+
+
 def test_naive_pushforward_requires_finite_fibers():
     phi = MonoidMorphism(XY, T, ((1,), (0,)))
     with pytest.raises(ValueError):

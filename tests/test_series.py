@@ -430,6 +430,32 @@ def test_rational_expand_single_factor():
         r.expand(-1)
 
 
+@pytest.mark.parametrize("e", [2, 3, 4, 9])
+def test_expand_with_a_multiplicity_around_a_rays_nonzero_count(e):
+    # one ray of three nonzero entries: it runs `accumulate` e times for
+    # e = 2 and 3, and is convolved with C(j + e - 1, e - 1) for e = 4, 9
+    r = RationalSeries(T, (((0,), 1), ((2,), 2), ((5,), -1)), (((1,), e),))
+    for degree in (0, 4, 12):
+        assert r.expand(degree) == expand_by_convolution(r, degree)
+    # rays of one nonzero entry each; the first ray, from y^2, is shorter
+    # than the second, from x^3, so the kernel grows between them
+    r = RationalSeries(XY, (((0, 2), 1), ((3, 0), -4), ((1, 1), 2)),
+                       (((1, 0), e), ((1, 1), 2)))
+    for degree in (3, 10):
+        assert r.expand(degree) == expand_by_convolution(r, degree)
+
+
+def test_expand_with_an_astronomically_large_multiplicity():
+    e = 10**300
+    f = RationalSeries(T, (((0,), 1), ((1,), -1)), (((1,), e),)).expand(4)
+    # (1 - t)/(1 - t)^e = 1/(1 - t)^(e - 1)
+    assert f.coefficients == {(j,): math.comb(j + e - 2, j)
+                              for j in range(5)}
+    e = math.comb(1001, 501)
+    f = catalog.lawson_yau_pn(1000, 500).expand(2)
+    assert f.coefficients == {(0,): 1, (1,): e, (2,): e * (e + 1) // 2}
+
+
 def test_expand_refuses_more_terms_than_the_cap():
     # 1/(1-t)^3 to degree D is one ray of D + 1 terms
     r = catalog.lawson_yau_pn(2, 0)
