@@ -5,9 +5,12 @@ object supplies grading, validation and enumeration.  `validate` is the
 element check for one element entering from outside: in the constructors
 of rational series and morphisms, and in `FormalSeries.coefficient`.  The
 `FormalSeries` constructor checks its whole key table in a few builtin
-passes, and calls `validate` only to name a key it rejects.  Grading (`grade` for one
-element, `grades` for many), `add` and `MonoidMorphism.apply` trust their
-input and do not re-check it.
+passes, and calls `validate` only to name a key it rejects.  Grading,
+`add` and `MonoidMorphism.apply` trust their input and do not re-check
+it.  Series operations grade whole tables at once with `grades`; `grade`
+serves single elements: `FormalSeries.coefficient`, `key`, the bound
+formulas of push-forward and pull-back, and the denominator factors of
+a rational series.
 """
 
 from __future__ import annotations
@@ -131,17 +134,21 @@ class GradedMonoid:
         return (self.grade(m), m)
 
     def enumerate_up_to(self, bound: int) -> list[Element]:
-        """All elements of grade <= bound, in graded-lex order."""
+        """All elements of grade <= bound, in graded-lex order.
+
+        The elements are built one generator at a time, each prefix with
+        the budget it leaves, so the last level lists them in lex order
+        with grade(m) = bound - budget.  Graded-lex order is then a stable
+        sort by falling budget, which keeps lex order within a grade.
+        """
         if bound < 0:
             raise ValueError("bound must be >= 0")
-        # one level per generator: every prefix with the budget it leaves
         level = [((), bound)]
         for w in self.weights:
             level = [(prefix + (e,), budget - e * w)
                      for prefix, budget in level
                      for e in range(budget // w + 1)]
-        out = [prefix for prefix, _ in level]
-        return [m for _, m in sorted(zip(self.grades(out), out))]
+        return [m for m, _ in sorted(level, key=itemgetter(1), reverse=True)]
 
     def to_json(self) -> dict:
         return {"generators": [{"label": lab, "weight": w}

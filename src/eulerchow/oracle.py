@@ -4,6 +4,12 @@ element up to the bound, plus the closed-form count oracles.  The
 convolution and push-forward return plain {element: value} tables of
 their nonzero values, the form of `FormalSeries.coefficients`.
 
+Both oracles read the plain coefficient tables of their operands and
+call no `FormalSeries` method: every element they look up comes from
+`enumerate_up_to`, so it is valid by construction.  `naive_convolve`
+refuses, with TruncationError, a bound beyond either operand's bound,
+where a coefficient is not known.
+
 The push-forward maps each source element once, since its image depends
 on that element alone, and then every target element still scans the
 whole source domain, zero coefficients included.  No sparsity tricks,
@@ -12,8 +18,10 @@ no early exits and no engine calls; keep these inspectable.
 
 from __future__ import annotations
 
+from operator import le, sub
+
 from .monoid import MonoidMorphism
-from .series import FormalSeries
+from .series import FormalSeries, TruncationError
 
 
 def naive_convolve(f: FormalSeries, g: FormalSeries, bound: int) -> dict:
@@ -21,16 +29,20 @@ def naive_convolve(f: FormalSeries, g: FormalSeries, bound: int) -> dict:
     monoid = f.monoid
     if monoid != g.monoid:
         raise ValueError("series over different monoids")
+    if bound > min(f.bound, g.bound):
+        raise TruncationError(
+            f"bound {bound} exceeds a series bound ({f.bound}, {g.bound})")
+    fc, gc = f.coefficients, g.coefficients
     elements = monoid.enumerate_up_to(bound)
     table = {}
     for m in elements:
         total = 0
         first = True
         for a in elements:
-            if any(x > y for x, y in zip(a, m)):
+            if not all(map(le, a, m)):
                 continue
-            b = tuple(y - x for x, y in zip(a, m))
-            term = f.coefficient(a) * g.coefficient(b)
+            b = tuple(map(sub, m, a))
+            term = fc.get(a, 0) * gc.get(b, 0)
             total = term if first else total + term
             first = False
         if total:
@@ -43,6 +55,7 @@ def naive_pushforward(phi: MonoidMorphism, f: FormalSeries,
     """Exhaustive fiber enumeration by scanning the whole source domain."""
     if not phi.has_finite_fibers():
         raise ValueError("push-forward requires finite fibers")
+    fc = f.coefficients
     source_elements = phi.source.enumerate_up_to(f.bound)
     images = [phi.apply(m) for m in source_elements]
     table = {}
@@ -51,8 +64,8 @@ def naive_pushforward(phi: MonoidMorphism, f: FormalSeries,
         first = True
         for m, image in zip(source_elements, images):
             if image == n:
-                total = f.coefficient(m) if first else \
-                    total + f.coefficient(m)
+                c = fc.get(m, 0)
+                total = c if first else total + c
                 first = False
         if total:
             table[n] = total

@@ -15,6 +15,10 @@ keys are checked in a few builtin passes over the whole table, with the
 grades taken by `GradedMonoid.grades`; only a table that fails is walked
 key by key, to name the first bad key.  Operations trust the invariant
 of their operands and build their results through the same constructor.
+They grade each operand's key table once, with `grades`, and call
+`GradedMonoid.grade` only for single elements: in `coefficient`, through
+`GradedMonoid.key`, in the bound formulas and for each denominator factor
+of a rational series.
 """
 
 from __future__ import annotations
@@ -130,7 +134,8 @@ class FormalSeries:
             raise TypeError(f"bound {self.bound!r} is not an int")
         if self.bound < 0:
             raise ValueError(f"bound must be >= 0, got {self.bound}")
-        if not set(map(type, self.coefficients.values())) <= _KINDS:
+        kinds = set(map(type, self.coefficients.values()))
+        if not kinds <= _KINDS:
             bad = next(c for c in self.coefficients.values()
                        if type(c) not in _KINDS)
             raise TypeError(f"coefficient {bad!r} is neither an int "
@@ -138,7 +143,9 @@ class FormalSeries:
         if not self._keys_are_valid():
             self._reject_first_bad_key()
         clean = {m: c for m, c in self.coefficients.items() if c}
-        if len(set(map(type, clean.values()))) > 1:
+        # a zero of one kind beside nonzero values of the other is dropped,
+        # so only a table of both kinds needs its stored values checked
+        if len(kinds) > 1 and len(set(map(type, clean.values()))) > 1:
             raise TypeError("cannot mix integer and polynomial coefficients")
         object.__setattr__(self, "coefficients", clean)
 
@@ -195,21 +202,16 @@ class FormalSeries:
         if bound > self.bound:
             raise TruncationError(
                 f"cannot extend bound {self.bound} to {bound}")
-        grade = self.monoid.grade
         return FormalSeries(self.monoid, bound,
-                            {m: c for m, c in self.coefficients.items()
-                             if grade(m) <= bound})
+                            dict(_terms_up_to(self, bound)))
 
     def __add__(self, other: "FormalSeries") -> "FormalSeries":
         _check_monoids(self, other)
         _check_kinds(self, other)
         bound = min(self.bound, other.bound)
-        grade = self.monoid.grade
-        acc = {m: c for m, c in self.coefficients.items()
-               if grade(m) <= bound}
-        for m, c in other.coefficients.items():
-            if grade(m) <= bound:
-                acc[m] = acc[m] + c if m in acc else c
+        acc = dict(_terms_up_to(self, bound))
+        for m, c in _terms_up_to(other, bound):
+            acc[m] = acc[m] + c if m in acc else c
         return FormalSeries(self.monoid, bound, acc)
 
     def scale(self, s) -> "FormalSeries":
@@ -217,6 +219,13 @@ class FormalSeries:
             raise TypeError("scalar kind must match coefficient kind")
         return FormalSeries(self.monoid, self.bound,
                             {m: c * s for m, c in self.coefficients.items()})
+
+
+def _terms_up_to(f: FormalSeries, bound: int):
+    """The (element, coefficient) pairs of f of grade <= bound, with its
+    key table graded in one `grades` pass."""
+    keep = map(bound.__ge__, f.monoid.grades(f.coefficients))
+    return compress(f.coefficients.items(), keep)
 
 
 def one(monoid: GradedMonoid, bound: int) -> FormalSeries:
@@ -229,17 +238,17 @@ def convolve(f: FormalSeries, g: FormalSeries) -> FormalSeries:
     _check_kinds(f, g)
     monoid = f.monoid
     bound = min(f.bound, g.bound)
-    grade = monoid.grade
-    g_items = sorted(((grade(m), m, c) for m, c in g.coefficients.items()))
+    fc, gc = f.coefficients, g.coefficients
+    g_items = sorted(zip(monoid.grades(gc), gc, gc.values()))
     acc = {}
-    for a, ca in f.coefficients.items():
-        budget = bound - grade(a)
+    for a, ca, ga in zip(fc, fc.values(), monoid.grades(fc)):
+        budget = bound - ga
         if budget < 0:
             continue
         for gb, b, cb in g_items:
             if gb > budget:
                 break
-            m = tuple(x + y for x, y in zip(a, b))
+            m = tuple(map(add, a, b))
             v = ca * cb
             acc[m] = acc[m] + v if m in acc else v
     return FormalSeries(monoid, bound, acc)
@@ -260,11 +269,13 @@ def exterior(f: FormalSeries, g: FormalSeries):
             tuple(f"1.{lab}" for lab in b.labels)
     prod = GradedMonoid(tuple(zip(labels, a.weights + b.weights)))
     bound = min(f.bound, g.bound)
-    gm, gn = f.monoid.grade, g.monoid.grade
+    fc, gc = f.coefficients, g.coefficients
+    g_items = list(zip(gc, gc.values(), b.grades(gc)))
     acc = {}
-    for m, cm in f.coefficients.items():
-        for n, cn in g.coefficients.items():
-            if gm(m) + gn(n) <= bound:
+    for m, cm, gm in zip(fc, fc.values(), a.grades(fc)):
+        budget = bound - gm
+        for n, cn, gn in g_items:
+            if gn <= budget:
                 acc[m + n] = cm * cn
     return FormalSeries(prod, bound, acc), prod
 
@@ -284,11 +295,11 @@ def pushforward(phi: MonoidMorphism, f: FormalSeries) -> FormalSeries:
     """Sum coefficients over fibers of phi; requires finite fibers."""
     _check_pushforward(phi, f)
     out_bound = pushforward_bound(phi, f.bound)
-    grade = phi.target.grade
+    images = list(map(phi.apply, f.coefficients))
     acc = {}
-    for m, c in f.coefficients.items():
-        n = phi.apply(m)
-        if grade(n) <= out_bound:
+    for n, c, gn in zip(images, f.coefficients.values(),
+                        phi.target.grades(images)):
+        if gn <= out_bound:
             acc[n] = acc[n] + c if n in acc else c
     return FormalSeries(phi.target, out_bound, acc)
 
@@ -322,7 +333,8 @@ def first_difference(f: FormalSeries, g: FormalSeries, degree: int):
     differ, as (element, f's value, g's value); or None.
 
     Only the keys whose values differ are collected, by lookups in both
-    tables; the smallest of those by `GradedMonoid.key` is the answer.
+    tables, and graded in one pass; the smallest (grade, key) pair of
+    grade <= degree is the answer.
     Series over different monoids raise MonoidMismatchError: equal
     exponent tuples over different bases are not the same coefficient.
     A degree above either bound raises TruncationError: a coefficient
@@ -338,11 +350,11 @@ def first_difference(f: FormalSeries, g: FormalSeries, degree: int):
     # always differs
     keys = [m for m, a in fc.items() if gc.get(m, 0) != a]
     keys += [m for m in gc if m not in fc]
-    grade = f.monoid.grade
-    keys = [m for m in keys if grade(m) <= degree]
-    if not keys:
+    keyed = [(d, m) for d, m in zip(f.monoid.grades(keys), keys)
+             if d <= degree]
+    if not keyed:
         return None
-    m = min(keys, key=f.monoid.key)
+    _, m = min(keyed)
     return m, fc.get(m, 0), gc.get(m, 0)
 
 
@@ -538,11 +550,11 @@ def first_rational_difference(a: RationalSeries, b: RationalSeries):
               if e > den_a.get(m, 0)]
     left = _times_denominator(dict(a.numerator), rest_b)
     right = _times_denominator(dict(b.numerator), rest_a)
-    grades = [a.monoid.grade(m) for m in left.keys() | right.keys()
-              if left.get(m, 0) != right.get(m, 0)]
-    if not grades:
+    keys = [m for m in left.keys() | right.keys()
+            if left.get(m, 0) != right.get(m, 0)]
+    if not keys:
         return None
-    g = min(grades)
+    g = min(a.monoid.grades(keys))
     return first_difference(a.expand(g), b.expand(g), g)
 
 

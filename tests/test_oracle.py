@@ -2,7 +2,8 @@ import pytest
 
 from eulerchow.monoid import GradedMonoid, MonoidMorphism
 from eulerchow.oracle import naive_convolve, naive_pushforward, weyl_dim_gl3
-from eulerchow.series import FormalSeries, convolve, pushforward
+from eulerchow.series import (FormalSeries, TruncationError, convolve,
+                              pushforward)
 
 T = GradedMonoid.free(["t"])
 XY = GradedMonoid.free(["x", "y"])
@@ -23,6 +24,17 @@ def test_naive_convolve_matches_engine():
     g = FormalSeries(XY, 4, {(0, 0): 1, (1, 1): 5})
     fast = convolve(f, g)
     assert fast.coefficients == naive_convolve(f, g, 4)
+
+
+def test_naive_convolve_refuses_a_bound_beyond_its_operands():
+    f = FormalSeries(XY, 4, {(1, 0): 2})
+    g = FormalSeries(XY, 3, {(0, 1): 1})
+    assert naive_convolve(f, g, 3) == {(1, 1): 2}
+    for bound in (4, 5):
+        with pytest.raises(TruncationError):
+            naive_convolve(f, g, bound)
+        with pytest.raises(TruncationError):
+            naive_convolve(g, f, bound)
 
 
 def test_naive_convolve_rejects_mixed_monoids():

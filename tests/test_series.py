@@ -212,6 +212,10 @@ def test_kind_detection_and_mixing():
         convolve(f, g)
     with pytest.raises(TypeError):
         FormalSeries(T, 2, {(0,): 1, (1,): POLY_ONE})
+    # a zero of one kind is dropped, so the table takes the other kind
+    assert FormalSeries(T, 2, {(0,): 0, (1,): POLY_ONE}).kind == "poly"
+    assert FormalSeries(T, 2, {(0,): IntPolynomial(()), (1,): 1}).kind \
+        == "int"
 
 
 def test_scale_and_negate():
