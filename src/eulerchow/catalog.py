@@ -90,9 +90,7 @@ def lawson_yau_pn(n: int, p: int) -> RationalSeries:
     """E_p of projective n-space: (1/(1-t))^C(n+1, p+1)."""
     if not 0 <= p <= n:
         raise ValueError(f"p={p} out of range for Pn({n})")
-    m = GradedMonoid.free(["t"])
-    return RationalSeries(m, ((m.zero(), 1),),
-                          (((1,), math.comb(n + 1, p + 1)),))
+    return macdonald(math.comb(n + 1, p + 1))
 
 
 def split_bundle_closed(n: int, d: int, p: int) -> RationalSeries:
@@ -125,11 +123,10 @@ def flag012_closed(p: int) -> RationalSeries:
     """
     if not 0 <= p <= 3:
         raise ValueError(f"p={p} out of range for F(0,1;2)")
+    if p == 0:
+        return macdonald(schubert.fixed_point_count(FLAG012))
     m = _basis(FLAG012, p)
     num = ((m.zero(), 1),)
-    if p == 0:
-        chi = schubert.fixed_point_count(FLAG012)
-        return RationalSeries(m, num, (((1,), chi),))
     if p == 1:
         # generators in graded-lex order: <0;0,2> (r), <1;0,1> (s)
         return RationalSeries(m, num,
@@ -146,11 +143,10 @@ def grassmannian13_closed(p: int) -> RationalSeries:
     """Closed forms for G(1,3), over the Schubert-symbol basis."""
     if not 0 <= p <= 4:
         raise ValueError(f"p={p} out of range for G(1,3)")
+    if p == 0:
+        return macdonald(schubert.fixed_point_count(G13))
     m = _basis(G13, p)
     num = ((m.zero(), 1),)
-    if p == 0:
-        return RationalSeries(m, num,
-                              (((1,), schubert.fixed_point_count(G13)),))
     if p == 1:
         return RationalSeries(m, num, (((1,), 12),))
     if p == 2:
@@ -223,10 +219,8 @@ def _g13_factors(p: int):
         g = schubert.grassmannian(d, 2)
         symbols = schubert.symbols_of_dimension(g, p)
         if symbols:
-            m = schubert.basis(g, p)
-            r = RationalSeries(m, ((m.zero(), 1),),
-                               (((1,), math.comb(3, p + 1)),))
-            pieces.append((r, symbols, inclusion))
+            # G(1,2) and G(0,2) are projective planes
+            pieces.append((lawson_yau_pn(2, p), symbols, inclusion))
     return target, [(r, [target.generator(classes.index(push(s)))
                          for s in symbols])
                     for r, symbols, push in pieces]

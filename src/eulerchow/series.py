@@ -32,8 +32,8 @@ from .monoid import (Element, GradedMonoid, MonoidMismatchError,
                      MonoidMorphism, int_from_json, list_from_json)
 
 
-# the most terms `RationalSeries.expand` may allocate for one denominator
-# factor; a larger expansion raises TruncationError before it allocates more
+# the most terms `_divide` may allocate for one denominator factor; a larger
+# expansion or product raises TruncationError before it allocates more
 MAX_EXPANSION_TERMS = 10**6
 
 
@@ -366,6 +366,70 @@ def evaluate_polynomial_coefficients(f: FormalSeries, x: int) -> FormalSeries:
                         {m: c.evaluate(x) for m, c in f.coefficients.items()})
 
 
+def _divide(monoid: GradedMonoid, table: dict, m: Element, e: int,
+            degree: int) -> dict:
+    """table / (1 - t^m)^e up to the degree, for any integer e: a negative
+    e multiplies by the polynomial (1 - t^m)^-e.
+
+    The terms are grouped by the ray x + N*m they lie on, keyed by its
+    base (x minus the largest multiple k of m that keeps every exponent
+    >= 0, with k and the base computed by column), and each ray is one
+    dense list of its values up to the degree.  Dividing by (1 - t^m) is
+    a running sum, so when 0 < e <= the ray's nonzero count `accumulate`
+    runs over it e times.  Any other ray is convolved with the kernel of
+    1/(1 - t)^e, b_j = b_(j-1) * (j - 1 + e) // j: C(j + e - 1, e - 1)
+    for e > 0, and for e < 0 (-1)^j C(-e, j), zero past j = -e.  So a ray
+    costs about its length times min(|e|, its nonzero count).  The kernel
+    is built once per call, and shorter rays use a prefix of it.  Rays
+    are disjoint, so their lengths sum to at most the number of elements
+    of grade <= degree; once that sum passes MAX_EXPANSION_TERMS,
+    TruncationError is raised before the ray that passes it is allocated.
+    """
+    if not table:
+        return {}  # zero stays zero, and an empty table has no columns
+    gm = monoid.grade(m)
+    keys = list(table)
+    columns = list(zip(*keys))
+    steps = [list(map(floordiv, columns[i], repeat(x)))
+             for i, x in enumerate(m) if x]
+    ks = steps[0] if len(steps) == 1 else list(map(min, *steps))
+    bases = zip(*[map(sub, col, map(mul, ks, repeat(x))) if x
+                  else col for col, x in zip(columns, m)])
+    rays = {}
+    total = 0
+    for y, k, c, g in zip(bases, ks, table.values(), monoid.grades(keys)):
+        ray = rays.get(y)
+        if ray is None:
+            # grade(y) = g - k * gm, so the ray has this many steps
+            n = (degree - g) // gm + k + 1
+            total += n
+            if total > MAX_EXPANSION_TERMS:
+                raise TruncationError(
+                    f"expansion to degree {degree} needs more than "
+                    f"{MAX_EXPANSION_TERMS} terms")
+            ray = rays[y] = [0] * n
+        ray[k] = c
+    out = {}
+    kernel = [1]
+    for y, ray in rays.items():
+        n = len(ray)
+        if 0 < e <= n - ray.count(0):
+            for _ in range(e):
+                ray = list(accumulate(ray))
+        else:
+            for j in range(len(kernel), n if e > 0 else min(n, 1 - e)):
+                kernel.append(kernel[-1] * (j - 1 + e) // j)
+            conv = [0] * n
+            for i in compress(range(n), ray):
+                s = slice(i, i + len(kernel))
+                conv[s] = map(add, conv[s], map(mul, kernel, repeat(ray[i])))
+            ray = conv
+        points = zip(*[range(a, a + x * len(ray), x) if x
+                       else repeat(a) for a, x in zip(y, m)])
+        out.update(filter(itemgetter(1), zip(points, ray)))
+    return out
+
+
 @dataclass(frozen=True)
 class RationalSeries:
     """Closed form: polynomial numerator over a product of (1 - t^m)^e."""
@@ -401,74 +465,14 @@ class RationalSeries:
         object.__setattr__(self, "denominator", den)
 
     def expand(self, degree: int) -> FormalSeries:
-        """Truncated expansion, exact to the requested degree.
-
-        Dividing by (1 - t^m) is a running sum along each ray x + N*m, so
-        dividing by (1 - t^m)^e is e nested running sums.  For each factor
-        the terms so far are grouped by the base of their ray (x minus the
-        largest multiple k of m that keeps every exponent >= 0), with k
-        and the base computed by column.  Each ray is one dense list of
-        its values up to the degree, and `accumulate` runs over it e
-        times, unless it has fewer than e nonzero entries: then it is
-        convolved with the kernel C(j + e - 1, e - 1), j = 0, 1, ..., the
-        coefficients of 1/(1 - t)^e, so a ray costs about min(e, nonzero
-        entries) times its length.  The kernel is built once per factor
-        by b_j = b_(j-1) * (j - 1 + e) // j, as long as the longest ray
-        that needs it, and each shorter ray uses a prefix of it.
-        Distinct rays are disjoint, so their lengths sum to at
-        most the number of elements of grade <= degree; once that sum
-        passes MAX_EXPANSION_TERMS, TruncationError is raised before the
-        ray that passes it is allocated.
-        """
-        monoid = self.monoid
-        grades = monoid.grades([m for m, _ in self.numerator])
+        """Truncated expansion, exact to the degree: the numerator up to
+        the degree, divided by each factor in turn with `_divide`."""
+        grades = self.monoid.grades([m for m, _ in self.numerator])
         out = {m: c for (m, c), g in zip(self.numerator, grades)
                if g <= degree}
         for m, e in self.denominator:
-            if not out:
-                break  # zero stays zero, and an empty table has no columns
-            gm = monoid.grade(m)
-            keys = list(out)
-            columns = list(zip(*keys))
-            steps = [list(map(floordiv, columns[i], repeat(x)))
-                     for i, x in enumerate(m) if x]
-            ks = steps[0] if len(steps) == 1 else list(map(min, *steps))
-            bases = zip(*[map(sub, col, map(mul, ks, repeat(x))) if x
-                          else col for col, x in zip(columns, m)])
-            rays = {}
-            total = 0
-            for y, k, c, g in zip(bases, ks, out.values(),
-                                  monoid.grades(keys)):
-                ray = rays.get(y)
-                if ray is None:
-                    # grade(y) = g - k * gm, so the ray has this many steps
-                    n = (degree - g) // gm + k + 1
-                    total += n
-                    if total > MAX_EXPANSION_TERMS:
-                        raise TruncationError(
-                            f"expansion to degree {degree} needs more than "
-                            f"{MAX_EXPANSION_TERMS} terms")
-                    ray = rays[y] = [0] * n
-                ray[k] = c
-            out = {}
-            kernel = [1]
-            for y, ray in rays.items():
-                n = len(ray)
-                if n - ray.count(0) < e:
-                    for j in range(len(kernel), n):
-                        kernel.append(kernel[-1] * (j - 1 + e) // j)
-                    conv = [0] * n
-                    for i in compress(range(n), ray):
-                        conv[i:] = map(add, conv[i:], map(
-                            mul, kernel, repeat(ray[i], n - i)))
-                    ray = conv
-                else:
-                    for _ in range(e):
-                        ray = list(accumulate(ray))
-                points = zip(*[range(a, a + x * len(ray), x) if x
-                               else repeat(a) for a, x in zip(y, m)])
-                out.update(filter(itemgetter(1), zip(points, ray)))
-        return FormalSeries(monoid, degree, out)
+            out = _divide(self.monoid, out, m, e, degree)
+        return FormalSeries(self.monoid, degree, out)
 
     def multiply(self, other: "RationalSeries") -> "RationalSeries":
         _check_monoids(self, other)
@@ -514,23 +518,6 @@ class RationalSeries:
         return cls(monoid, num, den)
 
 
-def _times_denominator(poly: dict, factors) -> dict:
-    """poly * prod (1 - t^m)^e, for a polynomial given as {element: value}:
-    each factor (1 - t^m) subtracts the polynomial shifted by m."""
-    for m, e in factors:
-        for _ in range(e):
-            out = dict(poly)
-            for x, c in poly.items():
-                y = tuple(map(add, x, m))
-                v = out.get(y, 0) - c
-                if v:
-                    out[y] = v
-                else:
-                    del out[y]
-            poly = out
-    return poly
-
-
 def first_rational_difference(a: RationalSeries, b: RationalSeries):
     """First graded-lex element, at any degree, where the expansions of two
     rational series differ, as (element, a's value, b's value); or None.
@@ -541,20 +528,32 @@ def first_rational_difference(a: RationalSeries, b: RationalSeries):
     the zero polynomial.  Otherwise 1/(C R_a R_b) = 1 + higher grades, so
     the expansions first differ at the numerator's lowest grade g, and the
     expansions to g give the difference.
+
+    N_a R_b and N_b R_a are built by `_divide` at -e per remaining factor
+    (m, e), to the top grade they reach: the highest numerator grade plus
+    the sum of e * grade(m).  One whose rays pass MAX_EXPANSION_TERMS
+    raises TruncationError.
     """
     _check_monoids(a, b)
-    den_a, den_b = dict(a.denominator), dict(b.denominator)
-    rest_a = [(m, e - den_b.get(m, 0)) for m, e in a.denominator
-              if e > den_b.get(m, 0)]
-    rest_b = [(m, e - den_a.get(m, 0)) for m, e in b.denominator
-              if e > den_a.get(m, 0)]
-    left = _times_denominator(dict(a.numerator), rest_b)
-    right = _times_denominator(dict(b.numerator), rest_a)
+    monoid = a.monoid
+
+    def cross(x, y):  # N_x R_y
+        den_x = dict(x.denominator)
+        rest = [(m, e - den_x.get(m, 0)) for m, e in y.denominator
+                if e > den_x.get(m, 0)]
+        table = dict(x.numerator)
+        degree = max(monoid.grades(table), default=0) + sum(
+            e * monoid.grade(m) for m, e in rest)
+        for m, e in rest:
+            table = _divide(monoid, table, m, -e, degree)
+        return table
+
+    left, right = cross(a, b), cross(b, a)
     keys = [m for m in left.keys() | right.keys()
             if left.get(m, 0) != right.get(m, 0)]
     if not keys:
         return None
-    g = min(a.monoid.grades(keys))
+    g = min(monoid.grades(keys))
     return first_difference(a.expand(g), b.expand(g), g)
 
 

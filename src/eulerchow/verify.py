@@ -118,15 +118,16 @@ def check_flag() -> list[CheckResult]:
 
 BUNDLE_CASES = [(1, 0, 1), (1, 1, 1), (1, 2, 1), (1, 3, 1),
                 (2, 1, 1), (2, 1, 2), (2, 3, 2), (3, 2, 2)]
+BUNDLE_DEGREE, GRASSMANN_DEGREE = 10, 12
 
 
-def check_bundle(degree=10) -> list[CheckResult]:
+def check_bundle() -> list[CheckResult]:
     out = []
     for n, d, p in BUNDLE_CASES:
-        closed = catalog.split_bundle_closed(n, d, p).expand(degree)
-        pipeline = catalog.split_bundle_series(n, d, p, degree)
-        diff = first_difference(closed, pipeline, degree)
-        name = f"split bundle (n={n},d={d},p={p}) to degree {degree}"
+        closed = catalog.split_bundle_closed(n, d, p).expand(BUNDLE_DEGREE)
+        pipeline = catalog.split_bundle_series(n, d, p, BUNDLE_DEGREE)
+        diff = first_difference(closed, pipeline, BUNDLE_DEGREE)
+        name = f"split bundle (n={n},d={d},p={p}) to degree {BUNDLE_DEGREE}"
         out.append(_ok(name) if diff is None
                    else _fail(name, _diff_detail(diff)))
     return out
@@ -135,16 +136,16 @@ def check_bundle(degree=10) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # Criterion 3: Chow-quotient pipeline for G(1,3)
 
-def check_grassmann(degree=12) -> list[CheckResult]:
+def check_grassmann() -> list[CheckResult]:
     out = []
     for p in range(4):
-        closed = catalog.grassmannian13_closed(p).expand(degree)
-        pipeline = catalog.grassmannian13_series(p, degree)
-        diff = first_difference(closed, pipeline, degree)
-        name = f"G(1,3) pipeline p={p} to degree {degree}"
+        closed = catalog.grassmannian13_closed(p).expand(GRASSMANN_DEGREE)
+        pipeline = catalog.grassmannian13_series(p, GRASSMANN_DEGREE)
+        diff = first_difference(closed, pipeline, GRASSMANN_DEGREE)
+        name = f"G(1,3) pipeline p={p} to degree {GRASSMANN_DEGREE}"
         out.append(_ok(name) if diff is None
                    else _fail(name, _diff_detail(diff)))
-    e3 = catalog.grassmannian13_series(3, degree)
+    e3 = catalog.grassmannian13_series(3, GRASSMANN_DEGREE)
     head = [e3.coefficient((k,)) for k in range(5)]
     want = [1, 6, 20, 50, 105]
     out.append(_ok("G(1,3) E_3 leading coefficients", str(head))

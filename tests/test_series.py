@@ -586,21 +586,28 @@ def test_rational_pushforward_requires_finite_fibers():
         RationalSeries(T, ((T.zero(), 1),), (((1,), 3),))
 
 
-@st.composite
-def rational_pairs(draw):
-    """(a, b): b is a rewritten over a larger denominator, so equal to a,
-    and then, half the time, given one more numerator term."""
-    a = draw(rational_series())
-    m, k = draw(_nonzero_element(a.monoid.rank)), draw(st.integers(0, 2))
-    unit = RationalSeries(a.monoid,
+def _unit(draw, monoid):
+    """(1 - t^m)^k / (1 - t^m)^k = 1, for a drawn m and k in 0..2."""
+    m, k = draw(_nonzero_element(monoid.rank)), draw(st.integers(0, 2))
+    return RationalSeries(monoid,
                           tuple((tuple(j * x for x in m),
                                  (-1) ** j * math.comb(k, j))
                                 for j in range(k + 1)),
                           ((m, k),) if k else ())
-    b = a.multiply(unit)
+
+
+@st.composite
+def rational_pairs(draw):
+    """(a, b): one form rewritten over two larger denominators, so equal,
+    and then, half the time, b is given one more numerator term.  Each
+    side often keeps a denominator factor the other lacks, so both cross
+    products N_a R_b and N_b R_a multiply by something."""
+    r = draw(rational_series())
+    a = r.multiply(_unit(draw, r.monoid))
+    b = r.multiply(_unit(draw, r.monoid))
     if draw(st.booleans()):
-        x = tuple(draw(st.lists(st.integers(0, 2), min_size=a.monoid.rank,
-                                max_size=a.monoid.rank)))
+        x = tuple(draw(st.lists(st.integers(0, 2), min_size=r.monoid.rank,
+                                max_size=r.monoid.rank)))
         b = RationalSeries(b.monoid, b.numerator + ((x, 1),), b.denominator)
     return a, b
 
@@ -637,6 +644,19 @@ def test_first_rational_difference_beyond_any_expansion(monkeypatch):
     assert first_rational_difference(a, a.multiply(a)) == ((1,), 1, 2)
     with pytest.raises(MonoidMismatchError):
         first_rational_difference(a, RationalSeries(XY, (), ()))
+
+
+def test_first_rational_difference_multiplies_along_rays():
+    # 1/(1-t)^E against 1/(1-t^2)^E: the cross products (1-t^2)^E and
+    # (1-t)^E are one ray each, convolved once with the kernel at -E
+    def pair(e):
+        return (RationalSeries(T, ((T.zero(), 1),), (((1,), e),)),
+                RationalSeries(T, ((T.zero(), 1),), (((2,), e),)))
+
+    assert first_rational_difference(*pair(5000)) == ((1,), 5000, 0)
+    # (1-t^2)^E reaches grade 2E: a ray of E + 1 terms, over the cap
+    with pytest.raises(TruncationError, match=r"^expansion to degree"):
+        first_rational_difference(*pair(10**6))
 
 
 def test_rational_rejects_grade_zero_denominator():
