@@ -176,6 +176,8 @@ def _assemble(pieces, target, degree) -> FormalSeries:
     f1 (.) f2 (.) ... over the product monoid along the concatenated
     images, without building that product.  Its bound floor(D * min ratio)
     is the minimum over k of floor(D * ratio_k), which convolve takes.
+    The product starts at bound D and convolve never raises a bound, so
+    once the guard passes the bound is exactly D.
     """
     out = one(target, degree)
     for f, images in pieces:
@@ -185,7 +187,7 @@ def _assemble(pieces, target, degree) -> FormalSeries:
         raise TruncationError(
             f"insufficient truncation: requested degree {degree}, "
             f"pipeline bound {out.bound}")
-    return out.restrict(degree)
+    return out
 
 
 def _split_factors(n: int, d: int, p: int):

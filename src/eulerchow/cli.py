@@ -128,8 +128,7 @@ def cmd_compare(args) -> int:
     if diff is None:
         print(f"equal to degree {args.degree}")
         return EXIT_OK
-    m, va, vb = diff
-    print(f"first difference at t^{m}: {va} vs {vb}")
+    print(verify.describe_difference(diff))
     return EXIT_VERIFY
 
 

@@ -1,16 +1,11 @@
 """Finitely generated free graded abelian monoids and their morphisms.
 
 Elements are plain tuples of nonnegative integer exponents; the monoid
-object supplies grading, validation and enumeration.  `validate` is the
-element check for one element entering from outside: in the constructors
-of rational series and morphisms, and in `FormalSeries.coefficient`.  The
-`FormalSeries` constructor checks its whole key table in a few builtin
-passes, and calls `validate` only to name a key it rejects.  Grading,
-`add` and `MonoidMorphism.apply` trust their input and do not re-check
-it.  Series operations grade whole tables at once with `grades`; `grade`
-serves single elements: `FormalSeries.coefficient`, `key`, the bound
-formulas of push-forward and pull-back, and the denominator factors of
-a rational series.
+object supplies grading, validation and enumeration.  `validate` checks
+one element entering from outside, such as a generator image of a
+morphism.  Grading, `add` and `MonoidMorphism.apply` trust their input
+and do not re-check it.  `grade` serves one element and `grades` a whole
+table at once; `series` says which of its operations use which.
 """
 
 from __future__ import annotations

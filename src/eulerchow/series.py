@@ -13,12 +13,15 @@ has a grade above it; every coefficient is an `int` (not a `bool`) or an
 `IntPolynomial`, and the stored ones are nonzero and of one kind.  The
 keys are checked in a few builtin passes over the whole table, with the
 grades taken by `GradedMonoid.grades`; only a table that fails is walked
-key by key, to name the first bad key.  Operations trust the invariant
-of their operands and build their results through the same constructor.
-They grade each operand's key table once, with `grades`, and call
-`GradedMonoid.grade` only for single elements: in `coefficient`, through
-`GradedMonoid.key`, in the bound formulas and for each denominator factor
-of a rational series.
+key by key, with `GradedMonoid.validate`, to name the first bad key.
+`validate` also checks the element asked for by `coefficient` and each
+numerator and denominator element of a rational series.  Operations
+trust the invariant of their operands and build their results through
+the same constructor.  They grade each operand's key table once, with
+`grades`, and call `GradedMonoid.grade` only for single elements: in
+`coefficient`, through `GradedMonoid.key`, in the bound formulas of
+push-forward and pull-back and for each denominator factor of a
+rational series.
 """
 
 from __future__ import annotations
@@ -532,7 +535,7 @@ def first_rational_difference(a: RationalSeries, b: RationalSeries):
     N_a R_b and N_b R_a are built by `_divide` at -e per remaining factor
     (m, e), to the top grade they reach: the highest numerator grade plus
     the sum of e * grade(m).  One whose rays pass MAX_EXPANSION_TERMS
-    raises TruncationError.
+    raises TruncationError naming the identity check and the factor.
     """
     _check_monoids(a, b)
     monoid = a.monoid
@@ -545,7 +548,13 @@ def first_rational_difference(a: RationalSeries, b: RationalSeries):
         degree = max(monoid.grades(table), default=0) + sum(
             e * monoid.grade(m) for m, e in rest)
         for m, e in rest:
-            table = _divide(monoid, table, m, -e, degree)
+            try:
+                table = _divide(monoid, table, m, -e, degree)
+            except TruncationError:
+                raise TruncationError(
+                    f"identity check of two rational series: multiplying "
+                    f"by the factor (1 - t^m)^e with m = {m}, e = {e} "
+                    f"needs more than {MAX_EXPANSION_TERMS} terms") from None
         return table
 
     left, right = cross(a, b), cross(b, a)

@@ -29,15 +29,17 @@ class CheckResult:
                                            if self.detail else "")
 
 
-def _ok(name, detail=""):
+def _verdict(name, failures, detail="") -> CheckResult:
+    """PASS with the detail when `failures` yields nothing, else FAIL with
+    the text of its first item.  `failures` is read only up to that item,
+    so a lazy one stops at its first failure."""
+    for failure in failures:
+        return CheckResult(name, False, str(failure))
     return CheckResult(name, True, detail)
 
 
-def _fail(name, detail):
-    return CheckResult(name, False, detail)
-
-
-def _diff_detail(diff):
+def describe_difference(diff) -> str:
+    """The line for a first difference (element, a's value, b's value)."""
     m, a, b = diff
     return f"first difference at t^{m}: {a} vs {b}"
 
@@ -88,29 +90,20 @@ def random_morphism(rng: random.Random, source: GradedMonoid,
 # Criterion 1: flag divisor series
 
 def check_flag() -> list[CheckResult]:
-    out = []
     grid = 20
-    closed = catalog.euler_chow(catalog.parse_descriptor("Flag012"), 2,
-                                method="closed").closed_form
-    expansion = closed.expand(2 * grid)
+    expansion = catalog.flag012_closed(2).expand(2 * grid)
     table = catalog.flag012_divisor_by_recurrence(grid, grid)
-    bad = []
+    failures = []
     for r in range(grid + 1):
         for s in range(grid + 1):
             want = oracle.weyl_dim_gl3(r, s)
             got = expansion.coefficient((r, s))
             rec = table[r][s]
             if got != want or rec != want:
-                bad.append((r, s, got, rec, want))
-    if bad:
-        r, s, got, rec, want = bad[0]
-        out.append(_fail("flag divisor 21x21 table",
-                         f"(r,s)=({r},{s}): expansion {got}, "
-                         f"recurrence {rec}, Weyl {want}"))
-    else:
-        out.append(_ok("flag divisor 21x21 table",
-                       "expansion == recurrence == Weyl formula"))
-    return out
+                failures.append(f"(r,s)=({r},{s}): expansion {got}, "
+                                f"recurrence {rec}, Weyl {want}")
+    return [_verdict("flag divisor 21x21 table", failures,
+                     "expansion == recurrence == Weyl formula")]
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +120,9 @@ def check_bundle() -> list[CheckResult]:
         closed = catalog.split_bundle_closed(n, d, p).expand(BUNDLE_DEGREE)
         pipeline = catalog.split_bundle_series(n, d, p, BUNDLE_DEGREE)
         diff = first_difference(closed, pipeline, BUNDLE_DEGREE)
-        name = f"split bundle (n={n},d={d},p={p}) to degree {BUNDLE_DEGREE}"
-        out.append(_ok(name) if diff is None
-                   else _fail(name, _diff_detail(diff)))
+        out.append(_verdict(
+            f"split bundle (n={n},d={d},p={p}) to degree {BUNDLE_DEGREE}",
+            [] if diff is None else [describe_difference(diff)]))
     return out
 
 
@@ -142,16 +135,15 @@ def check_grassmann() -> list[CheckResult]:
         closed = catalog.grassmannian13_closed(p).expand(GRASSMANN_DEGREE)
         pipeline = catalog.grassmannian13_series(p, GRASSMANN_DEGREE)
         diff = first_difference(closed, pipeline, GRASSMANN_DEGREE)
-        name = f"G(1,3) pipeline p={p} to degree {GRASSMANN_DEGREE}"
-        out.append(_ok(name) if diff is None
-                   else _fail(name, _diff_detail(diff)))
-    e3 = catalog.grassmannian13_series(3, GRASSMANN_DEGREE)
-    head = [e3.coefficient((k,)) for k in range(5)]
+        out.append(_verdict(
+            f"G(1,3) pipeline p={p} to degree {GRASSMANN_DEGREE}",
+            [] if diff is None else [describe_difference(diff)]))
+    # the loop ends on p = 3, so `pipeline` is E_3's
+    head = [pipeline.coefficient((k,)) for k in range(5)]
     want = [1, 6, 20, 50, 105]
-    out.append(_ok("G(1,3) E_3 leading coefficients", str(head))
-               if head == want
-               else _fail("G(1,3) E_3 leading coefficients",
-                          f"{head} != {want}"))
+    out.append(_verdict("G(1,3) E_3 leading coefficients",
+                        [] if head == want else [f"{head} != {want}"],
+                        str(head)))
     return out
 
 
@@ -159,28 +151,22 @@ def check_grassmann() -> list[CheckResult]:
 # Criterion 4: Macdonald / Lawson-Yau identities
 
 def check_macdonald() -> list[CheckResult]:
-    out = []
-    bad = []
+    coefficients = []
     for chi in range(1, 13):
         exp = catalog.macdonald(chi).expand(20)
         for d in range(21):
             want = math.comb(d + chi - 1, chi - 1)
             got = exp.coefficient((d,))
             if got != want:
-                bad.append((chi, d, got, want))
-    out.append(_ok("Macdonald coefficients chi=1..12, d<=20") if not bad
-               else _fail("Macdonald coefficients chi=1..12, d<=20",
-                          str(bad[0])))
-    bad = []
+                coefficients.append((chi, d, got, want))
+    exponents = []
     for n in range(7):
         for p in range(n + 1):
             r = catalog.lawson_yau_pn(n, p)
-            want = (((1,), math.comb(n + 1, p + 1)),)
-            if r.denominator != want:
-                bad.append((n, p, r.denominator))
-    out.append(_ok("Lawson-Yau exponents n<=6") if not bad
-               else _fail("Lawson-Yau exponents n<=6", str(bad[0])))
-    return out
+            if r.denominator != (((1,), math.comb(n + 1, p + 1)),):
+                exponents.append((n, p, r.denominator))
+    return [_verdict("Macdonald coefficients chi=1..12, d<=20", coefficients),
+            _verdict("Lawson-Yau exponents n<=6", exponents)]
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +209,7 @@ def pushforward_is_homomorphism(case):
     lhs = pushforward(phi, convolve(f, g))
     rhs = convolve(pushforward(phi, f), pushforward(phi, g))
     diff = first_difference(lhs, rhs, min(lhs.bound, rhs.bound))
-    return None if diff is None else _diff_detail(diff)
+    return None if diff is None else describe_difference(diff)
 
 
 def pullback_case(rng):
@@ -377,12 +363,11 @@ HILBERT_LAWS = (
 )
 
 
-def _law_loop(rng, name, make_case, law, cases=ALGEBRA_CASES):
-    for i in range(cases):
-        detail = law(make_case(rng))
-        if detail:
-            return _fail(name, f"case {i}: {detail}")
-    return _ok(name, f"{cases} random cases")
+def _law_loop(rng, name, make_case, law):
+    details = (law(make_case(rng)) for _ in range(ALGEBRA_CASES))
+    return _verdict(name, (f"case {i}: {detail}"
+                           for i, detail in enumerate(details) if detail),
+                    f"{ALGEBRA_CASES} random cases")
 
 
 def check_algebra(seed=SEED) -> list[CheckResult]:
@@ -410,38 +395,31 @@ NAMED_G13_DIMENSIONS = [
 
 
 def check_schubert() -> list[CheckResult]:
-    out = []
     sizes = [schubert.basis(catalog.G13, p).rank for p in range(5)]
-    out.append(_ok("basis sizes of G(1,3)", str(sizes))
-               if sizes == [1, 1, 2, 1, 1]
-               else _fail("basis sizes of G(1,3)", str(sizes)))
 
-    bad = []
-    for seqs, want in NAMED_DIMENSIONS:
-        sym = schubert.SchubertSymbol(catalog.FLAG012, seqs[0])
+    dimensions = []
+    named = ([(schubert.SchubertSymbol(catalog.FLAG012, seqs[0]), want)
+              for seqs, want in NAMED_DIMENSIONS]
+             + [(schubert.SchubertSymbol(catalog.G13, (seq,)), want)
+                for seq, want in NAMED_G13_DIMENSIONS])
+    for sym, want in named:
         if sym.dimension() != want:
-            bad.append((sym.label(), sym.dimension(), want))
-    for seq, want in NAMED_G13_DIMENSIONS:
-        sym = schubert.SchubertSymbol(catalog.G13, (seq,))
-        if sym.dimension() != want:
-            bad.append((sym.label(), sym.dimension(), want))
-    out.append(_ok("named Schubert dimensions") if not bad
-               else _fail("named Schubert dimensions", str(bad[0])))
+            dimensions.append((sym.label(), sym.dimension(), want))
 
-    bad = []
-    flag_types = [catalog.FLAG012,
-                  schubert.FlagType((0, 1), 3), schubert.FlagType((1, 2), 3)]
-    for ft in flag_types:
-        for sym in schubert.all_symbols(ft):
-            image = schubert.trace_phi(sym)
-            if image.dimension() != sym.dimension() + 1:
-                bad.append((sym.label(), image.label()))
-    out.append(_ok("trace map raises dimension by 1",
-                   f"{sum(len(schubert.all_symbols(ft)) for ft in flag_types)}"
-                   " symbols")
-               if not bad else _fail("trace map raises dimension by 1",
-                                     str(bad[0])))
-    return out
+    traces = []
+    symbols = [sym for ft in (catalog.FLAG012, schubert.FlagType((0, 1), 3),
+                              schubert.FlagType((1, 2), 3))
+               for sym in schubert.all_symbols(ft)]
+    for sym in symbols:
+        image = schubert.trace_phi(sym)
+        if image.dimension() != sym.dimension() + 1:
+            traces.append((sym.label(), image.label()))
+
+    return [_verdict("basis sizes of G(1,3)",
+                     [] if sizes == [1, 1, 2, 1, 1] else [sizes], str(sizes)),
+            _verdict("named Schubert dimensions", dimensions),
+            _verdict("trace map raises dimension by 1", traces,
+                     f"{len(symbols)} symbols")]
 
 
 SUITES = {
@@ -456,10 +434,4 @@ SUITES["all"] = [fn for name in ("algebra", "bundle", "grassmann", "flag",
 
 
 def run_suite(name: str) -> list[CheckResult]:
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; "
-                       f"choose from {sorted(SUITES)}")
-    results = []
-    for fn in SUITES[name]:
-        results.extend(fn())
-    return results
+    return [result for fn in SUITES[name] for result in fn()]

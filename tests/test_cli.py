@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from eulerchow import catalog, cli
+from eulerchow import catalog, cli, verify
 from eulerchow.catalog import lawson_yau_pn
 from eulerchow.series import MAX_EXPANSION_TERMS, RationalSeries, dumps, loads
 
@@ -184,7 +184,9 @@ def test_compare_and_expand(capsys, tmp_path):
     code, out, _ = run(capsys, "compare", str(r5), str(r6),
                        "--degree", "1")
     assert code == 1
-    assert "5 vs 6" in out
+    # the line `verify` prints for a pipeline that differs
+    assert out == verify.describe_difference(((1,), 5, 6)) + "\n"
+    assert out == "first difference at t^(1,): 5 vs 6\n"
 
 
 def test_compare_monoid_mismatch(capsys, tmp_path):
