@@ -29,11 +29,8 @@ class UnsupportedRequestError(ValueError):
 
 
 class VerificationError(AssertionError):
-    """Closed form and pipeline disagree; carries the first difference."""
-
-    def __init__(self, message, difference):
-        super().__init__(message)
-        self.difference = difference
+    """Closed form and pipeline disagree; the message names the first
+    difference."""
 
 
 @dataclass(frozen=True)
@@ -284,26 +281,20 @@ def grassmannian13_series(p: int, degree: int) -> FormalSeries:
 
 def flag012_divisor_by_recurrence(R: int, S: int) -> list[list[int]]:
     """Euler characteristics of the divisor components of F(0,1;2) via the
-    excision recurrence, seeded by E_1 of P1 x P1."""
+    excision recurrence, seeded by E_1 of P1 x P1.
+
+    a0(r, s) = a0(r-1, s) + a0(r, s-1) - a0(r-1, s-1) + b(r, s) - b(r-1, s-1)
+    with b(r, s) = (r+1)(s+1); a0 and b are zero off the quadrant r, s >= 0,
+    so b(r, s) - b(r-1, s-1) = r + s + 1 on it.  The table is filled row by
+    row inside a zero border, row 0 and column 0."""
     if R < 0 or S < 0:
         raise ValueError("R and S must be >= 0")
-
-    def b(r, s):
-        return (r + 1) * (s + 1) if r >= 0 and s >= 0 else 0
-
-    a0 = [[0] * (S + 1) for _ in range(R + 1)]
-
-    def get(r, s):
-        return a0[r][s] if r >= 0 and s >= 0 else 0
-
-    for total in range(R + S + 1):
-        for r in range(min(total, R) + 1):
-            s = total - r
-            if s > S:
-                continue
-            a1 = get(r - 1, s) + get(r, s - 1) - get(r - 1, s - 1)
-            a0[r][s] = a1 + b(r, s) - b(r - 1, s - 1)
-    return a0
+    a0 = [[0] * (S + 2) for _ in range(R + 2)]
+    for r in range(R + 1):
+        above, row = a0[r], a0[r + 1]
+        for s in range(S + 1):
+            row[s + 1] = above[s + 1] + row[s] - above[s] + r + s + 1
+    return [row[1:] for row in a0[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -402,5 +393,5 @@ def euler_chow(v: VarietyDescriptor, p: int,
         m, a, b = diff
         raise VerificationError(
             f"{v} p={p}: closed form and pipeline differ at t^{m}: "
-            f"{a} vs {b}", diff)
+            f"{a} vs {b}")
     return EulerChowResult(v, p, closed, "identity", dictionary)

@@ -15,14 +15,13 @@ import argparse
 import sys
 
 from . import catalog, verify
-from .monoid import int_from_json
 from .series import (FormalSeries, RationalSeries, TruncationError, dumps,
-                     first_difference, loads)
+                     first_difference, int_from_json, loads)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
-EXIT_UNSUPPORTED = 3
+EXIT_TRUNCATION = 3
 
 
 def _supports_unicode(stream) -> bool:
@@ -211,7 +210,7 @@ def main(argv=None) -> int:
         return EXIT_VERIFY
     except TruncationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        return EXIT_TRUNCATION
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,7 +5,7 @@ object supplies grading, validation and enumeration.  `validate` checks
 one element entering from outside, such as a generator image of a
 morphism.  Grading, `add` and `MonoidMorphism.apply` trust their input
 and do not re-check it.  `grade` serves one element and `grades` a whole
-table at once; `series` says which of its operations use which.
+table at once.
 """
 
 from __future__ import annotations
@@ -16,26 +16,6 @@ from itertools import repeat
 from operator import add, itemgetter, mul
 
 Element = tuple[int, ...]
-
-
-def int_from_json(v) -> int:
-    """An integer field of a JSON document: an int (not a bool or a float)
-    or an ASCII decimal string, -?[0-9]+.  `int` alone would also take
-    "1_000", " 7 ", "+7" and non-ASCII digits."""
-    if type(v) is int:
-        return v
-    if type(v) is str:
-        digits = v[1:] if v[:1] == "-" else v
-        if digits.isdigit() and digits.isascii():
-            return int(v)
-    raise TypeError(f"expected an integer, got {v!r}")
-
-
-def list_from_json(v) -> list:
-    """An array field of a JSON document."""
-    if type(v) is not list:
-        raise TypeError(f"expected an array, got {v!r}")
-    return v
 
 
 class MonoidMismatchError(ValueError):
@@ -49,9 +29,9 @@ class GradedMonoid:
     generators: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        # what `to_json` writes and `from_json` reads back: a label 5 or
-        # None would differ from the label "5", and a weight 1.5 or True
-        # would not load
+        # a series file stores each label as a string and each weight as
+        # an integer: a label 5 or None would read back as a different
+        # monoid, and a weight 1.5 or True could not be read back at all
         for lab, w in self.generators:
             if type(lab) is not str:
                 raise TypeError(f"generator label {lab!r} is not a string")
@@ -144,15 +124,6 @@ class GradedMonoid:
                      for prefix, budget in level
                      for e in range(budget // w + 1)]
         return [m for m, _ in sorted(level, key=itemgetter(1), reverse=True)]
-
-    def to_json(self) -> dict:
-        return {"generators": [{"label": lab, "weight": w}
-                               for lab, w in self.generators]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GradedMonoid":
-        return cls(tuple((g["label"], int_from_json(g["weight"]))
-                         for g in list_from_json(data["generators"])))
 
 
 @dataclass(frozen=True)

@@ -79,22 +79,16 @@ class SchubertSymbol:
 
 
 def all_symbols(ft: FlagType) -> list[SchubertSymbol]:
-    """Every valid symbol of the flag type, ordered by sequence tuples."""
-    n = ft.ambient
+    """Every valid symbol of the flag type, ordered by sequence tuples.
 
-    def rec(level, outer):
-        if level < 0:
-            yield ()
-            return
-        d = ft.dims[level]
-        pool = range(n + 1) if outer is None else outer
-        for seq in itertools.combinations(pool, d + 1):
-            for rest in rec(level - 1, seq):
-                yield rest + (seq,)
-
-    out = [SchubertSymbol(ft, seqs) for seqs in rec(len(ft.dims) - 1, None)]
-    out.sort(key=lambda s: s.sequences)
-    return out
+    The sequences are chosen one level at a time, outermost first, each
+    from the entries of the sequence chosen around it; the outermost
+    chooses from 0..ambient, which each partial symbol carries last."""
+    partial = [(tuple(range(ft.ambient + 1)),)]
+    for d in reversed(ft.dims):
+        partial = [(seq,) + outer for outer in partial
+                   for seq in itertools.combinations(outer[0], d + 1)]
+    return [SchubertSymbol(ft, seqs[:-1]) for seqs in sorted(partial)]
 
 
 def symbols_of_dimension(ft: FlagType, p: int) -> list[SchubertSymbol]:

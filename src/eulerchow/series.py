@@ -11,17 +11,14 @@ constructed: each key is a tuple and a valid element of its monoid (one
 `int`, not a `bool`, >= 0 per generator); the bound is >= 0 and no key
 has a grade above it; every coefficient is an `int` (not a `bool`) or an
 `IntPolynomial`, and the stored ones are nonzero and of one kind.  The
-keys are checked in a few builtin passes over the whole table, with the
-grades taken by `GradedMonoid.grades`; only a table that fails is walked
-key by key, with `GradedMonoid.validate`, to name the first bad key.
-`validate` also checks the element asked for by `coefficient` and each
-numerator and denominator element of a rational series.  Operations
-trust the invariant of their operands and build their results through
-the same constructor.  They grade each operand's key table once, with
-`grades`, and call `GradedMonoid.grade` only for single elements: in
-`coefficient`, through `GradedMonoid.key`, in the bound formulas of
-push-forward and pull-back and for each denominator factor of a
-rational series.
+keys are checked in a few builtin passes over the whole table; only a
+table that fails is walked key by key, to name the first bad key.
+Operations trust the invariant of their operands and build their results
+through the same constructor.
+
+`dumps` and `loads` own the series-file format: they are its one writer
+and its one reader, and no other code knows how a series or a rational
+series is spelled in a file.
 """
 
 from __future__ import annotations
@@ -31,8 +28,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, repeat
 from operator import add, floordiv, itemgetter, mul, sub
 
-from .monoid import (Element, GradedMonoid, MonoidMismatchError,
-                     MonoidMorphism, int_from_json, list_from_json)
+from .monoid import Element, GradedMonoid, MonoidMismatchError, MonoidMorphism
 
 
 # the most terms `_divide` may allocate for one denominator factor; a larger
@@ -74,8 +70,6 @@ class IntPolynomial:
     def __mul__(self, other):
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -447,8 +441,7 @@ class RationalSeries:
             m = self.monoid.validate(m)
             if type(c) is not int:
                 raise TypeError(f"numerator value {c!r} is not an int")
-            if c:
-                num[m] = num.get(m, 0) + c
+            num[m] = num.get(m, 0) + c
         num = tuple(sorted(((m, c) for m, c in num.items() if c),
                            key=lambda mc: self.monoid.key(mc[0])))
         den = {}
@@ -500,26 +493,6 @@ class RationalSeries:
             tuple((phi.apply(m), c) for m, c in self.numerator),
             tuple((phi.apply(m), e) for m, e in self.denominator))
 
-    def to_json(self) -> dict:
-        return {
-            "monoid": self.monoid.to_json(),
-            "numerator": [{"exponents": list(m), "value": str(c)}
-                          for m, c in self.numerator],
-            "denominator": [{"exponents": list(m), "multiplicity": e}
-                            for m, e in self.denominator],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RationalSeries":
-        monoid = GradedMonoid.from_json(data["monoid"])
-        num = tuple((tuple(t["exponents"]), int_from_json(t["value"]))
-                    for t in list_from_json(data["numerator"]))
-        den = tuple((tuple(t["exponents"]), int_from_json(t["multiplicity"]))
-                    for t in list_from_json(data["denominator"]))
-        if len(dict(num)) != len(num) or len(dict(den)) != len(den):
-            raise ValueError("repeated exponents in a rational series")
-        return cls(monoid, num, den)
-
 
 def first_rational_difference(a: RationalSeries, b: RationalSeries):
     """First graded-lex element, at any degree, where the expansions of two
@@ -566,15 +539,56 @@ def first_rational_difference(a: RationalSeries, b: RationalSeries):
     return first_difference(a.expand(g), b.expand(g), g)
 
 
-def _poly_from_json(v: dict) -> IntPolynomial:
-    return IntPolynomial(tuple(map(int_from_json, list_from_json(v["poly"]))))
+def int_from_json(v) -> int:
+    """An integer field of a JSON document: an int (not a bool or a float)
+    or an ASCII decimal string, -?[0-9]+.  `int` alone would also take
+    "1_000", " 7 ", "+7" and non-ASCII digits."""
+    if type(v) is int:
+        return v
+    if type(v) is str:
+        digits = v[1:] if v[:1] == "-" else v
+        if digits.isdigit() and digits.isascii():
+            return int(v)
+    raise TypeError(f"expected an integer, got {v!r}")
+
+
+def list_from_json(v) -> list:
+    """An array field of a JSON document."""
+    if type(v) is not list:
+        raise TypeError(f"expected an array, got {v!r}")
+    return v
+
+
+def _value_from_json(v):
+    """A coefficient: an integer, or {"poly": [...]} of integers."""
+    if type(v) is dict:
+        return IntPolynomial(tuple(map(int_from_json,
+                                       list_from_json(v["poly"]))))
+    return int_from_json(v)
+
+
+def _table_from_json(data: dict, name: str, field: str, read) -> dict:
+    """The array data[name] of {"exponents": [...], field: value} entries,
+    as a dict from exponent tuples to read(value).  An array that names
+    one element twice is refused: keeping either value, or merging them,
+    would read a different series than the file's author wrote."""
+    entries = list_from_json(data[name])
+    table = {tuple(t["exponents"]): read(t[field]) for t in entries}
+    if len(table) != len(entries):
+        raise ValueError(f"repeated exponents in {name}")
+    return table
+
+
+def _monoid_json(monoid: GradedMonoid) -> dict:
+    return {"generators": [{"label": lab, "weight": w}
+                           for lab, w in monoid.generators]}
 
 
 def _series_dumps(f: FormalSeries) -> str:
     """The text of `json.dumps(payload, indent=2, ensure_ascii=True)`,
     written from a fixed template per coefficient entry; only the header
     (monoid and bound) goes through `json`, for the escapes of labels."""
-    head = json.dumps({"monoid": f.monoid.to_json(), "bound": f.bound},
+    head = json.dumps({"monoid": _monoid_json(f.monoid), "bound": f.bound},
                       indent=2, ensure_ascii=True)[:-2]
     if not f.coefficients:
         return head + ',\n  "coefficients": []\n}\n'
@@ -598,10 +612,14 @@ def _series_dumps(f: FormalSeries) -> str:
 
 def dumps(obj) -> str:
     """Byte-stable JSON text for a series or rational series: the text of
-    `json.dumps(payload, indent=2, ensure_ascii=True)` and a newline, with
-    the coefficient entries of a series in graded-lex order, each
-    {"exponents": [...], "value": "<int>" or {"poly": ["<int>", ...]}}.
-    The layout is a contract, pinned by a test against `json.dumps`.
+    `json.dumps(payload, indent=2, ensure_ascii=True)` and a newline.  Both
+    documents hold the monoid, {"generators": [{"label", "weight"}, ...]}.
+    A series adds its bound and its coefficient entries in graded-lex
+    order, each {"exponents": [...], "value": "<int>" or {"poly":
+    ["<int>", ...]}}; a rational series adds its numerator entries, each
+    {"exponents": [...], "value": "<int>"}, and its denominator factors,
+    each {"exponents": [...], "multiplicity": <int>}, both in graded-lex
+    order.  The layout is a contract, pinned by tests against `json.dumps`.
 
     Python limits int -> str conversion to 4300 digits by default, and
     `dumps` raises ValueError on a larger number.  `cli.main` lifts the
@@ -610,7 +628,12 @@ def dumps(obj) -> str:
     if isinstance(obj, FormalSeries):
         return _series_dumps(obj)
     if isinstance(obj, RationalSeries):
-        return json.dumps(obj.to_json(), indent=2, ensure_ascii=True) + "\n"
+        doc = {"monoid": _monoid_json(obj.monoid),
+               "numerator": [{"exponents": list(m), "value": str(c)}
+                             for m, c in obj.numerator],
+               "denominator": [{"exponents": list(m), "multiplicity": e}
+                               for m, e in obj.denominator]}
+        return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
     raise TypeError(type(obj).__name__)
 
 
@@ -618,27 +641,31 @@ def loads(text: str):
     """Parse `dumps` output; any text that is not a valid series or
     rational series, as JSON or by the schema, is one ValueError.
 
-    Integers are JSON ints or ASCII decimal strings (-?[0-9]+); a series,
-    numerator or denominator may not repeat an exponents entry.  The
-    coefficient table is read in one pass, and `FormalSeries` validates
-    its keys.  A number of more than 4300 digits is a ValueError unless
+    Integers are JSON ints or ASCII decimal strings (-?[0-9]+).  One rule
+    holds for all three entry arrays, `coefficients`, `numerator` and
+    `denominator`: no array may name the same exponents twice.  The
+    monoid is read once for either document, each array in one pass, and
+    the `FormalSeries` or `RationalSeries` constructor validates the
+    elements.  A number of more than 4300 digits is a ValueError unless
     the caller has lifted Python's limit on str -> int conversion, as
     `cli.main` does (`sys.set_int_max_str_digits(0)`).
     """
     try:
         data = json.loads(text)
-        if "coefficients" not in data:
-            return RationalSeries.from_json(data)
-        monoid = GradedMonoid.from_json(data["monoid"])
-        entries = list_from_json(data["coefficients"])
-        coeffs = {}
-        for t in entries:
-            v = t["value"]
-            coeffs[tuple(t["exponents"])] = (
-                _poly_from_json(v) if type(v) is dict else int_from_json(v))
-        if len(coeffs) != len(entries):
-            raise ValueError("repeated exponents in coefficients")
-        return FormalSeries(monoid, int_from_json(data["bound"]), coeffs)
+        monoid = GradedMonoid(tuple(
+            (g["label"], int_from_json(g["weight"]))
+            for g in list_from_json(data["monoid"]["generators"])))
+        if "coefficients" in data:
+            return FormalSeries(
+                monoid, int_from_json(data["bound"]),
+                _table_from_json(data, "coefficients", "value",
+                                 _value_from_json))
+        return RationalSeries(
+            monoid,
+            tuple(_table_from_json(data, "numerator", "value",
+                                   int_from_json).items()),
+            tuple(_table_from_json(data, "denominator", "multiplicity",
+                                   int_from_json).items()))
     except (KeyError, TypeError, AttributeError, ValueError,
             RecursionError) as exc:
         raise ValueError(f"malformed series file: {exc!r}") from None

@@ -115,11 +115,6 @@ def test_trivial_monoid():
     assert trivial.grade(()) == 0
 
 
-def test_json_round_trip():
-    m = GradedMonoid.free(["a", "b"], [1, 2])
-    assert GradedMonoid.from_json(m.to_json()) == m
-
-
 def test_morphism_apply_is_additive():
     m = GradedMonoid.free(["a", "b"])
     n = GradedMonoid.free(["x"])

@@ -117,6 +117,11 @@ def test_json_round_trip(fgh):
     assert loads(dumps(f)) == f
 
 
+def reference_monoid(monoid):
+    return {"generators": [{"label": lab, "weight": w}
+                           for lab, w in monoid.generators]}
+
+
 def reference_payload(f):
     """The document `dumps` writes for a series, built as plain data for
     `json.dumps(..., indent=2, ensure_ascii=True)`."""
@@ -128,7 +133,7 @@ def reference_payload(f):
     items = sorted(f.coefficients.items(),
                    key=lambda mc: f.monoid.key(mc[0]))
     return {
-        "monoid": f.monoid.to_json(),
+        "monoid": reference_monoid(f.monoid),
         "bound": f.bound,
         "coefficients": [{"exponents": list(m), "value": value(c)}
                          for m, c in items],
@@ -145,11 +150,16 @@ INTS = st.integers(-1000, 1000) | BIG | BIG.map(lambda n: -n)
 
 
 @st.composite
-def printable_series(draw):
+def printable_monoids(draw):
     labels = draw(st.lists(LABELS, max_size=3, unique=True))
     weights = draw(st.lists(st.integers(1, 3), min_size=len(labels),
                             max_size=len(labels)))
-    monoid = GradedMonoid.free(labels, weights)
+    return GradedMonoid.free(labels, weights)
+
+
+@st.composite
+def printable_series(draw):
+    monoid = draw(printable_monoids())
     bound = draw(st.integers(0, 5))
     poly = draw(st.booleans())
     coeffs = {}
@@ -171,6 +181,45 @@ def test_dumps_is_the_reference_encoding(f):
     assert text == json.dumps(reference_payload(f), indent=2,
                               ensure_ascii=True) + "\n"
     assert loads(text) == f
+
+
+def reference_rational_payload(r):
+    """The document `dumps` writes for a rational series, as plain data;
+    numerator terms and denominator factors in graded-lex order."""
+    def by_grade(pairs):
+        return sorted(pairs, key=lambda mc: r.monoid.key(mc[0]))
+
+    return {
+        "monoid": reference_monoid(r.monoid),
+        "numerator": [{"exponents": list(m), "value": str(c)}
+                      for m, c in by_grade(r.numerator)],
+        "denominator": [{"exponents": list(m), "multiplicity": e}
+                        for m, e in by_grade(r.denominator)],
+    }
+
+
+@st.composite
+def printable_rationals(draw):
+    monoid = draw(printable_monoids())
+    # graded-lex order puts the zero element, of grade 0, first: it may be
+    # a numerator term but not a denominator factor
+    elements = monoid.enumerate_up_to(3)
+    numerator = [(m, draw(INTS)) for m in elements if draw(st.booleans())]
+    denominator = [(m, draw(st.integers(1, 3))) for m in elements[1:]
+                   if draw(st.booleans())]
+    return RationalSeries(monoid, tuple(numerator), tuple(denominator))
+
+
+@settings(max_examples=200, deadline=None)
+@given(printable_rationals())
+@example(RationalSeries(GradedMonoid(()), (), ()))
+@example(RationalSeries(GradedMonoid.free(["x"]), (), (((1,), 2),)))
+@example(RationalSeries(GradedMonoid.free(["x"]), (((0,), -10**120),), ()))
+def test_rational_dumps_is_the_reference_encoding(r):
+    text = dumps(r)
+    assert text == json.dumps(reference_rational_payload(r), indent=2,
+                              ensure_ascii=True) + "\n"
+    assert loads(text) == r
 
 
 _XY = GradedMonoid.free(["x", "y"])

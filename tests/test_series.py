@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eulerchow import catalog, schubert
+from eulerchow import catalog, schubert, series
 from eulerchow.monoid import GradedMonoid, MonoidMismatchError, MonoidMorphism
 from eulerchow.series import (MAX_EXPANSION_TERMS, FormalSeries,
                               IntPolynomial, RationalSeries, TruncationError,
@@ -473,6 +473,16 @@ def test_expand_refuses_more_terms_than_the_cap():
     with pytest.raises(TruncationError,
                        match=f"needs more than {MAX_EXPANSION_TERMS} terms"):
         r.expand(1413)
+
+
+def test_the_term_cap_is_exact(monkeypatch):
+    # 1/(1-t) to degree D is one ray of D + 1 terms: a cap of 10 admits
+    # degree 9 and refuses degree 10
+    monkeypatch.setattr(series, "MAX_EXPANSION_TERMS", 10)
+    r = RationalSeries(T, ((T.zero(), 1),), (((1,), 1),))
+    assert r.expand(9).coefficients == {(j,): 1 for j in range(10)}
+    with pytest.raises(TruncationError, match="needs more than 10 terms"):
+        r.expand(10)
 
 
 def test_rational_numerator_and_multiply():
