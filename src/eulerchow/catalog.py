@@ -1,8 +1,10 @@
 """Catalog of varieties with known Euler-Chow series: closed forms, the
-pipelines (split projective bundle, Chow quotient, flag excision), each one
-list of rational factors multiplied out exactly or, for the first two, also
-expanded to a degree, and one row per kind of variety that says how it is
-spelled, which p it serves and how its series is computed.
+pipelines (split projective bundle, Chow quotient, flag excision) and one
+row per kind of variety that says how it is spelled, which p it serves and
+how its series is computed.  A pipeline is one flat list of rational
+factors with the images of their generators, multiplied exactly by
+`_push_product` (for `series`) and truncated at a degree by `_assemble`
+(for the `bundle` and `grassmann` verification suites).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable, NamedTuple
 
 from . import schubert
 from .monoid import GradedMonoid, MonoidMorphism
-from .series import (FormalSeries, RationalSeries, TruncationError, convolve,
+from .series import (FormalSeries, RationalSeries, convolve,
                      first_rational_difference, one, pushforward)
 
 FLAG012 = schubert.FlagType((0, 1), 2)
@@ -165,28 +167,6 @@ def _check_split_range(n: int, d: int, p: int):
         raise ValueError(f"p={p} out of range for ProjClosure(n={n},d={d})")
 
 
-def _assemble(pieces, target, degree) -> FormalSeries:
-    """Product in the target of the factor series, each pushed forward
-    along the morphism that sends its generators to the given images.
-
-    Push-forward is a ring homomorphism, so this is the push-forward of
-    f1 (.) f2 (.) ... over the product monoid along the concatenated
-    images, without building that product.  Its bound floor(D * min ratio)
-    is the minimum over k of floor(D * ratio_k), which convolve takes.
-    The product starts at bound D and convolve never raises a bound, so
-    once the guard passes the bound is exactly D.
-    """
-    out = one(target, degree)
-    for f, images in pieces:
-        psi = MonoidMorphism(f.monoid, target, tuple(images))
-        out = convolve(out, pushforward(psi, f))
-    if out.bound < degree:
-        raise TruncationError(
-            f"insufficient truncation: requested degree {degree}, "
-            f"pipeline bound {out.bound}")
-    return out
-
-
 def _split_factors(n: int, d: int, p: int):
     """(target, factors) of the split-bundle pipeline for the projective
     closure of O(d) over Pn: E_{p-1}(Pn), E_p(Pn) and E_p(Pn), with the
@@ -235,24 +215,37 @@ def _push_product(target, factors) -> RationalSeries:
     return out
 
 
+def _assemble(target, factors, degree) -> FormalSeries:
+    """The pipeline truncated at the degree: the product in the target of
+    each rational factor expanded to the degree and pushed forward along
+    its images.
+
+    Push-forward is a ring homomorphism, so this is the push-forward of
+    f1 (.) f2 (.) ... over the product monoid along the concatenated
+    images, without building that product.  Every factor has weight-1
+    generators and every image has grade >= 1, so each push-forward has a
+    bound >= D, and convolve keeps the minimum: the product's bound is
+    exactly the D of `one`.
+    """
+    out = one(target, degree)
+    for r, images in factors:
+        psi = MonoidMorphism(r.monoid, target, tuple(images))
+        out = convolve(out, pushforward(psi, r.expand(degree)))
+    return out
+
+
 def _flag012_factors():
     """(target, factors) of the excision pipeline for the divisors of
-    F(0,1;2): E_1(P1 x P1), its t0 and t1 sent to x and y, and the
-    excision factor (1 - xy)/((1 - x)(1 - y)).  In generating functions
-    the recurrence of `flag012_divisor_by_recurrence` says
-    a0 (1 - x)(1 - y) = b (1 - xy), with b = E_1(P1 x P1)."""
+    F(0,1;2): the factors of E_1(P1 x P1), their t0 and t1 coordinates
+    read as x and y, and the excision factor (1 - xy)/((1 - x)(1 - y)).
+    In generating functions the recurrence of
+    `flag012_divisor_by_recurrence` says a0 (1 - x)(1 - y) = b (1 - xy),
+    with b = E_1(P1 x P1)."""
     target = _basis(FLAG012, 2)
     excision = RationalSeries(target, (((0, 0), 1), ((1, 1), -1)),
                               (((1, 0), 1), ((0, 1), 1)))
-    seed = _push_product(*_split_factors(1, 0, 1))
-    return target, [(seed, [(1, 0), (0, 1)]), (excision, [(1, 0), (0, 1)])]
-
-
-def _expand_product(target, factors, degree) -> FormalSeries:
-    """The pipeline truncated at the degree: each factor expanded, then
-    pushed forward and multiplied by `_assemble`."""
-    return _assemble([(r.expand(degree), images) for r, images in factors],
-                     target, degree)
+    _, seed = _split_factors(1, 0, 1)
+    return target, seed + [(excision, [(1, 0), (0, 1)])]
 
 
 def split_bundle_series(n: int, d: int, p: int, degree: int) -> FormalSeries:
@@ -265,7 +258,7 @@ def split_bundle_series(n: int, d: int, p: int, degree: int) -> FormalSeries:
     E_{p-1}(Pn) (.) E_p(Pn) (.) E_p(Pn).  For p = 0 the first factor is
     absent.
     """
-    return _expand_product(*_split_factors(n, d, p), degree)
+    return _assemble(*_split_factors(n, d, p), degree)
 
 
 def grassmannian13_series(p: int, degree: int) -> FormalSeries:
@@ -276,7 +269,7 @@ def grassmannian13_series(p: int, degree: int) -> FormalSeries:
     the target; as push-forward is a ring homomorphism, this is the
     push-forward of E_{p-1}(F(0,1;2)) (.) E_p(G(1,2)) (.) E_p(G(0,2)).
     """
-    return _expand_product(*_g13_factors(p), degree)
+    return _assemble(*_g13_factors(p), degree)
 
 
 def flag012_divisor_by_recurrence(R: int, S: int) -> list[list[int]]:

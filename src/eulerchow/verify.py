@@ -3,6 +3,7 @@ randomized algebra-law suites, shared by the CLI and the test suite."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -138,9 +139,11 @@ def check_grassmann() -> list[CheckResult]:
         out.append(_verdict(
             f"G(1,3) pipeline p={p} to degree {GRASSMANN_DEGREE}",
             [] if diff is None else [describe_difference(diff)]))
-    # the loop ends on p = 3, so `pipeline` is E_3's
+    # the loop ends on p = 3, so `pipeline` is E_3's.  Its coefficient at
+    # k is h^0(O(k)) on the Pluecker quadric in P^5 (Borel-Weil): degree-k
+    # forms in 6 variables less the multiples of the quadric
     head = [pipeline.coefficient((k,)) for k in range(5)]
-    want = [1, 6, 20, 50, 105]
+    want = [math.comb(k + 5, 5) - math.comb(k + 3, 5) for k in range(5)]
     out.append(_verdict("G(1,3) E_3 leading coefficients",
                         [] if head == want else [f"{head} != {want}"],
                         str(head)))
@@ -162,8 +165,10 @@ def check_macdonald() -> list[CheckResult]:
     exponents = []
     for n in range(7):
         for p in range(n + 1):
+            # one factor 1/(1 - t) per coordinate p-plane of P^n
+            planes = len(list(itertools.combinations(range(n + 1), p + 1)))
             r = catalog.lawson_yau_pn(n, p)
-            if r.denominator != (((1,), math.comb(n + 1, p + 1)),):
+            if r.denominator != (((1,), planes),):
                 exponents.append((n, p, r.denominator))
     return [_verdict("Macdonald coefficients chi=1..12, d<=20", coefficients),
             _verdict("Lawson-Yau exponents n<=6", exponents)]

@@ -85,11 +85,13 @@ def test_grassmannian13_out_of_range():
         catalog.grassmannian13_closed(5)
 
 
-def _unfactored_assemble(pieces, target, degree):
-    """Reference form of the pipelines: one push-forward of the exterior
-    product of all factors along the concatenated generator images."""
-    product, images = pieces[0][0], list(pieces[0][1])
-    for f, more in pieces[1:]:
+def _unfactored_assemble(target, factors, degree):
+    """Reference form of the pipelines: each rational factor expanded to
+    the degree, then one push-forward of the exterior product of all of
+    them along the concatenated generator images."""
+    expanded = [(r.expand(degree), images) for r, images in factors]
+    product, images = expanded[0][0], list(expanded[0][1])
+    for f, more in expanded[1:]:
         product, _ = exterior(product, f)
         images += more
     out = pushforward(MonoidMorphism(product.monoid, target, tuple(images)),
@@ -104,7 +106,10 @@ PIPELINES = (
      for c in BUNDLE_CASES + [(2, 2, 0)]]
     + [pytest.param(lambda D, p=p: catalog.grassmannian13_series(p, D),
                     id=f"G13-p{p}")
-       for p in range(5)])
+       for p in range(5)]
+    + [pytest.param(lambda D: catalog._assemble(*catalog._flag012_factors(),
+                                                D),
+                    id="Flag012-p2")])
 
 
 @pytest.mark.parametrize("pipeline", PIPELINES)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import sys
@@ -6,6 +7,7 @@ import pytest
 
 from eulerchow import catalog, cli, verify
 from eulerchow.catalog import lawson_yau_pn
+from eulerchow.monoid import GradedMonoid
 from eulerchow.series import MAX_EXPANSION_TERMS, RationalSeries, dumps, loads
 
 
@@ -56,6 +58,32 @@ def test_series_rational_g13(capsys):
                        "--format", "rational")
     assert code == 0
     assert "(1 + z)/(1-z)^5" in out
+
+
+def test_series_text_spells_brackets_in_ascii_where_stdout_needs_it(
+        monkeypatch):
+    # a stdout that cannot encode the angle brackets gets < and >
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(["series", "Flag012", "--p", "1", "--format",
+                     "text"]) == 0
+    stdout.flush()
+    assert ("# generators: r = <0;0,2>^2, s = <1;0,1>^2\n"
+            in stdout.buffer.getvalue().decode("ascii"))
+
+
+T = GradedMonoid.free(["t"])
+
+
+@pytest.mark.parametrize("numerator, denominator, text", [
+    # a coefficient other than +-1 is written before its monomial
+    ((((0,), 3), ((2,), -2)), (), "3 - 2*t^2"),
+    ((((0,), 3), ((2,), -2)), (((1,), 2),), "(3 - 2*t^2)/(1-t)^2"),
+    ((((1,), 2),), (((2,), 1),), "2*t/(1-t^2)"),
+], ids=["no-denominator", "denominator", "one-term"])
+def test_format_rational(numerator, denominator, text):
+    assert cli._format_rational(
+        RationalSeries(T, numerator, denominator)) == text
 
 
 @pytest.mark.parametrize("variety, p, form", [

@@ -722,3 +722,39 @@ def test_dumps_is_byte_deterministic():
         return FormalSeries(XY, 3, {(2, 1): 4, (1, 0): -1, (0, 0): 1})
     assert dumps(build()) == dumps(build())
     assert dumps(build()).endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# Arguments outside a function's domain: one row per guard, each refused
+# with its own error class and message
+
+REFUSED = [
+    pytest.param(lambda: RationalSeries(T, ((T.zero(), 1),), (((1,), 0),)),
+                 ValueError, "multiplicity must be >= 1",
+                 id="RationalSeries-multiplicity-0"),
+    pytest.param(lambda: MonoidMorphism(T, XY, ()), MonoidMismatchError,
+                 "one generator image per source generator",
+                 id="MonoidMorphism-image-count"),
+    pytest.param(lambda: XY.enumerate_up_to(-1), ValueError,
+                 "bound must be >= 0", id="enumerate_up_to-negative"),
+    pytest.param(lambda: pullback(MonoidMorphism(T, XY, ((1, 0),)),
+                                  one(T, 2)),
+                 MonoidMismatchError, "not over the target",
+                 id="pullback-other-monoid"),
+    pytest.param(lambda: catalog.flag012_closed(4), ValueError,
+                 "out of range", id="flag012_closed-p4"),
+    pytest.param(lambda: catalog.split_bundle_closed(-1, 0, 0), ValueError,
+                 "n and d must be >= 0", id="split_bundle_closed-negative-n"),
+    pytest.param(lambda: catalog.euler_chow(
+                     catalog.parse_descriptor("Pn(2)"), 0, method="x"),
+                 ValueError, "unknown method", id="euler_chow-method"),
+    pytest.param(lambda: dumps(object()), TypeError, "^object$",
+                 id="dumps-other-type"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSED)
+def test_argument_outside_the_domain_is_refused(call, error, message):
+    with pytest.raises(error, match=message) as info:
+        call()
+    assert type(info.value) is error
