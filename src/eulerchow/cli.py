@@ -7,11 +7,16 @@ difference), 2 usage or format error (an unknown descriptor, a p out of
 range, a file that cannot be read or parsed, an --output file that
 cannot be written), 3 a degree above a series file's bound or an
 expansion over `series.MAX_EXPANSION_TERMS` terms.
+
+`main` can be called repeatedly in one process: it builds its parser
+once, on the first call, and leaves the interpreter's int <-> str digit
+limit as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import catalog, verify
@@ -157,7 +162,12 @@ def _degree(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser: built on the first call, and the same
+    object on every later one.  Reuse is safe: `parse_args` returns a
+    fresh namespace each time, no default is a mutable container, and
+    argparse looks up `sys.stdout` and `sys.stderr` only when it prints."""
     parser = argparse.ArgumentParser(
         prog="eulerchow",
         description="Euler-Chow series of catalog varieties")
@@ -194,17 +204,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
         # every printed number is exact, however many digits it has, so
-        # lift the interpreter's limit on int <-> str conversion
+        # lift the interpreter's limit on int <-> str conversion for this
+        # command, and restore the caller's limit after it
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:
+        # argparse's usage errors, and --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     except catalog.VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
@@ -214,6 +226,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -59,6 +59,11 @@ class IntPolynomial:
     def __bool__(self):
         return bool(self.coeffs)
 
+    def __str__(self):
+        """`poly(1, 2)` for 1 + 2x: constant term first, as in a series
+        file."""
+        return f"poly({', '.join(map(str, self.coeffs))})"
+
     def __add__(self, other):
         if not isinstance(other, IntPolynomial):
             return NotImplemented
@@ -623,8 +628,8 @@ def dumps(obj) -> str:
 
     Python limits int -> str conversion to 4300 digits by default, and
     `dumps` raises ValueError on a larger number.  `cli.main` lifts the
-    limit for its process; a library caller lifts it itself, with
-    `sys.set_int_max_str_digits(0)`."""
+    limit for each command and restores it afterwards; a library caller
+    lifts it itself, with `sys.set_int_max_str_digits(0)`."""
     if isinstance(obj, FormalSeries):
         return _series_dumps(obj)
     if isinstance(obj, RationalSeries):
@@ -648,7 +653,7 @@ def loads(text: str):
     the `FormalSeries` or `RationalSeries` constructor validates the
     elements.  A number of more than 4300 digits is a ValueError unless
     the caller has lifted Python's limit on str -> int conversion, as
-    `cli.main` does (`sys.set_int_max_str_digits(0)`).
+    `cli.main` does for each command (`sys.set_int_max_str_digits(0)`).
     """
     try:
         data = json.loads(text)

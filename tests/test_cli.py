@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -8,7 +9,8 @@ import pytest
 from eulerchow import catalog, cli, verify
 from eulerchow.catalog import lawson_yau_pn
 from eulerchow.monoid import GradedMonoid
-from eulerchow.series import MAX_EXPANSION_TERMS, RationalSeries, dumps, loads
+from eulerchow.series import (MAX_EXPANSION_TERMS, FormalSeries, IntPolynomial,
+                              RationalSeries, dumps, loads)
 
 
 def run(capsys, *argv):
@@ -29,21 +31,66 @@ def test_series_text_pn(capsys):
 
 def test_series_text_prints_every_digit(capsys):
     # the coefficient of t is C(16614, 8307), of 5000 digits: above
-    # Python's default limit of 4300 on int <-> str conversion
+    # Python's default limit of 4300 on int <-> str conversion.  `main`
+    # lifts the limit for the command only and gives the caller back 4300.
     limit = getattr(sys, "get_int_max_str_digits", None)
     old = limit() if limit else None
     try:
+        if limit:
+            sys.set_int_max_str_digits(0)
+        expected = str(math.comb(16614, 8307))
         if limit:
             sys.set_int_max_str_digits(4300)
         code, out, err = run(capsys, "series", "Pn(16613)", "--p", "8306",
                              "--degree", "1", "--format", "text")
         assert (code, err) == (0, "")
+        if limit:
+            assert limit() == 4300
         value = out.splitlines()[-1].removeprefix("t: ")
         assert len(value) == 5000
-        assert value == str(math.comb(16614, 8307))
+        assert value == expected
     finally:
         if limit:
             sys.set_int_max_str_digits(old)
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_serves_a_sequence_of_requests(capsys, tmp_path):
+    # one parser in one process: a usage error and --help leave nothing
+    # behind for the requests after them
+    code, out, err = run(capsys, "series", "Pn(2)", "--p", "x")
+    assert (code, out) == (2, "")
+    assert "argument --p: invalid integer: 'x'" in err
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: eulerchow")
+    f = tmp_path / "f.json"
+    code, out, _ = run(capsys, "series", "Pn(2)", "--format", "json",
+                       "--output", str(f))
+    assert (code, out) == (0, "")
+    code, out, _ = run(capsys, "series", "Pn(2)", "--format", "json")
+    assert code == 0
+    assert out.encode() == f.read_bytes()
+
+
+def _parsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_no_parser_default_is_a_mutable_container():
+    # the parser is shared by every call of main, so a default that a
+    # request could mutate would leak into the next request
+    parsers = list(_parsers(cli.build_parser()))
+    assert len(parsers) == 5
+    defaults = [a.default for p in parsers for a in p._actions]
+    defaults += [v for p in parsers for v in p._defaults.values()]
+    assert not [d for d in defaults if isinstance(d, (list, dict, set))]
 
 
 def test_series_text_flag_divisor(capsys):
@@ -215,6 +262,21 @@ def test_compare_and_expand(capsys, tmp_path):
     # the line `verify` prints for a pipeline that differs
     assert out == verify.describe_difference(((1,), 5, 6)) + "\n"
     assert out == "first difference at t^(1,): 5 vs 6\n"
+
+
+def test_compare_prints_polynomial_coefficients(capsys, tmp_path):
+    # a polynomial coefficient is printed as in a series file, constant
+    # term first, not as its dataclass repr
+    def poly_file(name, c):
+        path = tmp_path / name
+        path.write_text(dumps(FormalSeries(T, 2, {
+            (0,): IntPolynomial((1,)), (1,): IntPolynomial(c)})))
+        return str(path)
+
+    code, out, err = run(capsys, "compare", poly_file("a.json", (1, 2)),
+                         poly_file("b.json", (0, 0, -3)), "--degree", "2")
+    assert (code, err) == (1, "")
+    assert out == "first difference at t^(1,): poly(1, 2) vs poly(0, 0, -3)\n"
 
 
 def test_compare_monoid_mismatch(capsys, tmp_path):
