@@ -17,7 +17,8 @@ from typing import Callable, NamedTuple
 from . import schubert
 from .monoid import GradedMonoid, MonoidMorphism
 from .series import (FormalSeries, RationalSeries, convolve,
-                     first_rational_difference, one, pushforward)
+                     describe_difference, first_rational_difference, one,
+                     pushforward)
 
 FLAG012 = schubert.FlagType((0, 1), 2)
 G13 = schubert.grassmannian(1, 3)
@@ -383,8 +384,6 @@ def euler_chow(v: VarietyDescriptor, p: int,
         return EulerChowResult(v, p, closed, "none", dictionary)
     diff = first_rational_difference(closed, pipeline)
     if diff is not None:
-        m, a, b = diff
-        raise VerificationError(
-            f"{v} p={p}: closed form and pipeline differ at t^{m}: "
-            f"{a} vs {b}")
+        raise VerificationError(f"{v} p={p}: closed form and pipeline "
+                                f"differ: {describe_difference(diff)}")
     return EulerChowResult(v, p, closed, "identity", dictionary)

@@ -20,8 +20,9 @@ import functools
 import sys
 
 from . import catalog, verify
-from .series import (FormalSeries, RationalSeries, TruncationError, dumps,
-                     first_difference, int_from_json, loads)
+from .series import (FormalSeries, RationalSeries, TruncationError,
+                     describe_difference, dumps, first_difference,
+                     int_from_json, loads)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -132,7 +133,7 @@ def cmd_compare(args) -> int:
     if diff is None:
         print(f"equal to degree {args.degree}")
         return EXIT_OK
-    print(verify.describe_difference(diff))
+    print(describe_difference(diff))
     return EXIT_VERIFY
 
 

@@ -108,17 +108,16 @@ def fixed_point_count(ft: FlagType) -> int:
 def trace_phi(sym: SchubertSymbol) -> SchubertSymbol:
     """Trace-map image in G(d, n) of a symbol of F(d-1, d; n-1).
 
-    The first sequence must omit exactly one entry of the second; that
-    entry and all later ones are shifted up by one.
+    The first sequence, nested in the second and one shorter, omits
+    exactly one entry of it; that entry and all later ones are shifted up
+    by one.
     """
     ft = sym.flag_type
     if len(ft.dims) != 2 or ft.dims[1] != ft.dims[0] + 1:
         raise ValueError(f"expected a symbol of F(d-1, d; n-1), got {ft}")
     short, full = sym.sequences
-    omitted = sorted(set(full) - set(short))
-    if len(omitted) != 1:
-        raise ValueError(f"{sym.label()} does not omit exactly one entry")
-    j = full.index(omitted[0])
+    (omitted,) = set(full) - set(short)
+    j = full.index(omitted)
     image = full[:j] + tuple(a + 1 for a in full[j:])
     return SchubertSymbol(grassmannian(ft.dims[1], ft.ambient + 1), (image,))
 

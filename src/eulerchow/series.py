@@ -334,7 +334,8 @@ def first_difference(f: FormalSeries, g: FormalSeries, degree: int):
     """First graded-lex element of grade <= degree where the coefficients
     differ, as (element, f's value, g's value); or None.
 
-    Only the keys whose values differ are collected, by lookups in both
+    Equal tables give None after one dict comparison.  Otherwise only
+    the keys whose values differ are collected, by lookups in both
     tables, and graded in one pass; the smallest (grade, key) pair of
     grade <= degree is the answer.
     Series over different monoids raise MonoidMismatchError: equal
@@ -348,6 +349,8 @@ def first_difference(f: FormalSeries, g: FormalSeries, degree: int):
             f"degree {degree} exceeds a series bound "
             f"({f.bound}, {g.bound})")
     fc, gc = f.coefficients, g.coefficients
+    if fc == gc:
+        return None
     # stored coefficients are nonzero, so a key missing from one table
     # always differs
     keys = [m for m, a in fc.items() if gc.get(m, 0) != a]
@@ -358,6 +361,12 @@ def first_difference(f: FormalSeries, g: FormalSeries, degree: int):
         return None
     _, m = min(keyed)
     return m, fc.get(m, 0), gc.get(m, 0)
+
+
+def describe_difference(diff) -> str:
+    """The line for a first difference (element, a's value, b's value)."""
+    m, a, b = diff
+    return f"first difference at t^{m}: {a} vs {b}"
 
 
 def evaluate_polynomial_coefficients(f: FormalSeries, x: int) -> FormalSeries:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from . import catalog, oracle, schubert
 from .monoid import GradedMonoid, MonoidMorphism, compose
 from .series import (FormalSeries, IntPolynomial, convolve,
-                     evaluate_polynomial_coefficients, exterior,
-                     first_difference, one, pullback, pushforward)
+                     describe_difference, evaluate_polynomial_coefficients,
+                     exterior, first_difference, one, pullback, pushforward)
 
 SEED = 20240811
 ALGEBRA_CASES = 100
@@ -39,10 +39,16 @@ def _verdict(name, failures, detail="") -> CheckResult:
     return CheckResult(name, True, detail)
 
 
-def describe_difference(diff) -> str:
-    """The line for a first difference (element, a's value, b's value)."""
-    m, a, b = diff
-    return f"first difference at t^{m}: {a} vs {b}"
+def law_failure(equations):
+    """The failure of the first equation (name, lhs, rhs) whose two series
+    differ at a grade up to the smaller of their bounds, as "name: first
+    difference at t^m: a vs b"; or None.  `equations` is read only up to
+    that equation, so a lazy one computes nothing past it."""
+    for name, lhs, rhs in equations:
+        diff = first_difference(lhs, rhs, min(lhs.bound, rhs.bound))
+        if diff is not None:
+            return f"{name}: {describe_difference(diff)}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +126,10 @@ def check_bundle() -> list[CheckResult]:
     for n, d, p in BUNDLE_CASES:
         closed = catalog.split_bundle_closed(n, d, p).expand(BUNDLE_DEGREE)
         pipeline = catalog.split_bundle_series(n, d, p, BUNDLE_DEGREE)
-        diff = first_difference(closed, pipeline, BUNDLE_DEGREE)
         out.append(_verdict(
             f"split bundle (n={n},d={d},p={p}) to degree {BUNDLE_DEGREE}",
-            [] if diff is None else [describe_difference(diff)]))
+            filter(None, [law_failure(
+                [("closed form vs pipeline", closed, pipeline)])])))
     return out
 
 
@@ -135,10 +141,10 @@ def check_grassmann() -> list[CheckResult]:
     for p in range(4):
         closed = catalog.grassmannian13_closed(p).expand(GRASSMANN_DEGREE)
         pipeline = catalog.grassmannian13_series(p, GRASSMANN_DEGREE)
-        diff = first_difference(closed, pipeline, GRASSMANN_DEGREE)
         out.append(_verdict(
             f"G(1,3) pipeline p={p} to degree {GRASSMANN_DEGREE}",
-            [] if diff is None else [describe_difference(diff)]))
+            filter(None, [law_failure(
+                [("closed form vs pipeline", closed, pipeline)])])))
     # the loop ends on p = 3, so `pipeline` is E_3's.  Its coefficient at
     # k is h^0(O(k)) on the Pluecker quadric in P^5 (Borel-Weil): degree-k
     # forms in 6 variables less the multiples of the quadric
@@ -153,15 +159,15 @@ def check_grassmann() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # Criterion 4: Macdonald / Lawson-Yau identities
 
-def check_macdonald() -> list[CheckResult]:
-    coefficients = []
+def _macdonald_coefficients():
+    """1/(1 - t)^chi against its coefficients C(d + chi - 1, chi - 1)."""
     for chi in range(1, 13):
         exp = catalog.macdonald(chi).expand(20)
-        for d in range(21):
-            want = math.comb(d + chi - 1, chi - 1)
-            got = exp.coefficient((d,))
-            if got != want:
-                coefficients.append((chi, d, got, want))
+        want = {(d,): math.comb(d + chi - 1, chi - 1) for d in range(21)}
+        yield f"chi={chi}", exp, FormalSeries(exp.monoid, 20, want)
+
+
+def check_macdonald() -> list[CheckResult]:
     exponents = []
     for n in range(7):
         for p in range(n + 1):
@@ -170,14 +176,17 @@ def check_macdonald() -> list[CheckResult]:
             r = catalog.lawson_yau_pn(n, p)
             if r.denominator != (((1,), planes),):
                 exponents.append((n, p, r.denominator))
-    return [_verdict("Macdonald coefficients chi=1..12, d<=20", coefficients),
+    return [_verdict("Macdonald coefficients chi=1..12, d<=20",
+                     filter(None, [law_failure(_macdonald_coefficients())])),
             _verdict("Lawson-Yau exponents n<=6", exponents)]
 
 
 # ---------------------------------------------------------------------------
-# Criteria 5 and 6: randomized algebra laws.  A law maps one case to a
-# failure detail or None; `check_*` draw the cases from a seeded generator,
-# the property tests draw them with Hypothesis.
+# Criteria 5 and 6: randomized algebra laws.  A law yields the equations
+# (name, lhs, rhs) that one case must satisfy, and `law_failure` decides
+# them all: two series agree when they have no first difference up to the
+# smaller of their bounds.  `check_*` draw the cases from a seeded
+# generator, the property tests draw them with Hypothesis.
 
 def _random_morphism(rng: random.Random) -> MonoidMorphism:
     return random_morphism(rng, random_monoid(rng), random_monoid(rng))
@@ -191,15 +200,12 @@ def series_triple_case(rng):
 
 def ring_laws(case):
     f, g, h = case
-    if convolve(f, g) != convolve(g, f):
-        return "commutativity"
-    if convolve(convolve(f, g), h) != convolve(f, convolve(g, h)):
-        return "associativity"
-    if convolve(one(f.monoid, f.bound), f) != f:
-        return "unit"
-    if convolve(f, g + h) != convolve(f, g) + convolve(f, h):
-        return "distributivity"
-    return None
+    yield "commutativity", convolve(f, g), convolve(g, f)
+    yield ("associativity", convolve(convolve(f, g), h),
+           convolve(f, convolve(g, h)))
+    yield "unit", convolve(one(f.monoid, f.bound), f), f
+    yield ("distributivity", convolve(f, g + h),
+           convolve(f, g) + convolve(f, h))
 
 
 def pushforward_case(rng):
@@ -211,10 +217,8 @@ def pushforward_case(rng):
 
 def pushforward_is_homomorphism(case):
     phi, f, g = case
-    lhs = pushforward(phi, convolve(f, g))
-    rhs = convolve(pushforward(phi, f), pushforward(phi, g))
-    diff = first_difference(lhs, rhs, min(lhs.bound, rhs.bound))
-    return None if diff is None else describe_difference(diff)
+    yield ("push-forward of a product", pushforward(phi, convolve(f, g)),
+           convolve(pushforward(phi, f), pushforward(phi, g)))
 
 
 def pullback_case(rng):
@@ -226,11 +230,8 @@ def pullback_case(rng):
 
 def pullback_is_linear(case):
     phi, f, g, s = case
-    lhs = pullback(phi, f + g.scale(s))
-    rhs = pullback(phi, f) + pullback(phi, g).scale(s)
-    if first_difference(lhs, rhs, min(lhs.bound, rhs.bound)) is not None:
-        return "linearity"
-    return None
+    yield ("linearity", pullback(phi, f + g.scale(s)),
+           pullback(phi, f) + pullback(phi, g).scale(s))
 
 
 def chain_case(rng):
@@ -244,17 +245,10 @@ def chain_case(rng):
 def functoriality(case):
     phi, psi, f, g = case
     chain = compose(psi, phi)
-    if not chain.has_finite_fibers():
-        return "composition lost finite fibers"
-    lhs = pushforward(chain, f)
-    rhs = pushforward(psi, pushforward(phi, f))
-    if first_difference(lhs, rhs, min(lhs.bound, rhs.bound)) is not None:
-        return "push-forward functoriality"
-    lhs = pullback(chain, g)
-    rhs = pullback(phi, pullback(psi, g))
-    if first_difference(lhs, rhs, min(lhs.bound, rhs.bound)) is not None:
-        return "pull-back functoriality"
-    return None
+    yield ("push-forward functoriality", pushforward(chain, f),
+           pushforward(psi, pushforward(phi, f)))
+    yield ("pull-back functoriality", pullback(chain, g),
+           pullback(phi, pullback(psi, g)))
 
 
 def exterior_case(rng):
@@ -264,12 +258,12 @@ def exterior_case(rng):
 
 
 def exterior_associativity(case):
+    # the two sides label the product monoid differently, by its factors
     f, g, h = case
-    lhs, _ = exterior(exterior(f, g)[0], h)
+    lhs, monoid = exterior(exterior(f, g)[0], h)
     rhs, _ = exterior(f, exterior(g, h)[0])
-    if lhs.coefficients != rhs.coefficients or lhs.bound != rhs.bound:
-        return "exterior associativity"
-    return None
+    yield ("exterior associativity", lhs,
+           FormalSeries(monoid, rhs.bound, rhs.coefficients))
 
 
 def oracle_case(rng):
@@ -283,22 +277,19 @@ def oracle_case(rng):
 def convolve_matches_oracle(case):
     f, g = case
     fast = convolve(f, g)
-    if fast.coefficients != oracle.naive_convolve(f, g, fast.bound):
-        return "convolution oracle mismatch"
-    return None
+    yield ("convolution oracle", fast,
+           FormalSeries(f.monoid, fast.bound,
+                        oracle.naive_convolve(f, g, fast.bound)))
 
 
 def engine_matches_oracle(case):
     f, g, phi = case
-    detail = convolve_matches_oracle((f, g))
-    if detail:
-        return detail
+    yield from convolve_matches_oracle((f, g))
     pushed = pushforward(phi, f)
     check_bound = min(pushed.bound, 8)
-    slow = oracle.naive_pushforward(phi, f, check_bound)
-    if pushed.restrict(check_bound).coefficients != slow:
-        return "push-forward oracle mismatch"
-    return None
+    yield ("push-forward oracle", pushed,
+           FormalSeries(phi.target, check_bound,
+                        oracle.naive_pushforward(phi, f, check_bound)))
 
 
 def hilbert_case(rng):
@@ -311,21 +302,25 @@ def hilbert_case(rng):
 
 def euler_is_hilbert_at_minus_one(case):
     phi, a, b = case
-    lhs = evaluate_polynomial_coefficients(pushforward(phi, a), -1)
-    rhs = pushforward(phi, evaluate_polynomial_coefficients(a, -1))
-    if lhs != rhs:
-        return "evaluation at -1 vs push-forward"
-    lhs = evaluate_polynomial_coefficients(pullback(phi, b), -1)
-    rhs = pullback(phi, evaluate_polynomial_coefficients(b, -1))
-    if lhs != rhs:
-        return "evaluation at -1 vs pull-back"
-    return None
+    yield ("evaluation at -1 vs push-forward",
+           evaluate_polynomial_coefficients(pushforward(phi, a), -1),
+           pushforward(phi, evaluate_polynomial_coefficients(a, -1)))
+    yield ("evaluation at -1 vs pull-back",
+           evaluate_polynomial_coefficients(pullback(phi, b), -1),
+           pullback(phi, evaluate_polynomial_coefficients(b, -1)))
 
 
 def graded_slice_case(rng):
     phi = _random_morphism(rng)
     return phi, random_series(rng, phi.source,
                               random_bound(rng, phi.source), poly=True)
+
+
+def _u_slice(f, k):
+    """The integer series of the u^k coefficients of a polynomial series."""
+    return FormalSeries(f.monoid, f.bound,
+                        {m: c.coeffs[k] for m, c in f.coefficients.items()
+                         if k < len(c.coeffs)})
 
 
 def pushforward_respects_slices(case):
@@ -336,17 +331,8 @@ def pushforward_respects_slices(case):
     max_deg = max((len(c.coeffs) for c in a.coefficients.values()),
                   default=0)
     for k in range(max_deg):
-        slice_k = FormalSeries(a.monoid, a.bound,
-                               {m: c.coeffs[k]
-                                for m, c in a.coefficients.items()
-                                if k < len(c.coeffs)})
-        pushed_slice = pushforward(phi, slice_k)
-        got = {m: c.coeffs[k] if k < len(c.coeffs) else 0
-               for m, c in pushed.coefficients.items()}
-        got = {m: v for m, v in got.items() if v}
-        if got != pushed_slice.coefficients:
-            return f"u-degree {k} slice mismatch"
-    return None
+        yield (f"u-degree {k} slice", _u_slice(pushed, k),
+               pushforward(phi, _u_slice(a, k)))
 
 
 ALGEBRA_LAWS = (
@@ -369,7 +355,8 @@ HILBERT_LAWS = (
 
 
 def _law_loop(rng, name, make_case, law):
-    details = (law(make_case(rng)) for _ in range(ALGEBRA_CASES))
+    details = (law_failure(law(make_case(rng)))
+               for _ in range(ALGEBRA_CASES))
     return _verdict(name, (f"case {i}: {detail}"
                            for i, detail in enumerate(details) if detail),
                     f"{ALGEBRA_CASES} random cases")

@@ -179,7 +179,8 @@ def test_series_cross_check_failure_exits_1(capsys, monkeypatch, variety,
     code, out, err = run(capsys, "series", variety, "--p", str(p),
                          "--degree", degree, "--format", "json")
     assert (code, out) == (1, "")
-    assert f"closed form and pipeline differ at t^{m}: " in err
+    assert (f"closed form and pipeline differ: first difference at t^{m}: "
+            in err)
     assert len(err.splitlines()) == 1
 
 

@@ -750,6 +750,20 @@ REFUSED = [
                  ValueError, "unknown method", id="euler_chow-method"),
     pytest.param(lambda: dumps(object()), TypeError, "^object$",
                  id="dumps-other-type"),
+    pytest.param(lambda: catalog.split_bundle_closed(1, 0, 2), ValueError,
+                 "out of range", id="split_bundle_closed-p-above-n"),
+    pytest.param(lambda: catalog.flag012_divisor_by_recurrence(-1, 0),
+                 ValueError, "R and S must be >= 0",
+                 id="flag012_divisor_by_recurrence-negative-R"),
+    pytest.param(lambda: schubert.SchubertSymbol(catalog.FLAG012, ((0,),)),
+                 ValueError, "one sequence per flag dimension",
+                 id="SchubertSymbol-sequence-count"),
+    pytest.param(lambda: IntPolynomial((1,)) * 2, TypeError,
+                 "unsupported operand", id="IntPolynomial-times-int"),
+    pytest.param(lambda: FormalSeries(T, 2, {(1,): 1}).scale(
+                     IntPolynomial((1,))),
+                 TypeError, "scalar kind must match",
+                 id="scale-other-kind"),
 ]
 
 

@@ -1,9 +1,14 @@
 """The FAIL path of the acceptance checks: a broken law or table is
-reported on one line, naming its first failure."""
+reported on one line, naming its first failure, and a failing equation
+names its element and both values."""
 
 import random
 
-from eulerchow import oracle, verify
+from eulerchow import catalog, oracle, schubert, series, verify
+from eulerchow.monoid import GradedMonoid
+from eulerchow.series import FormalSeries
+
+T = GradedMonoid.free(["t"])
 
 
 def test_check_flag_names_the_one_wrong_entry(monkeypatch):
@@ -20,11 +25,65 @@ def test_law_loop_stops_at_the_first_failing_case():
 
     def law(case):
         drawn.append(case)
-        return "broken" if len(drawn) > 2 else None
+        yield ("broken", FormalSeries(T, 2, {(1,): int(len(drawn) > 2)}),
+               FormalSeries(T, 2))
 
     result = verify._law_loop(random.Random(0), "a law",
                               lambda rng: rng.random(), law)
-    assert result.line() == "FAIL  a law: case 2: broken"
+    assert result.line() == ("FAIL  a law: case 2: broken: "
+                             "first difference at t^(1,): 1 vs 0")
     assert len(drawn) == 3
 
 
+def test_law_failure_stops_at_the_first_equation_that_disagrees():
+    read = []
+
+    def equations():
+        for k in range(5):
+            read.append(k)
+            yield (f"equation {k}", FormalSeries(T, 3, {(k,): 1}),
+                   FormalSeries(T, 3 + k, {(k,): 1 + (k == 1)}))
+
+    assert verify.law_failure(equations()) == (
+        "equation 1: first difference at t^(1,): 1 vs 2")
+    assert read == [0, 1]
+    assert verify.law_failure(iter(())) is None
+
+
+def test_law_failure_compares_up_to_the_smaller_bound():
+    # a term above one side's bound is not known there, so it agrees
+    low = FormalSeries(T, 2, {(1,): 1})
+    high = FormalSeries(T, 4, {(1,): 1, (3,): 5})
+    assert verify.law_failure([("e", low, high), ("f", high, low)]) is None
+
+
+def test_broken_convolution_names_its_equation_and_element(monkeypatch):
+    convolve = series.convolve
+    monkeypatch.setattr(verify, "convolve",
+                        lambda f, g: convolve(f, g).scale(2))
+    lines = {r.name: r.line() for r in verify.check_algebra()}
+    ring = lines["convolution ring laws"]
+    assert ring.startswith("FAIL  convolution ring laws: case ")
+    assert ": unit: first difference at t^" in ring
+    engine = lines["engine matches naive oracle bit-exactly"]
+    assert engine.startswith("FAIL  engine matches naive oracle "
+                             "bit-exactly: case ")
+    assert ": convolution oracle: first difference at t^" in engine
+
+
+def test_broken_macdonald_fails_one_line(monkeypatch):
+    macdonald = catalog.macdonald
+    # chi = 11 is no C(n + 1, p + 1) with n <= 6, so Lawson-Yau still holds
+    monkeypatch.setattr(catalog, "macdonald",
+                        lambda chi: macdonald(chi + (chi == 11)))
+    lines = [r.line() for r in verify.check_macdonald()]
+    assert lines == ["FAIL  Macdonald coefficients chi=1..12, d<=20: "
+                     "chi=11: first difference at t^(1,): 12 vs 11",
+                     "PASS  Lawson-Yau exponents n<=6"]
+
+
+def test_broken_trace_map_fails_one_line(monkeypatch):
+    monkeypatch.setattr(schubert, "trace_phi", lambda sym: sym)
+    failed = [r.line() for r in verify.check_schubert() if not r.passed]
+    assert failed == ["FAIL  trace map raises dimension by 1: "
+                      "('⟨0;0,1⟩^2', '⟨0;0,1⟩^2')"]
