@@ -12,7 +12,9 @@ constructed: each key is a tuple and a valid element of its monoid (one
 has a grade above it; every coefficient is an `int` (not a `bool`) or an
 `IntPolynomial`, and the stored ones are nonzero and of one kind.  The
 keys are checked in a few builtin passes over the whole table; only a
-table that fails is walked key by key, to name the first bad key.
+table that fails is walked key by key, to name the first bad key.  The
+series keeps its own copy of the table: one with no zero value is copied
+whole, and only one with a zero is filtered entry by entry.
 Operations trust the invariant of their operands and build their results
 through the same constructor.
 
@@ -144,7 +146,9 @@ class FormalSeries:
                             "nor an IntPolynomial")
         if not self._keys_are_valid():
             self._reject_first_bad_key()
-        clean = {m: c for m, c in self.coefficients.items() if c}
+        table = self.coefficients
+        clean = (dict(table) if all(table.values())
+                 else {m: c for m, c in table.items() if c})
         # a zero of one kind beside nonzero values of the other is dropped,
         # so only a table of both kinds needs its stored values checked
         if len(kinds) > 1 and len(set(map(type, clean.values()))) > 1:
@@ -476,11 +480,19 @@ class RationalSeries:
 
     def expand(self, degree: int) -> FormalSeries:
         """Truncated expansion, exact to the degree: the numerator up to
-        the degree, divided by each factor in turn with `_divide`."""
+        the degree, divided by each factor in turn with `_divide`, the
+        highest-grade factor first.
+
+        The factors commute, so any order gives the same series.  A factor
+        (1 - t^m)^e of grade g stretches each ray of the table by about
+        degree / g terms, so the table it leaves grows least when g is
+        large, and the grade-1 factors, divided by last, walk the
+        smallest tables.  The denominator is stored in graded-lex order,
+        so falling grade is that order reversed."""
         grades = self.monoid.grades([m for m, _ in self.numerator])
         out = {m: c for (m, c), g in zip(self.numerator, grades)
                if g <= degree}
-        for m, e in self.denominator:
+        for m, e in reversed(self.denominator):
             out = _divide(self.monoid, out, m, e, degree)
         return FormalSeries(self.monoid, degree, out)
 

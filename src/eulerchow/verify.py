@@ -174,8 +174,12 @@ def check_macdonald() -> list[CheckResult]:
             # one factor 1/(1 - t) per coordinate p-plane of P^n
             planes = len(list(itertools.combinations(range(n + 1), p + 1)))
             r = catalog.lawson_yau_pn(n, p)
-            if r.denominator != (((1,), planes),):
-                exponents.append((n, p, r.denominator))
+            want = (((1,), planes),)
+            if r.denominator != want:
+                exponents.append(
+                    f"n={n}, p={p}: denominator {r.denominator}, expected "
+                    f"{want}, one factor 1/(1 - t) for each of the "
+                    f"{planes} coordinate {p}-planes")
     return [_verdict("Macdonald coefficients chi=1..12, d<=20",
                      filter(None, [law_failure(_macdonald_coefficients())])),
             _verdict("Lawson-Yau exponents n<=6", exponents)]
@@ -388,6 +392,7 @@ NAMED_G13_DIMENSIONS = [
 
 def check_schubert() -> list[CheckResult]:
     sizes = [schubert.basis(catalog.G13, p).rank for p in range(5)]
+    want_sizes = [1, 1, 2, 1, 1]
 
     dimensions = []
     named = ([(schubert.SchubertSymbol(catalog.FLAG012, seqs[0]), want)
@@ -396,7 +401,8 @@ def check_schubert() -> list[CheckResult]:
                 for seq, want in NAMED_G13_DIMENSIONS])
     for sym, want in named:
         if sym.dimension() != want:
-            dimensions.append((sym.label(), sym.dimension(), want))
+            dimensions.append(f"{sym.label()} has dimension "
+                              f"{sym.dimension()}, expected {want}")
 
     traces = []
     symbols = [sym for ft in (catalog.FLAG012, schubert.FlagType((0, 1), 3),
@@ -404,11 +410,15 @@ def check_schubert() -> list[CheckResult]:
                for sym in schubert.all_symbols(ft)]
     for sym in symbols:
         image = schubert.trace_phi(sym)
-        if image.dimension() != sym.dimension() + 1:
-            traces.append((sym.label(), image.label()))
+        d = sym.dimension()
+        if image.dimension() != d + 1:
+            traces.append(f"{sym.label()} of dimension {d} maps to "
+                          f"{image.label()} of dimension "
+                          f"{image.dimension()}, expected dimension {d + 1}")
 
     return [_verdict("basis sizes of G(1,3)",
-                     [] if sizes == [1, 1, 2, 1, 1] else [sizes], str(sizes)),
+                     [] if sizes == want_sizes
+                     else [f"{sizes}, expected {want_sizes}"], str(sizes)),
             _verdict("named Schubert dimensions", dimensions),
             _verdict("trace map raises dimension by 1", traces,
                      f"{len(symbols)} symbols")]

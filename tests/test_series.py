@@ -57,6 +57,22 @@ def test_zero_coefficients_dropped():
     assert f.coefficient((1,)) == 0
 
 
+def test_construction_copies_the_callers_table():
+    # a table with no zero is copied whole, one with a zero is filtered;
+    # either way the series keeps its own dict
+    for table in ({(1,): 2, (2,): 3}, {(0,): 0, (1,): 2, (2,): 3},
+                  {(1,): 2, (2,): 3, (3,): 0}):
+        f = FormalSeries(T, 3, table)
+        assert f.coefficients == {(1,): 2, (2,): 3}
+        table[(1,)] = 7
+        table[(3,)] = 1
+        del table[(2,)]
+        assert f.coefficients == {(1,): 2, (2,): 3}
+    f = FormalSeries(T, 2, {(0,): IntPolynomial((1,)),
+                            (1,): IntPolynomial(())})
+    assert f.coefficients == {(0,): IntPolynomial((1,))}
+
+
 def test_coefficient_beyond_bound_raises():
     f = one(T, 3)
     with pytest.raises(TruncationError):
@@ -483,6 +499,36 @@ def test_the_term_cap_is_exact(monkeypatch):
     assert r.expand(9).coefficients == {(j,): 1 for j in range(10)}
     with pytest.raises(TruncationError, match="needs more than 10 terms"):
         r.expand(10)
+    # 1/((1-x)^4 (1-y)^4 (1-xy)^3): the last factor, (1-x)^4, regroups
+    # every element of grade <= D, (D + 1)(D + 2) / 2 of them, into rays;
+    # a cap of 5000 admits their 4950 at D = 98 and refuses 5050 at D = 99
+    monkeypatch.setattr(series, "MAX_EXPANSION_TERMS", 5000)
+    r = catalog.grassmannian13_closed(2)
+    assert len(r.expand(98).coefficients) == 99 * 100 // 2
+    with pytest.raises(TruncationError, match="needs more than 5000 terms"):
+        r.expand(99)
+
+
+@pytest.mark.parametrize("r, sizes", [
+    # (1-xy)^3 first: its rays hold 81 terms to degree 160, and (1-y)^4
+    # then fills the 6561 elements with x <= y; graded-lex order
+    # would hand `_divide` tables of 1, 161 and 13041 terms
+    (catalog.grassmannian13_closed(2), [1, 81, 6561]),
+    # ProjClosure(n=3,d=2) p=2: (1-x^2 y)^4, (1-x)^6, then (1-y)^4
+    (catalog.split_bundle_closed(3, 2, 2), [1, 54, 4401]),
+])
+def test_expand_divides_by_the_highest_grade_factor_first(monkeypatch, r,
+                                                          sizes):
+    handed = []
+    divide = series._divide
+
+    def counting(monoid, table, m, e, degree):
+        handed.append(len(table))
+        return divide(monoid, table, m, e, degree)
+
+    monkeypatch.setattr(series, "_divide", counting)
+    assert len(r.expand(160).coefficients) == 161 * 162 // 2
+    assert handed == sizes
 
 
 def test_rational_numerator_and_multiply():

@@ -85,5 +85,41 @@ def test_broken_macdonald_fails_one_line(monkeypatch):
 def test_broken_trace_map_fails_one_line(monkeypatch):
     monkeypatch.setattr(schubert, "trace_phi", lambda sym: sym)
     failed = [r.line() for r in verify.check_schubert() if not r.passed]
-    assert failed == ["FAIL  trace map raises dimension by 1: "
-                      "('⟨0;0,1⟩^2', '⟨0;0,1⟩^2')"]
+    assert failed == ["FAIL  trace map raises dimension by 1: ⟨0;0,1⟩^2 "
+                      "of dimension 0 maps to ⟨0;0,1⟩^2 of dimension 0, "
+                      "expected dimension 1"]
+
+
+def test_wrong_basis_size_names_found_and_expected(monkeypatch):
+    basis = schubert.basis
+    monkeypatch.setattr(schubert, "basis",
+                        lambda ft, p: basis(ft, 0 if p == 2 else p))
+    failed = [r.line() for r in verify.check_schubert() if not r.passed]
+    assert failed == ["FAIL  basis sizes of G(1,3): [1, 1, 1, 1, 1], "
+                      "expected [1, 1, 2, 1, 1]"]
+
+
+def test_wrong_dimension_names_the_symbol_and_both_values(monkeypatch):
+    dimension = schubert.SchubertSymbol.dimension
+    monkeypatch.setattr(
+        schubert.SchubertSymbol, "dimension",
+        lambda sym: dimension(sym) + (sym.label() == "⟨1,3⟩^3"))
+    lines = {r.name: r.line() for r in verify.check_schubert()}
+    assert lines["named Schubert dimensions"] == (
+        "FAIL  named Schubert dimensions: ⟨1,3⟩^3 has dimension 4, "
+        "expected 3")
+
+
+def test_wrong_lawson_yau_denominator_names_n_p_and_planes(monkeypatch):
+    lawson_yau_pn = catalog.lawson_yau_pn
+    # one factor 1/(1 - t) too many at n = 3, p = 1
+    monkeypatch.setattr(
+        catalog, "lawson_yau_pn",
+        lambda n, p: lawson_yau_pn(n, p).multiply(catalog.macdonald(1))
+        if (n, p) == (3, 1) else lawson_yau_pn(n, p))
+    lines = [r.line() for r in verify.check_macdonald()]
+    assert lines == ["PASS  Macdonald coefficients chi=1..12, d<=20",
+                     "FAIL  Lawson-Yau exponents n<=6: n=3, p=1: "
+                     "denominator (((1,), 7),), expected (((1,), 6),), "
+                     "one factor 1/(1 - t) for each of the 6 coordinate "
+                     "1-planes"]
