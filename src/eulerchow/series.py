@@ -6,17 +6,22 @@ errors rather than returning silently invalid coefficients.  Coefficients
 are arbitrary-precision integers or integer polynomials in one formal
 variable (used for Hilbert-style series).
 
-Every FormalSeries satisfies one invariant, checked once, when it is
-constructed: each key is a tuple and a valid element of its monoid (one
-`int`, not a `bool`, >= 0 per generator); the bound is >= 0 and no key
-has a grade above it; every coefficient is an `int` (not a `bool`) or an
-`IntPolynomial`, and the stored ones are nonzero and of one kind.  The
-keys are checked in a few builtin passes over the whole table; only a
-table that fails is walked key by key, to name the first bad key.  The
-series keeps its own copy of the table: one with no zero value is copied
-whole, and only one with a zero is filtered entry by entry.
-Operations trust the invariant of their operands and build their results
-through the same constructor.
+Every FormalSeries satisfies one invariant: each key is a tuple and a
+valid element of its monoid (one `int`, not a `bool`, >= 0 per
+generator); the bound is an int >= 0 and no key has a grade above it;
+every coefficient is an `int` (not a `bool`) or an `IntPolynomial`, and
+the stored ones are nonzero and of one kind.  Keys are checked at the
+boundary, where they come from outside the engine: the public
+constructor, and so `loads`, scans the whole key table in a few builtin
+passes, and walks a table that fails key by key, to name the first bad
+key.  It keeps its own copy of the caller's table.
+The operations of this module trust the invariant of their operands, so
+the keys of their results are valid by construction: each adds, maps,
+filters or walks valid keys and keeps only grades within the bound it
+computes.  They build their results with `FormalSeries._trusted`, which
+skips the key scan and keeps the table it is handed; it still checks the
+bound and the coefficient kinds and drops zeros, with the same code as
+the public constructor.
 
 `dumps` and `loads` own the series-file format: they are its one writer
 and its one reader, and no other code knows how a series or a rational
@@ -123,6 +128,37 @@ def _check_kinds(f: "FormalSeries", g: "FormalSeries"):
         raise TypeError("cannot mix integer and polynomial coefficients")
 
 
+def _check_bound(bound):
+    """A grade bound, or a degree that becomes one, is an int >= 0."""
+    if type(bound) is not int:
+        raise TypeError(f"bound {bound!r} is not an int")
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
+
+
+def _kinds(table: dict) -> set:
+    """The types of a coefficient table's values, each an int or an
+    IntPolynomial."""
+    kinds = set(map(type, table.values()))
+    if not kinds <= _KINDS:
+        bad = next(c for c in table.values() if type(c) not in _KINDS)
+        raise TypeError(f"coefficient {bad!r} is neither an int "
+                        "nor an IntPolynomial")
+    return kinds
+
+
+def _nonzero(table: dict, kinds: set) -> dict:
+    """The table without its zero values: the table itself when it has
+    none, else a filtered copy.  The values left are of one kind."""
+    clean = table if all(table.values()) else {
+        m: c for m, c in table.items() if c}
+    # a zero of one kind beside nonzero values of the other is dropped,
+    # so only a table of both kinds needs its stored values checked
+    if len(kinds) > 1 and len(set(map(type, clean.values()))) > 1:
+        raise TypeError("cannot mix integer and polynomial coefficients")
+    return clean
+
+
 @dataclass(frozen=True)
 class FormalSeries:
     """Element of the convolution ring, truncated at a grade bound."""
@@ -134,26 +170,30 @@ class FormalSeries:
     __hash__ = None  # the coefficient table is a dict
 
     def __post_init__(self):
-        if type(self.bound) is not int:
-            raise TypeError(f"bound {self.bound!r} is not an int")
-        if self.bound < 0:
-            raise ValueError(f"bound must be >= 0, got {self.bound}")
-        kinds = set(map(type, self.coefficients.values()))
-        if not kinds <= _KINDS:
-            bad = next(c for c in self.coefficients.values()
-                       if type(c) not in _KINDS)
-            raise TypeError(f"coefficient {bad!r} is neither an int "
-                            "nor an IntPolynomial")
+        table = self.coefficients
+        _check_bound(self.bound)
+        kinds = _kinds(table)
         if not self._keys_are_valid():
             self._reject_first_bad_key()
-        table = self.coefficients
-        clean = (dict(table) if all(table.values())
-                 else {m: c for m, c in table.items() if c})
-        # a zero of one kind beside nonzero values of the other is dropped,
-        # so only a table of both kinds needs its stored values checked
-        if len(kinds) > 1 and len(set(map(type, clean.values()))) > 1:
-            raise TypeError("cannot mix integer and polynomial coefficients")
-        object.__setattr__(self, "coefficients", clean)
+        clean = _nonzero(table, kinds)
+        object.__setattr__(self, "coefficients",
+                           dict(table) if clean is table else clean)
+
+    @classmethod
+    def _trusted(cls, monoid: GradedMonoid, bound: int,
+                 table: dict) -> "FormalSeries":
+        """A series whose keys are valid by construction: an operation of
+        this module built `table` from valid operands, and hands it over.
+        The key scan is skipped and the table kept, not copied; the bound
+        and the coefficient kinds are checked and zeros dropped as by the
+        public constructor."""
+        _check_bound(bound)
+        clean = _nonzero(table, _kinds(table))
+        f = object.__new__(cls)
+        object.__setattr__(f, "monoid", monoid)
+        object.__setattr__(f, "bound", bound)
+        object.__setattr__(f, "coefficients", clean)
+        return f
 
     def _keys_are_valid(self) -> bool:
         """The key invariant, checked in a few builtin passes over the
@@ -208,8 +248,8 @@ class FormalSeries:
         if bound > self.bound:
             raise TruncationError(
                 f"cannot extend bound {self.bound} to {bound}")
-        return FormalSeries(self.monoid, bound,
-                            dict(_terms_up_to(self, bound)))
+        return FormalSeries._trusted(self.monoid, bound,
+                                     dict(_terms_up_to(self, bound)))
 
     def __add__(self, other: "FormalSeries") -> "FormalSeries":
         _check_monoids(self, other)
@@ -218,13 +258,14 @@ class FormalSeries:
         acc = dict(_terms_up_to(self, bound))
         for m, c in _terms_up_to(other, bound):
             acc[m] = acc[m] + c if m in acc else c
-        return FormalSeries(self.monoid, bound, acc)
+        return FormalSeries._trusted(self.monoid, bound, acc)
 
     def scale(self, s) -> "FormalSeries":
         if _is_poly(s) != (self.kind == "poly") and self.kind is not None:
             raise TypeError("scalar kind must match coefficient kind")
-        return FormalSeries(self.monoid, self.bound,
-                            {m: c * s for m, c in self.coefficients.items()})
+        return FormalSeries._trusted(
+            self.monoid, self.bound,
+            {m: c * s for m, c in self.coefficients.items()})
 
 
 def _terms_up_to(f: FormalSeries, bound: int):
@@ -235,7 +276,7 @@ def _terms_up_to(f: FormalSeries, bound: int):
 
 
 def one(monoid: GradedMonoid, bound: int) -> FormalSeries:
-    return FormalSeries(monoid, bound, {monoid.zero(): 1})
+    return FormalSeries._trusted(monoid, bound, {monoid.zero(): 1})
 
 
 def convolve(f: FormalSeries, g: FormalSeries) -> FormalSeries:
@@ -257,7 +298,7 @@ def convolve(f: FormalSeries, g: FormalSeries) -> FormalSeries:
             m = tuple(map(add, a, b))
             v = ca * cb
             acc[m] = acc[m] + v if m in acc else v
-    return FormalSeries(monoid, bound, acc)
+    return FormalSeries._trusted(monoid, bound, acc)
 
 
 def exterior(f: FormalSeries, g: FormalSeries):
@@ -283,7 +324,7 @@ def exterior(f: FormalSeries, g: FormalSeries):
         for n, cn, gn in g_items:
             if gn <= budget:
                 acc[m + n] = cm * cn
-    return FormalSeries(prod, bound, acc), prod
+    return FormalSeries._trusted(prod, bound, acc), prod
 
 
 def pushforward_bound(phi: MonoidMorphism, source_bound: int) -> int:
@@ -307,7 +348,7 @@ def pushforward(phi: MonoidMorphism, f: FormalSeries) -> FormalSeries:
                         phi.target.grades(images)):
         if gn <= out_bound:
             acc[n] = acc[n] + c if n in acc else c
-    return FormalSeries(phi.target, out_bound, acc)
+    return FormalSeries._trusted(phi.target, out_bound, acc)
 
 
 def pullback_bound(phi: MonoidMorphism, target_bound: int) -> int:
@@ -331,7 +372,7 @@ def pullback(phi: MonoidMorphism, g: FormalSeries) -> FormalSeries:
         c = g.coefficients.get(phi.apply(m), 0)
         if c:
             acc[m] = c
-    return FormalSeries(phi.source, bound, acc)
+    return FormalSeries._trusted(phi.source, bound, acc)
 
 
 def first_difference(f: FormalSeries, g: FormalSeries, degree: int):
@@ -377,8 +418,27 @@ def evaluate_polynomial_coefficients(f: FormalSeries, x: int) -> FormalSeries:
     """Apply the evaluation homomorphism at x to every coefficient."""
     if f.kind == "int":
         raise TypeError("series does not have polynomial coefficients")
-    return FormalSeries(f.monoid, f.bound,
-                        {m: c.evaluate(x) for m, c in f.coefficients.items()})
+    return FormalSeries._trusted(
+        f.monoid, f.bound,
+        {m: c.evaluate(x) for m, c in f.coefficients.items()})
+
+
+def _too_many_terms(degree: int) -> TruncationError:
+    return TruncationError(f"expansion to degree {degree} needs more than "
+                           f"{MAX_EXPANSION_TERMS} terms")
+
+
+def _simplex_exceeds(n: int, r: int, cap: int) -> bool:
+    """C(n + r, r) > cap, for n >= 0: the number of elements of total
+    exponent <= n in r generators.  The running product C(n + i, i) does
+    not fall as i grows, so it stops once it passes the cap and never
+    builds a huge binomial."""
+    c = 1
+    for i in range(1, r + 1):
+        c = c * (n + i) // i
+        if c > cap:
+            return True
+    return False
 
 
 def _divide(monoid: GradedMonoid, table: dict, m: Element, e: int,
@@ -419,9 +479,7 @@ def _divide(monoid: GradedMonoid, table: dict, m: Element, e: int,
             n = (degree - g) // gm + k + 1
             total += n
             if total > MAX_EXPANSION_TERMS:
-                raise TruncationError(
-                    f"expansion to degree {degree} needs more than "
-                    f"{MAX_EXPANSION_TERMS} terms")
+                raise _too_many_terms(degree)
             ray = rays[y] = [0] * n
         ray[k] = c
     out = {}
@@ -488,13 +546,38 @@ class RationalSeries:
         degree / g terms, so the table it leaves grows least when g is
         large, and the grade-1 factors, divided by last, walk the
         smallest tables.  The denominator is stored in graded-lex order,
-        so falling grade is that order reversed."""
-        grades = self.monoid.grades([m for m, _ in self.numerator])
+        so falling grade is that order reversed.
+
+        A form with numerator 1 and every generator as a denominator
+        factor is refused before any division when C(degree // w + r, r),
+        for rank r and largest weight w, passes MAX_EXPANSION_TERMS.
+        `_divide` would refuse it later: with numerator 1 no coefficient
+        of a partial product is negative, so nothing cancels, and the
+        table before the last factor, a generator of least weight (least
+        grade, so first in graded-lex order), holds every element of
+        grade <= degree built from the other generators.  Those are its
+        ray bases, so its ray total is the number of elements of grade
+        <= degree: at least C(degree // w + r, r), and equal to it when
+        every weight is 1.  Rays are disjoint and within the degree, so
+        no earlier factor's total is larger.  Other forms keep the
+        per-factor check alone."""
+        _check_bound(degree)
+        monoid = self.monoid
+        # the generators are the elements of exponent sum 1, and the
+        # denominator's elements are distinct: all generators are factors
+        # when rank of its elements have sum 1
+        generators = sum(sum(m) == 1 for m, _ in self.denominator)
+        if (self.numerator == ((monoid.zero(), 1),)
+                and generators == monoid.rank
+                and _simplex_exceeds(degree // max(monoid.weights, default=1),
+                                     monoid.rank, MAX_EXPANSION_TERMS)):
+            raise _too_many_terms(degree)
+        grades = monoid.grades([m for m, _ in self.numerator])
         out = {m: c for (m, c), g in zip(self.numerator, grades)
                if g <= degree}
         for m, e in reversed(self.denominator):
-            out = _divide(self.monoid, out, m, e, degree)
-        return FormalSeries(self.monoid, degree, out)
+            out = _divide(monoid, out, m, e, degree)
+        return FormalSeries._trusted(monoid, degree, out)
 
     def multiply(self, other: "RationalSeries") -> "RationalSeries":
         _check_monoids(self, other)

@@ -1,16 +1,24 @@
 """Property-based checks of the ring and morphism laws of `verify`, of
 `dumps` and `first_difference` against their plain reference forms, and
-of `loads` on damaged series files, on cases drawn by Hypothesis."""
+of `loads` on damaged series files, on cases drawn by Hypothesis; that
+every engine result, built without the key scan, passes it; and that
+`expand`'s count before dividing is the largest ray total of a catalog
+form."""
 
 import json
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eulerchow import catalog, series
 from eulerchow.monoid import GradedMonoid, MonoidMorphism
 from eulerchow.series import (FormalSeries, IntPolynomial, RationalSeries,
-                              dumps, first_difference, loads)
+                              TruncationError, convolve, dumps,
+                              evaluate_polynomial_coefficients, exterior,
+                              first_difference, loads, one, pullback,
+                              pushforward)
 from eulerchow.verify import (convolve_matches_oracle, exterior_associativity,
                               functoriality, law_failure, pullback_is_linear,
                               pushforward_is_homomorphism, ring_laws)
@@ -108,6 +116,101 @@ def test_exterior_associativity(fgh):
 @given(series_triples())
 def test_engine_matches_oracle(fgh):
     assert law_failure(convolve_matches_oracle(fgh[:2])) is None
+
+
+def assert_public_constructor_agrees(r):
+    """r, built by the engine without a key scan, is what the public
+    constructor builds from its parts: its keys pass the scan, and its
+    table holds no zero."""
+    assert FormalSeries(r.monoid, r.bound,
+                        r.coefficients).coefficients == r.coefficients
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_triples(), morphism_with_series(), st.integers(-2, 2),
+       st.data())
+def test_engine_results_keep_the_key_invariant(fgh, case, s, data):
+    f, g, _ = fgh
+    phi, src, dst = case
+    bound = data.draw(st.integers(0, f.bound))
+    poly = FormalSeries(f.monoid, f.bound,
+                        {m: IntPolynomial((c, 1))
+                         for m, c in f.coefficients.items()})
+    for r in (convolve(f, g), exterior(f, g)[0], f + g, f + f.scale(s),
+              f.scale(s), f.restrict(bound), one(f.monoid, bound),
+              evaluate_polynomial_coefficients(poly, s),
+              pushforward(phi, src), pullback(phi, dst)):
+        assert_public_constructor_agrees(r)
+
+
+def catalog_forms():
+    """(name, closed form) for every p of one variety of each kind."""
+    for text in ("Pn(3)", "PnxP1(2)", "ProjClosure(n=3,d=2)",
+                 "Hirzebruch(2)", "BlowupPn(3)", "Flag012", "G(1,3)",
+                 "Macdonald(4)"):
+        v = catalog.parse_descriptor(text)
+        for p in range(catalog.KINDS[v.kind].top_p(v) + 1):
+            yield (f"{text} p={p}",
+                   catalog.euler_chow(v, p, method="closed").closed_form)
+
+
+CATALOG_FORMS = dict(catalog_forms())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(CATALOG_FORMS.values())), st.integers(0, 24))
+def test_catalog_expansions_keep_the_key_invariant(r, degree):
+    assert_public_constructor_agrees(r.expand(degree))
+
+
+def counted_before_dividing(r):
+    """Numerator 1 and every generator a denominator factor."""
+    factors = {m for m, _ in r.denominator}
+    return (r.numerator == ((r.monoid.zero(), 1),)
+            and all(r.monoid.generator(i) in factors
+                    for i in range(r.monoid.rank)))
+
+
+def ray_total(monoid, table, m, degree):
+    """The terms `_divide` allocates for table / (1 - t^m)^e: one ray per
+    distinct base, from the base up to the degree."""
+    bases = set()
+    for x in table:
+        k = min(a // b for a, b in zip(x, m) if b)
+        bases.add(tuple(a - k * b for a, b in zip(x, m)))
+    return sum((degree - monoid.grade(y)) // monoid.grade(m) + 1
+               for y in bases)
+
+
+@pytest.mark.parametrize("r", [
+    pytest.param(r, id=name) for name, r in CATALOG_FORMS.items()
+    if counted_before_dividing(r)])
+def test_the_largest_ray_total_is_the_simplex_count(monkeypatch, r):
+    # over weight-1 generators, the largest per-factor total `_divide`
+    # checks against the cap is C(D + rank, rank): `expand` serves the
+    # degree under a cap of exactly that count, and under one less refuses
+    # it before any division
+    totals = []
+    divide = series._divide
+
+    def spy(monoid, table, m, e, degree):
+        totals.append(ray_total(monoid, table, m, degree))
+        return divide(monoid, table, m, e, degree)
+
+    monkeypatch.setattr(series, "_divide", spy)
+    rank = r.monoid.rank
+    for degree in (0, 7, 30):
+        count = math.comb(degree + rank, rank)
+        totals.clear()
+        monkeypatch.setattr(series, "MAX_EXPANSION_TERMS", count)
+        r.expand(degree)
+        assert max(totals) == count
+        totals.clear()
+        monkeypatch.setattr(series, "MAX_EXPANSION_TERMS", count - 1)
+        with pytest.raises(TruncationError,
+                           match=f"needs more than {count - 1} terms"):
+            r.expand(degree)
+        assert totals == []
 
 
 @settings(max_examples=40, deadline=None)
