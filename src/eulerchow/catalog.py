@@ -1,10 +1,13 @@
 """Catalog of varieties with known Euler-Chow series: closed forms, the
 pipelines (split projective bundle, Chow quotient, flag excision) and one
 row per kind of variety that says how it is spelled, which p it serves and
-how its series is computed.  A pipeline is one flat list of rational
-factors with the images of their generators, multiplied exactly by
-`_push_product` (for `series`) and truncated at a degree by `_assemble`
-(for the `bundle` and `grassmann` verification suites).
+how its series is computed; `_split_kind` builds the rows of the
+projective closures and `_schubert_kind` those of the Schubert varieties,
+whose stored series are one table, `SCHUBERT_FORMS`.  A pipeline is one
+flat list of rational factors with the images of their generators,
+multiplied exactly by `_push_product` (for `series`) and truncated at a
+degree by `_assemble` (for the `bundle` and `grassmann` verification
+suites).
 """
 
 from __future__ import annotations
@@ -107,55 +110,45 @@ def split_bundle_closed(n: int, d: int, p: int) -> RationalSeries:
     return RationalSeries(SPLIT_BASIS, ((SPLIT_BASIS.zero(), 1),), tuple(den))
 
 
+# Per flag type: for p = 0..dim the letters of E_p's generators, one per
+# Schubert symbol of dimension p in graded-lex order, and for 0 < p < dim
+# the (numerator, denominator) of E_p.  `schubert_closed` states E_0, the
+# fixed points' Macdonald series, and E_dim, the fundamental class's.
+SCHUBERT_FORMS = {
+    FLAG012: (("t", "rs", "xy", "u"), {
+        # <0;0,2> (r), <1;0,1> (s)
+        1: ((((0, 0), 1),), (((1, 0), 3), ((0, 1), 3), ((1, 1), 3))),
+        # <1;1,2> (x), <2;0,2> (y)
+        2: ((((0, 0), 1), ((1, 1), -1)), (((1, 0), 3), ((0, 1), 3))),
+    }),
+    G13: (("t", "s", "xy", "z", "w"), {
+        1: ((((0,), 1),), (((1,), 12),)),
+        # <0,3> (x), <1,2> (y)
+        2: ((((0, 0), 1),), (((1, 0), 4), ((0, 1), 4), ((1, 1), 3))),
+        3: ((((0,), 1), ((1,), 1)), (((1,), 5),)),
+    }),
+}
+
+
 def _basis(ft: schubert.FlagType, p: int) -> GradedMonoid:
-    """Weight-1 generators, one per Schubert symbol of dimension p in
-    graded-lex order, named by the letters the series are printed in."""
-    letters = {FLAG012: ("t", "rs", "xy", "u"),
-               G13: ("t", "s", "xy", "z", "w")}[ft][p]
-    return GradedMonoid.free(letters)
+    """Weight-1 generators of E_p, named by their letters in
+    `SCHUBERT_FORMS`; a p outside 0..dim is refused."""
+    letters = SCHUBERT_FORMS[ft][0]
+    if not 0 <= p < len(letters):
+        raise ValueError(f"p={p} out of range for {ft}")
+    return GradedMonoid.free(letters[p])
 
 
-def flag012_closed(p: int) -> RationalSeries:
-    """Closed forms for F(0,1;2), over the Schubert-symbol basis.
-
-    p = 3 counts the multiples of the fundamental class; it is also the
-    F(0,1;2) factor of the G(1,3) pipeline at p = 4.
-    """
-    if not 0 <= p <= 3:
-        raise ValueError(f"p={p} out of range for F(0,1;2)")
+def schubert_closed(ft: schubert.FlagType, p: int) -> RationalSeries:
+    """Closed form of E_p of a flag variety of `SCHUBERT_FORMS`, over the
+    Schubert-symbol basis; E_3 of F(0,1;2) is a factor of G(1,3)'s E_4."""
     if p == 0:
-        return macdonald(schubert.fixed_point_count(FLAG012))
-    m = _basis(FLAG012, p)
-    num = ((m.zero(), 1),)
-    if p == 1:
-        # generators in graded-lex order: <0;0,2> (r), <1;0,1> (s)
-        return RationalSeries(m, num,
-                              (((1, 0), 3), ((0, 1), 3), ((1, 1), 3)))
-    if p == 2:
-        # generators: <1;1,2> (x), <2;0,2> (y)
-        return RationalSeries(m, (((0, 0), 1), ((1, 1), -1)),
-                              (((1, 0), 3), ((0, 1), 3)))
-    # fundamental-class multiples: one component per degree
-    return RationalSeries(m, num, (((1,), 1),))
-
-
-def grassmannian13_closed(p: int) -> RationalSeries:
-    """Closed forms for G(1,3), over the Schubert-symbol basis."""
-    if not 0 <= p <= 4:
-        raise ValueError(f"p={p} out of range for G(1,3)")
-    if p == 0:
-        return macdonald(schubert.fixed_point_count(G13))
-    m = _basis(G13, p)
-    num = ((m.zero(), 1),)
-    if p == 1:
-        return RationalSeries(m, num, (((1,), 12),))
-    if p == 2:
-        # generators in graded-lex order: <0,3> (x), <1,2> (y)
-        return RationalSeries(m, num,
-                              (((1, 0), 4), ((0, 1), 4), ((1, 1), 3)))
-    if p == 3:
-        return RationalSeries(m, (((0,), 1), ((1,), 1)), (((1,), 5),))
-    return RationalSeries(m, num, (((1,), 1),))
+        return macdonald(schubert.fixed_point_count(ft))
+    m, stored = _basis(ft, p), SCHUBERT_FORMS[ft][1]
+    if p in stored:
+        return RationalSeries(m, *stored[p])
+    # p = dim: fundamental-class multiples, one component per degree
+    return RationalSeries(m, ((m.zero(), 1),), (((1,), 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +179,11 @@ def _g13_factors(p: int):
     E_{p-1}(F(0,1;2)) along the trace map, E_p(G(1,2)) and E_p(G(0,2))
     along the inclusions, each with the images of its generators on the
     Schubert-symbol basis.  A factor whose basis is empty is left out."""
-    if not 0 <= p <= 4:
-        raise ValueError(f"p={p} out of range for G(1,3)")
     target = _basis(G13, p)
     classes = schubert.symbols_of_dimension(G13, p)
     pieces = []
     if p >= 1:
-        pieces.append((flag012_closed(p - 1),
+        pieces.append((schubert_closed(FLAG012, p - 1),
                        schubert.symbols_of_dimension(FLAG012, p - 1),
                        schubert.trace_phi))
     for d, inclusion in ((1, schubert.inclusion_i), (0, schubert.inclusion_j)):
@@ -211,7 +202,7 @@ def _push_product(target, factors) -> RationalSeries:
     product in the target of each factor pushed forward along its images."""
     out = RationalSeries(target, ((target.zero(), 1),), ())
     for r, images in factors:
-        psi = MonoidMorphism(r.monoid, target, tuple(images))
+        psi = MonoidMorphism(r.monoid, target, images)
         out = out.multiply(r.pushforward(psi))
     return out
 
@@ -230,7 +221,7 @@ def _assemble(target, factors, degree) -> FormalSeries:
     """
     out = one(target, degree)
     for r, images in factors:
-        psi = MonoidMorphism(r.monoid, target, tuple(images))
+        psi = MonoidMorphism(r.monoid, target, images)
         out = convolve(out, pushforward(psi, r.expand(degree)))
     return out
 
@@ -320,9 +311,15 @@ def _split_kind(pattern, parse, spell) -> Kind:
                     *_split_factors(v.n, v.d, p)))
 
 
-def _schubert_classes(ft: schubert.FlagType):
-    return lambda v, p: [s.label()
-                         for s in schubert.symbols_of_dimension(ft, p)]
+def _schubert_kind(pattern, spelling, ft, pipeline) -> Kind:
+    """A flag variety of `SCHUBERT_FORMS`, spelled one way; `pipeline`
+    maps p to its pipeline's rational form, or None."""
+    top = len(SCHUBERT_FORMS[ft][0]) - 1
+    return Kind(pattern, lambda: {}, lambda v: spelling, top_p=lambda v: top,
+                closed=lambda v, p: schubert_closed(ft, p),
+                classes=lambda v, p: [
+                    s.label() for s in schubert.symbols_of_dimension(ft, p)],
+                pipeline=lambda v, p: pipeline(p))
 
 
 KINDS: dict[str, Kind] = {
@@ -342,17 +339,11 @@ KINDS: dict[str, Kind] = {
     "BlowupPn": _split_kind(r"BlowupPn\((\d+)\)",
                             lambda n: {"n": n - 1, "d": 1},
                             lambda v: f"BlowupPn({v.n + 1})"),
-    "Flag012": Kind(r"Flag012", lambda: {}, lambda v: "Flag012",
-                    top_p=lambda v: 3,
-                    closed=lambda v, p: flag012_closed(p),
-                    classes=_schubert_classes(FLAG012),
-                    pipeline=lambda v, p: (_push_product(*_flag012_factors())
-                                           if p == 2 else None)),
-    "G13": Kind(r"G\(1,3\)", lambda: {}, lambda v: "G(1,3)",
-                top_p=lambda v: 4,
-                closed=lambda v, p: grassmannian13_closed(p),
-                classes=_schubert_classes(G13),
-                pipeline=lambda v, p: _push_product(*_g13_factors(p))),
+    "Flag012": _schubert_kind(
+        r"Flag012", "Flag012", FLAG012,
+        lambda p: _push_product(*_flag012_factors()) if p == 2 else None),
+    "G13": _schubert_kind(r"G\(1,3\)", "G(1,3)", G13,
+                          lambda p: _push_product(*_g13_factors(p))),
     "Macdonald": Kind(r"Macdonald\((-?\d+)\)", lambda chi: {"chi": chi},
                       lambda v: f"Macdonald({v.chi})", top_p=lambda v: 0,
                       closed=lambda v, p: macdonald(v.chi),

@@ -138,8 +138,8 @@ class MonoidMorphism:
         if len(self.generator_images) != self.source.rank:
             raise MonoidMismatchError(
                 "one generator image per source generator required")
-        for img in self.generator_images:
-            self.target.validate(img)
+        object.__setattr__(self, "generator_images", tuple(
+            self.target.validate(img) for img in self.generator_images))
 
     def apply(self, m: Element) -> Element:
         """Image of a valid element of the source."""

@@ -90,7 +90,7 @@ def random_morphism(rng: random.Random, source: GradedMonoid,
             if any(img):
                 images.append(img)
                 break
-    return MonoidMorphism(source, target, tuple(images))
+    return MonoidMorphism(source, target, images)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +98,7 @@ def random_morphism(rng: random.Random, source: GradedMonoid,
 
 def check_flag() -> list[CheckResult]:
     grid = 20
-    expansion = catalog.flag012_closed(2).expand(2 * grid)
+    expansion = catalog.schubert_closed(catalog.FLAG012, 2).expand(2 * grid)
     table = catalog.flag012_divisor_by_recurrence(grid, grid)
     failures = []
     for r in range(grid + 1):
@@ -137,18 +137,20 @@ def check_bundle() -> list[CheckResult]:
 # Criterion 3: Chow-quotient pipeline for G(1,3)
 
 def check_grassmann() -> list[CheckResult]:
+    pipelines = [catalog.grassmannian13_series(p, GRASSMANN_DEGREE)
+                 for p in range(4)]
     out = []
-    for p in range(4):
-        closed = catalog.grassmannian13_closed(p).expand(GRASSMANN_DEGREE)
-        pipeline = catalog.grassmannian13_series(p, GRASSMANN_DEGREE)
+    for p, pipeline in enumerate(pipelines):
+        closed = catalog.schubert_closed(catalog.G13, p).expand(
+            GRASSMANN_DEGREE)
         out.append(_verdict(
             f"G(1,3) pipeline p={p} to degree {GRASSMANN_DEGREE}",
             filter(None, [law_failure(
                 [("closed form vs pipeline", closed, pipeline)])])))
-    # the loop ends on p = 3, so `pipeline` is E_3's.  Its coefficient at
-    # k is h^0(O(k)) on the Pluecker quadric in P^5 (Borel-Weil): degree-k
-    # forms in 6 variables less the multiples of the quadric
-    head = [pipeline.coefficient((k,)) for k in range(5)]
+    # E_3's coefficient at k is h^0(O(k)) on the Pluecker quadric in P^5
+    # (Borel-Weil): degree-k forms in 6 variables less the multiples of
+    # the quadric
+    head = [pipelines[3].coefficient((k,)) for k in range(5)]
     want = [math.comb(k + 5, 5) - math.comb(k + 3, 5) for k in range(5)]
     out.append(_verdict("G(1,3) E_3 leading coefficients",
                         [] if head == want else [f"{head} != {want}"],

@@ -1,6 +1,6 @@
 import pytest
 
-from eulerchow import catalog
+from eulerchow import catalog, schubert
 from eulerchow.catalog import (UnsupportedRequestError, VarietyDescriptor,
                                VerificationError, euler_chow, parse_descriptor)
 from eulerchow.monoid import GradedMonoid, MonoidMorphism
@@ -73,7 +73,7 @@ def test_split_bundle_p0_pipeline():
 
 def test_grassmannian13_pipeline_all_p():
     for p in range(5):
-        closed = catalog.grassmannian13_closed(p).expand(8)
+        closed = catalog.schubert_closed(catalog.G13, p).expand(8)
         pipe = catalog.grassmannian13_series(p, 8)
         assert first_difference(closed, pipe, 8) is None
 
@@ -82,7 +82,18 @@ def test_grassmannian13_out_of_range():
     with pytest.raises(ValueError):
         catalog.grassmannian13_series(5, 4)
     with pytest.raises(ValueError):
-        catalog.grassmannian13_closed(5)
+        catalog.schubert_closed(catalog.G13, 5)
+
+
+@pytest.mark.parametrize("ft", catalog.SCHUBERT_FORMS, ids=str)
+def test_schubert_letters_name_the_symbols_of_each_dimension(ft):
+    # the table's letters fix which p a Schubert row serves: one letter
+    # per symbol of dimension p, for p = 0 up to the top dimension
+    letters = catalog.SCHUBERT_FORMS[ft][0]
+    assert [len(schubert.symbols_of_dimension(ft, p))
+            for p in range(len(letters))] == [*map(len, letters)]
+    assert max(s.dimension() for s in schubert.all_symbols(ft)) == \
+        len(letters) - 1
 
 
 def _unfactored_assemble(target, factors, degree):
@@ -133,7 +144,7 @@ def test_factored_pipeline_equals_unfactored(monkeypatch, pipeline):
 
 def test_flag012_divisor_recurrence_matches_closed_form():
     table = catalog.flag012_divisor_by_recurrence(8, 8)
-    f = catalog.flag012_closed(2).expand(16)
+    f = catalog.schubert_closed(catalog.FLAG012, 2).expand(16)
     for r in range(9):
         for s in range(9):
             assert table[r][s] == f.coefficient((r, s))
@@ -241,15 +252,24 @@ def test_rational_pipeline_equals_truncated_pipeline(monkeypatch, v, p):
     def unreadable(*args):
         raise AssertionError("a pipeline read a closed form")
 
-    kind = catalog.KINDS[v.kind]
+    kind, real = catalog.KINDS[v.kind], catalog.schubert_closed
+    own = {"Flag012": catalog.FLAG012, "G13": catalog.G13}.get(v.kind)
+    read = []
+
+    def schubert_closed(ft, q):
+        if ft == own:
+            unreadable()
+        read.append((ft, q))
+        return real(ft, q)
+
     closed = kind.closed(v, p)
     with monkeypatch.context() as m:
         m.setattr(catalog, "split_bundle_closed", unreadable)
-        m.setattr(catalog, "grassmannian13_closed", unreadable)
-        if v.kind == "Flag012":
-            # G(1,3) reads flag012_closed as a factor; Flag012 may not
-            m.setattr(catalog, "flag012_closed", unreadable)
+        m.setattr(catalog, "schubert_closed", schubert_closed)
         rational = kind.pipeline(v, p)
+        # G(1,3)'s pipeline reads E_{p-1} of F(0,1;2) as a factor
+        assert read == ([(catalog.FLAG012, p - 1)]
+                        if v.kind == "G13" and p else [])
         for degree in (0, 3, 10):
             assert rational.expand(degree) == _truncated(v, p, degree)
     # the identity holds as an identity of polynomials: nothing is expanded
@@ -282,7 +302,7 @@ def test_g13_p3_pipeline_cancels_against_the_closed_form():
     rational = catalog.KINDS["G13"].pipeline(parse_descriptor("G(1,3)"), 3)
     assert rational == RationalSeries(z, (((0,), 1), ((2,), -1)),
                                       (((1,), 6),))
-    closed = catalog.grassmannian13_closed(3)
+    closed = catalog.schubert_closed(catalog.G13, 3)
     assert closed == RationalSeries(z, (((0,), 1), ((1,), 1)), (((1,), 5),))
     assert first_rational_difference(closed, rational) is None
 

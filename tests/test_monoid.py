@@ -125,6 +125,16 @@ def test_morphism_apply_is_additive():
     assert phi.apply(m.add(x, y)) == n.add(phi.apply(x), phi.apply(y))
 
 
+def test_morphism_stores_its_images_as_tuples():
+    # images given as lists build the same morphism as tuples, hashable
+    a, b = GradedMonoid.free(["a"]), GradedMonoid.free(["x", "y"])
+    listed = MonoidMorphism(a, b, [[1, 0]])
+    tupled = MonoidMorphism(a, b, ((1, 0),))
+    assert listed == tupled
+    assert hash(listed) == hash(tupled)
+    assert listed.generator_images == ((1, 0),)
+
+
 def test_morphism_finite_fibers():
     m = GradedMonoid.free(["a", "b"])
     n = GradedMonoid.free(["x"])

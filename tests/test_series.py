@@ -415,7 +415,7 @@ def test_first_difference_rejects_different_monoids():
     # the G(1,3) pipeline's coefficients over the Schubert-symbol labels,
     # against the closed form over the printed letters: equal tuples,
     # different bases, so no comparison may pass
-    closed = catalog.grassmannian13_closed(2).expand(6)
+    closed = catalog.schubert_closed(catalog.G13, 2).expand(6)
     other = FormalSeries(schubert.basis(catalog.G13, 2), 6,
                          catalog.grassmannian13_series(2, 6).coefficients)
     assert other.coefficients == closed.coefficients
@@ -503,7 +503,7 @@ def test_the_term_cap_is_exact(monkeypatch):
     # every element of grade <= D, (D + 1)(D + 2) / 2 of them, into rays;
     # a cap of 5000 admits their 4950 at D = 98 and refuses 5050 at D = 99
     monkeypatch.setattr(series, "MAX_EXPANSION_TERMS", 5000)
-    r = catalog.grassmannian13_closed(2)
+    r = catalog.schubert_closed(catalog.G13, 2)
     assert len(r.expand(98).coefficients) == 99 * 100 // 2
     with pytest.raises(TruncationError, match="needs more than 5000 terms"):
         r.expand(99)
@@ -513,7 +513,7 @@ def test_the_term_cap_is_exact(monkeypatch):
     # (1-xy)^3 first: its rays hold 81 terms to degree 160, and (1-y)^4
     # then fills the 6561 elements with x <= y; graded-lex order
     # would hand `_divide` tables of 1, 161 and 13041 terms
-    (catalog.grassmannian13_closed(2), [1, 81, 6561]),
+    (catalog.schubert_closed(catalog.G13, 2), [1, 81, 6561]),
     # ProjClosure(n=3,d=2) p=2: (1-x^2 y)^4, (1-x)^6, then (1-y)^4
     (catalog.split_bundle_closed(3, 2, 2), [1, 54, 4401]),
 ])
@@ -787,8 +787,9 @@ REFUSED = [
                                   one(T, 2)),
                  MonoidMismatchError, "not over the target",
                  id="pullback-other-monoid"),
-    pytest.param(lambda: catalog.flag012_closed(4), ValueError,
-                 "out of range", id="flag012_closed-p4"),
+    pytest.param(lambda: catalog.schubert_closed(catalog.FLAG012, 4),
+                 ValueError, r"^p=4 out of range for F\(0,1;2\)$",
+                 id="schubert_closed-p4"),
     pytest.param(lambda: catalog.split_bundle_closed(-1, 0, 0), ValueError,
                  "n and d must be >= 0", id="split_bundle_closed-negative-n"),
     pytest.param(lambda: catalog.euler_chow(
