@@ -1,17 +1,19 @@
 """Catalog of varieties with known Euler-Chow series: closed forms, the
 pipelines (split projective bundle, Chow quotient, flag excision) and one
-row per kind of variety that says how it is spelled, which p it serves and
-how its series is computed; `_split_kind` builds the rows of the
-projective closures and `_schubert_kind` those of the Schubert varieties,
-whose stored series are one table, `SCHUBERT_FORMS`.  A pipeline is one
-flat list of rational factors with the images of their generators,
-multiplied exactly by `_push_product` (for `series`) and truncated at a
-degree by `_assemble` (for the `bundle` and `grassmann` verification
-suites).
+row per kind of variety.  A row's `spelling`, such as
+"ProjClosure(n={},d={})", is its descriptor grammar, read both ways, and
+its `pipeline` returns the (target, factors) list of its independent
+computation: one flat list of rational factors with the images of their
+generators.  `euler_chow` multiplies that list exactly by `_push_product`;
+`_assemble` truncates it at a degree for the `bundle` and `grassmann`
+verification suites.  `_split_kind` builds the rows of the projective
+closures and `_schubert_kind` those of the Schubert varieties, whose
+stored series are one table, `SCHUBERT_FORMS`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -41,27 +43,34 @@ class VerificationError(AssertionError):
 
 @dataclass(frozen=True)
 class VarietyDescriptor:
-    """A catalog variety: its kind (a key of `KINDS`) and parameters."""
+    """A catalog variety: its kind (a key of `KINDS`) and the integers
+    that fill the `{}` of that kind's spelling, in order."""
 
     kind: str
-    n: int = 0
-    d: int = 0
-    chi: int = 0
+    args: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise UnsupportedRequestError(f"unknown variety kind: "
-                                          f"{self.kind!r}")
+        kind = KINDS.get(self.kind)
+        if kind is None or kind.spelling.count("{}") != len(self.args):
+            raise UnsupportedRequestError(f"unknown variety: {self.kind!r} "
+                                          f"with integers {self.args}")
 
     def __str__(self):
-        return KINDS[self.kind].spell(self)
+        return KINDS[self.kind].spelling.format(*self.args)
+
+
+@functools.cache
+def _grammar(spelling: str) -> re.Pattern:
+    """The spelling as a regex, each `{}` an ASCII -?[0-9]+ integer."""
+    return re.compile("(-?[0-9]+)".join(map(re.escape, spelling.split("{}"))))
 
 
 def parse_descriptor(text: str) -> VarietyDescriptor:
+    """The variety a descriptor names: a row's spelling, per `_grammar`."""
     for name, kind in KINDS.items():
-        m = re.fullmatch(kind.pattern, text.strip(), re.ASCII)
+        m = _grammar(kind.spelling).fullmatch(text.strip())
         if m:
-            return VarietyDescriptor(name, **kind.parse(*map(int, m.groups())))
+            return VarietyDescriptor(name, tuple(map(int, m.groups())))
     raise UnsupportedRequestError(f"unknown variety descriptor: {text!r}")
 
 
@@ -286,36 +295,36 @@ def flag012_divisor_by_recurrence(R: int, S: int) -> list[list[int]]:
 # The catalog: one row per kind of variety
 
 class Kind(NamedTuple):
-    """Everything the catalog knows about one kind of variety."""
+    """Everything the catalog knows about one kind of variety.  Its
+    `spelling` is the descriptor grammar that `parse_descriptor` reads and
+    `str` writes; its `pipeline` returns the factor list that `euler_chow`
+    multiplies."""
 
-    pattern: str                   # descriptor regex, one group per integer
-    parse: Callable[..., dict]     # those integers -> descriptor fields
-    spell: Callable[[VarietyDescriptor], str]   # inverse of the two above
+    spelling: str                  # descriptor, one `{}` per integer
     top_p: Callable[[VarietyDescriptor], int]   # p = 0..top_p is served
     closed: Callable[[VarietyDescriptor, int], RationalSeries]
     # class of each generator of the closed form's monoid, in order
     classes: Callable[[VarietyDescriptor, int], list[str]]
-    # (v, p) -> the series computed without the closed form, a pipeline of
-    # rational factors multiplied out exactly; None where no independent
-    # computation exists
-    pipeline: Callable[[VarietyDescriptor, int], RationalSeries | None] = \
+    # (v, p) -> the (target, factors) list of the series computed without
+    # the closed form; None where no independent computation exists
+    pipeline: Callable[[VarietyDescriptor, int], tuple | None] = \
         lambda v, p: None
 
 
-def _split_kind(pattern, parse, spell) -> Kind:
-    """A projective closure of O(d) over P^n."""
-    return Kind(pattern, parse, spell, top_p=lambda v: v.n,
-                closed=lambda v, p: split_bundle_closed(v.n, v.d, p),
+def _split_kind(spelling, bundle) -> Kind:
+    """A projective closure of O(d) over P^n; `bundle` maps the integers
+    of the spelling to (n, d)."""
+    return Kind(spelling, top_p=lambda v: bundle(*v.args)[0],
+                closed=lambda v, p: split_bundle_closed(*bundle(*v.args), p),
                 classes=lambda v, p: [f"q*[P^{p - 1}]", f"section [P^{p}]"],
-                pipeline=lambda v, p: _push_product(
-                    *_split_factors(v.n, v.d, p)))
+                pipeline=lambda v, p: _split_factors(*bundle(*v.args), p))
 
 
-def _schubert_kind(pattern, spelling, ft, pipeline) -> Kind:
-    """A flag variety of `SCHUBERT_FORMS`, spelled one way; `pipeline`
-    maps p to its pipeline's rational form, or None."""
+def _schubert_kind(spelling, ft, pipeline) -> Kind:
+    """A flag variety of `SCHUBERT_FORMS`; `pipeline` maps p to its
+    (target, factors) list, or None."""
     top = len(SCHUBERT_FORMS[ft][0]) - 1
-    return Kind(pattern, lambda: {}, lambda v: spelling, top_p=lambda v: top,
+    return Kind(spelling, top_p=lambda v: top,
                 closed=lambda v, p: schubert_closed(ft, p),
                 classes=lambda v, p: [
                     s.label() for s in schubert.symbols_of_dimension(ft, p)],
@@ -323,30 +332,19 @@ def _schubert_kind(pattern, spelling, ft, pipeline) -> Kind:
 
 
 KINDS: dict[str, Kind] = {
-    "Pn": Kind(r"Pn\((\d+)\)", lambda n: {"n": n}, lambda v: f"Pn({v.n})",
-               top_p=lambda v: v.n,
-               closed=lambda v, p: lawson_yau_pn(v.n, p),
+    "Pn": Kind("Pn({})", top_p=lambda v: v.args[0],
+               closed=lambda v, p: lawson_yau_pn(*v.args, p),
                classes=lambda v, p: [f"degree-d multiples of [P^{p}]"]),
-    "PnxP1": _split_kind(r"PnxP1\((\d+)\)", lambda n: {"n": n},
-                         lambda v: f"PnxP1({v.n})"),
-    "ProjClosure": _split_kind(r"ProjClosure\(n=(\d+),d=(\d+)\)",
-                               lambda n, d: {"n": n, "d": d},
-                               lambda v: f"ProjClosure(n={v.n},d={v.d})"),
-    "Hirzebruch": _split_kind(r"Hirzebruch\((\d+)\)",
-                              lambda d: {"n": 1, "d": d},
-                              lambda v: f"Hirzebruch({v.d})"),
+    "PnxP1": _split_kind("PnxP1({})", lambda n: (n, 0)),
+    "ProjClosure": _split_kind("ProjClosure(n={},d={})", lambda n, d: (n, d)),
+    "Hirzebruch": _split_kind("Hirzebruch({})", lambda d: (1, d)),
     # P^n blown up at a point is the closure of O(1) over P^(n-1)
-    "BlowupPn": _split_kind(r"BlowupPn\((\d+)\)",
-                            lambda n: {"n": n - 1, "d": 1},
-                            lambda v: f"BlowupPn({v.n + 1})"),
+    "BlowupPn": _split_kind("BlowupPn({})", lambda n: (n - 1, 1)),
     "Flag012": _schubert_kind(
-        r"Flag012", "Flag012", FLAG012,
-        lambda p: _push_product(*_flag012_factors()) if p == 2 else None),
-    "G13": _schubert_kind(r"G\(1,3\)", "G(1,3)", G13,
-                          lambda p: _push_product(*_g13_factors(p))),
-    "Macdonald": Kind(r"Macdonald\((-?\d+)\)", lambda chi: {"chi": chi},
-                      lambda v: f"Macdonald({v.chi})", top_p=lambda v: 0,
-                      closed=lambda v, p: macdonald(v.chi),
+        "Flag012", FLAG012, lambda p: _flag012_factors() if p == 2 else None),
+    "G13": _schubert_kind("G(1,3)", G13, _g13_factors),
+    "Macdonald": Kind("Macdonald({})", top_p=lambda v: 0,
+                      closed=lambda v, p: macdonald(*v.args),
                       classes=lambda v, p: ["point class"]),
 }
 
@@ -370,10 +368,10 @@ def euler_chow(v: VarietyDescriptor, p: int,
     closed = kind.closed(v, p)
     dictionary = tuple(zip(closed.monoid.labels, kind.classes(v, p),
                            strict=True))
-    pipeline = kind.pipeline(v, p) if method == "both" else None
-    if pipeline is None:
+    factors = kind.pipeline(v, p) if method == "both" else None
+    if factors is None:
         return EulerChowResult(v, p, closed, "none", dictionary)
-    diff = first_rational_difference(closed, pipeline)
+    diff = first_rational_difference(closed, _push_product(*factors))
     if diff is not None:
         raise VerificationError(f"{v} p={p}: closed form and pipeline "
                                 f"differ: {describe_difference(diff)}")

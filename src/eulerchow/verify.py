@@ -381,15 +381,16 @@ def check_hilbert(seed=SEED + 1) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # Criterion 7: Schubert combinatorics
 
+# (flag type, Schubert symbol's sequences, its dimension)
 NAMED_DIMENSIONS = [
-    # F(0,1;2)
-    ((((0,), (0, 1)),), 0), ((((0,), (0, 2)),), 1), ((((1,), (0, 1)),), 1),
-    ((((1,), (1, 2)),), 2), ((((2,), (0, 2)),), 2), ((((2,), (1, 2)),), 3),
-]
-NAMED_G13_DIMENSIONS = [
-    ((0, 1), 0), ((0, 2), 1), ((0, 3), 2), ((1, 2), 2), ((1, 3), 3),
-    ((2, 3), 4),
-]
+    (ft, sequences, dimension) for ft, named in (
+        (catalog.FLAG012, [
+            (((0,), (0, 1)), 0), (((0,), (0, 2)), 1), (((1,), (0, 1)), 1),
+            (((1,), (1, 2)), 2), (((2,), (0, 2)), 2), (((2,), (1, 2)), 3)]),
+        (catalog.G13, [
+            (((0, 1),), 0), (((0, 2),), 1), (((0, 3),), 2), (((1, 2),), 2),
+            (((1, 3),), 3), (((2, 3),), 4)]))
+    for sequences, dimension in named]
 
 
 def check_schubert() -> list[CheckResult]:
@@ -397,11 +398,8 @@ def check_schubert() -> list[CheckResult]:
     want_sizes = [1, 1, 2, 1, 1]
 
     dimensions = []
-    named = ([(schubert.SchubertSymbol(catalog.FLAG012, seqs[0]), want)
-              for seqs, want in NAMED_DIMENSIONS]
-             + [(schubert.SchubertSymbol(catalog.G13, (seq,)), want)
-                for seq, want in NAMED_G13_DIMENSIONS])
-    for sym, want in named:
+    for ft, sequences, want in NAMED_DIMENSIONS:
+        sym = schubert.SchubertSymbol(ft, sequences)
         if sym.dimension() != want:
             dimensions.append(f"{sym.label()} has dimension "
                               f"{sym.dimension()}, expected {want}")

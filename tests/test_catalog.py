@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from eulerchow import catalog, schubert
@@ -11,15 +14,18 @@ from eulerchow.verify import BUNDLE_CASES
 
 
 def test_parse_descriptor_forms():
-    assert parse_descriptor("Pn(3)").kind == "Pn"
-    assert parse_descriptor("PnxP1(2)").n == 2
-    v = parse_descriptor("ProjClosure(n=2,d=3)")
-    assert (v.n, v.d) == (2, 3)
-    assert parse_descriptor("Hirzebruch(2)").n == 1
-    assert parse_descriptor("BlowupPn(3)").n == 2  # blow-up of P^3 over P^2
-    assert parse_descriptor("Flag012").kind == "Flag012"
-    assert parse_descriptor("G(1,3)").kind == "G13"
-    assert parse_descriptor("Macdonald(6)").chi == 6
+    assert parse_descriptor("Pn(3)") == VarietyDescriptor("Pn", (3,))
+    assert parse_descriptor("PnxP1(2)").args == (2,)
+    assert parse_descriptor("ProjClosure(n=2,d=3)").args == (2, 3)
+    assert parse_descriptor("Hirzebruch(2)").args == (2,)
+    v = parse_descriptor("BlowupPn(3)")
+    assert v.args == (3,)
+    assert catalog.KINDS[v.kind].top_p(v) == 2  # blow-up of P^3 over P^2
+    assert parse_descriptor("Flag012") == VarietyDescriptor("Flag012")
+    assert parse_descriptor("G(1,3)") == VarietyDescriptor("G13", ())
+    assert parse_descriptor("Macdonald(-6)").args == (-6,)
+    # leading zeros and surrounding whitespace are read, not spelled
+    assert str(parse_descriptor(" Pn(007) ")) == "Pn(7)"
     with pytest.raises(UnsupportedRequestError):
         parse_descriptor("Quadric(3)")
 
@@ -34,6 +40,22 @@ def test_descriptor_round_trip():
     assert {parse_descriptor(t).kind for t in texts} == set(catalog.KINDS)
     with pytest.raises(UnsupportedRequestError):
         VarietyDescriptor("Quadric")
+    # one integer per {} of the spelling
+    for kind, args in (("Pn", ()), ("ProjClosure", (2,)), ("G13", (1, 3))):
+        with pytest.raises(UnsupportedRequestError):
+            VarietyDescriptor(kind, args)
+
+
+def test_readme_table_has_one_row_per_kind():
+    # a README row names the spelling of its kind, each {} as a word
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = readme.read_text("utf-8").split("| descriptor | variety | p |")[1]
+    rows = re.findall(r"^\| `([^`]+)` \|", table.split("\n\n")[0], re.M)
+    assert len(rows) == len(catalog.KINDS)
+    for kind in catalog.KINDS.values():
+        pattern = r"\w+".join(map(re.escape, kind.spelling.split("{}")))
+        assert sum(bool(re.fullmatch(pattern, row)) for row in rows) == 1, \
+            kind.spelling
 
 
 def test_macdonald_is_chi_th_geometric_power():
@@ -218,14 +240,12 @@ def test_variable_tables_cover_catalog():
 # Rational pipelines: the truncated pipelines, multiplied out exactly
 
 def _truncated(v, p, degree):
-    if v.kind == "G13":
-        return catalog.grassmannian13_series(p, degree)
     if v.kind == "Flag012":
         table = catalog.flag012_divisor_by_recurrence(degree, degree)
         return FormalSeries(GradedMonoid.free(["x", "y"]), degree,
                             {(r, s): table[r][s] for r in range(degree + 1)
                              for s in range(degree + 1 - r)})
-    return catalog.split_bundle_series(v.n, v.d, p, degree)
+    return catalog._assemble(*catalog.KINDS[v.kind].pipeline(v, p), degree)
 
 
 # one descriptor per kind, and every split-bundle case of `verify`
@@ -266,7 +286,7 @@ def test_rational_pipeline_equals_truncated_pipeline(monkeypatch, v, p):
     with monkeypatch.context() as m:
         m.setattr(catalog, "split_bundle_closed", unreadable)
         m.setattr(catalog, "schubert_closed", schubert_closed)
-        rational = kind.pipeline(v, p)
+        rational = catalog._push_product(*kind.pipeline(v, p))
         # G(1,3)'s pipeline reads E_{p-1} of F(0,1;2) as a factor
         assert read == ([(catalog.FLAG012, p - 1)]
                         if v.kind == "G13" and p else [])
@@ -285,7 +305,8 @@ def _changed(r, numerator=(), denominator=()):
 @pytest.mark.parametrize("v, p", RATIONAL_PIPELINES)
 def test_rational_identity_fails_on_a_changed_closed_form(v, p):
     kind = catalog.KINDS[v.kind]
-    closed, rational = kind.closed(v, p), kind.pipeline(v, p)
+    closed = kind.closed(v, p)
+    rational = catalog._push_product(*kind.pipeline(v, p))
     (m, c), (dm, de) = closed.numerator[0], closed.denominator[0]
     for wrong in (_changed(closed, numerator=((m, 1),)),
                   _changed(closed, denominator=((dm, 1),))):
@@ -299,7 +320,8 @@ def test_rational_identity_fails_on_a_changed_closed_form(v, p):
 
 def test_g13_p3_pipeline_cancels_against_the_closed_form():
     z = GradedMonoid.free(["z"])
-    rational = catalog.KINDS["G13"].pipeline(parse_descriptor("G(1,3)"), 3)
+    rational = catalog._push_product(
+        *catalog.KINDS["G13"].pipeline(parse_descriptor("G(1,3)"), 3))
     assert rational == RationalSeries(z, (((0,), 1), ((2,), -1)),
                                       (((1,), 6),))
     closed = catalog.schubert_closed(catalog.G13, 3)

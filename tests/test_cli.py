@@ -222,9 +222,30 @@ def test_series_descriptor_digits_are_ascii(capsys, descriptor):
     assert "unknown variety descriptor" in err
 
 
-def test_series_p_out_of_range(capsys):
-    code, _, err = run(capsys, "series", "Pn(2)", "--p", "5")
-    assert code == 2
+@pytest.mark.parametrize("descriptor, p", [
+    ("Pn(2)", 5), ("Hirzebruch(2)", 2), ("BlowupPn(3)", 3),
+    ("ProjClosure(n=3,d=2)", 4), ("Flag012", 4), ("G(1,3)", 5),
+    ("Macdonald(5)", 1)])
+def test_series_p_out_of_range(capsys, descriptor, p):
+    code, out, err = run(capsys, "series", descriptor, "--p", str(p))
+    assert (code, out) == (2, "")
+    assert err == f"error: p={p} out of range for {descriptor}\n"
+
+
+@pytest.mark.parametrize("descriptor, message", [
+    ("Pn(-1)", "p=0 out of range for Pn(-1)"),
+    ("PnxP1(-2)", "p=0 out of range for PnxP1(-2)"),
+    ("ProjClosure(n=-1,d=2)", "p=0 out of range for ProjClosure(n=-1,d=2)"),
+    ("ProjClosure(n=2,d=-1)", "n and d must be >= 0"),
+    ("Hirzebruch(-1)", "n and d must be >= 0"),
+    ("BlowupPn(-3)", "p=0 out of range for BlowupPn(-3)"),
+    ("Macdonald(-1)", "chi must be >= 1, got -1")])
+def test_series_negative_descriptor_integer(capsys, descriptor, message):
+    # a negative integer is a descriptor integer: the row's own range
+    # check refuses it, with one error line and no traceback
+    code, out, err = run(capsys, "series", descriptor)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_series_json_is_deterministic(capsys, tmp_path):
