@@ -3,6 +3,7 @@ generator-level combinatorics of the trace and inclusion maps."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -78,17 +79,20 @@ class SchubertSymbol:
         return f"⟨{body}⟩^{self.flag_type.ambient}"
 
 
-def all_symbols(ft: FlagType) -> list[SchubertSymbol]:
+@functools.cache
+def all_symbols(ft: FlagType) -> tuple[SchubertSymbol, ...]:
     """Every valid symbol of the flag type, ordered by sequence tuples.
 
     The sequences are chosen one level at a time, outermost first, each
     from the entries of the sequence chosen around it; the outermost
-    chooses from 0..ambient, which each partial symbol carries last."""
+    chooses from 0..ambient, which each partial symbol carries last.
+    Built once per flag type: the result is a tuple of frozen symbols,
+    so no caller can change what the next one gets."""
     partial = [(tuple(range(ft.ambient + 1)),)]
     for d in reversed(ft.dims):
         partial = [(seq,) + outer for outer in partial
                    for seq in itertools.combinations(outer[0], d + 1)]
-    return [SchubertSymbol(ft, seqs[:-1]) for seqs in sorted(partial)]
+    return tuple(SchubertSymbol(ft, seqs[:-1]) for seqs in sorted(partial))
 
 
 def symbols_of_dimension(ft: FlagType, p: int) -> list[SchubertSymbol]:

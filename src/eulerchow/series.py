@@ -31,6 +31,7 @@ series is spelled in a file.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, repeat
 from operator import add, floordiv, itemgetter, mul, sub
@@ -239,9 +240,16 @@ class FormalSeries:
         return self.coefficients.get(tuple(m), 0)
 
     def items_by_grade(self):
-        """(element, coefficient) pairs in graded-lex order."""
-        keys = list(self.coefficients)
-        keys = [m for _, m in sorted(zip(self.monoid.grades(keys), keys))]
+        """(element, coefficient) pairs in graded-lex order, from two
+        builtin sorts: the keys in lex order, then their indices by the
+        grade list of one `grades` pass.  The second sort is stable, and
+        the keys are distinct, so each grade keeps its keys in lex order:
+        the order of sorting (grade, key) pairs, without comparing a
+        tuple per pair."""
+        keys = sorted(self.coefficients)
+        by_grade = sorted(range(len(keys)),
+                          key=self.monoid.grades(keys).__getitem__)
+        keys = list(map(keys.__getitem__, by_grade))
         return list(zip(keys, map(self.coefficients.__getitem__, keys)))
 
     def restrict(self, bound: int) -> "FormalSeries":
@@ -676,13 +684,42 @@ def _value_from_json(v):
     return int_from_json(v)
 
 
+# a column of integer strings joined by commas, each ASCII -?[0-9]+; `int`
+# refuses a comma, so a value holding one fails its own conversion
+_DECIMAL_COLUMN = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
+
+def _table_from_columns(entries: list, field: str) -> dict | None:
+    """The table of an array whose entries are all dicts with both fields
+    and whose values are all decimal strings, read by column: the keys
+    in one pass, the values in one, checked as one joined string and
+    converted by `int`.  None for any other array, and for one whose
+    column check or conversion fails, so that the per-entry reader reads
+    it and names its first bad entry."""
+    try:
+        values = list(map(itemgetter(field), entries))
+        # `join` raises TypeError on a value that is not a str
+        if _DECIMAL_COLUMN.fullmatch(",".join(values)) is None:
+            return None
+        keys = map(tuple, map(itemgetter("exponents"), entries))
+        return dict(zip(keys, map(int, values)))
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
 def _table_from_json(data: dict, name: str, field: str, read) -> dict:
     """The array data[name] of {"exponents": [...], field: value} entries,
-    as a dict from exponent tuples to read(value).  An array that names
-    one element twice is refused: keeping either value, or merging them,
-    would read a different series than the file's author wrote."""
+    as a dict from exponent tuples to read(value).  An array of decimal
+    strings is read a column at a time; any other array, or one that
+    fails the column check, entry by entry, which raises the error of its
+    first bad entry.  Both readers take the same arrays to the same
+    table.  An array that names one element twice is refused: keeping
+    either value, or merging them, would read a different series than the
+    file's author wrote."""
     entries = list_from_json(data[name])
-    table = {tuple(t["exponents"]): read(t[field]) for t in entries}
+    table = _table_from_columns(entries, field)
+    if table is None:
+        table = {tuple(t["exponents"]): read(t[field]) for t in entries}
     if len(table) != len(entries):
         raise ValueError(f"repeated exponents in {name}")
     return table
@@ -695,10 +732,15 @@ def _monoid_json(monoid: GradedMonoid) -> dict:
 
 def _series_dumps(f: FormalSeries) -> str:
     """The text of `json.dumps(payload, indent=2, ensure_ascii=True)`,
-    written from a fixed template per coefficient entry; only the header
-    (monoid and bound) goes through `json`, for the escapes of labels."""
-    head = json.dumps({"monoid": _monoid_json(f.monoid), "bound": f.bound},
-                      indent=2, ensure_ascii=True)[:-2]
+    written from fixed templates: one for the header (monoid and bound)
+    and one per coefficient entry, in the order of `items_by_grade`.
+    Only each label goes through `json.dumps`, for its escapes."""
+    generators = ",\n".join(
+        '      {\n        "label": %s,\n        "weight": %d\n      }'
+        % (json.dumps(lab), w) for lab, w in f.monoid.generators)
+    head = ('{\n  "monoid": {\n    "generators": '
+            + ("[\n" + generators + "\n    ]" if generators else "[]")
+            + '\n  },\n  "bound": %d' % f.bound)
     if not f.coefficients:
         return head + ',\n  "coefficients": []\n}\n'
     rank = f.monoid.rank
@@ -753,11 +795,16 @@ def loads(text: str):
     Integers are JSON ints or ASCII decimal strings (-?[0-9]+).  One rule
     holds for all three entry arrays, `coefficients`, `numerator` and
     `denominator`: no array may name the same exponents twice.  The
-    monoid is read once for either document, each array in one pass, and
-    the `FormalSeries` or `RationalSeries` constructor validates the
-    elements.  A number of more than 4300 digits is a ValueError unless
-    the caller has lifted Python's limit on str -> int conversion, as
-    `cli.main` does for each command (`sys.set_int_max_str_digits(0)`).
+    monoid is read once for either document.  An array whose values are
+    all strings, as `dumps` writes them, is read by column: one pass for
+    the keys, one for the values, one check of the whole value column and
+    one `int` pass.  Any other array, and one that fails that check, is
+    read entry by entry, which names the first bad entry; so the text an
+    error names does not depend on the reader.  The `FormalSeries` or
+    `RationalSeries` constructor validates the elements.  A number of
+    more than 4300 digits is a ValueError unless the caller has lifted
+    Python's limit on str -> int conversion, as `cli.main` does for each
+    command (`sys.set_int_max_str_digits(0)`).
     """
     try:
         data = json.loads(text)

@@ -201,6 +201,26 @@ def test_euler_chow_flag012_checks_p2_by_identity():
         == ["none", "none", "identity", "none"]
 
 
+def test_euler_chow_builds_each_flag_types_symbols_once(monkeypatch):
+    # every p of G(1,3) asks for the symbols of G(1,3), F(0,1;2), G(1,2)
+    # and G(0,2) again and again; each flag type's are built once
+    cached = schubert.all_symbols
+    asked = []
+
+    def spy(ft):
+        asked.append(ft)
+        return cached(ft)
+
+    monkeypatch.setattr(schubert, "all_symbols", spy)
+    cached.cache_clear()
+    v = parse_descriptor("G(1,3)")
+    for p in range(5):
+        euler_chow(v, p)
+    assert len(asked) > len(set(asked))
+    assert cached.cache_info().misses == len(set(asked)) == 4
+    assert all(type(cached(ft)) is tuple for ft in set(asked))
+
+
 def test_euler_chow_p_out_of_range():
     with pytest.raises(ValueError):
         euler_chow(parse_descriptor("Pn(2)"), 3)

@@ -1,9 +1,9 @@
 """Property-based checks of the ring and morphism laws of `verify`, of
 `dumps` and `first_difference` against their plain reference forms, and
-of `loads` on damaged series files, on cases drawn by Hypothesis; that
-every engine result, built without the key scan, passes it; and that
-`expand`'s count before dividing is the largest ray total of a catalog
-form."""
+of `loads` on damaged series files against the per-entry reader, on
+cases drawn by Hypothesis; that every engine result, built without the
+key scan, passes it; and that `expand`'s count before dividing is the
+largest ray total of a catalog form."""
 
 import json
 import math
@@ -274,11 +274,20 @@ def printable_series(draw):
     return FormalSeries(monoid, bound, coeffs)
 
 
+# t1 of weight 2, so 1/((1 - t0)(1 - t1^2)) has about g/4 terms of grade g
+_T0T1 = GradedMonoid.free(["t0", "t1"], [1, 2])
+
+
 @settings(max_examples=200, deadline=None)
 @given(printable_series())
 @example(FormalSeries(GradedMonoid(()), 0, {}))
 @example(FormalSeries(GradedMonoid(()), 3, {(): -7}))
 @example(FormalSeries(GradedMonoid.free(["x"]), 2, {}))
+# realistic sizes, with many keys of one grade: the order of two stable
+# sorts against the reference's sort by `monoid.key`
+@example(catalog.schubert_closed(catalog.FLAG012, 1).expand(30))
+@example(RationalSeries(_T0T1, ((_T0T1.zero(), 1),),
+                        (((1, 0), 1), ((0, 2), 1))).expand(30))
 def test_dumps_is_the_reference_encoding(f):
     text = dumps(f)
     assert text == json.dumps(reference_payload(f), indent=2,
@@ -386,7 +395,9 @@ PAYLOADS = [json.loads(dumps(x)) for x in (
 # any JSON value, weighted toward the numbers a file must not hold
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.floats() | st.text(max_size=4)
-    | st.integers() | st.sampled_from([10**400, -10**400, "1e400", "0x10"]),
+    | st.integers() | st.sampled_from([10**400, -10**400, "1e400", "0x10"])
+    # and the edge values of the column check of decimal strings
+    | st.sampled_from(["-", "--1", "1-2", "", "1,2", "7\n8", "+7", "-0"]),
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
     max_leaves=6)
@@ -423,11 +434,84 @@ def damaged_files(draw):
     return json.dumps(_replaced(doc, path, draw(JSON_VALUES)))
 
 
+
+
+def reference_table(data, name, field, read):
+    """The per-entry reader `loads` used before it read columns: one
+    entry at a time, keys before values."""
+    entries = series.list_from_json(data[name])
+    table = {tuple(t["exponents"]): read(t[field]) for t in entries}
+    if len(table) != len(entries):
+        raise ValueError(f"repeated exponents in {name}")
+    return table
+
+
+def reference_loads(text):
+    """`loads` with every entry array read by `reference_table`."""
+    int_from_json = series.int_from_json
+    try:
+        data = json.loads(text)
+        monoid = GradedMonoid(tuple(
+            (g["label"], int_from_json(g["weight"]))
+            for g in series.list_from_json(data["monoid"]["generators"])))
+        if "coefficients" in data:
+            return FormalSeries(
+                monoid, int_from_json(data["bound"]),
+                reference_table(data, "coefficients", "value",
+                                series._value_from_json))
+        return RationalSeries(
+            monoid,
+            tuple(reference_table(data, "numerator", "value",
+                                  int_from_json).items()),
+            tuple(reference_table(data, "denominator", "multiplicity",
+                                  int_from_json).items()))
+    except (KeyError, TypeError, AttributeError, ValueError,
+            RecursionError) as exc:
+        raise ValueError(f"malformed series file: {exc!r}") from None
+
+
+def _outcome(read, text):
+    """What a reader makes of a text: its object, or its error text."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _with_value(doc, i, value):
+    return json.dumps(_replaced(doc, ("coefficients", i, "value"), value))
+
+
 @settings(max_examples=300, deadline=None)
 @given(damaged_files())
 @example(json.dumps({**PAYLOADS[0], "bound": math.inf}))
+@example(json.dumps(PAYLOADS[0]))
+@example(json.dumps(PAYLOADS[1]))
+@example(json.dumps(PAYLOADS[2]))
+# a value past the digit limit: `int` refuses it in the column pass, and
+# the per-entry reader raises the same error
+@example(_with_value(PAYLOADS[0], 1, "9" * 5000))
+# bad values after good ones: one that `int` takes but the rule refuses,
+# one that `int` refuses; and a bad key after a bad value
+@example(_with_value(PAYLOADS[0], 2, "+7"))
+@example(_with_value(PAYLOADS[0], 2, "1,2"))
+@example(json.dumps(_replaced(
+    json.loads(_with_value(PAYLOADS[0], 0, "+7")),
+    ("coefficients", 1, "exponents"), [[0]])))
 def test_loads_returns_or_raises_the_format_error(text):
-    try:
-        loads(text)
-    except ValueError as exc:
-        assert str(exc).startswith("malformed series file: ")
+    # the same object or the same error text as the per-entry reader
+    outcome = _outcome(loads, text)
+    if isinstance(outcome, str):
+        assert outcome.startswith("malformed series file: ")
+    assert outcome == _outcome(reference_loads, text)
+
+
+def test_json_int_values_load_as_their_decimal_strings():
+    # an array that mixes JSON ints and decimal strings is read entry by
+    # entry, and reads the same series as the all-string file
+    doc = json.loads(json.dumps(PAYLOADS[0]))
+    for i, entry in enumerate(doc["coefficients"]):
+        if i % 2:
+            entry["value"] = int(entry["value"])
+    assert {type(e["value"]) for e in doc["coefficients"]} == {int, str}
+    assert loads(json.dumps(doc)) == loads(json.dumps(PAYLOADS[0]))
