@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 from . import schubert
 from .monoid import GradedMonoid, MonoidMorphism
-from .series import (FormalSeries, RationalSeries, convolve,
+from .series import (INTEGER, FormalSeries, RationalSeries, convolve,
                      describe_difference, first_rational_difference, one,
                      pushforward)
 
@@ -61,8 +61,9 @@ class VarietyDescriptor:
 
 @functools.cache
 def _grammar(spelling: str) -> re.Pattern:
-    """The spelling as a regex, each `{}` an ASCII -?[0-9]+ integer."""
-    return re.compile("(-?[0-9]+)".join(map(re.escape, spelling.split("{}"))))
+    """The spelling as a regex, each `{}` an `INTEGER`."""
+    return re.compile(f"({INTEGER})".join(
+        map(re.escape, spelling.split("{}"))))
 
 
 def parse_descriptor(text: str) -> VarietyDescriptor:
@@ -91,9 +92,7 @@ class EulerChowResult:
 
 def macdonald(chi: int) -> RationalSeries:
     """Zero-cycle series of a connected variety with Euler characteristic
-    chi: all symmetric products together contribute 1/(1-t)^chi."""
-    if chi < 1:
-        raise ValueError(f"chi must be >= 1, got {chi}")
+    chi >= 1: all symmetric products together contribute 1/(1-t)^chi."""
     m = GradedMonoid.free(["t"])
     return RationalSeries(m, ((m.zero(), 1),), (((1,), chi),))
 
@@ -311,10 +310,22 @@ class Kind(NamedTuple):
         lambda v, p: None
 
 
-def _split_kind(spelling, bundle) -> Kind:
+def _top_p(top, **least) -> Callable[[VarietyDescriptor], int]:
+    """A row's `top_p`: it refuses a descriptor integer, named in order by
+    the keywords of `least`, below its least value, before p is read."""
+    def top_p(v: VarietyDescriptor) -> int:
+        for (name, low), x in zip(least.items(), v.args):
+            if x < low:
+                raise ValueError(f"{name}={x} out of range for {v}: "
+                                 f"{name} must be >= {low}")
+        return top(*v.args)
+    return top_p
+
+
+def _split_kind(spelling, bundle, **least) -> Kind:
     """A projective closure of O(d) over P^n; `bundle` maps the integers
-    of the spelling to (n, d)."""
-    return Kind(spelling, top_p=lambda v: bundle(*v.args)[0],
+    of the spelling, each at least its value of `least`, to (n, d)."""
+    return Kind(spelling, top_p=_top_p(lambda *a: bundle(*a)[0], **least),
                 closed=lambda v, p: split_bundle_closed(*bundle(*v.args), p),
                 classes=lambda v, p: [f"q*[P^{p - 1}]", f"section [P^{p}]"],
                 pipeline=lambda v, p: _split_factors(*bundle(*v.args), p))
@@ -324,7 +335,7 @@ def _schubert_kind(spelling, ft, pipeline) -> Kind:
     """A flag variety of `SCHUBERT_FORMS`; `pipeline` maps p to its
     (target, factors) list, or None."""
     top = len(SCHUBERT_FORMS[ft][0]) - 1
-    return Kind(spelling, top_p=lambda v: top,
+    return Kind(spelling, top_p=_top_p(lambda: top),
                 closed=lambda v, p: schubert_closed(ft, p),
                 classes=lambda v, p: [
                     s.label() for s in schubert.symbols_of_dimension(ft, p)],
@@ -332,18 +343,19 @@ def _schubert_kind(spelling, ft, pipeline) -> Kind:
 
 
 KINDS: dict[str, Kind] = {
-    "Pn": Kind("Pn({})", top_p=lambda v: v.args[0],
+    "Pn": Kind("Pn({})", top_p=_top_p(lambda n: n, n=0),
                closed=lambda v, p: lawson_yau_pn(*v.args, p),
                classes=lambda v, p: [f"degree-d multiples of [P^{p}]"]),
-    "PnxP1": _split_kind("PnxP1({})", lambda n: (n, 0)),
-    "ProjClosure": _split_kind("ProjClosure(n={},d={})", lambda n, d: (n, d)),
-    "Hirzebruch": _split_kind("Hirzebruch({})", lambda d: (1, d)),
+    "PnxP1": _split_kind("PnxP1({})", lambda n: (n, 0), n=0),
+    "ProjClosure": _split_kind("ProjClosure(n={},d={})", lambda n, d: (n, d),
+                               n=0, d=0),
+    "Hirzebruch": _split_kind("Hirzebruch({})", lambda d: (1, d), d=0),
     # P^n blown up at a point is the closure of O(1) over P^(n-1)
-    "BlowupPn": _split_kind("BlowupPn({})", lambda n: (n - 1, 1)),
+    "BlowupPn": _split_kind("BlowupPn({})", lambda n: (n - 1, 1), n=1),
     "Flag012": _schubert_kind(
         "Flag012", FLAG012, lambda p: _flag012_factors() if p == 2 else None),
     "G13": _schubert_kind("G(1,3)", G13, _g13_factors),
-    "Macdonald": Kind("Macdonald({})", top_p=lambda v: 0,
+    "Macdonald": Kind("Macdonald({})", top_p=_top_p(lambda chi: 0, chi=1),
                       closed=lambda v, p: macdonald(*v.args),
                       classes=lambda v, p: ["point class"]),
 }

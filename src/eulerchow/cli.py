@@ -61,10 +61,11 @@ def _monomial(variables, exponents) -> str:
 
 
 def _format_rational(r: RationalSeries) -> str:
-    variables = r.monoid.labels
+    variables, order = r.monoid.labels, r.monoid.graded_lex
+    num, den = dict(r.numerator), dict(r.denominator)
     terms = []
-    for m, c in r.numerator:
-        mono = _monomial(variables, m)
+    for m in order(num):
+        mono, c = _monomial(variables, m), num[m]
         if mono == "1":
             terms.append(str(c))
         elif c == 1:
@@ -73,14 +74,14 @@ def _format_rational(r: RationalSeries) -> str:
             terms.append(f"-{mono}")
         else:
             terms.append(f"{c}*{mono}")
-    num = " + ".join(terms).replace("+ -", "- ") if terms else "0"
-    if not r.denominator:
-        return num
-    den = "".join(f"(1-{_monomial(variables, m)})" + (f"^{e}" if e > 1 else "")
-                  for m, e in r.denominator)
+    text = " + ".join(terms).replace("+ -", "- ") if terms else "0"
+    if not den:
+        return text
     if len(terms) > 1:
-        num = f"({num})"
-    return f"{num}/{den}"
+        text = f"({text})"
+    return text + "/" + "".join(
+        f"(1-{_monomial(variables, m)})" + (f"^{den[m]}" if den[m] > 1 else "")
+        for m in order(den))
 
 
 def _series_text(result: catalog.EulerChowResult, expansion: FormalSeries,
@@ -89,8 +90,9 @@ def _series_text(result: catalog.EulerChowResult, expansion: FormalSeries,
     pairs = ", ".join(f"{var} = {cls}"
                       for var, cls in result.generator_dictionary)
     lines.append(f"# generators: {pairs}")
-    for m, c in expansion.items_by_grade():
-        lines.append(f"{_monomial(expansion.monoid.labels, m)}: {c}")
+    table = expansion.coefficients
+    for m in expansion.monoid.graded_lex(table):
+        lines.append(f"{_monomial(expansion.monoid.labels, m)}: {table[m]}")
     return "\n".join(lines) + "\n"
 
 
@@ -146,8 +148,8 @@ def cmd_expand(args) -> int:
 
 
 def _integer(text: str) -> int:
-    """argparse type of --p and, through `_degree`, --degree: ASCII
-    -?[0-9]+, the integer rule of descriptors and series files."""
+    """argparse type of --p and, through `_degree`, --degree: the
+    `series.INTEGER` rule of descriptors and series files."""
     try:
         return int_from_json(text)
     except TypeError:
@@ -214,6 +216,8 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
+        if [] in vars(args).values():  # "--p=--" before Python 3.13
+            build_parser().error("an option's value is missing")
         return args.fn(args)
     except SystemExit as exc:
         # argparse's usage errors, and --help

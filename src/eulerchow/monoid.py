@@ -1,11 +1,12 @@
 """Finitely generated free graded abelian monoids and their morphisms.
 
 Elements are plain tuples of nonnegative integer exponents; the monoid
-object supplies grading, validation and enumeration.  `validate` checks
-one element entering from outside, such as a generator image of a
+object supplies grading, validation, order and enumeration.  `validate`
+checks one element entering from outside, such as a generator image of a
 morphism.  Grading, `add` and `MonoidMorphism.apply` trust their input
 and do not re-check it.  `grade` serves one element and `grades` a whole
-table at once.
+table at once.  `graded_lex` is the one statement of graded-lex order: by
+grade, then by exponent tuple.
 """
 
 from __future__ import annotations
@@ -104,9 +105,12 @@ class GradedMonoid:
         """Sum of two valid elements."""
         return tuple(x + y for x, y in zip(a, b))
 
-    def key(self, m: Element):
-        """Graded-lexicographic sort key of a valid element."""
-        return (self.grade(m), m)
+    def graded_lex(self, elements) -> list[Element]:
+        """Valid elements in graded-lex order: sorted by exponent tuple,
+        then stably by grade, so lex order holds within a grade."""
+        keys = sorted(elements)
+        grade_of = dict(zip(keys, self.grades(keys)))
+        return sorted(keys, key=grade_of.__getitem__)
 
     def enumerate_up_to(self, bound: int) -> list[Element]:
         """All elements of grade <= bound, in graded-lex order.

@@ -25,7 +25,7 @@ the public constructor.
 
 `dumps` and `loads` own the series-file format: they are its one writer
 and its one reader, and no other code knows how a series or a rational
-series is spelled in a file.
+series is spelled in a file; one template writes all three entry arrays.
 """
 
 from __future__ import annotations
@@ -239,26 +239,6 @@ class FormalSeries:
                 f"coefficient at {m} is beyond bound {self.bound}")
         return self.coefficients.get(tuple(m), 0)
 
-    def items_by_grade(self):
-        """(element, coefficient) pairs in graded-lex order, from two
-        builtin sorts: the keys in lex order, then their indices by the
-        grade list of one `grades` pass.  The second sort is stable, and
-        the keys are distinct, so each grade keeps its keys in lex order:
-        the order of sorting (grade, key) pairs, without comparing a
-        tuple per pair."""
-        keys = sorted(self.coefficients)
-        by_grade = sorted(range(len(keys)),
-                          key=self.monoid.grades(keys).__getitem__)
-        keys = list(map(keys.__getitem__, by_grade))
-        return list(zip(keys, map(self.coefficients.__getitem__, keys)))
-
-    def restrict(self, bound: int) -> "FormalSeries":
-        if bound > self.bound:
-            raise TruncationError(
-                f"cannot extend bound {self.bound} to {bound}")
-        return FormalSeries._trusted(self.monoid, bound,
-                                     dict(_terms_up_to(self, bound)))
-
     def __add__(self, other: "FormalSeries") -> "FormalSeries":
         _check_monoids(self, other)
         _check_kinds(self, other)
@@ -389,8 +369,8 @@ def first_difference(f: FormalSeries, g: FormalSeries, degree: int):
 
     Equal tables give None after one dict comparison.  Otherwise only
     the keys whose values differ are collected, by lookups in both
-    tables, and graded in one pass; the smallest (grade, key) pair of
-    grade <= degree is the answer.
+    tables, and graded in one pass; the first of those of grade <= degree
+    in `graded_lex` order is the answer.
     Series over different monoids raise MonoidMismatchError: equal
     exponent tuples over different bases are not the same coefficient.
     A degree above either bound raises TruncationError: a coefficient
@@ -408,11 +388,10 @@ def first_difference(f: FormalSeries, g: FormalSeries, degree: int):
     # always differs
     keys = [m for m, a in fc.items() if gc.get(m, 0) != a]
     keys += [m for m in gc if m not in fc]
-    keyed = [(d, m) for d, m in zip(f.monoid.grades(keys), keys)
-             if d <= degree]
-    if not keyed:
+    keys = list(compress(keys, map(degree.__ge__, f.monoid.grades(keys))))
+    if not keys:
         return None
-    _, m = min(keyed)
+    m = f.monoid.graded_lex(keys)[0]
     return m, fc.get(m, 0), gc.get(m, 0)
 
 
@@ -513,7 +492,8 @@ def _divide(monoid: GradedMonoid, table: dict, m: Element, e: int,
 
 @dataclass(frozen=True)
 class RationalSeries:
-    """Closed form: polynomial numerator over a product of (1 - t^m)^e."""
+    """Closed form: polynomial numerator over a product of (1 - t^m)^e,
+    each stored sorted by element: a canonical order, not a shown one."""
 
     monoid: GradedMonoid
     numerator: tuple[tuple[Element, int], ...]
@@ -526,8 +506,7 @@ class RationalSeries:
             if type(c) is not int:
                 raise TypeError(f"numerator value {c!r} is not an int")
             num[m] = num.get(m, 0) + c
-        num = tuple(sorted(((m, c) for m, c in num.items() if c),
-                           key=lambda mc: self.monoid.key(mc[0])))
+        num = tuple(sorted((m, c) for m, c in num.items() if c))
         den = {}
         for m, e in self.denominator:
             m = self.monoid.validate(m)
@@ -539,8 +518,7 @@ class RationalSeries:
             if e < 1:
                 raise ValueError("denominator multiplicity must be >= 1")
             den[m] = den.get(m, 0) + e
-        den = tuple(sorted(den.items(),
-                           key=lambda mc: self.monoid.key(mc[0])))
+        den = tuple(sorted(den.items()))
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)
 
@@ -553,8 +531,8 @@ class RationalSeries:
         (1 - t^m)^e of grade g stretches each ray of the table by about
         degree / g terms, so the table it leaves grows least when g is
         large, and the grade-1 factors, divided by last, walk the
-        smallest tables.  The denominator is stored in graded-lex order,
-        so falling grade is that order reversed.
+        smallest tables.  The factors are divided in reversed
+        `graded_lex` order, which is falling grade.
 
         A form with numerator 1 and every generator as a denominator
         factor is refused before any division when C(degree // w + r, r),
@@ -583,8 +561,9 @@ class RationalSeries:
         grades = monoid.grades([m for m, _ in self.numerator])
         out = {m: c for (m, c), g in zip(self.numerator, grades)
                if g <= degree}
-        for m, e in reversed(self.denominator):
-            out = _divide(monoid, out, m, e, degree)
+        den = dict(self.denominator)
+        for m in reversed(monoid.graded_lex(den)):
+            out = _divide(monoid, out, m, den[m], degree)
         return FormalSeries._trusted(monoid, degree, out)
 
     def multiply(self, other: "RationalSeries") -> "RationalSeries":
@@ -656,16 +635,19 @@ def first_rational_difference(a: RationalSeries, b: RationalSeries):
     return first_difference(a.expand(g), b.expand(g), g)
 
 
+# the one rule for integer text, in a file, a descriptor or an option; `int`
+# alone would also take "1_000", " 7 ", "+7" and non-ASCII digits
+INTEGER = "-?[0-9]+"
+_is_integer = re.compile(INTEGER).fullmatch
+
+
 def int_from_json(v) -> int:
     """An integer field of a JSON document: an int (not a bool or a float)
-    or an ASCII decimal string, -?[0-9]+.  `int` alone would also take
-    "1_000", " 7 ", "+7" and non-ASCII digits."""
+    or a string of the `INTEGER` rule."""
     if type(v) is int:
         return v
-    if type(v) is str:
-        digits = v[1:] if v[:1] == "-" else v
-        if digits.isdigit() and digits.isascii():
-            return int(v)
+    if type(v) is str and _is_integer(v):
+        return int(v)
     raise TypeError(f"expected an integer, got {v!r}")
 
 
@@ -684,9 +666,9 @@ def _value_from_json(v):
     return int_from_json(v)
 
 
-# a column of integer strings joined by commas, each ASCII -?[0-9]+; `int`
-# refuses a comma, so a value holding one fails its own conversion
-_DECIMAL_COLUMN = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+# a column of `INTEGER` strings joined by commas; `int` refuses a comma,
+# so a value holding one fails its own conversion
+_DECIMAL_COLUMN = re.compile(f"{INTEGER}(?:,{INTEGER})*")
 
 
 def _table_from_columns(entries: list, field: str) -> dict | None:
@@ -725,74 +707,71 @@ def _table_from_json(data: dict, name: str, field: str, read) -> dict:
     return table
 
 
-def _monoid_json(monoid: GradedMonoid) -> dict:
-    return {"generators": [{"label": lab, "weight": w}
-                           for lab, w in monoid.generators]}
-
-
-def _series_dumps(f: FormalSeries) -> str:
-    """The text of `json.dumps(payload, indent=2, ensure_ascii=True)`,
-    written from fixed templates: one for the header (monoid and bound)
-    and one per coefficient entry, in the order of `items_by_grade`.
-    Only each label goes through `json.dumps`, for its escapes."""
-    generators = ",\n".join(
-        '      {\n        "label": %s,\n        "weight": %d\n      }'
-        % (json.dumps(lab), w) for lab, w in f.monoid.generators)
-    head = ('{\n  "monoid": {\n    "generators": '
-            + ("[\n" + generators + "\n    ]" if generators else "[]")
-            + '\n  },\n  "bound": %d' % f.bound)
-    if not f.coefficients:
-        return head + ',\n  "coefficients": []\n}\n'
-    rank = f.monoid.rank
+def _entries(monoid: GradedMonoid, table: dict, field: str,
+             value_template: str) -> str:
+    """The text of an entry array, {"exponents": [...], field: value} per
+    term in `graded_lex` order: an int entry is one `%` of one template,
+    its value '"%d"' (a string) or '%d', and a polynomial {"poly": [...]}.
+    "%d" is str(c) as no value or exponent is a bool (constructors check)."""
+    if not table:
+        return "[]"
+    rank = monoid.rank
     exponents = ("[\n        " + ",\n        ".join(["%d"] * rank)
                  + "\n      ]" if rank else "[]")
-    entry = '    {\n      "exponents": ' + exponents + ',\n      "value": '
-    items = f.items_by_grade()
-    # "%d" writes str(c) only because every coefficient and exponent is an
-    # int and not a bool, which FormalSeries enforces at construction
-    if f.kind == "int":
-        entry += '"%d"\n    }'
-        body = [entry % (*m, c) for m, c in items]
-    else:
+    entry = f'    {{\n      "exponents": {exponents},\n      "{field}": '
+    items = [(m, table[m]) for m in monoid.graded_lex(table)]
+    if _is_poly(next(iter(table.values()))):
         body = [entry % m + '{\n        "poly": [\n          "'
                 + '",\n          "'.join(map(str, c.coeffs))
-                + '"\n        ]\n      }\n    }' for m, c in items]
-    return (head + ',\n  "coefficients": [\n' + ",\n".join(body)
-            + "\n  ]\n}\n")
+                + '"\n        ]\n      }\n    }'
+                for m, c in items]
+    else:
+        entry += value_template + "\n    }"
+        body = [entry % (*m, c) for m, c in items]
+    return "[\n" + ",\n".join(body) + "\n  ]"
 
 
 def dumps(obj) -> str:
     """Byte-stable JSON text for a series or rational series: the text of
     `json.dumps(payload, indent=2, ensure_ascii=True)` and a newline.  Both
     documents hold the monoid, {"generators": [{"label", "weight"}, ...]}.
-    A series adds its bound and its coefficient entries in graded-lex
-    order, each {"exponents": [...], "value": "<int>" or {"poly":
-    ["<int>", ...]}}; a rational series adds its numerator entries, each
-    {"exponents": [...], "value": "<int>"}, and its denominator factors,
-    each {"exponents": [...], "multiplicity": <int>}, both in graded-lex
-    order.  The layout is a contract, pinned by tests against `json.dumps`.
+    A series adds its bound and its coefficient entries, each
+    {"exponents": [...], "value": "<int>" or {"poly": ["<int>", ...]}}; a
+    rational series adds its numerator entries, each {"exponents": [...],
+    "value": "<int>"}, and its denominator factors, each {"exponents":
+    [...], "multiplicity": <int>}.  The layout is a contract, pinned by
+    tests against `json.dumps`, but the text is written from templates:
+    the header once, and each entry array by `_entries`, in graded-lex
+    order.  Only each label goes through `json.dumps`, for its escapes.
 
     Python limits int -> str conversion to 4300 digits by default, and
     `dumps` raises ValueError on a larger number.  `cli.main` lifts the
     limit for each command and restores it afterwards; a library caller
     lifts it itself, with `sys.set_int_max_str_digits(0)`."""
     if isinstance(obj, FormalSeries):
-        return _series_dumps(obj)
-    if isinstance(obj, RationalSeries):
-        doc = {"monoid": _monoid_json(obj.monoid),
-               "numerator": [{"exponents": list(m), "value": str(c)}
-                             for m, c in obj.numerator],
-               "denominator": [{"exponents": list(m), "multiplicity": e}
-                               for m, e in obj.denominator]}
-        return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
-    raise TypeError(type(obj).__name__)
+        arrays = ['  "bound": %d,\n  "coefficients": ' % obj.bound,
+                  _entries(obj.monoid, obj.coefficients, "value", '"%d"')]
+    elif isinstance(obj, RationalSeries):
+        arrays = ['  "numerator": ',
+                  _entries(obj.monoid, dict(obj.numerator), "value", '"%d"'),
+                  ',\n  "denominator": ',
+                  _entries(obj.monoid, dict(obj.denominator), "multiplicity",
+                           "%d")]
+    else:
+        raise TypeError(type(obj).__name__)
+    generators = ",\n".join(
+        '      {\n        "label": %s,\n        "weight": %d\n      }'
+        % (json.dumps(lab), w) for lab, w in obj.monoid.generators)
+    return "".join(['{\n  "monoid": {\n    "generators": ',
+                    "[\n" + generators + "\n    ]" if generators else "[]",
+                    "\n  },\n", *arrays, "\n}\n"])
 
 
 def loads(text: str):
     """Parse `dumps` output; any text that is not a valid series or
     rational series, as JSON or by the schema, is one ValueError.
 
-    Integers are JSON ints or ASCII decimal strings (-?[0-9]+).  One rule
+    Integers are JSON ints or strings of the `INTEGER` rule.  One rule
     holds for all three entry arrays, `coefficients`, `numerator` and
     `denominator`: no array may name the same exponents twice.  The
     monoid is read once for either document.  An array whose values are

@@ -130,7 +130,9 @@ def _unfactored_assemble(target, factors, degree):
     out = pushforward(MonoidMorphism(product.monoid, target, tuple(images)),
                       product)
     assert out.bound >= degree
-    return out.restrict(degree)
+    return FormalSeries(target, degree,
+                        {m: c for m, c in out.coefficients.items()
+                         if target.grade(m) <= degree})
 
 
 PIPELINES = (

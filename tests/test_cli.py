@@ -1,17 +1,21 @@
 import argparse
+import contextlib
 import hashlib
 import io
 import json
 import math
+import re
 import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from eulerchow import catalog, cli, verify
+from eulerchow import catalog, cli, series, verify
 from eulerchow.catalog import lawson_yau_pn
 from eulerchow.monoid import GradedMonoid
 from eulerchow.series import (MAX_EXPANSION_TERMS, FormalSeries, IntPolynomial,
-                              RationalSeries, dumps, loads)
+                              RationalSeries, dumps, int_from_json, loads)
 
 
 def run(capsys, *argv):
@@ -134,6 +138,16 @@ def test_format_rational(numerator, denominator, text):
         RationalSeries(T, numerator, denominator)) == text
 
 
+def test_format_rational_writes_graded_lex_order():
+    # y = (0, 1) comes first in the stored lex order, but y has weight 2,
+    # so x is printed first, in the numerator and in the denominator
+    xy = GradedMonoid.free(["x", "y"], [1, 2])
+    r = RationalSeries(xy, (((1, 0), 1), ((0, 1), 1)),
+                       (((1, 0), 1), ((0, 1), 1)))
+    assert [m for m, _ in r.numerator] == [(0, 1), (1, 0)]
+    assert cli._format_rational(r) == "(x + y)/(1-x)(1-y)"
+
+
 @pytest.mark.parametrize("variety, p, form", [
     ("G(1,3)", 2, "1/(1-y)^4(1-x)^4(1-x*y)^3"),
     ("Flag012", 2, "(1 - x*y)/(1-y)^3(1-x)^3"),
@@ -233,19 +247,72 @@ def test_series_p_out_of_range(capsys, descriptor, p):
 
 
 @pytest.mark.parametrize("descriptor, message", [
-    ("Pn(-1)", "p=0 out of range for Pn(-1)"),
-    ("PnxP1(-2)", "p=0 out of range for PnxP1(-2)"),
-    ("ProjClosure(n=-1,d=2)", "p=0 out of range for ProjClosure(n=-1,d=2)"),
-    ("ProjClosure(n=2,d=-1)", "n and d must be >= 0"),
-    ("Hirzebruch(-1)", "n and d must be >= 0"),
-    ("BlowupPn(-3)", "p=0 out of range for BlowupPn(-3)"),
-    ("Macdonald(-1)", "chi must be >= 1, got -1")])
-def test_series_negative_descriptor_integer(capsys, descriptor, message):
-    # a negative integer is a descriptor integer: the row's own range
-    # check refuses it, with one error line and no traceback
-    code, out, err = run(capsys, "series", descriptor)
+    ("Pn(-1)", "n=-1 out of range for Pn(-1): n must be >= 0"),
+    ("PnxP1(-2)", "n=-2 out of range for PnxP1(-2): n must be >= 0"),
+    ("ProjClosure(n=-1,d=2)",
+     "n=-1 out of range for ProjClosure(n=-1,d=2): n must be >= 0"),
+    ("ProjClosure(n=2,d=-1)",
+     "d=-1 out of range for ProjClosure(n=2,d=-1): d must be >= 0"),
+    ("Hirzebruch(-1)", "d=-1 out of range for Hirzebruch(-1): d must be >= 0"),
+    ("BlowupPn(-3)", "n=-3 out of range for BlowupPn(-3): n must be >= 1"),
+    ("BlowupPn(0)", "n=0 out of range for BlowupPn(0): n must be >= 1"),
+    ("Macdonald(-1)",
+     "chi=-1 out of range for Macdonald(-1): chi must be >= 1")])
+@pytest.mark.parametrize("p", ["0", "3"])
+def test_series_negative_descriptor_integer(capsys, descriptor, message, p):
+    # an integer below its row's range parses, and the row refuses it
+    # before p is read: one error line naming the descriptor and the
+    # integer's range, the same at every p, and no traceback
+    code, out, err = run(capsys, "series", descriptor, "--p", p)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+def _accepts(read, text) -> bool:
+    try:
+        read(text)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _p_option(text):
+    """--p as `cli.main` reads it: a refused value is a usage error, which
+    argparse reports after the usage line; p out of range is not one."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(["series", "Pn(2)", f"--p={text}",
+                         "--format", "rational"])
+    if code == 2 and err.getvalue().startswith("usage:"):
+        raise ValueError(err.getvalue())
+
+
+def _file_value(text):
+    return loads(_series_file(value=json.dumps(text)))
+
+
+@given(st.text(st.sampled_from("-+_ \n0129\u0663\uff13\u00b2"), max_size=6))
+@example("-0129")
+@example("")
+@example("-")
+@example("7\n")
+@example("--")
+def test_one_integer_rule_for_files_options_and_descriptors(text):
+    # the four readers of an integer written as text accept exactly the
+    # strings of `series.INTEGER`, and read the same number
+    accepted = re.fullmatch(series.INTEGER, text) is not None
+    assert _accepts(int_from_json, text) == accepted
+    assert _accepts(_p_option, text) == accepted
+    assert _accepts(catalog.parse_descriptor, f"Pn({text})") == accepted
+    assert _accepts(_file_value, text) == accepted
+    if accepted:
+        n = int(text)
+        assert int_from_json(text) == n
+        assert cli.build_parser().parse_args(
+            ["series", "Pn(2)", f"--p={text}"]).p == n
+        assert catalog.parse_descriptor(f"Pn({text})").args == (n,)
+        assert _file_value(text).coefficients == ({(0,): n} if n else {})
 
 
 def test_series_json_is_deterministic(capsys, tmp_path):
@@ -461,6 +528,11 @@ EXIT_CODES = [
     (["series", "Pn(2)", "--degree", "1_0"], 2),
     (["series", "Pn(2)", "--degree", " 2 "], 2),
     (["series", "Pn(2)", "--p", "+1"], 2),
+    # "--" as an option's value: Python before 3.13 hands it over as []
+    (["series", "Pn(2)", "--p=--"], 2),
+    (["series", "Pn(2)", "--degree=--"], 2),
+    (["series", "Pn(2)", "--format=--"], 2),
+    (["expand", "{r}", "--degree=--"], 2),
     (["expand", "{bad}"], 2),
     (["compare", "{bad}", "{s}"], 2),
     (["expand", "{s}"], 2),

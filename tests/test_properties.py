@@ -137,7 +137,7 @@ def test_engine_results_keep_the_key_invariant(fgh, case, s, data):
                         {m: IntPolynomial((c, 1))
                          for m, c in f.coefficients.items()})
     for r in (convolve(f, g), exterior(f, g)[0], f + g, f + f.scale(s),
-              f.scale(s), f.restrict(bound), one(f.monoid, bound),
+              f.scale(s), one(f.monoid, bound),
               evaluate_polynomial_coefficients(poly, s),
               pushforward(phi, src), pullback(phi, dst)):
         assert_public_constructor_agrees(r)
@@ -220,6 +220,12 @@ def test_json_round_trip(fgh):
     assert loads(dumps(f)) == f
 
 
+def graded_lex_key(monoid):
+    """The reference sort key of graded-lex order: grade, then the
+    exponent tuple."""
+    return lambda m: (monoid.grade(m), m)
+
+
 def reference_monoid(monoid):
     return {"generators": [{"label": lab, "weight": w}
                            for lab, w in monoid.generators]}
@@ -233,8 +239,8 @@ def reference_payload(f):
             return {"poly": [str(x) for x in c.coeffs]}
         return str(c)
 
-    items = sorted(f.coefficients.items(),
-                   key=lambda mc: f.monoid.key(mc[0]))
+    key = graded_lex_key(f.monoid)
+    items = sorted(f.coefficients.items(), key=lambda mc: key(mc[0]))
     return {
         "monoid": reference_monoid(f.monoid),
         "bound": f.bound,
@@ -284,7 +290,7 @@ _T0T1 = GradedMonoid.free(["t0", "t1"], [1, 2])
 @example(FormalSeries(GradedMonoid(()), 3, {(): -7}))
 @example(FormalSeries(GradedMonoid.free(["x"]), 2, {}))
 # realistic sizes, with many keys of one grade: the order of two stable
-# sorts against the reference's sort by `monoid.key`
+# sorts against the reference's sort by grade, then element
 @example(catalog.schubert_closed(catalog.FLAG012, 1).expand(30))
 @example(RationalSeries(_T0T1, ((_T0T1.zero(), 1),),
                         (((1, 0), 1), ((0, 2), 1))).expand(30))
@@ -298,8 +304,10 @@ def test_dumps_is_the_reference_encoding(f):
 def reference_rational_payload(r):
     """The document `dumps` writes for a rational series, as plain data;
     numerator terms and denominator factors in graded-lex order."""
+    key = graded_lex_key(r.monoid)
+
     def by_grade(pairs):
-        return sorted(pairs, key=lambda mc: r.monoid.key(mc[0]))
+        return sorted(pairs, key=lambda mc: key(mc[0]))
 
     return {
         "monoid": reference_monoid(r.monoid),
@@ -327,6 +335,11 @@ def printable_rationals(draw):
 @example(RationalSeries(GradedMonoid(()), (), ()))
 @example(RationalSeries(GradedMonoid.free(["x"]), (), (((1,), 2),)))
 @example(RationalSeries(GradedMonoid.free(["x"]), (((0,), -10**120),), ()))
+@example(catalog.schubert_closed(catalog.FLAG012, 2))
+# (t0 + t1)/((1 - t0)(1 - t1)), t1 of weight 2: t1 = (0, 1) comes first
+# in the stored lex order, but has the higher grade
+@example(RationalSeries(_T0T1, (((1, 0), 1), ((0, 1), 1)),
+                        (((1, 0), 1), ((0, 1), 1))))
 def test_rational_dumps_is_the_reference_encoding(r):
     text = dumps(r)
     assert text == json.dumps(reference_rational_payload(r), indent=2,
@@ -372,7 +385,7 @@ def test_first_difference_is_the_first_in_sorted_order(case):
     keys = {m for m in f.coefficients.keys() | g.coefficients.keys()
             if grade(m) <= degree}
     expected = None
-    for m in sorted(keys, key=f.monoid.key):
+    for m in sorted(keys, key=graded_lex_key(f.monoid)):
         a, b = f.coefficients.get(m, 0), g.coefficients.get(m, 0)
         if a != b:
             expected = m, a, b
