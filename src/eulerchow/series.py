@@ -23,15 +23,18 @@ skips the key scan and keeps the table it is handed; it still checks the
 bound and the coefficient kinds and drops zeros, with the same code as
 the public constructor.
 
-`dumps` and `loads` own the series-file format: they are its one writer
-and its one reader, and no other code knows how a series or a rational
-series is spelled in a file; one template writes all three entry arrays.
+`dumps` and `loads` own the series-file format, and no other code knows
+how a series or a rational series is spelled in a file.  `dumps` is its
+one writer, from templates: `_head`, and `_entries` for all three entry
+arrays.  `loads` reads a file in that exact layout by the same templates,
+and any other valid file entry by entry.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, repeat
 from operator import add, floordiv, itemgetter, mul, sub
@@ -666,69 +669,121 @@ def _value_from_json(v):
     return int_from_json(v)
 
 
-# a column of `INTEGER` strings joined by commas; `int` refuses a comma,
-# so a value holding one fails its own conversion
-_DECIMAL_COLUMN = re.compile(f"{INTEGER}(?:,{INTEGER})*")
-
-
-def _table_from_columns(entries: list, field: str) -> dict | None:
-    """The table of an array whose entries are all dicts with both fields
-    and whose values are all decimal strings, read by column: the keys
-    in one pass, the values in one, checked as one joined string and
-    converted by `int`.  None for any other array, and for one whose
-    column check or conversion fails, so that the per-entry reader reads
-    it and names its first bad entry."""
-    try:
-        values = list(map(itemgetter(field), entries))
-        # `join` raises TypeError on a value that is not a str
-        if _DECIMAL_COLUMN.fullmatch(",".join(values)) is None:
-            return None
-        keys = map(tuple, map(itemgetter("exponents"), entries))
-        return dict(zip(keys, map(int, values)))
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
 def _table_from_json(data: dict, name: str, field: str, read) -> dict:
     """The array data[name] of {"exponents": [...], field: value} entries,
-    as a dict from exponent tuples to read(value).  An array of decimal
-    strings is read a column at a time; any other array, or one that
-    fails the column check, entry by entry, which raises the error of its
-    first bad entry.  Both readers take the same arrays to the same
-    table.  An array that names one element twice is refused: keeping
-    either value, or merging them, would read a different series than the
+    as a dict from exponent tuples to read(value), read entry by entry.
+    An array that names one element twice is refused: keeping either
+    value, or merging them, would read a different series than the
     file's author wrote."""
     entries = list_from_json(data[name])
-    table = _table_from_columns(entries, field)
-    if table is None:
-        table = {tuple(t["exponents"]): read(t[field]) for t in entries}
+    table = {tuple(t["exponents"]): read(t[field]) for t in entries}
     if len(table) != len(entries):
         raise ValueError(f"repeated exponents in {name}")
     return table
 
 
-def _entries(monoid: GradedMonoid, table: dict, field: str,
-             value_template: str) -> str:
-    """The text of an entry array, {"exponents": [...], field: value} per
-    term in `graded_lex` order: an int entry is one `%` of one template,
-    its value '"%d"' (a string) or '%d', and a polynomial {"poly": [...]}.
-    "%d" is str(c) as no value or exponent is a bool (constructors check)."""
-    if not table:
-        return "[]"
-    rank = monoid.rank
+_DENOMINATOR = ',\n  "denominator": '  # between a rational form's arrays
+_FORMAT_ERRORS = (KeyError, TypeError, AttributeError, ValueError,
+                  RecursionError)  # what `loads` makes one ValueError
+
+
+def _head(monoid: GradedMonoid, bound: int | None) -> str:
+    """The text of a document up to its first entry array: the monoid,
+    then a series' bound and `"coefficients": `, or, for bound None, a
+    rational series' `"numerator": `.  Labels go through `json.dumps`."""
+    generators = ",\n".join(
+        '      {\n        "label": %s,\n        "weight": %d\n      }'
+        % (json.dumps(lab), w) for lab, w in monoid.generators)
+    return '{\n  "monoid": {\n    "generators": %s\n  },\n  %s' % (
+        "[\n" + generators + "\n    ]" if generators else "[]",
+        '"numerator": ' if bound is None
+        else '"bound": %d,\n  "coefficients": ' % bound)
+
+
+def _entry(rank: int, field: str, value: str) -> str:
+    """The template of an entry: one `%d` per exponent, then `value`."""
     exponents = ("[\n        " + ",\n        ".join(["%d"] * rank)
                  + "\n      ]" if rank else "[]")
-    entry = f'    {{\n      "exponents": {exponents},\n      "{field}": '
-    items = [(m, table[m]) for m in monoid.graded_lex(table)]
-    if _is_poly(next(iter(table.values()))):
-        body = [entry % m + '{\n        "poly": [\n          "'
-                + '",\n          "'.join(map(str, c.coeffs))
-                + '"\n        ]\n      }\n    }'
-                for m, c in items]
-    else:
-        entry += value_template + "\n    }"
-        body = [entry % (*m, c) for m, c in items]
-    return "[\n" + ",\n".join(body) + "\n  ]"
+    return (f'    {{\n      "exponents": {exponents},\n      "{field}": '
+            f'{value}\n    }}')
+
+
+def _array(entries: list) -> str:
+    """An entry array, from the texts of its entries."""
+    return "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+
+
+def _entries(monoid: GradedMonoid, table: dict, field: str,
+             value: str) -> str:
+    """The text of an entry array: one `%` of one `_entry` template per
+    term, in `graded_lex` order.  An int value is '"%d"' (a string) or
+    '%d', and a polynomial {"poly": [...]} of strings.  "%d" is str(c) as
+    no value or exponent is a bool (constructors check)."""
+    if table and _is_poly(next(iter(table.values()))):
+        value = '{\n        "poly": [\n          "%s"\n        ]\n      }'
+        table = {m: '",\n          "'.join(map(str, c.coeffs))
+                 for m, c in table.items()}
+    entry = _entry(monoid.rank, field, value)
+    return _array([entry % (*m, table[m]) for m in monoid.graded_lex(table)])
+
+
+def _layout_table(text: str, rank: int, field: str, value: str):
+    """The table of an int entry array in the layout `_entries` writes,
+    or None.  The text must start and end as the template does and,
+    without its digits and minus signs, be the array of n empty entries,
+    n its count of '"exponents"'.  The join of two entries and the text
+    before a value become commas, and one `json.loads` reads every
+    number: the text between two exponents is JSON already, and a piece
+    with a digit out of place keeps its `}` or `]`, which it refuses."""
+    if text == "[]":
+        return {}
+    n = text.count('"exponents"')
+    entry = _entry(rank, field, value)
+    first, *pieces, last = _array([entry] * 2).split("%d")
+    slots = str.maketrans("", "", "-0123456789")
+    if (not text.startswith(first) or not text.endswith(last)
+            or text.translate(slots) != _array([entry.replace("%d", "")] * n)):
+        return None
+    join = pieces[rank]
+    flat = json.loads("[" + text[len(first):len(text) - len(last)].replace(
+        join, ",").replace(pieces[rank - 1] if rank else join, ",") + "]")
+    values = flat[rank::rank + 1]
+    del flat[rank::rank + 1]
+    table = dict(zip(zip(*[iter(flat)] * rank) if rank else [()] * n,
+                     values))
+    if (len(flat) + len(values) != n * (rank + 1) or len(table) != n
+            or min(flat, default=0) < 0):
+        return None
+    return table
+
+
+def _read_layout(text: str):
+    """The series or rational series of a text exactly as `dumps` writes
+    it with int values, or None.  The head, up to the first entry array,
+    must be what `_head` writes back from its `json.loads`; each array is
+    read by `_layout_table`; grades are checked here, not by `_trusted`."""
+    monoid_end = text.find("\n  },\n")
+    start = text.find("[", monoid_end)
+    if monoid_end < 0 or start < 0 or not text.endswith("\n}\n"):
+        return None
+    data = json.loads(text[:start] + "[]}")
+    monoid = GradedMonoid(tuple((g["label"], g["weight"])
+                                for g in data["monoid"]["generators"]))
+    bound, rank = data.get("bound"), monoid.rank
+    if _head(monoid, bound) != text[:start]:
+        return None
+    if bound is not None:
+        table = _layout_table(text[start:-3], rank, "value", '"%d"')
+        if table is None or max(monoid.grades(table), default=0) > bound:
+            return None
+        return FormalSeries._trusted(monoid, bound, table)
+    mid = text.find(_DENOMINATOR, start)
+    tables = [_layout_table(text[start:mid], rank, "value", '"%d"'),
+              _layout_table(text[mid + len(_DENOMINATOR):-3], rank,
+                            "multiplicity", "%d")]
+    if mid < 0 or None in tables:
+        return None
+    return RationalSeries(monoid, *(tuple(t.items()) for t in tables))
 
 
 def dumps(obj) -> str:
@@ -740,51 +795,45 @@ def dumps(obj) -> str:
     rational series adds its numerator entries, each {"exponents": [...],
     "value": "<int>"}, and its denominator factors, each {"exponents":
     [...], "multiplicity": <int>}.  The layout is a contract, pinned by
-    tests against `json.dumps`, but the text is written from templates:
-    the header once, and each entry array by `_entries`, in graded-lex
-    order.  Only each label goes through `json.dumps`, for its escapes.
+    tests against `json.dumps`, but the text is written from templates
+    that `loads` reads back: `_head`, and `_entries` per entry array.
 
     Python limits int -> str conversion to 4300 digits by default, and
     `dumps` raises ValueError on a larger number.  `cli.main` lifts the
     limit for each command and restores it afterwards; a library caller
     lifts it itself, with `sys.set_int_max_str_digits(0)`."""
     if isinstance(obj, FormalSeries):
-        arrays = ['  "bound": %d,\n  "coefficients": ' % obj.bound,
-                  _entries(obj.monoid, obj.coefficients, "value", '"%d"')]
+        parts = [_head(obj.monoid, obj.bound),
+                 _entries(obj.monoid, obj.coefficients, "value", '"%d"')]
     elif isinstance(obj, RationalSeries):
-        arrays = ['  "numerator": ',
-                  _entries(obj.monoid, dict(obj.numerator), "value", '"%d"'),
-                  ',\n  "denominator": ',
-                  _entries(obj.monoid, dict(obj.denominator), "multiplicity",
-                           "%d")]
+        parts = [_head(obj.monoid, None),
+                 _entries(obj.monoid, dict(obj.numerator), "value", '"%d"'),
+                 _DENOMINATOR,
+                 _entries(obj.monoid, dict(obj.denominator), "multiplicity",
+                          "%d")]
     else:
         raise TypeError(type(obj).__name__)
-    generators = ",\n".join(
-        '      {\n        "label": %s,\n        "weight": %d\n      }'
-        % (json.dumps(lab), w) for lab, w in obj.monoid.generators)
-    return "".join(['{\n  "monoid": {\n    "generators": ',
-                    "[\n" + generators + "\n    ]" if generators else "[]",
-                    "\n  },\n", *arrays, "\n}\n"])
+    return "".join([*parts, "\n}\n"])
 
 
 def loads(text: str):
     """Parse `dumps` output; any text that is not a valid series or
     rational series, as JSON or by the schema, is one ValueError.
 
-    Integers are JSON ints or strings of the `INTEGER` rule.  One rule
-    holds for all three entry arrays, `coefficients`, `numerator` and
-    `denominator`: no array may name the same exponents twice.  The
-    monoid is read once for either document.  An array whose values are
-    all strings, as `dumps` writes them, is read by column: one pass for
-    the keys, one for the values, one check of the whole value column and
-    one `int` pass.  Any other array, and one that fails that check, is
-    read entry by entry, which names the first bad entry; so the text an
-    error names does not depend on the reader.  The `FormalSeries` or
-    `RationalSeries` constructor validates the elements.  A number of
-    more than 4300 digits is a ValueError unless the caller has lifted
-    Python's limit on str -> int conversion, as `cli.main` does for each
-    command (`sys.set_int_max_str_digits(0)`).
+    Integers are JSON ints or strings of the `INTEGER` rule, and no
+    entry array may name the same exponents twice.  A text in the layout
+    `dumps` writes, with int values, is read by that layout
+    (`_read_layout`), without one JSON object per entry.  Any other
+    text, and one that fails a check there, is parsed whole and read
+    entry by entry, which raises the error of its first bad entry; so an
+    error's text does not depend on the reader.  A number of more than
+    4300 digits is a ValueError unless the caller has lifted Python's
+    limit on str -> int conversion, as `cli.main` does for each command
+    (`sys.set_int_max_str_digits(0)`).
     """
+    with suppress(*_FORMAT_ERRORS):
+        if (obj := _read_layout(text)) is not None:
+            return obj
     try:
         data = json.loads(text)
         monoid = GradedMonoid(tuple(
@@ -801,6 +850,5 @@ def loads(text: str):
                                    int_from_json).items()),
             tuple(_table_from_json(data, "denominator", "multiplicity",
                                    int_from_json).items()))
-    except (KeyError, TypeError, AttributeError, ValueError,
-            RecursionError) as exc:
+    except _FORMAT_ERRORS as exc:
         raise ValueError(f"malformed series file: {exc!r}") from None

@@ -463,8 +463,8 @@ MALFORMED = ['[1]', '"x"', '{}', '{"coefficients": 3}',
              # text that `int` takes but that is not -?[0-9]+ in ASCII
              *(_series_file(value=v) for v in (
                  '"1_000"', '" 7 "', '"+7"', '"\u0661\u0662"', '"7\\n"')),
-             # the edge values of the check of a whole column of decimal
-             # strings, joined by commas
+             # the edge values of the integer rule: a lone or doubled
+             # sign, an inner sign, no digit, a comma, a newline
              *(_series_file(value=v) for v in (
                  '"-"', '"--1"', '"1-2"', '""', '"1,2"', '"7\\n8"')),
              _series_file(bound='"1_0"'),

@@ -1,12 +1,17 @@
 """Property-based checks of the ring and morphism laws of `verify`, of
 `dumps` and `first_difference` against their plain reference forms, and
-of `loads` on damaged series files against the per-entry reader, on
-cases drawn by Hypothesis; that every engine result, built without the
-key scan, passes it; and that `expand`'s count before dividing is the
-largest ray total of a catalog form."""
+of `loads` on damaged series files, compact or in the layout `dumps`
+writes, against the per-entry reader, on cases drawn by Hypothesis; that
+`loads` reads what `dumps` writes by that layout, with a lower memory
+peak; that every engine result, built without the key scan, passes it;
+and that `expand`'s count before dividing is the largest ray total of a
+catalog form."""
 
+import gc
 import json
 import math
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -409,7 +414,7 @@ PAYLOADS = [json.loads(dumps(x)) for x in (
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.floats() | st.text(max_size=4)
     | st.integers() | st.sampled_from([10**400, -10**400, "1e400", "0x10"])
-    # and the edge values of the column check of decimal strings
+    # and the edge values of the integer rule
     | st.sampled_from(["-", "--1", "1-2", "", "1,2", "7\n8", "+7", "-0"]),
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
@@ -447,11 +452,72 @@ def damaged_files(draw):
     return json.dumps(_replaced(doc, path, draw(JSON_VALUES)))
 
 
+def _in_layout(doc, path=(), slot=None):
+    """`doc` in the layout `dumps` writes; with a slot text, the int or
+    decimal string at `path` is written as that text instead."""
+    if slot is None:
+        return json.dumps(doc, indent=2) + "\n"
+    marker = 987654321
+    old = doc
+    for key in path:
+        old = old[key]
+    doc = _replaced(doc, path, type(old)(marker))
+    return _in_layout(doc).replace(str(marker), slot)
+
+
+# slot texts weighted toward those a flat `json.loads` reads otherwise
+# than the `INTEGER` rule, or refuses: a leading zero, "-0", a value past
+# the digit limit, floats; and "-1", which the key check refuses as an
+# exponent
+SLOT_TEXTS = st.sampled_from(["007", "-0", "0", "01", "-1", "", "1-2", "-",
+                              "9" * 5000, "12", " 3", "1.0", "2e1"])
+
+
+@st.composite
+def layout_files(draw):
+    """The text `dumps` writes for a drawn int or polynomial series or
+    rational series, damaged in one way or not at all: one character
+    changed, whitespace added, one number written as a drawn slot text,
+    one field of the document replaced, or an entry moved or repeated,
+    the last two written back in the layout."""
+    obj = draw(printable_series() | printable_rationals())
+    text = dumps(obj)
+    damage = draw(st.integers(0, 5))
+    if damage == 1:
+        i = draw(st.integers(0, len(text) - 1))
+        c = draw(st.sampled_from('07-" \n,:{}[]x'))
+        text = text[:i] + c + text[i + 1:]
+    elif damage == 2:
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(" \n\t")) + text[i:]
+    elif damage == 3:
+        spans = [m.span() for m in re.finditer("-?[0-9]+", text)]
+        if spans:
+            a, b = draw(st.sampled_from(spans))
+            text = text[:a] + draw(SLOT_TEXTS) + text[b:]
+    elif damage == 4:
+        doc = json.loads(text)
+        path = draw(st.sampled_from(list(_paths(doc))))
+        value = draw(JSON_VALUES | SLOT_TEXTS | st.integers(-2, 2))
+        text = _in_layout(_replaced(doc, path, value))
+    elif damage == 5:
+        doc = json.loads(text)
+        arrays = [a for k, a in doc.items() if k != "monoid" and a and
+                  isinstance(a, list)]
+        if arrays:
+            entries = draw(st.sampled_from(arrays))
+            entry = entries[draw(st.integers(0, len(entries) - 1))]
+            if draw(st.booleans()):
+                entries.remove(entry)
+            entries.insert(draw(st.integers(0, len(entries))), entry)
+            text = _in_layout(doc)
+    return text
 
 
 def reference_table(data, name, field, read):
-    """The per-entry reader `loads` used before it read columns: one
-    entry at a time, keys before values."""
+    """The per-entry reader of `loads`, which reads every text that is
+    not in the layout `dumps` writes: one entry at a time, keys before
+    values."""
     entries = series.list_from_json(data[name])
     table = {tuple(t["exponents"]): read(t[field]) for t in entries}
     if len(table) != len(entries):
@@ -484,25 +550,74 @@ def reference_loads(text):
 
 
 def _outcome(read, text):
-    """What a reader makes of a text: its object, or its error text."""
+    """What a reader makes of a text: its object and the order of its
+    coefficient table, or its error text."""
     try:
-        return read(text)
+        obj = read(text)
     except ValueError as exc:
         return str(exc)
+    return obj, list(getattr(obj, "coefficients", ()))
 
 
 def _with_value(doc, i, value):
     return json.dumps(_replaced(doc, ("coefficients", i, "value"), value))
 
 
-@settings(max_examples=300, deadline=None)
-@given(damaged_files())
+# the series of PAYLOADS[0] in the layout, and forms of rank 0 and 1 and
+# with escaped and non-ASCII labels
+_LAYOUT = PAYLOADS[0]
+_RANK0 = FormalSeries(GradedMonoid(()), 2, {(): 7})
+_RANK1 = RationalSeries(GradedMonoid.free(["x"]), (((0,), 1), ((2,), -4)),
+                        (((1,), 2),))
+_LABELLED = FormalSeries(
+    GradedMonoid.free(['a"\\\n', "\u00e9\U0001f600"]), 2,
+    {(1, 0): 3, (0, 1): -1, (0, 0): 1})
+
+
+@settings(max_examples=600, deadline=None)
+@given(damaged_files() | layout_files())
+# in the layout: the series, one with its first entries swapped, one with
+# a repeated entry and one with a grade over its bound; and "bound": -1
+# with an empty array, which `_trusted` refuses in the layout reader
+@example(_in_layout(_LAYOUT))
+@example(_in_layout({**_LAYOUT, "coefficients": [
+    _LAYOUT["coefficients"][1], _LAYOUT["coefficients"][0],
+    *_LAYOUT["coefficients"][2:]]}))
+@example(_in_layout({**_LAYOUT, "coefficients": [
+    *_LAYOUT["coefficients"], _LAYOUT["coefficients"][0]]}))
+@example(_in_layout({**_LAYOUT, "bound": 1}))
+@example(_in_layout({**_LAYOUT, "bound": -1, "coefficients": []}))
+# slot texts in the layout: values the `INTEGER` rule takes but a flat
+# `json.loads` does not ("007"), or reads as 0 ("-0"); exponents that the
+# whole-text parse refuses ("01") or the key check refuses ("-1"); a
+# value past the digit limit
+@example(_in_layout(_LAYOUT, ("coefficients", 1, "value"), "007"))
+@example(_in_layout(_LAYOUT, ("coefficients", 1, "value"), "-0"))
+@example(_in_layout(_LAYOUT, ("coefficients", 1, "value"), "0"))
+@example(_in_layout(_LAYOUT, ("coefficients", 1, "exponents", 0), "01"))
+@example(_in_layout(_LAYOUT, ("coefficients", 1, "exponents", 0), "-1"))
+@example(_in_layout(_LAYOUT, ("coefficients", 1, "value"), "9" * 5000))
+# an exponent the skeleton check refuses ("1.0"), and a head that is
+# JSON but not the writer's: the array renamed
+@example(_in_layout(_LAYOUT, ("coefficients", 1, "exponents", 0), "1.0"))
+@example(_in_layout(_LAYOUT).replace('"coefficients"', '"terms"'))
+@example(_in_layout(PAYLOADS[2], ("denominator", 0, "multiplicity"), "01"))
+# an exponent moved within the whitespace before it, and a digit added
+# to the whitespace before the first exponent: both leave the skeleton as
+# it was, and the first reads the same number, the second is not JSON
+@example(dumps(_RANK1.expand(3)).replace(
+    '[\n        2\n      ]', '[\n      2  \n      ]'))
+@example(dumps(_RANK1.expand(3)).replace(
+    '[\n        0', '[\n    5    0', 1))
+@example(dumps(_RANK0))
+@example(dumps(_RANK1))
+@example(dumps(_LABELLED))
+@example(dumps(_RATIONAL))
 @example(json.dumps({**PAYLOADS[0], "bound": math.inf}))
 @example(json.dumps(PAYLOADS[0]))
 @example(json.dumps(PAYLOADS[1]))
 @example(json.dumps(PAYLOADS[2]))
-# a value past the digit limit: `int` refuses it in the column pass, and
-# the per-entry reader raises the same error
+# compact texts: a value past the digit limit, which `int` refuses
 @example(_with_value(PAYLOADS[0], 1, "9" * 5000))
 # bad values after good ones: one that `int` takes but the rule refuses,
 # one that `int` refuses; and a bad key after a bad value
@@ -528,3 +643,57 @@ def test_json_int_values_load_as_their_decimal_strings():
             entry["value"] = int(entry["value"])
     assert {type(e["value"]) for e in doc["coefficients"]} == {int, str}
     assert loads(json.dumps(doc)) == loads(json.dumps(PAYLOADS[0]))
+
+
+# monoids of rank 0 to 3; the examples over them include the zero series
+# and a form with no numerator
+_SPY_MONOIDS = [GradedMonoid(()), GradedMonoid.free(["x"]),
+                GradedMonoid.free(["x", "y"], [1, 2]),
+                GradedMonoid.free(["a", "b", "c"])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(printable_series().filter(lambda f: f.kind != "poly")
+       | printable_rationals())
+@example(FormalSeries(_SPY_MONOIDS[0], 1, {}))
+@example(FormalSeries(_SPY_MONOIDS[0], 1, {(): -3}))
+@example(RationalSeries(_SPY_MONOIDS[0], (((), 2),), ()))
+@example(FormalSeries(_SPY_MONOIDS[1], 4, {(0,): 1, (4,): 10**200}))
+@example(RationalSeries(_SPY_MONOIDS[1], (), (((1,), 3),)))
+@example(RationalSeries(_SPY_MONOIDS[2], (((0, 0), 1), ((1, 1), -1)),
+                        (((1, 0), 2), ((0, 1), 1))).expand(6))
+@example(RationalSeries(_SPY_MONOIDS[2], (((0, 0), 1), ((1, 1), -1)),
+                        (((1, 0), 2), ((0, 1), 1))))
+@example(RationalSeries(_SPY_MONOIDS[3], (((0, 0, 0), 1),),
+                        (((1, 0, 0), 1), ((0, 1, 1), 2))).expand(5))
+@example(RationalSeries(_SPY_MONOIDS[3], (((0, 0, 0), 1),),
+                        (((1, 0, 0), 1), ((0, 1, 1), 2))))
+def test_loads_reads_what_dumps_writes_by_its_layout(x):
+    # an int series or a rational form is read by the layout reader, never
+    # entry by entry: a writer that drifted from the reader would restore
+    # the slow path unseen, so here it fails
+    def per_entry(*args):
+        raise AssertionError("read entry by entry")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "_table_from_json", per_entry)
+        y = loads(dumps(x))
+    assert y == x
+
+
+def test_loads_peak_memory_is_below_the_per_entry_readers():
+    # the 13,041-term G(1,3) p = 2 file at D = 160: the layout reader holds
+    # no JSON object per entry, nor a regex match of the whole array
+    text = dumps(catalog.schubert_closed(catalog.G13, 2).expand(160))
+    assert text.count('"exponents"') == 13041
+
+    def peak(read):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            read(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(loads) < peak(reference_loads)
