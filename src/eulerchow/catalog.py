@@ -27,9 +27,12 @@ from .series import (INTEGER, FormalSeries, RationalSeries, convolve,
 
 FLAG012 = schubert.FlagType((0, 1), 2)
 G13 = schubert.grassmannian(1, 3)
-# the monoid of a projective closure's series: t0 counts multiples of the
-# pulled-back classes q*[P^{p-1}], t1 those of the section classes [P^p]
+# the monoid of a projective closure's series at p >= 1: t0 counts
+# multiples of the pulled-back classes q*[P^{p-1}], t1 those of the
+# section classes [P^p]
 SPLIT_BASIS = GradedMonoid.free(["t0", "t1"])
+# the monoid of a zero-cycle series: t counts points
+POINT_BASIS = GradedMonoid.free(["t"])
 
 
 class UnsupportedRequestError(ValueError):
@@ -93,8 +96,8 @@ class EulerChowResult:
 def macdonald(chi: int) -> RationalSeries:
     """Zero-cycle series of a connected variety with Euler characteristic
     chi >= 1: all symmetric products together contribute 1/(1-t)^chi."""
-    m = GradedMonoid.free(["t"])
-    return RationalSeries(m, ((m.zero(), 1),), (((1,), chi),))
+    return RationalSeries(POINT_BASIS, ((POINT_BASIS.zero(), 1),),
+                          (((1,), chi),))
 
 
 def lawson_yau_pn(n: int, p: int) -> RationalSeries:
@@ -107,15 +110,14 @@ def lawson_yau_pn(n: int, p: int) -> RationalSeries:
 def split_bundle_closed(n: int, d: int, p: int) -> RationalSeries:
     """Closed form for the projective closure of O(d) over Pn.
 
-    For p = 0 the first factor is absent (the p-1 cycle monoid is trivial).
-    """
+    For p = 0 it is Macdonald's series of the connected closure, with
+    chi = 2(n + 1): one Pn for each of the two sections."""
     _check_split_range(n, d, p)
-    den = []
-    if p >= 1:
-        den.append(((1, 0), math.comb(n + 1, p)))
-    den.append(((0, 1), math.comb(n + 1, p + 1)))
-    den.append(((d, 1), math.comb(n + 1, p + 1)))
-    return RationalSeries(SPLIT_BASIS, ((SPLIT_BASIS.zero(), 1),), tuple(den))
+    if p == 0:
+        return macdonald(2 * (n + 1))
+    return RationalSeries(SPLIT_BASIS, ((SPLIT_BASIS.zero(), 1),), (
+        ((1, 0), math.comb(n + 1, p)), ((0, 1), math.comb(n + 1, p + 1)),
+        ((d, 1), math.comb(n + 1, p + 1))))
 
 
 # Per flag type: for p = 0..dim the letters of E_p's generators, one per
@@ -172,14 +174,14 @@ def _check_split_range(n: int, d: int, p: int):
 def _split_factors(n: int, d: int, p: int):
     """(target, factors) of the split-bundle pipeline for the projective
     closure of O(d) over Pn: E_{p-1}(Pn), E_p(Pn) and E_p(Pn), with the
-    images (1,0), (0,1) and (d,1) of their generators.  For p = 0 the
-    first factor is absent."""
+    images (1,0), (0,1) and (d,1) of their generators.  For p = 0 it is
+    E_0(Pn) twice, once per section, each point a point of the closure."""
     _check_split_range(n, d, p)
     f = lawson_yau_pn(n, p)
-    factors = [(f, [(0, 1)]), (f, [(d, 1)])]
-    if p >= 1:
-        factors.insert(0, (lawson_yau_pn(n, p - 1), [(1, 0)]))
-    return SPLIT_BASIS, factors
+    if p == 0:
+        return POINT_BASIS, [(f, [(1,)]), (f, [(1,)])]
+    return SPLIT_BASIS, [(lawson_yau_pn(n, p - 1), [(1, 0)]),
+                         (f, [(0, 1)]), (f, [(d, 1)])]
 
 
 def _g13_factors(p: int):
@@ -255,8 +257,8 @@ def split_bundle_series(n: int, d: int, p: int, degree: int) -> FormalSeries:
     Pushes E_{p-1}(Pn), E_p(Pn) and E_p(Pn) forward along the generator
     images (1,0), (0,1) and (d,1) and multiplies them in the target; as
     push-forward is a ring homomorphism, this is the push-forward of
-    E_{p-1}(Pn) (.) E_p(Pn) (.) E_p(Pn).  For p = 0 the first factor is
-    absent.
+    E_{p-1}(Pn) (.) E_p(Pn) (.) E_p(Pn).  For p = 0 it pushes E_0(Pn)
+    twice to the point class.
     """
     return _assemble(*_split_factors(n, d, p), degree)
 
@@ -327,7 +329,8 @@ def _split_kind(spelling, bundle, **least) -> Kind:
     of the spelling, each at least its value of `least`, to (n, d)."""
     return Kind(spelling, top_p=_top_p(lambda *a: bundle(*a)[0], **least),
                 closed=lambda v, p: split_bundle_closed(*bundle(*v.args), p),
-                classes=lambda v, p: [f"q*[P^{p - 1}]", f"section [P^{p}]"],
+                classes=lambda v, p: [f"q*[P^{p - 1}]", f"section [P^{p}]"]
+                if p else ["point class"],
                 pipeline=lambda v, p: _split_factors(*bundle(*v.args), p))
 
 

@@ -1,18 +1,18 @@
 """Finitely generated free graded abelian monoids and their morphisms.
 
 Elements are plain tuples of nonnegative integer exponents; the monoid
-object supplies grading, validation, order and enumeration.  `validate`
-checks one element entering from outside, such as a generator image of a
-morphism.  Grading, `add` and `MonoidMorphism.apply` trust their input
-and do not re-check it.  `grade` serves one element and `grades` a whole
-table at once.  `graded_lex` is the one statement of graded-lex order: by
-grade, then by exponent tuple.
+object supplies grading, validation, order and enumeration.  Its derived
+fields `rank`, `labels` and `weights` are computed at construction.
+`validate` checks one element entering from outside, such as a generator
+image of a morphism.  Grading, `add` and `MonoidMorphism.apply` trust
+their input and do not re-check it.  `grade` serves one element and
+`grades` a whole table at once.  `graded_lex` is the one statement of
+graded-lex order: by grade, then by exponent tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 from operator import add, itemgetter, mul
 
@@ -41,9 +41,15 @@ class GradedMonoid:
                                 "not an int")
             if w < 1:
                 raise ValueError(f"generator {lab!r} has weight {w} < 1")
-        labels = self.labels
+        labels = tuple(lab for lab, _ in self.generators)
         if len(set(labels)) != len(labels):
             raise ValueError("generator labels must be pairwise distinct")
+        # not dataclass fields: equality, hash and repr are those of
+        # `generators` alone
+        object.__setattr__(self, "rank", len(self.generators))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "weights",
+                           tuple(w for _, w in self.generators))
 
     @classmethod
     def free(cls, labels, weights=None) -> "GradedMonoid":
@@ -51,18 +57,6 @@ class GradedMonoid:
         if weights is None:
             weights = [1] * len(labels)
         return cls(tuple(zip(labels, weights, strict=True)))
-
-    @cached_property
-    def rank(self) -> int:
-        return len(self.generators)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _ in self.generators)
-
-    @cached_property
-    def weights(self) -> tuple[int, ...]:
-        return tuple(w for _, w in self.generators)
 
     def zero(self) -> Element:
         return (0,) * self.rank

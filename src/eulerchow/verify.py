@@ -52,7 +52,11 @@ def law_failure(equations):
 
 
 # ---------------------------------------------------------------------------
-# Random case generation (fixed seed; sizes bounded for the naive oracles)
+# Random case generation (fixed seed; sizes bounded for the naive oracles).
+# `randrange(k) + a` draws what `randint(a, a + k - 1)` draws, one call
+# shallower.  A case that draws several series over one monoid and bound
+# enumerates its elements once.  Drawn series are built trusted: their
+# keys come from `enumerate_up_to`.
 
 def random_monoid(rng: random.Random, max_rank=3) -> GradedMonoid:
     rank = rng.randint(1, max_rank)
@@ -66,18 +70,31 @@ def random_bound(rng: random.Random, monoid: GradedMonoid) -> int:
 
 
 def random_series(rng: random.Random, monoid: GradedMonoid, bound: int,
-                  poly=False) -> FormalSeries:
+                  poly=False, elements=None) -> FormalSeries:
+    """About 40 % of `elements`, by default those of grade <= bound,
+    drawn in order as keys of nonzero coefficients."""
+    if elements is None:
+        elements = monoid.enumerate_up_to(bound)
+    rand, randrange = rng.random, rng.randrange
     coeffs = {}
-    for m in monoid.enumerate_up_to(bound):
-        if rng.random() < 0.4:
+    for m in elements:
+        if rand() < 0.4:
             if poly:
-                c = IntPolynomial(tuple(rng.randint(-3, 3)
-                                        for _ in range(rng.randint(1, 3))))
+                c = IntPolynomial(tuple(randrange(7) - 3
+                                        for _ in range(randrange(3) + 1)))
             else:
-                c = rng.randint(-5, 5)
+                c = randrange(11) - 5
             if c:
                 coeffs[m] = c
-    return FormalSeries(monoid, bound, coeffs)
+    return FormalSeries._trusted(monoid, bound, coeffs)
+
+
+def random_series_over(rng: random.Random, monoid: GradedMonoid,
+                       bound: int, count: int) -> list[FormalSeries]:
+    """`count` random series, drawn in turn over one enumeration."""
+    elements = monoid.enumerate_up_to(bound)
+    return [random_series(rng, monoid, bound, elements=elements)
+            for _ in range(count)]
 
 
 def random_morphism(rng: random.Random, source: GradedMonoid,
@@ -86,7 +103,7 @@ def random_morphism(rng: random.Random, source: GradedMonoid,
     images = []
     for _ in range(source.rank):
         while True:
-            img = tuple(rng.randint(0, 2) for _ in range(target.rank))
+            img = tuple(rng.randrange(3) for _ in range(target.rank))
             if any(img):
                 images.append(img)
                 break
@@ -201,7 +218,7 @@ def _random_morphism(rng: random.Random) -> MonoidMorphism:
 def series_triple_case(rng):
     m = random_monoid(rng)
     bound = random_bound(rng, m)
-    return tuple(random_series(rng, m, bound) for _ in range(3))
+    return tuple(random_series_over(rng, m, bound, 3))
 
 
 def ring_laws(case):
@@ -217,8 +234,7 @@ def ring_laws(case):
 def pushforward_case(rng):
     phi = _random_morphism(rng)
     bound = random_bound(rng, phi.source)
-    return (phi, random_series(rng, phi.source, bound),
-            random_series(rng, phi.source, bound))
+    return (phi, *random_series_over(rng, phi.source, bound, 2))
 
 
 def pushforward_is_homomorphism(case):
@@ -230,8 +246,8 @@ def pushforward_is_homomorphism(case):
 def pullback_case(rng):
     phi = _random_morphism(rng)
     bound = random_bound(rng, phi.target)
-    return (phi, random_series(rng, phi.target, bound),
-            random_series(rng, phi.target, bound), rng.randint(-3, 3))
+    f, g = random_series_over(rng, phi.target, bound, 2)
+    return phi, f, g, rng.randint(-3, 3)
 
 
 def pullback_is_linear(case):
@@ -275,8 +291,7 @@ def exterior_associativity(case):
 def oracle_case(rng):
     m = random_monoid(rng)
     bound = random_bound(rng, m)
-    f = random_series(rng, m, bound)
-    g = random_series(rng, m, bound)
+    f, g = random_series_over(rng, m, bound, 2)
     return f, g, random_morphism(rng, m, random_monoid(rng))
 
 
@@ -324,9 +339,10 @@ def graded_slice_case(rng):
 
 def _u_slice(f, k):
     """The integer series of the u^k coefficients of a polynomial series."""
-    return FormalSeries(f.monoid, f.bound,
-                        {m: c.coeffs[k] for m, c in f.coefficients.items()
-                         if k < len(c.coeffs)})
+    return FormalSeries._trusted(
+        f.monoid, f.bound,
+        {m: c.coeffs[k] for m, c in f.coefficients.items()
+         if k < len(c.coeffs)})
 
 
 def pushforward_respects_slices(case):

@@ -75,9 +75,8 @@ def test_split_bundle_closed_shape():
     r = catalog.split_bundle_closed(2, 3, 1)
     # (1-t0)^-3 (1-t1)^-3 (1-t0^3 t1)^-3, factors in graded-lex order
     assert set(r.denominator) == {((0, 1), 3), ((1, 0), 3), ((3, 1), 3)}
-    # p = 0: the first factor is absent
-    r0 = catalog.split_bundle_closed(2, 3, 0)
-    assert set(r0.denominator) == {((0, 1), 3), ((3, 1), 3)}
+    # p = 0: Macdonald's 1/(1-t)^chi over the point class, chi = 2(n + 1)
+    assert catalog.split_bundle_closed(2, 3, 0) == catalog.macdonald(6)
 
 
 def test_hirzebruch_pipeline_matches_closed_form():
@@ -91,6 +90,31 @@ def test_split_bundle_p0_pipeline():
     closed = catalog.split_bundle_closed(2, 2, 0).expand(6)
     pipe = catalog.split_bundle_series(2, 2, 0, 6)
     assert first_difference(closed, pipe, 6) is None
+
+
+SPLIT_KINDS = ("PnxP1", "ProjClosure", "Hirzebruch", "BlowupPn")
+CELLULAR = [parse_descriptor(text) for text in
+            [f"Pn({n})" for n in range(5)]
+            + [f"PnxP1({n})" for n in range(5)]
+            + [f"ProjClosure(n={n},d={d})" for n in range(5) for d in range(4)]
+            + [f"Hirzebruch({d})" for d in range(4)]
+            + [f"BlowupPn({n})" for n in range(1, 6)]
+            + ["Flag012", "G(1,3)"]]
+
+
+@pytest.mark.parametrize("v", CELLULAR, ids=str)
+def test_euler_characteristic_is_the_number_of_cells(v):
+    # a variety with an algebraic cell decomposition has chi(X) equal to
+    # the sum over p of rank Pi_p(X), the p-cells; E_0 of the connected X
+    # is 1/(1 - t)^chi.  A split row serves p = 0..n of its closure of
+    # dimension n + 1, so its top cell is added
+    kind = catalog.KINDS[v.kind]
+    cells = sum(euler_chow(v, p, method="closed").closed_form.monoid.rank
+                for p in range(kind.top_p(v) + 1))
+    cells += v.kind in SPLIT_KINDS
+    e0 = euler_chow(v, 0, method="closed").closed_form
+    assert e0.numerator == (((0,), 1),)
+    assert e0.denominator == (((1,), cells),)
 
 
 def test_grassmannian13_pipeline_all_p():

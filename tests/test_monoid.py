@@ -16,6 +16,15 @@ def test_free_defaults_to_weight_one():
     assert m.labels == ("a", "b")
 
 
+def test_derived_fields_leave_equality_hash_and_repr_to_the_generators():
+    a = GradedMonoid.free(["a", "b"], [1, 2])
+    b = GradedMonoid((("a", 1), ("b", 2)))
+    assert (a.rank, a.weights, a.labels) == (2, (1, 2), ("a", "b"))
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert repr(a) == "GradedMonoid(generators=(('a', 1), ('b', 2)))"
+    assert a != GradedMonoid.free(["a", "b"])
+
+
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError):
         GradedMonoid.free(["a", "a"])

@@ -2,6 +2,7 @@
 reported on one line, naming its first failure, and a failing equation
 names its element and both values."""
 
+import hashlib
 import random
 
 from eulerchow import catalog, oracle, schubert, series, verify
@@ -33,6 +34,25 @@ def test_law_loop_stops_at_the_first_failing_case():
     assert result.line() == ("FAIL  a law: case 2: broken: "
                              "first difference at t^(1,): 1 vs 0")
     assert len(drawn) == 3
+
+
+def test_the_seeded_suites_draw_the_same_cases():
+    # the repr and key order of every case the algebra and Hilbert suites
+    # draw, and the generator state after each law: a cheaper generator
+    # must draw exactly these, or the case numbers of FAIL lines change
+    digest = hashlib.sha256()
+    for seed, laws in ((verify.SEED, verify.ALGEBRA_LAWS),
+                       (verify.SEED + 1, verify.HILBERT_LAWS)):
+        rng = random.Random(seed)
+        for _, make_case, _ in laws:
+            for _ in range(verify.ALGEBRA_CASES):
+                case = make_case(rng)
+                digest.update(repr(case).encode())
+                digest.update(repr([list(x.coefficients) for x in case
+                                    if isinstance(x, FormalSeries)]).encode())
+            digest.update(repr(rng.getstate()).encode())
+    assert digest.hexdigest() == ("c738f3e818749581b0557de86937731f"
+                                  "540457a3360eacf067d00f0e03aa1a31")
 
 
 def test_law_failure_stops_at_the_first_equation_that_disagrees():
