@@ -5,9 +5,8 @@ from .monoid import (GradedMonoid, MonoidMismatchError, MonoidMorphism,
 from .schubert import (FlagType, SchubertSymbol, all_symbols, basis,
                        fixed_point_count, grassmannian, inclusion_i,
                        inclusion_j, symbols_of_dimension, trace_phi)
-from .series import (FormalSeries, IntPolynomial, RationalSeries,
-                     TruncationError, convolve, one, pullback,
-                     pushforward)
+from .series import (FormalSeries, RationalSeries, TruncationError,
+                     convolve, one, pullback, pushforward)
 from .catalog import (EulerChowResult, UnsupportedRequestError,
                       VarietyDescriptor, VerificationError, euler_chow,
                       parse_descriptor)
@@ -18,9 +17,9 @@ __all__ = [
     "GradedMonoid", "MonoidMismatchError", "MonoidMorphism", "compose",
     "FlagType", "SchubertSymbol", "all_symbols", "basis",
     "fixed_point_count", "grassmannian", "inclusion_i", "inclusion_j",
-    "symbols_of_dimension", "trace_phi", "FormalSeries", "IntPolynomial",
-    "RationalSeries", "TruncationError", "convolve", "one", "pullback",
-    "pushforward", "EulerChowResult",
+    "symbols_of_dimension", "trace_phi", "FormalSeries", "RationalSeries",
+    "TruncationError", "convolve", "one", "pullback", "pushforward",
+    "EulerChowResult",
     "UnsupportedRequestError", "VarietyDescriptor", "VerificationError",
     "euler_chow", "parse_descriptor",
 ]

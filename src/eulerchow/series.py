@@ -1,27 +1,22 @@
 """Truncated formal series over graded monoids, and exact rational forms.
 
-A FormalSeries stores a sparse coefficient table valid up to an explicit
-grade bound; every operation computes the exact bound of its output and
-errors rather than returning silently invalid coefficients.  Coefficients
-are arbitrary-precision integers or integer polynomials in one formal
-variable (used for Hilbert-style series).
+A FormalSeries stores a sparse table of integer coefficients valid up to
+an explicit grade bound; every operation computes the exact bound of its
+output and errors rather than returning silently invalid coefficients.
 
 Every FormalSeries satisfies one invariant: each key is a tuple and a
 valid element of its monoid (one `int`, not a `bool`, >= 0 per
 generator); the bound is an int >= 0 and no key has a grade above it;
-every coefficient is an `int` (not a `bool`) or an `IntPolynomial`, and
-the stored ones are nonzero and of one kind.  Keys are checked at the
-boundary, where they come from outside the engine: the public
-constructor, and so `loads`, scans the whole key table in a few builtin
-passes, and walks a table that fails key by key, to name the first bad
-key.  It keeps its own copy of the caller's table.
-The operations of this module trust the invariant of their operands, so
-the keys of their results are valid by construction: each adds, maps,
-filters or walks valid keys and keeps only grades within the bound it
-computes.  They build their results with `FormalSeries._trusted`, which
-skips the key scan and keeps the table it is handed; it still checks the
-bound and the coefficient kinds and drops zeros, with the same code as
-the public constructor.
+every stored coefficient is a nonzero `int`, not a `bool`.  Keys and
+values are checked at the boundary, where they come from outside the
+engine: the public constructor, and so `loads`, scans the whole table in
+a few builtin passes, walks a key table that fails key by key to name
+the first bad key, and keeps its own copy of the caller's table.
+The operations of this module trust the invariant of their operands:
+each adds, maps, filters or walks valid keys, keeps only grades within
+the bound it computes, and sums and multiplies ints.  They build their
+results with `FormalSeries._trusted`, which skips both scans and keeps
+the table it is handed; it still checks the bound and drops zeros.
 
 `dumps` and `loads` own the series-file format, and no other code knows
 how a series or a rational series is spelled in a file.  `dumps` is its
@@ -52,62 +47,6 @@ class TruncationError(ValueError):
     expansion would exceed MAX_EXPANSION_TERMS terms."""
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Univariate polynomial with integer coefficients, constant term first."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        c = self.coeffs
-        for x in c:
-            if type(x) is not int:
-                raise TypeError(f"polynomial coefficient {x!r} is not an int")
-        while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", tuple(c))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __str__(self):
-        """`poly(1, 2)` for 1 + 2x: constant term first, as in a series
-        file."""
-        return f"poly({', '.join(map(str, self.coeffs))})"
-
-    def __add__(self, other):
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return IntPolynomial(tuple(x + y for x, y in zip(a, b)))
-
-    def __mul__(self, other):
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-# the coefficient types of a FormalSeries; `bool`, a subclass of int, is not
-_KINDS = {int, IntPolynomial}
-
-
-def _is_poly(c) -> bool:
-    return isinstance(c, IntPolynomial)
-
-
 def _check_monoids(f, g):
     """f and g, series or rational series, are over one monoid."""
     if f.monoid != g.monoid:
@@ -126,12 +65,6 @@ def _check_pushforward(phi: MonoidMorphism, f):
                          "(a generator maps to zero)")
 
 
-def _check_kinds(f: "FormalSeries", g: "FormalSeries"):
-    kf, kg = f.kind, g.kind
-    if kf is not None and kg is not None and kf != kg:
-        raise TypeError("cannot mix integer and polynomial coefficients")
-
-
 def _check_bound(bound):
     """A grade bound, or a degree that becomes one, is an int >= 0."""
     if type(bound) is not int:
@@ -140,63 +73,41 @@ def _check_bound(bound):
         raise ValueError(f"bound must be >= 0, got {bound}")
 
 
-def _kinds(table: dict) -> set:
-    """The types of a coefficient table's values, each an int or an
-    IntPolynomial."""
-    kinds = set(map(type, table.values()))
-    if not kinds <= _KINDS:
-        bad = next(c for c in table.values() if type(c) not in _KINDS)
-        raise TypeError(f"coefficient {bad!r} is neither an int "
-                        "nor an IntPolynomial")
-    return kinds
-
-
-def _nonzero(table: dict, kinds: set) -> dict:
-    """The table without its zero values: the table itself when it has
-    none, else a filtered copy.  The values left are of one kind."""
-    clean = table if all(table.values()) else {
-        m: c for m, c in table.items() if c}
-    # a zero of one kind beside nonzero values of the other is dropped,
-    # so only a table of both kinds needs its stored values checked
-    if len(kinds) > 1 and len(set(map(type, clean.values()))) > 1:
-        raise TypeError("cannot mix integer and polynomial coefficients")
-    return clean
-
-
 @dataclass(frozen=True)
 class FormalSeries:
     """Element of the convolution ring, truncated at a grade bound."""
 
     monoid: GradedMonoid
     bound: int
-    coefficients: dict[Element, object] = field(default_factory=dict)
+    coefficients: dict[Element, int] = field(default_factory=dict)
 
     __hash__ = None  # the coefficient table is a dict
 
     def __post_init__(self):
         table = self.coefficients
         _check_bound(self.bound)
-        kinds = _kinds(table)
+        if not set(map(type, table.values())) <= {int}:
+            bad = next(c for c in table.values() if type(c) is not int)
+            raise TypeError(f"coefficient {bad!r} is not an int")
         if not self._keys_are_valid():
             self._reject_first_bad_key()
-        clean = _nonzero(table, kinds)
         object.__setattr__(self, "coefficients",
-                           dict(table) if clean is table else clean)
+                           {m: c for m, c in table.items() if c})
 
     @classmethod
     def _trusted(cls, monoid: GradedMonoid, bound: int,
                  table: dict) -> "FormalSeries":
         """A series whose keys are valid by construction: an operation of
         this module built `table` from valid operands, and hands it over.
-        The key scan is skipped and the table kept, not copied; the bound
-        and the coefficient kinds are checked and zeros dropped as by the
-        public constructor."""
+        The key and value scans are skipped and the table kept, not
+        copied; the bound is checked and zeros dropped as by the public
+        constructor."""
         _check_bound(bound)
-        clean = _nonzero(table, _kinds(table))
         f = object.__new__(cls)
         object.__setattr__(f, "monoid", monoid)
         object.__setattr__(f, "bound", bound)
-        object.__setattr__(f, "coefficients", clean)
+        object.__setattr__(f, "coefficients", table if all(table.values())
+                           else {m: c for m, c in table.items() if c})
         return f
 
     def _keys_are_valid(self) -> bool:
@@ -228,13 +139,6 @@ class FormalSeries:
                 raise TruncationError(
                     f"coefficient at {m} exceeds bound {self.bound}")
 
-    @property
-    def kind(self) -> str | None:
-        """'int', 'poly', or None for the zero series."""
-        for c in self.coefficients.values():
-            return "poly" if _is_poly(c) else "int"
-        return None
-
     def coefficient(self, m: Element):
         self.monoid.validate(m)
         if self.monoid.grade(m) > self.bound:
@@ -244,7 +148,6 @@ class FormalSeries:
 
     def __add__(self, other: "FormalSeries") -> "FormalSeries":
         _check_monoids(self, other)
-        _check_kinds(self, other)
         bound = min(self.bound, other.bound)
         acc = dict(_terms_up_to(self, bound))
         for m, c in _terms_up_to(other, bound):
@@ -252,8 +155,8 @@ class FormalSeries:
         return FormalSeries._trusted(self.monoid, bound, acc)
 
     def scale(self, s) -> "FormalSeries":
-        if _is_poly(s) != (self.kind == "poly") and self.kind is not None:
-            raise TypeError("scalar kind must match coefficient kind")
+        if type(s) is not int:
+            raise TypeError(f"scalar {s!r} is not an int")
         return FormalSeries._trusted(
             self.monoid, self.bound,
             {m: c * s for m, c in self.coefficients.items()})
@@ -273,7 +176,6 @@ def one(monoid: GradedMonoid, bound: int) -> FormalSeries:
 def convolve(f: FormalSeries, g: FormalSeries) -> FormalSeries:
     """Convolution product: coefficient at m sums f(a)g(b) over a+b=m."""
     _check_monoids(f, g)
-    _check_kinds(f, g)
     monoid = f.monoid
     bound = min(f.bound, g.bound)
     fc, gc = f.coefficients, g.coefficients
@@ -299,7 +201,6 @@ def exterior(f: FormalSeries, g: FormalSeries):
     and weights of f's monoid followed by g's; if two labels collide, each
     is prefixed by its factor, "0." or "1.".
     """
-    _check_kinds(f, g)
     a, b = f.monoid, g.monoid
     labels = a.labels + b.labels
     if len(set(labels)) != len(labels):
@@ -402,15 +303,6 @@ def describe_difference(diff) -> str:
     """The line for a first difference (element, a's value, b's value)."""
     m, a, b = diff
     return f"first difference at t^{m}: {a} vs {b}"
-
-
-def evaluate_polynomial_coefficients(f: FormalSeries, x: int) -> FormalSeries:
-    """Apply the evaluation homomorphism at x to every coefficient."""
-    if f.kind == "int":
-        raise TypeError("series does not have polynomial coefficients")
-    return FormalSeries._trusted(
-        f.monoid, f.bound,
-        {m: c.evaluate(x) for m, c in f.coefficients.items()})
 
 
 def _too_many_terms(degree: int) -> TruncationError:
@@ -661,22 +553,14 @@ def list_from_json(v) -> list:
     return v
 
 
-def _value_from_json(v):
-    """A coefficient: an integer, or {"poly": [...]} of integers."""
-    if type(v) is dict:
-        return IntPolynomial(tuple(map(int_from_json,
-                                       list_from_json(v["poly"]))))
-    return int_from_json(v)
-
-
-def _table_from_json(data: dict, name: str, field: str, read) -> dict:
+def _table_from_json(data: dict, name: str, field: str) -> dict:
     """The array data[name] of {"exponents": [...], field: value} entries,
-    as a dict from exponent tuples to read(value), read entry by entry.
+    as a dict from exponent tuples to integers, read entry by entry.
     An array that names one element twice is refused: keeping either
     value, or merging them, would read a different series than the
     file's author wrote."""
     entries = list_from_json(data[name])
-    table = {tuple(t["exponents"]): read(t[field]) for t in entries}
+    table = {tuple(t["exponents"]): int_from_json(t[field]) for t in entries}
     if len(table) != len(entries):
         raise ValueError(f"repeated exponents in {name}")
     return table
@@ -716,20 +600,15 @@ def _array(entries: list) -> str:
 def _entries(monoid: GradedMonoid, table: dict, field: str,
              value: str) -> str:
     """The text of an entry array: one `%` of one `_entry` template per
-    term, in `graded_lex` order.  An int value is '"%d"' (a string) or
-    '%d', and a polynomial {"poly": [...]} of strings.  "%d" is str(c) as
-    no value or exponent is a bool (constructors check)."""
-    if table and _is_poly(next(iter(table.values()))):
-        value = '{\n        "poly": [\n          "%s"\n        ]\n      }'
-        table = {m: '",\n          "'.join(map(str, c.coeffs))
-                 for m, c in table.items()}
+    term, in `graded_lex` order, a value '"%d"' (a string) or '%d'; "%d"
+    is str(c) as no value or exponent is a bool (constructors check)."""
     entry = _entry(monoid.rank, field, value)
     return _array([entry % (*m, table[m]) for m in monoid.graded_lex(table)])
 
 
 def _layout_table(text: str, rank: int, field: str, value: str):
-    """The table of an int entry array in the layout `_entries` writes,
-    or None.  The text must start and end as the template does and,
+    """The table of an entry array in the layout `_entries` writes, or
+    None.  The text must start and end as the template does and,
     without its digits and minus signs, be the array of n empty entries,
     n its count of '"exponents"'.  The join of two entries and the text
     before a value become commas, and one `json.loads` reads every
@@ -759,9 +638,9 @@ def _layout_table(text: str, rank: int, field: str, value: str):
 
 def _read_layout(text: str):
     """The series or rational series of a text exactly as `dumps` writes
-    it with int values, or None.  The head, up to the first entry array,
-    must be what `_head` writes back from its `json.loads`; each array is
-    read by `_layout_table`; grades are checked here, not by `_trusted`."""
+    it, or None.  The head, up to the first entry array, must be what
+    `_head` writes back from its `json.loads`; each array is read by
+    `_layout_table`; grades are checked here, not by `_trusted`."""
     monoid_end = text.find("\n  },\n")
     start = text.find("[", monoid_end)
     if monoid_end < 0 or start < 0 or not text.endswith("\n}\n"):
@@ -790,11 +669,10 @@ def dumps(obj) -> str:
     """Byte-stable JSON text for a series or rational series: the text of
     `json.dumps(payload, indent=2, ensure_ascii=True)` and a newline.  Both
     documents hold the monoid, {"generators": [{"label", "weight"}, ...]}.
-    A series adds its bound and its coefficient entries, each
-    {"exponents": [...], "value": "<int>" or {"poly": ["<int>", ...]}}; a
-    rational series adds its numerator entries, each {"exponents": [...],
-    "value": "<int>"}, and its denominator factors, each {"exponents":
-    [...], "multiplicity": <int>}.  The layout is a contract, pinned by
+    A series adds its bound and its coefficient entries, a rational series
+    its numerator entries, each {"exponents": [...], "value": "<int>"},
+    and its denominator factors, each {"exponents": [...],
+    "multiplicity": <int>}.  The layout is a contract, pinned by
     tests against `json.dumps`, but the text is written from templates
     that `loads` reads back: `_head`, and `_entries` per entry array.
 
@@ -820,16 +698,15 @@ def loads(text: str):
     """Parse `dumps` output; any text that is not a valid series or
     rational series, as JSON or by the schema, is one ValueError.
 
-    Integers are JSON ints or strings of the `INTEGER` rule, and no
-    entry array may name the same exponents twice.  A text in the layout
-    `dumps` writes, with int values, is read by that layout
-    (`_read_layout`), without one JSON object per entry.  Any other
-    text, and one that fails a check there, is parsed whole and read
-    entry by entry, which raises the error of its first bad entry; so an
-    error's text does not depend on the reader.  A number of more than
-    4300 digits is a ValueError unless the caller has lifted Python's
-    limit on str -> int conversion, as `cli.main` does for each command
-    (`sys.set_int_max_str_digits(0)`).
+    Integers are JSON ints or strings of the `INTEGER` rule, every value
+    is one, and no entry array may name the same exponents twice.  A text
+    in the layout `dumps` writes is read by that layout (`_read_layout`),
+    without one JSON object per entry; any other text, and one that fails
+    a check there, is parsed whole and read entry by entry, which raises
+    the error of its first bad entry, so an error's text does not depend
+    on the reader.  A number of more than 4300 digits is a ValueError
+    unless the caller has lifted Python's limit on str -> int conversion,
+    as `cli.main` does for each command (`sys.set_int_max_str_digits(0)`).
     """
     with suppress(*_FORMAT_ERRORS):
         if (obj := _read_layout(text)) is not None:
@@ -842,13 +719,11 @@ def loads(text: str):
         if "coefficients" in data:
             return FormalSeries(
                 monoid, int_from_json(data["bound"]),
-                _table_from_json(data, "coefficients", "value",
-                                 _value_from_json))
+                _table_from_json(data, "coefficients", "value"))
         return RationalSeries(
             monoid,
-            tuple(_table_from_json(data, "numerator", "value",
-                                   int_from_json).items()),
-            tuple(_table_from_json(data, "denominator", "multiplicity",
-                                   int_from_json).items()))
+            tuple(_table_from_json(data, "numerator", "value").items()),
+            tuple(_table_from_json(data, "denominator",
+                                   "multiplicity").items()))
     except _FORMAT_ERRORS as exc:
         raise ValueError(f"malformed series file: {exc!r}") from None

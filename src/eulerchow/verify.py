@@ -7,12 +7,12 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import catalog, oracle, schubert
 from .monoid import GradedMonoid, MonoidMorphism, compose
-from .series import (FormalSeries, IntPolynomial, convolve,
-                     describe_difference, evaluate_polynomial_coefficients,
-                     exterior, first_difference, one, pullback, pushforward)
+from .series import (FormalSeries, convolve, describe_difference, exterior,
+                     first_difference, one, pullback, pushforward)
 
 SEED = 20240811
 ALGEBRA_CASES = 100
@@ -70,7 +70,7 @@ def random_bound(rng: random.Random, monoid: GradedMonoid) -> int:
 
 
 def random_series(rng: random.Random, monoid: GradedMonoid, bound: int,
-                  poly=False, elements=None) -> FormalSeries:
+                  elements=None) -> FormalSeries:
     """About 40 % of `elements`, by default those of grade <= bound,
     drawn in order as keys of nonzero coefficients."""
     if elements is None:
@@ -79,11 +79,7 @@ def random_series(rng: random.Random, monoid: GradedMonoid, bound: int,
     coeffs = {}
     for m in elements:
         if rand() < 0.4:
-            if poly:
-                c = IntPolynomial(tuple(randrange(7) - 3
-                                        for _ in range(randrange(3) + 1)))
-            else:
-                c = randrange(11) - 5
+            c = randrange(11) - 5
             if c:
                 coeffs[m] = c
     return FormalSeries._trusted(monoid, bound, coeffs)
@@ -313,48 +309,97 @@ def engine_matches_oracle(case):
                         oracle.naive_pushforward(phi, f, check_bound)))
 
 
+# The Hilbert laws, over integer series: a coefficient polynomial in u at
+# m of M is the coefficients at (m, k) of M x u, one per power u^k, and
+# maps run along phi x id_u.  id_u caps a push-forward's bound at its input
+# bound, so u takes the weights of the generator e_i of phi of least ratio
+# grade(phi(e_i)) / w_i for a push-forward, of greatest for a pull-back:
+# a series of M-bound B, drawn at bound B + U_DEGREE w_u, then evaluates
+# after either map to pushforward_bound(phi, B) or pullback_bound(phi, B).
+U_DEGREE = 2  # the largest u-degree a case draws
+
+
+def times_u(phi: MonoidMorphism, pick) -> MonoidMorphism:
+    """phi x id_u, u of weights grade(image) in N and weight in M of the
+    generator of phi that `pick`, min or max, takes by their ratio."""
+    g, w = pick(zip(map(phi.target.grade, phi.generator_images),
+                    phi.source.weights), key=lambda gw: Fraction(*gw))
+    images = [img + (0,) for img in phi.generator_images]
+    return MonoidMorphism(GradedMonoid(phi.source.generators + (("u", w),)),
+                          GradedMonoid(phi.target.generators + (("u", g),)),
+                          (*images, phi.target.zero() + (1,)))
+
+
+def random_u_series(rng: random.Random, monoid: GradedMonoid,
+                    with_u: GradedMonoid) -> FormalSeries:
+    """About 40 % of the elements m of `monoid` up to a drawn bound, each
+    with a polynomial in u, as a series over `with_u`, monoid x u."""
+    bound = random_bound(rng, monoid)
+    rand, randrange = rng.random, rng.randrange
+    coeffs = {}
+    for m in monoid.enumerate_up_to(bound):
+        if rand() < 0.4:
+            for k in range(randrange(U_DEGREE + 1) + 1):
+                c = randrange(7) - 3
+                if c:
+                    coeffs[m + (k,)] = c
+    return FormalSeries._trusted(
+        with_u, bound + U_DEGREE * with_u.weights[-1], coeffs)
+
+
+def u_slices(f: FormalSeries, monoid: GradedMonoid) -> list[FormalSeries]:
+    """Slices k <= U_DEGREE of a series over monoid x u, in one pass:
+    slice k is the series over monoid of its (m, k) coefficients."""
+    tables = [{} for _ in range(U_DEGREE + 1)]
+    for key, c in f.coefficients.items():
+        tables[key[-1]][key[:-1]] = c
+    w = f.monoid.weights[-1]
+    return [FormalSeries._trusted(monoid, f.bound - k * w, table)
+            for k, table in enumerate(tables)]
+
+
+def at_minus_one(f: FormalSeries, monoid: GradedMonoid) -> FormalSeries:
+    """The evaluation at u = -1 of a series over monoid x u, in one pass:
+    the sum of (-1)^k slice k over k <= U_DEGREE."""
+    w, acc = f.monoid.weights[-1], {}
+    bound = f.bound - U_DEGREE * w
+    for key, c, g in zip(f.coefficients, f.coefficients.values(),
+                         f.monoid.grades(f.coefficients)):
+        k, m = key[-1], key[:-1]
+        if k <= U_DEGREE and g - k * w <= bound:  # grade(m) <= bound
+            acc[m] = acc.get(m, 0) + (-c if k % 2 else c)
+    return FormalSeries._trusted(monoid, bound, acc)
+
+
 def hilbert_case(rng):
-    phi = _random_morphism(rng)
-    a = random_series(rng, phi.source, random_bound(rng, phi.source),
-                      poly=True)
-    return phi, a, random_series(rng, phi.target,
-                                 random_bound(rng, phi.target), poly=True)
+    phi, push, a = graded_slice_case(rng)
+    pull = times_u(phi, max)
+    return phi, push, a, pull, random_u_series(rng, phi.target, pull.target)
 
 
 def euler_is_hilbert_at_minus_one(case):
-    phi, a, b = case
+    phi, push, a, pull, b = case
     yield ("evaluation at -1 vs push-forward",
-           evaluate_polynomial_coefficients(pushforward(phi, a), -1),
-           pushforward(phi, evaluate_polynomial_coefficients(a, -1)))
+           at_minus_one(pushforward(push, a), phi.target),
+           pushforward(phi, at_minus_one(a, phi.source)))
     yield ("evaluation at -1 vs pull-back",
-           evaluate_polynomial_coefficients(pullback(phi, b), -1),
-           pullback(phi, evaluate_polynomial_coefficients(b, -1)))
+           at_minus_one(pullback(pull, b), phi.source),
+           pullback(phi, at_minus_one(b, phi.target)))
 
 
 def graded_slice_case(rng):
     phi = _random_morphism(rng)
-    return phi, random_series(rng, phi.source,
-                              random_bound(rng, phi.source), poly=True)
-
-
-def _u_slice(f, k):
-    """The integer series of the u^k coefficients of a polynomial series."""
-    return FormalSeries._trusted(
-        f.monoid, f.bound,
-        {m: c.coeffs[k] for m, c in f.coefficients.items()
-         if k < len(c.coeffs)})
+    push = times_u(phi, min)
+    return phi, push, random_u_series(rng, phi.source, push.source)
 
 
 def pushforward_respects_slices(case):
     # push-forward of the Hilbert series equals the Hilbert series of the
     # pushed-forward grading, checked slice by slice in u-degree
-    phi, a = case
-    pushed = pushforward(phi, a)
-    max_deg = max((len(c.coeffs) for c in a.coefficients.values()),
-                  default=0)
-    for k in range(max_deg):
-        yield (f"u-degree {k} slice", _u_slice(pushed, k),
-               pushforward(phi, _u_slice(a, k)))
+    phi, push, a = case
+    pushed = u_slices(pushforward(push, a), phi.target)
+    for k, piece in enumerate(u_slices(a, phi.source)):
+        yield f"u-degree {k} slice", pushed[k], pushforward(phi, piece)
 
 
 ALGEBRA_LAWS = (

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from eulerchow import catalog, cli, series, verify
 from eulerchow.catalog import lawson_yau_pn
 from eulerchow.monoid import GradedMonoid
-from eulerchow.series import (MAX_EXPANSION_TERMS, FormalSeries, IntPolynomial,
+from eulerchow.series import (MAX_EXPANSION_TERMS, FormalSeries,
                               RationalSeries, dumps, int_from_json, loads)
 
 
@@ -371,19 +371,19 @@ def test_compare_and_expand(capsys, tmp_path):
     assert out == "first difference at t^(1,): 5 vs 6\n"
 
 
-def test_compare_prints_polynomial_coefficients(capsys, tmp_path):
-    # a polynomial coefficient is printed as in a series file, constant
-    # term first, not as its dataclass repr
-    def poly_file(name, c):
-        path = tmp_path / name
-        path.write_text(dumps(FormalSeries(T, 2, {
-            (0,): IntPolynomial((1,)), (1,): IntPolynomial(c)})))
-        return str(path)
-
-    code, out, err = run(capsys, "compare", poly_file("a.json", (1, 2)),
-                         poly_file("b.json", (0, 0, -3)), "--degree", "2")
-    assert (code, err) == (1, "")
-    assert out == "first difference at t^(1,): poly(1, 2) vs poly(0, 0, -3)\n"
+def test_compare_refuses_a_polynomial_coefficient(capsys, tmp_path):
+    # every coefficient is an integer: a value {"poly": [...]}, as series
+    # files once held for polynomial coefficients, is a format error
+    good, bad = tmp_path / "a.json", tmp_path / "b.json"
+    good.write_text(dumps(FormalSeries(T, 2, {(0,): 1, (1,): 2})))
+    text = good.read_text()
+    assert text.count('"value": "2"') == 1
+    bad.write_text(text.replace('"value": "2"', '"value": {"poly": ["2"]}'))
+    code, out, err = run(capsys, "compare", str(good), str(bad),
+                         "--degree", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed series file: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_compare_monoid_mismatch(capsys, tmp_path):
@@ -435,7 +435,7 @@ MALFORMED = ['[1]', '"x"', '{}', '{"coefficients": 3}',
              '[{"exponents": [0.5], "value": "7"}]}' % T_JSON,
              '{"monoid": %s, "numerator": [{"exponents": [0.5], '
              '"value": "1"}], "denominator": []}' % T_JSON,
-             # integer and polynomial coefficients in one series
+             # a polynomial value {"poly": [...]} beside an integer one
              '{"monoid": %s, "bound": 10, "coefficients": '
              '[{"exponents": [0], "value": "1"}, '
              '{"exponents": [1], "value": {"poly": ["1", "2"]}}]}' % T_JSON,

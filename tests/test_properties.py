@@ -19,11 +19,9 @@ from hypothesis import strategies as st
 
 from eulerchow import catalog, series
 from eulerchow.monoid import GradedMonoid, MonoidMorphism
-from eulerchow.series import (FormalSeries, IntPolynomial, RationalSeries,
-                              TruncationError, convolve, dumps,
-                              evaluate_polynomial_coefficients, exterior,
-                              first_difference, loads, one, pullback,
-                              pushforward)
+from eulerchow.series import (FormalSeries, RationalSeries, TruncationError,
+                              convolve, dumps, exterior, first_difference,
+                              loads, one, pullback, pushforward)
 from eulerchow.verify import (convolve_matches_oracle, exterior_associativity,
                               functoriality, law_failure, pullback_is_linear,
                               pushforward_is_homomorphism, ring_laws)
@@ -138,13 +136,9 @@ def test_engine_results_keep_the_key_invariant(fgh, case, s, data):
     f, g, _ = fgh
     phi, src, dst = case
     bound = data.draw(st.integers(0, f.bound))
-    poly = FormalSeries(f.monoid, f.bound,
-                        {m: IntPolynomial((c, 1))
-                         for m, c in f.coefficients.items()})
     for r in (convolve(f, g), exterior(f, g)[0], f + g, f + f.scale(s),
-              f.scale(s), one(f.monoid, bound),
-              evaluate_polynomial_coefficients(poly, s),
-              pushforward(phi, src), pullback(phi, dst)):
+              f.scale(s), one(f.monoid, bound), pushforward(phi, src),
+              pullback(phi, dst)):
         assert_public_constructor_agrees(r)
 
 
@@ -239,17 +233,12 @@ def reference_monoid(monoid):
 def reference_payload(f):
     """The document `dumps` writes for a series, built as plain data for
     `json.dumps(..., indent=2, ensure_ascii=True)`."""
-    def value(c):
-        if isinstance(c, IntPolynomial):
-            return {"poly": [str(x) for x in c.coeffs]}
-        return str(c)
-
     key = graded_lex_key(f.monoid)
     items = sorted(f.coefficients.items(), key=lambda mc: key(mc[0]))
     return {
         "monoid": reference_monoid(f.monoid),
         "bound": f.bound,
-        "coefficients": [{"exponents": list(m), "value": value(c)}
+        "coefficients": [{"exponents": list(m), "value": str(c)}
                          for m, c in items],
     }
 
@@ -275,13 +264,10 @@ def printable_monoids(draw):
 def printable_series(draw):
     monoid = draw(printable_monoids())
     bound = draw(st.integers(0, 5))
-    poly = draw(st.booleans())
     coeffs = {}
     for m in monoid.enumerate_up_to(bound):
         if draw(st.booleans()):
-            coeffs[m] = (IntPolynomial(tuple(draw(st.lists(INTS, min_size=1,
-                                                            max_size=3))))
-                         if poly else draw(INTS))
+            coeffs[m] = draw(INTS)
     return FormalSeries(monoid, bound, coeffs)
 
 
@@ -403,11 +389,10 @@ def test_first_difference_is_the_first_in_sorted_order(case):
 _T = GradedMonoid.free(["t", "u"], [1, 2])
 _RATIONAL = RationalSeries(_T, (((0, 0), 1), ((1, 0), -2)),
                            (((1, 0), 3), ((1, 1), 1)))
-# valid documents: an int series, a polynomial series, a rational series
+# valid documents: two series, a rational series
 PAYLOADS = [json.loads(dumps(x)) for x in (
     _RATIONAL.expand(3),
-    FormalSeries(_T, 2, {(0, 0): IntPolynomial((1, 2)),
-                         (0, 1): IntPolynomial((0, -3))}),
+    FormalSeries(_T, 2, {(0, 0): 12, (0, 1): -3}),
     _RATIONAL)]
 
 # any JSON value, weighted toward the numbers a file must not hold
@@ -475,11 +460,11 @@ SLOT_TEXTS = st.sampled_from(["007", "-0", "0", "01", "-1", "", "1-2", "-",
 
 @st.composite
 def layout_files(draw):
-    """The text `dumps` writes for a drawn int or polynomial series or
-    rational series, damaged in one way or not at all: one character
-    changed, whitespace added, one number written as a drawn slot text,
-    one field of the document replaced, or an entry moved or repeated,
-    the last two written back in the layout."""
+    """The text `dumps` writes for a drawn series or rational series,
+    damaged in one way or not at all: one character changed, whitespace
+    added, one number written as a drawn slot text, one field of the
+    document replaced, or an entry moved or repeated, the last two
+    written back in the layout."""
     obj = draw(printable_series() | printable_rationals())
     text = dumps(obj)
     damage = draw(st.integers(0, 5))
@@ -537,7 +522,7 @@ def reference_loads(text):
             return FormalSeries(
                 monoid, int_from_json(data["bound"]),
                 reference_table(data, "coefficients", "value",
-                                series._value_from_json))
+                                int_from_json))
         return RationalSeries(
             monoid,
             tuple(reference_table(data, "numerator", "value",
@@ -653,8 +638,7 @@ _SPY_MONOIDS = [GradedMonoid(()), GradedMonoid.free(["x"]),
 
 
 @settings(max_examples=100, deadline=None)
-@given(printable_series().filter(lambda f: f.kind != "poly")
-       | printable_rationals())
+@given(printable_series() | printable_rationals())
 @example(FormalSeries(_SPY_MONOIDS[0], 1, {}))
 @example(FormalSeries(_SPY_MONOIDS[0], 1, {(): -3}))
 @example(RationalSeries(_SPY_MONOIDS[0], (((), 2),), ()))

@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 from eulerchow import catalog, schubert, series
 from eulerchow.monoid import GradedMonoid, MonoidMismatchError, MonoidMorphism
 from eulerchow.series import (MAX_EXPANSION_TERMS, FormalSeries,
-                              IntPolynomial, RationalSeries, TruncationError,
-                              convolve, dumps,
-                              evaluate_polynomial_coefficients, exterior,
-                              first_difference, first_rational_difference,
-                              loads, one, pullback, pullback_bound,
-                              pushforward, pushforward_bound)
+                              RationalSeries, TruncationError, convolve,
+                              dumps, exterior, first_difference,
+                              first_rational_difference, loads, one,
+                              pullback, pullback_bound, pushforward,
+                              pushforward_bound)
 
 T = GradedMonoid.free(["t"])
 XY = GradedMonoid.free(["x", "y"])
-POLY_ONE = IntPolynomial((1,))
 
 
 def truncated(f, bound):
@@ -32,27 +30,6 @@ def geometric(monoid, bound):
     """All-ones series: 1/(1-t) in each variable jointly (for T: 1/(1-t))."""
     return FormalSeries(monoid, bound,
                         {m: 1 for m in monoid.enumerate_up_to(bound)})
-
-
-# ---------------------------------------------------------------------------
-# IntPolynomial
-
-def test_polynomial_arithmetic():
-    p = IntPolynomial((1, 2))      # 1 + 2u
-    q = IntPolynomial((0, 1))      # u
-    assert (p + q).coeffs == (1, 3)
-    assert (p * q).coeffs == (0, 1, 2)
-    assert p.evaluate(-1) == -1
-    assert not IntPolynomial((0, 0))
-
-
-def test_polynomial_strips_trailing_zeros():
-    assert IntPolynomial((1, 0, 0)).coeffs == (1,)
-
-
-def test_polynomial_rejects_int_operands():
-    with pytest.raises(TypeError):
-        IntPolynomial((1,)) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +52,6 @@ def test_construction_copies_the_callers_table():
         table[(3,)] = 1
         del table[(2,)]
         assert f.coefficients == {(1,): 2, (2,): 3}
-    f = FormalSeries(T, 2, {(0,): IntPolynomial((1,)),
-                            (1,): IntPolynomial(())})
-    assert f.coefficients == {(0,): IntPolynomial((1,))}
 
 
 def test_coefficient_beyond_bound_raises():
@@ -98,14 +72,6 @@ def test_constructor_rejects_coefficients_that_are_not_integers(value):
     # `dumps` would write "1.5", "True" or "1/2", which `loads` rejects
     with pytest.raises(TypeError):
         FormalSeries(T, 2, {(1,): value})
-
-
-def test_polynomial_rejects_entries_that_are_not_integers():
-    for entry in (1.5, True, Fraction(1, 2)):
-        with pytest.raises(TypeError):
-            IntPolynomial((1, entry))
-    with pytest.raises(TypeError):
-        FormalSeries(T, 2, {(1,): IntPolynomial((1, 2.5))})
 
 
 def test_constructor_rejects_a_bound_that_is_not_an_integer():
@@ -217,28 +183,20 @@ def test_addition_requires_same_monoid():
         one(T, 3) + one(XY, 3)
 
 
-def test_kind_detection_and_mixing():
-    f = FormalSeries(T, 2, {(1,): 1})
-    g = FormalSeries(T, 2, {(1,): POLY_ONE})
-    assert f.kind == "int" and g.kind == "poly"
-    assert FormalSeries(T, 2).kind is None
-    with pytest.raises(TypeError):
-        f + g
-    with pytest.raises(TypeError):
-        convolve(f, g)
-    with pytest.raises(TypeError):
-        FormalSeries(T, 2, {(0,): 1, (1,): POLY_ONE})
-    # a zero of one kind is dropped, so the table takes the other kind
-    assert FormalSeries(T, 2, {(0,): 0, (1,): POLY_ONE}).kind == "poly"
-    assert FormalSeries(T, 2, {(0,): IntPolynomial(()), (1,): 1}).kind \
-        == "int"
-
-
 def test_scale_and_negate():
     f = FormalSeries(T, 2, {(1,): 3})
     assert f.scale(2).coefficient((1,)) == 6
     assert f.scale(-1).coefficient((1,)) == -3
     assert (f + f.scale(-1)).coefficients == {}
+
+
+@pytest.mark.parametrize("scalar", [1.5, True, None, "x"])
+@pytest.mark.parametrize("table", [{}, {(1,): 3}], ids=["empty", "nonempty"])
+def test_scale_refuses_a_scalar_that_is_not_an_int(table, scalar):
+    # the engine does not check the values of its results, so a float or
+    # bool scalar would be stored unseen, and "x" * 3 would be a string
+    with pytest.raises(TypeError, match=r"^scalar .* is not an int$"):
+        FormalSeries(T, 2, table).scale(scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -425,17 +383,6 @@ def test_first_difference_rejects_different_monoids():
     # the monoids are checked before the bounds
     with pytest.raises(MonoidMismatchError):
         first_difference(closed, other, 7)
-
-
-# ---------------------------------------------------------------------------
-# Polynomial coefficients
-
-def test_evaluate_polynomial_coefficients():
-    f = FormalSeries(T, 2, {(1,): IntPolynomial((1, 1))})  # 1 + u
-    g = evaluate_polynomial_coefficients(f, -1)
-    assert g.coefficients == {}  # (1 + u)(-1) = 0
-    with pytest.raises(TypeError):
-        evaluate_polynomial_coefficients(one(T, 2), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -758,11 +705,6 @@ def test_series_json_round_trip():
     assert loads(dumps(f)) == f
 
 
-def test_poly_series_json_round_trip():
-    f = FormalSeries(T, 3, {(2,): IntPolynomial((1, 0, -2))})
-    assert loads(dumps(f)) == f
-
-
 def test_rational_json_round_trip():
     r = RationalSeries(XY, (((0, 0), 1), ((1, 1), -1)),
                        (((1, 0), 3), ((0, 1), 3)))
@@ -811,12 +753,6 @@ REFUSED = [
     pytest.param(lambda: schubert.SchubertSymbol(catalog.FLAG012, ((0,),)),
                  ValueError, "one sequence per flag dimension",
                  id="SchubertSymbol-sequence-count"),
-    pytest.param(lambda: IntPolynomial((1,)) * 2, TypeError,
-                 "unsupported operand", id="IntPolynomial-times-int"),
-    pytest.param(lambda: FormalSeries(T, 2, {(1,): 1}).scale(
-                     IntPolynomial((1,))),
-                 TypeError, "scalar kind must match",
-                 id="scale-other-kind"),
 ]
 
 

@@ -4,10 +4,12 @@ names its element and both values."""
 
 import hashlib
 import random
+import re
 
 from eulerchow import catalog, oracle, schubert, series, verify
 from eulerchow.monoid import GradedMonoid
-from eulerchow.series import FormalSeries
+from eulerchow.series import (FormalSeries, pullback_bound,
+                              pushforward_bound)
 
 T = GradedMonoid.free(["t"])
 
@@ -36,23 +38,102 @@ def test_law_loop_stops_at_the_first_failing_case():
     assert len(drawn) == 3
 
 
-def test_the_seeded_suites_draw_the_same_cases():
-    # the repr and key order of every case the algebra and Hilbert suites
-    # draw, and the generator state after each law: a cheaper generator
-    # must draw exactly these, or the case numbers of FAIL lines change
+def _seeded_cases(seed, laws):
+    """(law, case) for every case the suite of `laws` draws from `seed`,
+    and (None, generator state) after each law."""
+    rng = random.Random(seed)
+    for law in laws:
+        for _ in range(verify.ALGEBRA_CASES):
+            yield law, law[1](rng)
+        yield None, rng.getstate()
+
+
+def test_the_seeded_algebra_suite_draws_the_same_cases():
+    # the repr and key order of every case the algebra suite draws, and
+    # the generator state after each law: a cheaper generator must draw
+    # exactly these, or the case numbers of FAIL lines change
     digest = hashlib.sha256()
-    for seed, laws in ((verify.SEED, verify.ALGEBRA_LAWS),
-                       (verify.SEED + 1, verify.HILBERT_LAWS)):
-        rng = random.Random(seed)
-        for _, make_case, _ in laws:
-            for _ in range(verify.ALGEBRA_CASES):
-                case = make_case(rng)
-                digest.update(repr(case).encode())
-                digest.update(repr([list(x.coefficients) for x in case
-                                    if isinstance(x, FormalSeries)]).encode())
-            digest.update(repr(rng.getstate()).encode())
-    assert digest.hexdigest() == ("c738f3e818749581b0557de86937731f"
-                                  "540457a3360eacf067d00f0e03aa1a31")
+    for law, case in _seeded_cases(verify.SEED, verify.ALGEBRA_LAWS):
+        digest.update(repr(case).encode())
+        if law is not None:
+            digest.update(repr([list(x.coefficients) for x in case
+                                if isinstance(x, FormalSeries)]).encode())
+    assert digest.hexdigest() == ("38b6388355bd6fa24c977a3db10055ce"
+                                  "9e6e7ac0cdbccff14b23fc2307c3a10d")
+
+
+def _drawn(case):
+    """phi and the series a Hilbert case draws over M x u, each as its
+    M-bound B and its (m, k, c) triples in draw order."""
+    return case[0], [
+        (x.bound - verify.U_DEGREE * x.monoid.weights[-1],
+         [(m[:-1], m[-1], c) for m, c in x.coefficients.items()])
+        for x in case if isinstance(x, FormalSeries)]
+
+
+def test_the_seeded_hilbert_suite_draws_the_same_cases():
+    # what the Hilbert suite draws, in terms that do not depend on how a
+    # polynomial coefficient is stored: phi, each series' M-bound and
+    # its nonzero u^k coefficients c at m as (m, k, c), and the generator
+    # state after each law
+    digest = hashlib.sha256()
+    for law, case in _seeded_cases(verify.SEED + 1, verify.HILBERT_LAWS):
+        if law is None:
+            digest.update(repr(case).encode())
+            continue
+        phi, drawn = _drawn(case)
+        digest.update(repr(phi).encode())
+        for series_data in drawn:
+            digest.update(repr(series_data).encode())
+    assert digest.hexdigest() == ("e8b57d0068cd30aa8901482ca726d9ea"
+                                  "9b0fccb579893646a8ba3b086df95ecd")
+
+
+def test_the_hilbert_laws_compare_up_to_the_bounds_over_m():
+    # the equations over M x u compare as far as the same laws over M:
+    # an evaluation at -1 exactly to the push-forward or pull-back bound
+    # of the drawn M-bound B, a slice at least to the push-forward bound
+    for law, case in _seeded_cases(verify.SEED + 1, verify.HILBERT_LAWS):
+        if law is None:
+            continue
+        phi, drawn = _drawn(case)
+        push_bound = pushforward_bound(phi, drawn[0][0])
+        compared = {eq: min(lhs.bound, rhs.bound)
+                    for eq, lhs, rhs in law[2](case)}
+        if law[2] is verify.euler_is_hilbert_at_minus_one:
+            assert compared == {
+                "evaluation at -1 vs push-forward": push_bound,
+                "evaluation at -1 vs pull-back": pullback_bound(
+                    phi, drawn[1][0])}
+        else:
+            assert list(compared) == [f"u-degree {k} slice"
+                                      for k in range(verify.U_DEGREE + 1)]
+            assert min(compared.values()) >= push_bound
+
+
+def test_hilbert_laws_fail_when_push_forward_breaks_the_u_grading(
+        monkeypatch):
+    # doubling the coefficients at elements of odd exponent sum commutes
+    # with slicing and evaluating over M alone, so only laws that push
+    # forward along phi x id_u, as integer series over M x u, see it
+    pushforward = series.pushforward
+
+    def parity_doubled(phi, f):
+        g = pushforward(phi, f)
+        return FormalSeries(g.monoid, g.bound, {
+            m: c * (1 + sum(m) % 2) for m, c in g.coefficients.items()})
+
+    monkeypatch.setattr(verify, "pushforward", parity_doubled)
+    lines = {r.name: r.line() for r in verify.check_hilbert()}
+    assert re.fullmatch(
+        r"FAIL  Euler series = Hilbert series at -1: case \d+: evaluation "
+        r"at -1 vs push-forward: first difference at t\^\(.*\): "
+        r"-?\d+ vs -?\d+", lines["Euler series = Hilbert series at -1"])
+    assert re.fullmatch(
+        r"FAIL  push-forward respects the internal grading: case \d+: "
+        r"u-degree \d slice: first difference at t\^\(.*\): "
+        r"-?\d+ vs -?\d+",
+        lines["push-forward respects the internal grading"])
 
 
 def test_law_failure_stops_at_the_first_equation_that_disagrees():
