@@ -1,8 +1,10 @@
 """Catalog of varieties with known Euler-Chow series: closed forms, the
 pipelines (split projective bundle, Chow quotient, flag excision) and one
 row per kind of variety.  A row's `spelling`, such as
-"ProjClosure(n={},d={})", is its descriptor grammar, read both ways, and
-its `pipeline` returns the (target, factors) list of its independent
+"ProjClosure(n={},d={})", is its descriptor grammar, read both ways.  A
+row states its Euler characteristic `chi` and its `closed` form for
+0 < p <= top_p; `closed_form` serves every p, E_0 as 1/(1-t)^chi.  A row's
+`pipeline` returns the (target, factors) list of its independent
 computation: one flat list of rational factors with the images of their
 generators.  `euler_chow` multiplies that list exactly by `_push_product`;
 `_assemble` truncates it at a degree for the `bundle` and `grassmann`
@@ -108,34 +110,33 @@ def lawson_yau_pn(n: int, p: int) -> RationalSeries:
 
 
 def split_bundle_closed(n: int, d: int, p: int) -> RationalSeries:
-    """Closed form for the projective closure of O(d) over Pn.
-
-    For p = 0 it is Macdonald's series of the connected closure, with
-    chi = 2(n + 1): one Pn for each of the two sections."""
-    _check_split_range(n, d, p)
-    if p == 0:
-        return macdonald(2 * (n + 1))
+    """Closed form of E_p, 0 < p <= n, of the projective closure of O(d)
+    over Pn; `closed_form` serves p = 0."""
+    if not 0 < p <= n:
+        raise ValueError(f"p={p} out of range for ProjClosure(n={n},d={d})")
     return RationalSeries(SPLIT_BASIS, ((SPLIT_BASIS.zero(), 1),), (
         ((1, 0), math.comb(n + 1, p)), ((0, 1), math.comb(n + 1, p + 1)),
         ((d, 1), math.comb(n + 1, p + 1))))
 
 
 # Per flag type: for p = 0..dim the letters of E_p's generators, one per
-# Schubert symbol of dimension p in graded-lex order, and for 0 < p < dim
-# the (numerator, denominator) of E_p.  `schubert_closed` states E_0, the
-# fixed points' Macdonald series, and E_dim, the fundamental class's.
+# Schubert symbol of dimension p in graded-lex order, and for 0 < p <= dim
+# the (numerator, denominator) of E_p; E_dim counts the multiples of the
+# fundamental class.  `closed_form` serves E_0.
 SCHUBERT_FORMS = {
     FLAG012: (("t", "rs", "xy", "u"), {
         # <0;0,2> (r), <1;0,1> (s)
         1: ((((0, 0), 1),), (((1, 0), 3), ((0, 1), 3), ((1, 1), 3))),
         # <1;1,2> (x), <2;0,2> (y)
         2: ((((0, 0), 1), ((1, 1), -1)), (((1, 0), 3), ((0, 1), 3))),
+        3: ((((0,), 1),), (((1,), 1),)),
     }),
     G13: (("t", "s", "xy", "z", "w"), {
         1: ((((0,), 1),), (((1,), 12),)),
         # <0,3> (x), <1,2> (y)
         2: ((((0, 0), 1),), (((1, 0), 4), ((0, 1), 4), ((1, 1), 3))),
         3: ((((0,), 1), ((1,), 1)), (((1,), 5),)),
+        4: ((((0,), 1),), (((1,), 1),)),
     }),
 }
 
@@ -150,33 +151,22 @@ def _basis(ft: schubert.FlagType, p: int) -> GradedMonoid:
 
 
 def schubert_closed(ft: schubert.FlagType, p: int) -> RationalSeries:
-    """Closed form of E_p of a flag variety of `SCHUBERT_FORMS`, over the
-    Schubert-symbol basis; E_3 of F(0,1;2) is a factor of G(1,3)'s E_4."""
-    if p == 0:
-        return macdonald(schubert.fixed_point_count(ft))
-    m, stored = _basis(ft, p), SCHUBERT_FORMS[ft][1]
-    if p in stored:
-        return RationalSeries(m, *stored[p])
-    # p = dim: fundamental-class multiples, one component per degree
-    return RationalSeries(m, ((m.zero(), 1),), (((1,), 1),))
+    """Closed form of E_p, 0 < p <= dim, of a flag variety of
+    `SCHUBERT_FORMS` over the symbol basis; `closed_form` serves p = 0."""
+    stored = SCHUBERT_FORMS[ft][1]
+    if p not in stored:
+        raise ValueError(f"p={p} out of range for {ft}")
+    return RationalSeries(_basis(ft, p), *stored[p])
 
 
 # ---------------------------------------------------------------------------
 # Pipelines
-
-def _check_split_range(n: int, d: int, p: int):
-    if n < 0 or d < 0:
-        raise ValueError("n and d must be >= 0")
-    if not 0 <= p <= n:
-        raise ValueError(f"p={p} out of range for ProjClosure(n={n},d={d})")
-
 
 def _split_factors(n: int, d: int, p: int):
     """(target, factors) of the split-bundle pipeline for the projective
     closure of O(d) over Pn: E_{p-1}(Pn), E_p(Pn) and E_p(Pn), with the
     images (1,0), (0,1) and (d,1) of their generators.  For p = 0 it is
     E_0(Pn) twice, once per section, each point a point of the closure."""
-    _check_split_range(n, d, p)
     f = lawson_yau_pn(n, p)
     if p == 0:
         return POINT_BASIS, [(f, [(1,)]), (f, [(1,)])]
@@ -193,7 +183,7 @@ def _g13_factors(p: int):
     classes = schubert.symbols_of_dimension(G13, p)
     pieces = []
     if p >= 1:
-        pieces.append((schubert_closed(FLAG012, p - 1),
+        pieces.append((closed_form(VarietyDescriptor("Flag012"), p - 1),
                        schubert.symbols_of_dimension(FLAG012, p - 1),
                        schubert.trace_phi))
     for d, inclusion in ((1, schubert.inclusion_i), (0, schubert.inclusion_j)):
@@ -303,9 +293,10 @@ class Kind(NamedTuple):
 
     spelling: str                  # descriptor, one `{}` per integer
     top_p: Callable[[VarietyDescriptor], int]   # p = 0..top_p is served
-    closed: Callable[[VarietyDescriptor, int], RationalSeries]
-    # class of each generator of the closed form's monoid, in order
-    classes: Callable[[VarietyDescriptor, int], list[str]]
+    chi: Callable[[VarietyDescriptor], int]     # Euler characteristic
+    # E_p, 0 < p <= top_p, and its generators' classes; None if top_p = 0
+    closed: Callable[[VarietyDescriptor, int], RationalSeries] | None = None
+    classes: Callable[[VarietyDescriptor, int], list[str]] | None = None
     # (v, p) -> the (target, factors) list of the series computed without
     # the closed form; None where no independent computation exists
     pipeline: Callable[[VarietyDescriptor, int], tuple | None] = \
@@ -327,10 +318,11 @@ def _top_p(top, **least) -> Callable[[VarietyDescriptor], int]:
 def _split_kind(spelling, bundle, **least) -> Kind:
     """A projective closure of O(d) over P^n; `bundle` maps the integers
     of the spelling, each at least its value of `least`, to (n, d)."""
+    # chi: one P^n for each of the two sections
     return Kind(spelling, top_p=_top_p(lambda *a: bundle(*a)[0], **least),
+                chi=lambda v: 2 * (bundle(*v.args)[0] + 1),
                 closed=lambda v, p: split_bundle_closed(*bundle(*v.args), p),
-                classes=lambda v, p: [f"q*[P^{p - 1}]", f"section [P^{p}]"]
-                if p else ["point class"],
+                classes=lambda v, p: [f"q*[P^{p - 1}]", f"section [P^{p}]"],
                 pipeline=lambda v, p: _split_factors(*bundle(*v.args), p))
 
 
@@ -339,6 +331,7 @@ def _schubert_kind(spelling, ft, pipeline) -> Kind:
     (target, factors) list, or None."""
     top = len(SCHUBERT_FORMS[ft][0]) - 1
     return Kind(spelling, top_p=_top_p(lambda: top),
+                chi=lambda v: schubert.fixed_point_count(ft),
                 closed=lambda v, p: schubert_closed(ft, p),
                 classes=lambda v, p: [
                     s.label() for s in schubert.symbols_of_dimension(ft, p)],
@@ -347,6 +340,7 @@ def _schubert_kind(spelling, ft, pipeline) -> Kind:
 
 KINDS: dict[str, Kind] = {
     "Pn": Kind("Pn({})", top_p=_top_p(lambda n: n, n=0),
+               chi=lambda v: v.args[0] + 1,
                closed=lambda v, p: lawson_yau_pn(*v.args, p),
                classes=lambda v, p: [f"degree-d multiples of [P^{p}]"]),
     "PnxP1": _split_kind("PnxP1({})", lambda n: (n, 0), n=0),
@@ -359,9 +353,18 @@ KINDS: dict[str, Kind] = {
         "Flag012", FLAG012, lambda p: _flag012_factors() if p == 2 else None),
     "G13": _schubert_kind("G(1,3)", G13, _g13_factors),
     "Macdonald": Kind("Macdonald({})", top_p=_top_p(lambda chi: 0, chi=1),
-                      closed=lambda v, p: macdonald(*v.args),
-                      classes=lambda v, p: ["point class"]),
+                      chi=lambda v: v.args[0]),
 }
+
+
+def closed_form(v: VarietyDescriptor, p: int) -> RationalSeries:
+    """The stored E_p of a catalog variety, p = 0..top_p: the row's
+    `closed` for p > 0, and Macdonald's 1/(1-t)^chi of the connected
+    variety at p = 0, over the point class."""
+    kind = KINDS[v.kind]
+    if not 0 <= p <= kind.top_p(v):
+        raise ValueError(f"p={p} out of range for {v}")
+    return kind.closed(v, p) if p else macdonald(kind.chi(v))
 
 
 def euler_chow(v: VarietyDescriptor, p: int,
@@ -378,11 +381,9 @@ def euler_chow(v: VarietyDescriptor, p: int,
     if method not in ("closed", "both"):
         raise ValueError(f"unknown method {method!r}")
     kind = KINDS[v.kind]
-    if not 0 <= p <= kind.top_p(v):
-        raise ValueError(f"p={p} out of range for {v}")
-    closed = kind.closed(v, p)
-    dictionary = tuple(zip(closed.monoid.labels, kind.classes(v, p),
-                           strict=True))
+    closed = closed_form(v, p)
+    classes = kind.classes(v, p) if p else ["point class"]
+    dictionary = tuple(zip(closed.monoid.labels, classes, strict=True))
     factors = kind.pipeline(v, p) if method == "both" else None
     if factors is None:
         return EulerChowResult(v, p, closed, "none", dictionary)

@@ -152,10 +152,9 @@ def check_bundle() -> list[CheckResult]:
 def check_grassmann() -> list[CheckResult]:
     pipelines = [catalog.grassmannian13_series(p, GRASSMANN_DEGREE)
                  for p in range(4)]
-    out = []
+    g13, out = catalog.parse_descriptor("G(1,3)"), []
     for p, pipeline in enumerate(pipelines):
-        closed = catalog.schubert_closed(catalog.G13, p).expand(
-            GRASSMANN_DEGREE)
+        closed = catalog.closed_form(g13, p).expand(GRASSMANN_DEGREE)
         out.append(_verdict(
             f"G(1,3) pipeline p={p} to degree {GRASSMANN_DEGREE}",
             filter(None, [law_failure(

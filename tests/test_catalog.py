@@ -76,7 +76,8 @@ def test_split_bundle_closed_shape():
     # (1-t0)^-3 (1-t1)^-3 (1-t0^3 t1)^-3, factors in graded-lex order
     assert set(r.denominator) == {((0, 1), 3), ((1, 0), 3), ((3, 1), 3)}
     # p = 0: Macdonald's 1/(1-t)^chi over the point class, chi = 2(n + 1)
-    assert catalog.split_bundle_closed(2, 3, 0) == catalog.macdonald(6)
+    v = parse_descriptor("ProjClosure(n=2,d=3)")
+    assert catalog.closed_form(v, 0) == catalog.macdonald(6)
 
 
 def test_hirzebruch_pipeline_matches_closed_form():
@@ -87,7 +88,8 @@ def test_hirzebruch_pipeline_matches_closed_form():
 
 
 def test_split_bundle_p0_pipeline():
-    closed = catalog.split_bundle_closed(2, 2, 0).expand(6)
+    v = parse_descriptor("ProjClosure(n=2,d=2)")
+    closed = catalog.closed_form(v, 0).expand(6)
     pipe = catalog.split_bundle_series(2, 2, 0, 6)
     assert first_difference(closed, pipe, 6) is None
 
@@ -119,7 +121,7 @@ def test_euler_characteristic_is_the_number_of_cells(v):
 
 def test_grassmannian13_pipeline_all_p():
     for p in range(5):
-        closed = catalog.schubert_closed(catalog.G13, p).expand(8)
+        closed = catalog.closed_form(parse_descriptor("G(1,3)"), p).expand(8)
         pipe = catalog.grassmannian13_series(p, 8)
         assert first_difference(closed, pipe, 8) is None
 
@@ -221,10 +223,22 @@ def test_euler_chow_closed_only_for_pn():
     assert euler_chow(v, 1, method="both").check == "none"
 
 
-def test_euler_chow_flag012_checks_p2_by_identity():
-    v = parse_descriptor("Flag012")
-    assert [euler_chow(v, p).check for p in range(4)] \
-        == ["none", "none", "identity", "none"]
+@pytest.mark.parametrize("text, checks", [
+    ("Pn(3)", ["none"] * 4),
+    ("PnxP1(2)", ["identity"] * 3),
+    ("ProjClosure(n=3,d=2)", ["identity"] * 4),
+    ("Hirzebruch(2)", ["identity"] * 2),
+    ("BlowupPn(3)", ["identity"] * 3),
+    ("Flag012", ["none", "none", "identity", "none"]),
+    ("G(1,3)", ["identity"] * 5),
+    ("Macdonald(5)", ["none"]),
+])
+def test_euler_chow_cross_check_of_every_served_p(text, checks):
+    # the cross-check of every served p, one descriptor per kind: a lost
+    # pipeline fails here
+    v = parse_descriptor(text)
+    assert [euler_chow(v, p).check
+            for p in range(catalog.KINDS[v.kind].top_p(v) + 1)] == checks
 
 
 def test_euler_chow_builds_each_flag_types_symbols_once(monkeypatch):
@@ -318,23 +332,31 @@ def test_rational_pipeline_equals_truncated_pipeline(monkeypatch, v, p):
     def unreadable(*args):
         raise AssertionError("a pipeline read a closed form")
 
-    kind, real = catalog.KINDS[v.kind], catalog.schubert_closed
+    kind = catalog.KINDS[v.kind]
+    real, real_form = catalog.schubert_closed, catalog.closed_form
     own = {"Flag012": catalog.FLAG012, "G13": catalog.G13}.get(v.kind)
     read = []
 
     def schubert_closed(ft, q):
         if ft == own:
             unreadable()
-        read.append((ft, q))
         return real(ft, q)
 
-    closed = kind.closed(v, p)
+    def closed_form(w, q):
+        if w == v:
+            unreadable()
+        read.append((w, q))
+        return real_form(w, q)
+
+    closed = catalog.closed_form(v, p)
     with monkeypatch.context() as m:
         m.setattr(catalog, "split_bundle_closed", unreadable)
         m.setattr(catalog, "schubert_closed", schubert_closed)
+        m.setattr(catalog, "closed_form", closed_form)
         rational = catalog._push_product(*kind.pipeline(v, p))
-        # G(1,3)'s pipeline reads E_{p-1} of F(0,1;2) as a factor
-        assert read == ([(catalog.FLAG012, p - 1)]
+        # G(1,3)'s pipeline reads E_{p-1} of F(0,1;2) as a factor, E_0
+        # at p = 1
+        assert read == ([(parse_descriptor("Flag012"), p - 1)]
                         if v.kind == "G13" and p else [])
         for degree in (0, 3, 10):
             assert rational.expand(degree) == _truncated(v, p, degree)
@@ -350,9 +372,8 @@ def _changed(r, numerator=(), denominator=()):
 
 @pytest.mark.parametrize("v, p", RATIONAL_PIPELINES)
 def test_rational_identity_fails_on_a_changed_closed_form(v, p):
-    kind = catalog.KINDS[v.kind]
-    closed = kind.closed(v, p)
-    rational = catalog._push_product(*kind.pipeline(v, p))
+    closed = catalog.closed_form(v, p)
+    rational = catalog._push_product(*catalog.KINDS[v.kind].pipeline(v, p))
     (m, c), (dm, de) = closed.numerator[0], closed.denominator[0]
     for wrong in (_changed(closed, numerator=((m, 1),)),
                   _changed(closed, denominator=((dm, 1),))):
@@ -378,7 +399,6 @@ def test_g13_p3_pipeline_cancels_against_the_closed_form():
 
 @pytest.mark.parametrize("v", SERVED, ids=str)
 def test_closed_forms_round_trip_through_series_files(v):
-    kind = catalog.KINDS[v.kind]
-    for p in range(kind.top_p(v) + 1):
-        closed = kind.closed(v, p)
+    for p in range(catalog.KINDS[v.kind].top_p(v) + 1):
+        closed = catalog.closed_form(v, p)
         assert loads(dumps(closed)) == closed

@@ -207,6 +207,24 @@ def test_series_cross_check_failure_exits_1(capsys, monkeypatch, variety,
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("variety, kind, change", [
+    ("G(1,3)", "G13", 1),
+    ("Hirzebruch(2)", "Hirzebruch", -1),
+])
+def test_series_wrong_chi_exits_1(capsys, monkeypatch, variety, kind,
+                                  change):
+    # E_0 is 1/(1-t)^chi by the row's chi; the pipeline counts the points
+    # without it
+    row = catalog.KINDS[kind]
+    monkeypatch.setitem(catalog.KINDS, kind, row._replace(
+        chi=lambda v: row.chi(v) + change))
+    code, out, err = run(capsys, "series", variety, "--p", "0")
+    assert (code, out) == (1, "")
+    chi = row.chi(catalog.parse_descriptor(variety))
+    assert err == (f"error: {variety} p=0: closed form and pipeline differ: "
+                   f"first difference at t^(1,): {chi + change} vs {chi}\n")
+
+
 @pytest.mark.parametrize("fmt", ["text", "rational"])
 def test_series_header_spells_the_descriptor(capsys, fmt):
     code, out, _ = run(capsys, "series", "BlowupPn(3)", "--p", "1",

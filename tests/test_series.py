@@ -514,10 +514,9 @@ def expand_by_convolution(r, degree):
 DESCRIPTORS = ["Pn(3)", "PnxP1(2)", "ProjClosure(n=3,d=2)", "Hirzebruch(2)",
                "BlowupPn(3)", "Flag012", "G(1,3)", "Macdonald(5)"]
 CLOSED_FORMS = [
-    pytest.param(kind.closed(v, p), id=f"{v}-p{p}")
+    pytest.param(catalog.closed_form(v, p), id=f"{v}-p{p}")
     for v in map(catalog.parse_descriptor, DESCRIPTORS)
-    for kind in [catalog.KINDS[v.kind]]
-    for p in range(kind.top_p(v) + 1)
+    for p in range(catalog.KINDS[v.kind].top_p(v) + 1)
 ]
 
 
@@ -738,8 +737,19 @@ REFUSED = [
     pytest.param(lambda: catalog.schubert_closed(catalog.FLAG012, 4),
                  ValueError, r"^p=4 out of range for F\(0,1;2\)$",
                  id="schubert_closed-p4"),
-    pytest.param(lambda: catalog.split_bundle_closed(-1, 0, 0), ValueError,
-                 "n and d must be >= 0", id="split_bundle_closed-negative-n"),
+    pytest.param(lambda: catalog.split_bundle_closed(-1, 0, 1), ValueError,
+                 r"^p=1 out of range for ProjClosure\(n=-1,d=0\)$",
+                 id="split_bundle_closed-negative-n"),
+    # E_0 is `closed_form`'s alone
+    pytest.param(lambda: catalog.split_bundle_closed(2, 3, 0), ValueError,
+                 r"^p=0 out of range for ProjClosure\(n=2,d=3\)$",
+                 id="split_bundle_closed-p0"),
+    pytest.param(lambda: catalog.schubert_closed(catalog.G13, 0), ValueError,
+                 r"^p=0 out of range for G\(1,3\)$",
+                 id="schubert_closed-G13-p0"),
+    pytest.param(lambda: catalog.schubert_closed(catalog.FLAG012, 0),
+                 ValueError, r"^p=0 out of range for F\(0,1;2\)$",
+                 id="schubert_closed-Flag012-p0"),
     pytest.param(lambda: catalog.euler_chow(
                      catalog.parse_descriptor("Pn(2)"), 0, method="x"),
                  ValueError, "unknown method", id="euler_chow-method"),
