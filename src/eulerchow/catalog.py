@@ -18,11 +18,10 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import schubert
-from .monoid import GradedMonoid, MonoidMorphism
+from .monoid import GradedMonoid, MonoidMorphism, Record
 from .series import (INTEGER, FormalSeries, RationalSeries, convolve,
                      describe_difference, first_rational_difference, one,
                      pushforward)
@@ -46,13 +45,14 @@ class VerificationError(AssertionError):
     difference."""
 
 
-@dataclass(frozen=True)
-class VarietyDescriptor:
+class VarietyDescriptor(Record):
     """A catalog variety: its kind (a key of `KINDS`) and the integers
     that fill the `{}` of that kind's spelling, in order."""
 
+    __slots__ = _fields = ("kind", "args")
+    _defaults = {"args": tuple}
     kind: str
-    args: tuple[int, ...] = ()
+    args: tuple[int, ...]
 
     def __post_init__(self):
         kind = KINDS.get(self.kind)
@@ -80,8 +80,9 @@ def parse_descriptor(text: str) -> VarietyDescriptor:
     raise UnsupportedRequestError(f"unknown variety descriptor: {text!r}")
 
 
-@dataclass(frozen=True)
-class EulerChowResult:
+class EulerChowResult(Record):
+    __slots__ = _fields = ("variety", "p", "closed_form", "check",
+                           "generator_dictionary")
     variety: VarietyDescriptor
     p: int
     closed_form: RationalSeries

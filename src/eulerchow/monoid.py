@@ -8,25 +8,95 @@ image of a morphism.  Grading, `add` and `MonoidMorphism.apply` trust
 their input and do not re-check it.  `grade` serves one element and
 `grades` a whole table at once.  `graded_lex` is the one statement of
 graded-lex order: by grade, then by exponent tuple.
+
+`Record` is the base of the package's immutable records, this module's
+two classes among them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
-from operator import add, itemgetter, mul
+from operator import add, attrgetter, itemgetter, mul
 
 Element = tuple[int, ...]
+
+
+class Record:
+    """An immutable record.  A subclass lists its fields in `_fields`,
+    which are among its `__slots__`, and may give a field's default as a
+    zero-argument factory in `_defaults`.  The constructor takes the
+    fields by position or keyword, stores them and calls
+    `self.__post_init__()`, where a subclass checks them or stores a
+    normalised value with `object.__setattr__`.  Equality, hash and repr
+    are those of the fields alone; assigning or deleting an attribute
+    raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            given = dict(zip(fields, args))
+            if (len(args) > len(fields) or given.keys() & kwargs.keys()
+                    or kwargs.keys() - fields):
+                raise TypeError(f"{type(self).__name__}() takes the fields "
+                                f"{', '.join(fields)}, each at most once")
+            given.update(kwargs)
+            try:
+                args = [given[name] if name in given
+                        else self._defaults[name]() for name in fields]
+            except KeyError as exc:
+                raise TypeError(f"{type(self).__name__}() missing field "
+                                f"{exc}") from None
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the record through the constructor
+        return type(self), tuple(getattr(self, n) for n in self._fields)
 
 
 class MonoidMismatchError(ValueError):
     """Raised when an operation mixes incompatible monoids."""
 
 
-@dataclass(frozen=True)
-class GradedMonoid:
+class GradedMonoid(Record):
     """Free abelian monoid Z_+^k with labeled, positively weighted generators."""
 
+    # `rank`, `labels` and `weights` are derived from `generators` at
+    # construction; they are not fields, so equality, hash and repr are
+    # those of `generators` alone
+    _fields = ("generators",)
+    __slots__ = _fields + ("rank", "labels", "weights")
     generators: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
@@ -44,8 +114,6 @@ class GradedMonoid:
         labels = tuple(lab for lab, _ in self.generators)
         if len(set(labels)) != len(labels):
             raise ValueError("generator labels must be pairwise distinct")
-        # not dataclass fields: equality, hash and repr are those of
-        # `generators` alone
         object.__setattr__(self, "rank", len(self.generators))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "weights",
@@ -124,10 +192,10 @@ class GradedMonoid:
         return [m for m, _ in sorted(level, key=itemgetter(1), reverse=True)]
 
 
-@dataclass(frozen=True)
-class MonoidMorphism:
+class MonoidMorphism(Record):
     """Morphism between free graded monoids, fixed by its generator images."""
 
+    __slots__ = _fields = ("source", "target", "generator_images")
     source: GradedMonoid
     target: GradedMonoid
     generator_images: tuple[Element, ...]

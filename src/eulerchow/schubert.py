@@ -5,15 +5,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
-from .monoid import GradedMonoid
+from .monoid import GradedMonoid, Record
 
 
-@dataclass(frozen=True)
-class FlagType:
+class FlagType(Record):
     """Partial flag variety F(d_1,...,d_r; n)."""
 
+    __slots__ = _fields = ("dims", "ambient")
     dims: tuple[int, ...]
     ambient: int
 
@@ -39,10 +38,10 @@ def grassmannian(d: int, n: int) -> FlagType:
     return FlagType((d,), n)
 
 
-@dataclass(frozen=True)
-class SchubertSymbol:
+class SchubertSymbol(Record):
     """Nested strictly increasing index sequences naming a Schubert class."""
 
+    __slots__ = _fields = ("flag_type", "sequences")
     flag_type: FlagType
     sequences: tuple[tuple[int, ...], ...]
 

@@ -30,11 +30,11 @@ from __future__ import annotations
 import json
 import re
 from contextlib import suppress
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, repeat
 from operator import add, floordiv, itemgetter, mul, sub
 
-from .monoid import Element, GradedMonoid, MonoidMismatchError, MonoidMorphism
+from .monoid import (Element, GradedMonoid, MonoidMismatchError,
+                     MonoidMorphism, Record)
 
 
 # the most terms `_divide` may allocate for one denominator factor; a larger
@@ -73,13 +73,14 @@ def _check_bound(bound):
         raise ValueError(f"bound must be >= 0, got {bound}")
 
 
-@dataclass(frozen=True)
-class FormalSeries:
+class FormalSeries(Record):
     """Element of the convolution ring, truncated at a grade bound."""
 
+    __slots__ = _fields = ("monoid", "bound", "coefficients")
+    _defaults = {"coefficients": dict}
     monoid: GradedMonoid
     bound: int
-    coefficients: dict[Element, int] = field(default_factory=dict)
+    coefficients: dict[Element, int]
 
     __hash__ = None  # the coefficient table is a dict
 
@@ -341,6 +342,8 @@ def _divide(monoid: GradedMonoid, table: dict, m: Element, e: int,
     are disjoint, so their lengths sum to at most the number of elements
     of grade <= degree; once that sum passes MAX_EXPANSION_TERMS,
     TruncationError is raised before the ray that passes it is allocated.
+    For e < 0 the kernel's C(-e, j) have up to -e bits, so each term
+    counts as 1 + (-e) // 64 terms, about the 64-bit words of its digits.
     """
     if not table:
         return {}  # zero stays zero, and an empty table has no columns
@@ -354,12 +357,13 @@ def _divide(monoid: GradedMonoid, table: dict, m: Element, e: int,
                   else col for col, x in zip(columns, m)])
     rays = {}
     total = 0
+    words = 1 + max(-e, 0) // 64
     for y, k, c, g in zip(bases, ks, table.values(), monoid.grades(keys)):
         ray = rays.get(y)
         if ray is None:
             # grade(y) = g - k * gm, so the ray has this many steps
             n = (degree - g) // gm + k + 1
-            total += n
+            total += n * words
             if total > MAX_EXPANSION_TERMS:
                 raise _too_many_terms(degree)
             ray = rays[y] = [0] * n
@@ -385,11 +389,11 @@ def _divide(monoid: GradedMonoid, table: dict, m: Element, e: int,
     return out
 
 
-@dataclass(frozen=True)
-class RationalSeries:
+class RationalSeries(Record):
     """Closed form: polynomial numerator over a product of (1 - t^m)^e,
     each stored sorted by element: a canonical order, not a shown one."""
 
+    __slots__ = _fields = ("monoid", "numerator", "denominator")
     monoid: GradedMonoid
     numerator: tuple[tuple[Element, int], ...]
     denominator: tuple[tuple[Element, int], ...]
@@ -485,21 +489,21 @@ class RationalSeries:
             tuple((phi.apply(m), e) for m, e in self.denominator))
 
 
-def first_rational_difference(a: RationalSeries, b: RationalSeries):
-    """First graded-lex element, at any degree, where the expansions of two
-    rational series differ, as (element, a's value, b's value); or None.
+def rational_difference_grade(a: RationalSeries, b: RationalSeries):
+    """The lowest grade at which the expansions of two rational series
+    differ, at any degree; or None when they are equal.
 
     After the common denominator factors (same m, the smaller e) cancel,
     a - b = (N_a R_b - N_b R_a) / (C R_a R_b), where R_a and R_b are what
     remains of each denominator.  So a == b exactly when that numerator is
     the zero polynomial.  Otherwise 1/(C R_a R_b) = 1 + higher grades, so
-    the expansions first differ at the numerator's lowest grade g, and the
-    expansions to g give the difference.
+    the expansions first differ at the numerator's lowest grade.
 
     N_a R_b and N_b R_a are built by `_divide` at -e per remaining factor
     (m, e), to the top grade they reach: the highest numerator grade plus
-    the sum of e * grade(m).  One whose rays pass MAX_EXPANSION_TERMS
-    raises TruncationError naming the identity check and the factor.
+    the sum of e * grade(m).  One that passes MAX_EXPANSION_TERMS, its
+    terms weighted by their digits, raises TruncationError naming the
+    identity check and the factor.
     """
     _check_monoids(a, b)
     monoid = a.monoid
@@ -518,16 +522,22 @@ def first_rational_difference(a: RationalSeries, b: RationalSeries):
                 raise TruncationError(
                     f"identity check of two rational series: multiplying "
                     f"by the factor (1 - t^m)^e with m = {m}, e = {e} "
-                    f"needs more than {MAX_EXPANSION_TERMS} terms") from None
+                    f"needs more than {MAX_EXPANSION_TERMS} terms, each "
+                    f"counted as 1 + e // 64 for its digits") from None
         return table
 
     left, right = cross(a, b), cross(b, a)
     keys = [m for m in left.keys() | right.keys()
             if left.get(m, 0) != right.get(m, 0)]
-    if not keys:
-        return None
-    g = min(monoid.grades(keys))
-    return first_difference(a.expand(g), b.expand(g), g)
+    return min(monoid.grades(keys), default=None)
+
+
+def first_rational_difference(a: RationalSeries, b: RationalSeries):
+    """First graded-lex element, at any degree, where the expansions of two
+    rational series differ, as (element, a's value, b's value); or None.
+    The expansions to `rational_difference_grade` give it."""
+    g = rational_difference_grade(a, b)
+    return None if g is None else first_difference(a.expand(g), b.expand(g), g)
 
 
 # the one rule for integer text, in a file, a descriptor or an option; `int`

@@ -6,11 +6,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
+from functools import cmp_to_key
 
 from . import catalog, oracle, schubert
-from .monoid import GradedMonoid, MonoidMorphism, compose
+from .monoid import GradedMonoid, MonoidMorphism, Record, compose
 from .series import (FormalSeries, convolve, describe_difference, exterior,
                      first_difference, one, pullback, pushforward)
 
@@ -18,11 +17,14 @@ SEED = 20240811
 ALGEBRA_CASES = 100
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
+    __slots__ = _fields = ("name", "passed", "detail")
+    _defaults = {"detail": str}
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
+
+    __hash__ = None  # a line of a report, not a key
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -318,11 +320,18 @@ def engine_matches_oracle(case):
 U_DEGREE = 2  # the largest u-degree a case draws
 
 
+def _by_ratio(a, b) -> int:
+    """A cmp function of pairs (g, w), w > 0, by the ratio g / w, exact:
+    the sign of g w' - g' w."""
+    return a[0] * b[1] - b[0] * a[1]
+
+
 def times_u(phi: MonoidMorphism, pick) -> MonoidMorphism:
     """phi x id_u, u of weights grade(image) in N and weight in M of the
-    generator of phi that `pick`, min or max, takes by their ratio."""
+    generator of phi that `pick`, min or max, takes by their ratio (the
+    first of equal ratios)."""
     g, w = pick(zip(map(phi.target.grade, phi.generator_images),
-                    phi.source.weights), key=lambda gw: Fraction(*gw))
+                    phi.source.weights), key=cmp_to_key(_by_ratio))
     images = [img + (0,) for img in phi.generator_images]
     return MonoidMorphism(GradedMonoid(phi.source.generators + (("u", w),)),
                           GradedMonoid(phi.target.generators + (("u", g),)),

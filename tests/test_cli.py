@@ -389,6 +389,131 @@ def test_compare_and_expand(capsys, tmp_path):
     assert out == "first difference at t^(1,): 5 vs 6\n"
 
 
+# G(1,3)'s E_2 over the monoid of <0,1> and <0,2>, the same series with
+# (1 - xy) in its numerator and one more (1 - xy) in its denominator, and
+# forms that add one numerator term: at grade 3, within degree 24, and at
+# grade 30, above it
+_G13_P2 = catalog.schubert_closed(catalog.G13, 2)
+_XY = _G13_P2.monoid
+
+
+def _g13_variant(*terms, xy=3) -> RationalSeries:
+    return RationalSeries(_XY, (((0, 0), 1),) + terms,
+                          (((0, 1), 4), ((1, 0), 4), ((1, 1), xy)))
+
+
+COMPARE_PAIRS = {
+    "equal": _g13_variant(((1, 1), -1), xy=4),
+    "grade-3": _g13_variant(((1, 2), 1)),
+    "grade-30": _g13_variant(((10, 20), 1)),
+}
+
+
+@pytest.mark.parametrize("name", COMPARE_PAIRS)
+def test_compare_rational_files_matches_expanding_both(capsys, tmp_path,
+                                                       name):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(dumps(_G13_P2))
+    b.write_text(dumps(COMPARE_PAIRS[name]))
+    expanded = []
+    for path in (a, b):
+        expanded.append(tmp_path / f"{path.stem}-24.json")
+        assert cli.main(["expand", str(path), "--degree", "24",
+                         "--output", str(expanded[-1])]) == 0
+    by_identity = run(capsys, "compare", str(a), str(b), "--degree", "24")
+    by_expansion = run(capsys, "compare", *map(str, expanded),
+                       "--degree", "24")
+    assert by_identity == by_expansion
+    assert by_identity[0] == (1 if name == "grade-3" else 0)
+
+
+@pytest.mark.parametrize("name", COMPARE_PAIRS)
+def test_compare_rational_files_at_any_degree(capsys, tmp_path, name):
+    # expanding both to 10^7 would pass the term cap and exit 3
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(dumps(_G13_P2))
+    b.write_text(dumps(COMPARE_PAIRS[name]))
+    code, out, err = run(capsys, "compare", str(a), str(b),
+                         "--degree", "10000000")
+    assert (code, err) == (int(name != "equal"), "")
+    if code:
+        m, x, y = series.first_rational_difference(_G13_P2,
+                                                   COMPARE_PAIRS[name])
+        assert out == f"first difference at t^{m}: {x} vs {y}\n"
+        assert y == x + 1
+    else:
+        assert out == "equal to degree 10000000\n"
+
+
+def test_compare_expands_when_the_identity_passes_the_cap(capsys, tmp_path):
+    # 1/(1-t) against 1/(1-t)^E: the identity multiplies 1 by (1-t)^(E-1),
+    # E terms, over the cap; expanding both to degree 3 is 8 terms
+    e = 2 * MAX_EXPANSION_TERMS
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(dumps(lawson_yau_pn(0, 0)))
+    b.write_text(dumps(RationalSeries(T, ((T.zero(), 1),), (((1,), e),))))
+    code, out, err = run(capsys, "compare", str(a), str(b), "--degree", "3")
+    assert (code, out, err) == (1, f"first difference at t^(1,): 1 vs {e}\n",
+                                "")
+
+
+def _macdonald_pair(tmp_path):
+    # Macdonald(300000) against Macdonald(1): the identity would multiply
+    # 1 by (1-t)^299999, 300000 binomials of up to 299999 bits
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(dumps(catalog.closed_form(
+        catalog.parse_descriptor("Macdonald(300000)"), 0)))
+    b.write_text(dumps(lawson_yau_pn(0, 0)))
+    return a, b
+
+
+def test_compare_expands_a_pair_that_fits_the_degree(capsys, tmp_path,
+                                                     monkeypatch):
+    # expanding both to degree 10 answers, so no identity is checked
+    def refused(*_):
+        raise AssertionError("checked an identity")
+
+    monkeypatch.setattr(cli, "rational_difference_grade", refused)
+    code, out, err = run(capsys, "compare", *map(str, _macdonald_pair(
+        tmp_path)), "--degree", "10")
+    assert (code, out, err) == (1, "first difference at t^(1,): 300000 vs 1\n",
+                                "")
+
+
+def test_compare_refuses_an_identity_over_the_cap_by_its_digits(capsys,
+                                                                tmp_path):
+    # over the cap at degree 10^7, the identity counts each term of
+    # (1-t)^299999 as 4688 words and is refused before it allocates
+    code, out, err = run(capsys, "compare", *map(str, _macdonald_pair(
+        tmp_path)), "--degree", "10000000")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: identity check of two rational series: ")
+    assert "e = 299999 needs more than" in err
+
+
+def test_compare_expands_no_difference_above_the_degree(capsys, tmp_path,
+                                                        monkeypatch):
+    # 1/(1-t) against (1 + t^2000000)/(1-t) at degree 1500000: expanding
+    # either is refused, and the identity's difference at grade 2000000
+    # lies above the degree, so nothing more is expanded
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(dumps(lawson_yau_pn(0, 0)))
+    b.write_text(dumps(RationalSeries(
+        T, ((T.zero(), 1), ((2 * 10**6,), 1)), (((1,), 1),))))
+    degrees = []
+    expand = RationalSeries.expand
+
+    def recording(self, degree):
+        degrees.append(degree)
+        return expand(self, degree)
+
+    monkeypatch.setattr(RationalSeries, "expand", recording)
+    code, out, err = run(capsys, "compare", str(a), str(b),
+                         "--degree", "1500000")
+    assert (code, out, err) == (0, "equal to degree 1500000\n", "")
+    assert degrees == [1500000]
+
+
 def test_compare_refuses_a_polynomial_coefficient(capsys, tmp_path):
     # every coefficient is an integer: a value {"poly": [...]}, as series
     # files once held for polynomial coefficients, is a format error
@@ -568,8 +693,11 @@ EXIT_CODES = [
     (["series", "Pn(2)", "--degree", str(MAX_EXPANSION_TERMS)], 3),
     (["expand", "{r}", "--degree", str(10**30)], 3),
     (["expand", "{r}", "--degree", str(MAX_EXPANSION_TERMS)], 3),
-    (["compare", "{r}", "{r}", "--degree", str(10**30)], 3),
-    (["compare", "{r}", "{r}", "--degree", str(MAX_EXPANSION_TERMS)], 3),
+    # two rational forms are compared by identity, at any degree; a
+    # series file beside a rational one is compared by expanding it
+    (["compare", "{r}", "{r}", "--degree", str(10**30)], 0),
+    (["compare", "{r}", "{r}", "--degree", str(MAX_EXPANSION_TERMS)], 0),
+    (["compare", "{r}", "{s}", "--degree", str(10**30)], 3),
 ]
 
 

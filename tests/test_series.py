@@ -13,7 +13,7 @@ from eulerchow.series import (MAX_EXPANSION_TERMS, FormalSeries,
                               dumps, exterior, first_difference,
                               first_rational_difference, loads, one,
                               pullback, pullback_bound, pushforward,
-                              pushforward_bound)
+                              pushforward_bound, rational_difference_grade)
 
 T = GradedMonoid.free(["t"])
 XY = GradedMonoid.free(["x", "y"])
@@ -667,6 +667,12 @@ def test_first_rational_difference_multiplies_along_rays():
                        match=r"^identity check of two rational series: .*"
                              r"m = \(2,\), e = 1000000 needs more than"):
         first_rational_difference(*pair(10**6))
+    # E + 1 terms of up to E bits each count as 1 + E // 64 words: 5000
+    # is 79 words a term and fits, 100000 is 1563 and does not
+    assert rational_difference_grade(*pair(5000)) == 1
+    with pytest.raises(TruncationError,
+                       match=r"m = \(2,\), e = 100000 needs more than"):
+        rational_difference_grade(*pair(10**5))
 
 
 def test_rational_rejects_grade_zero_denominator():
