@@ -1,9 +1,12 @@
 """Catalog of varieties with known Euler-Chow series: closed forms, the
 pipelines (split projective bundle, Chow quotient, flag excision) and one
 row per kind of variety.  A row's `spelling`, such as
-"ProjClosure(n={},d={})", is its descriptor grammar, read both ways.  A
-row states its Euler characteristic `chi` and its `closed` form for
-0 < p <= top_p; `closed_form` serves every p, E_0 as 1/(1-t)^chi.  A row's
+"ProjClosure(n={},d={})", is its descriptor grammar, read both ways, and
+its `least` the least value of each integer, which the descriptor checks.
+A row states the dimension `dim` and Euler characteristic `chi` of its
+variety X and its `closed` form for 0 < p < dim; `closed_form` serves
+p = 0..dim, E_0 as 1/(1-t)^chi and E_dim as 1/(1-g) over the fundamental
+class g, as Pi_dim(X) = Z_+[X] for an irreducible X.  A row's
 `pipeline` returns the (target, factors) list of its independent
 computation: one flat list of rational factors with the images of their
 generators.  `euler_chow` multiplies that list exactly by `_push_product`;
@@ -18,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from . import schubert
 from .monoid import GradedMonoid, MonoidMorphism, Record
@@ -56,9 +59,13 @@ class VarietyDescriptor(Record):
 
     def __post_init__(self):
         kind = KINDS.get(self.kind)
-        if kind is None or kind.spelling.count("{}") != len(self.args):
+        if kind is None or len(kind.least) != len(self.args):
             raise UnsupportedRequestError(f"unknown variety: {self.kind!r} "
                                           f"with integers {self.args}")
+        for (name, low), x in zip(kind.least.items(), self.args):
+            if x < low:
+                raise ValueError(f"{name}={x} out of range for {self}: "
+                                 f"{name} must be >= {low}")
 
     def __str__(self):
         return KINDS[self.kind].spelling.format(*self.args)
@@ -96,11 +103,12 @@ class EulerChowResult(Record):
 # ---------------------------------------------------------------------------
 # Closed forms
 
-def macdonald(chi: int) -> RationalSeries:
-    """Zero-cycle series of a connected variety with Euler characteristic
-    chi >= 1: all symmetric products together contribute 1/(1-t)^chi."""
-    return RationalSeries(POINT_BASIS, ((POINT_BASIS.zero(), 1),),
-                          (((1,), chi),))
+def macdonald(chi: int, letter: str = "t") -> RationalSeries:
+    """1/(1-g)^chi, chi >= 1: over the point class g, the zero-cycle series
+    of a connected variety with Euler characteristic chi, all symmetric
+    products together; over the fundamental class, chi = 1, E_dim."""
+    basis = GradedMonoid.free([letter])
+    return RationalSeries(basis, ((basis.zero(), 1),), (((1,), chi),))
 
 
 def lawson_yau_pn(n: int, p: int) -> RationalSeries:
@@ -121,23 +129,21 @@ def split_bundle_closed(n: int, d: int, p: int) -> RationalSeries:
 
 
 # Per flag type: for p = 0..dim the letters of E_p's generators, one per
-# Schubert symbol of dimension p in graded-lex order, and for 0 < p <= dim
-# the (numerator, denominator) of E_p; E_dim counts the multiples of the
-# fundamental class.  `closed_form` serves E_0.
+# Schubert symbol of dimension p in graded-lex order, and for 0 < p < dim
+# the (numerator, denominator) of E_p.  `closed_form` serves E_0 and E_dim,
+# whose one letter names the fundamental class.
 SCHUBERT_FORMS = {
     FLAG012: (("t", "rs", "xy", "u"), {
         # <0;0,2> (r), <1;0,1> (s)
         1: ((((0, 0), 1),), (((1, 0), 3), ((0, 1), 3), ((1, 1), 3))),
         # <1;1,2> (x), <2;0,2> (y)
         2: ((((0, 0), 1), ((1, 1), -1)), (((1, 0), 3), ((0, 1), 3))),
-        3: ((((0,), 1),), (((1,), 1),)),
     }),
     G13: (("t", "s", "xy", "z", "w"), {
         1: ((((0,), 1),), (((1,), 12),)),
         # <0,3> (x), <1,2> (y)
         2: ((((0, 0), 1),), (((1, 0), 4), ((0, 1), 4), ((1, 1), 3))),
         3: ((((0,), 1), ((1,), 1)), (((1,), 5),)),
-        4: ((((0,), 1),), (((1,), 1),)),
     }),
 }
 
@@ -152,8 +158,9 @@ def _basis(ft: schubert.FlagType, p: int) -> GradedMonoid:
 
 
 def schubert_closed(ft: schubert.FlagType, p: int) -> RationalSeries:
-    """Closed form of E_p, 0 < p <= dim, of a flag variety of
-    `SCHUBERT_FORMS` over the symbol basis; `closed_form` serves p = 0."""
+    """Closed form of E_p, 0 < p < dim, of a flag variety of
+    `SCHUBERT_FORMS` over the symbol basis; `closed_form` serves p = 0 and
+    p = dim."""
     stored = SCHUBERT_FORMS[ft][1]
     if p not in stored:
         raise ValueError(f"p={p} out of range for {ft}")
@@ -286,61 +293,46 @@ def flag012_divisor_by_recurrence(R: int, S: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # The catalog: one row per kind of variety
 
-class Kind(NamedTuple):
-    """Everything the catalog knows about one kind of variety.  Its
-    `spelling` is the descriptor grammar that `parse_descriptor` reads and
-    `str` writes; its `pipeline` returns the factor list that `euler_chow`
-    multiplies."""
-
-    spelling: str                  # descriptor, one `{}` per integer
-    top_p: Callable[[VarietyDescriptor], int]   # p = 0..top_p is served
-    chi: Callable[[VarietyDescriptor], int]     # Euler characteristic
-    # E_p, 0 < p <= top_p, and its generators' classes; None if top_p = 0
-    closed: Callable[[VarietyDescriptor, int], RationalSeries] | None = None
-    classes: Callable[[VarietyDescriptor, int], list[str]] | None = None
-    # (v, p) -> the (target, factors) list of the series computed without
-    # the closed form; None where no independent computation exists
-    pipeline: Callable[[VarietyDescriptor, int], tuple | None] = \
-        lambda v, p: None
-
-
-def _top_p(top, **least) -> Callable[[VarietyDescriptor], int]:
-    """A row's `top_p`: it refuses a descriptor integer, named in order by
-    the keywords of `least`, below its least value, before p is read."""
-    def top_p(v: VarietyDescriptor) -> int:
-        for (name, low), x in zip(least.items(), v.args):
-            if x < low:
-                raise ValueError(f"{name}={x} out of range for {v}: "
-                                 f"{name} must be >= {low}")
-        return top(*v.args)
-    return top_p
+# Everything the catalog knows about one kind of variety X: its descriptor
+# `spelling`, one `{}` per integer, which `parse_descriptor` reads and `str`
+# writes; the `least` value of each integer, by name and in order; v -> its
+# `dim` and `chi`; (v, p) -> E_p for 0 < p < dim, and the `classes` of E_p's
+# generators for 0 < p <= dim (None if dim = 0); (v, p) -> the (target,
+# factors) `pipeline` of the series computed without the closed form, or
+# None; and the `letter` of E_dim's generator, the fundamental class
+Kind = namedtuple("Kind", "spelling least dim chi closed classes pipeline "
+                  "letter", defaults=(None, None, lambda v, p: None, "t"))
 
 
 def _split_kind(spelling, bundle, **least) -> Kind:
-    """A projective closure of O(d) over P^n; `bundle` maps the integers
-    of the spelling, each at least its value of `least`, to (n, d)."""
-    # chi: one P^n for each of the two sections
-    return Kind(spelling, top_p=_top_p(lambda *a: bundle(*a)[0], **least),
-                chi=lambda v: 2 * (bundle(*v.args)[0] + 1),
+    """A projective closure of O(d) over P^n, of dimension n + 1; `bundle`
+    maps the integers of the spelling, each at least its value of `least`,
+    to (n, d).  Its pipeline serves p <= n; chi counts one P^n per section."""
+    def n(v):
+        return bundle(*v.args)[0]
+    return Kind(spelling, least, dim=lambda v: n(v) + 1,
+                chi=lambda v: 2 * (n(v) + 1),
                 closed=lambda v, p: split_bundle_closed(*bundle(*v.args), p),
-                classes=lambda v, p: [f"q*[P^{p - 1}]", f"section [P^{p}]"],
-                pipeline=lambda v, p: _split_factors(*bundle(*v.args), p))
+                classes=lambda v, p: [f"q*[P^{p - 1}]", f"section [P^{p}]"]
+                if p <= n(v) else ["fundamental class"],
+                pipeline=lambda v, p: _split_factors(*bundle(*v.args), p)
+                if p <= n(v) else None)
 
 
 def _schubert_kind(spelling, ft, pipeline) -> Kind:
     """A flag variety of `SCHUBERT_FORMS`; `pipeline` maps p to its
     (target, factors) list, or None."""
-    top = len(SCHUBERT_FORMS[ft][0]) - 1
-    return Kind(spelling, top_p=_top_p(lambda: top),
+    letters = SCHUBERT_FORMS[ft][0]
+    return Kind(spelling, {}, dim=lambda v: len(letters) - 1,
                 chi=lambda v: schubert.fixed_point_count(ft),
                 closed=lambda v, p: schubert_closed(ft, p),
                 classes=lambda v, p: [
                     s.label() for s in schubert.symbols_of_dimension(ft, p)],
-                pipeline=lambda v, p: pipeline(p))
+                pipeline=lambda v, p: pipeline(p), letter=letters[-1])
 
 
 KINDS: dict[str, Kind] = {
-    "Pn": Kind("Pn({})", top_p=_top_p(lambda n: n, n=0),
+    "Pn": Kind("Pn({})", {"n": 0}, dim=lambda v: v.args[0],
                chi=lambda v: v.args[0] + 1,
                closed=lambda v, p: lawson_yau_pn(*v.args, p),
                classes=lambda v, p: [f"degree-d multiples of [P^{p}]"]),
@@ -353,19 +345,24 @@ KINDS: dict[str, Kind] = {
     "Flag012": _schubert_kind(
         "Flag012", FLAG012, lambda p: _flag012_factors() if p == 2 else None),
     "G13": _schubert_kind("G(1,3)", G13, _g13_factors),
-    "Macdonald": Kind("Macdonald({})", top_p=_top_p(lambda chi: 0, chi=1),
+    # a connected variety known by its chi alone: E_0 is all it serves
+    "Macdonald": Kind("Macdonald({})", {"chi": 1}, dim=lambda v: 0,
                       chi=lambda v: v.args[0]),
 }
 
 
 def closed_form(v: VarietyDescriptor, p: int) -> RationalSeries:
-    """The stored E_p of a catalog variety, p = 0..top_p: the row's
-    `closed` for p > 0, and Macdonald's 1/(1-t)^chi of the connected
-    variety at p = 0, over the point class."""
+    """The stored E_p of a catalog variety X, p = 0..dim X: Macdonald's
+    1/(1-t)^chi of the connected X at p = 0, over the point class;
+    1/(1-g) at p = dim, over the fundamental class g of the irreducible X;
+    and the row's `closed` between."""
     kind = KINDS[v.kind]
-    if not 0 <= p <= kind.top_p(v):
+    dim = kind.dim(v)
+    if not 0 <= p <= dim:
         raise ValueError(f"p={p} out of range for {v}")
-    return kind.closed(v, p) if p else macdonald(kind.chi(v))
+    if p == 0:
+        return macdonald(kind.chi(v))
+    return macdonald(1, kind.letter) if p == dim else kind.closed(v, p)
 
 
 def euler_chow(v: VarietyDescriptor, p: int,

@@ -20,19 +20,28 @@ def test_parse_descriptor_forms():
     assert parse_descriptor("Hirzebruch(2)").args == (2,)
     v = parse_descriptor("BlowupPn(3)")
     assert v.args == (3,)
-    assert catalog.KINDS[v.kind].top_p(v) == 2  # blow-up of P^3 over P^2
+    assert catalog.KINDS[v.kind].dim(v) == 3  # blow-up of P^3 over P^2
     assert parse_descriptor("Flag012") == VarietyDescriptor("Flag012")
     assert parse_descriptor("G(1,3)") == VarietyDescriptor("G13", ())
-    assert parse_descriptor("Macdonald(-6)").args == (-6,)
+    assert parse_descriptor("Macdonald(6)").args == (6,)
+    # the descriptor checks its integers once, when it is made
+    with pytest.raises(ValueError, match=r"^chi=-6 out of range for "
+                       r"Macdonald\(-6\): chi must be >= 1$"):
+        parse_descriptor("Macdonald(-6)")
     # leading zeros and surrounding whitespace are read, not spelled
     assert str(parse_descriptor(" Pn(007) ")) == "Pn(7)"
     with pytest.raises(UnsupportedRequestError):
         parse_descriptor("Quadric(3)")
 
 
+def test_least_names_one_integer_per_slot_of_the_spelling():
+    for kind in catalog.KINDS.values():
+        assert len(kind.least) == kind.spelling.count("{}"), kind.spelling
+
+
 def test_descriptor_round_trip():
     texts = ["Pn(3)", "PnxP1(2)", "ProjClosure(n=2,d=3)", "Hirzebruch(2)",
-             "BlowupPn(3)", "Flag012", "G(1,3)", "Macdonald(-1)"]
+             "BlowupPn(3)", "Flag012", "G(1,3)", "Macdonald(1)"]
     for text in texts:
         v = parse_descriptor(text)
         assert str(v) == text
@@ -40,6 +49,8 @@ def test_descriptor_round_trip():
     assert {parse_descriptor(t).kind for t in texts} == set(catalog.KINDS)
     with pytest.raises(UnsupportedRequestError):
         VarietyDescriptor("Quadric")
+    with pytest.raises(ValueError, match="^chi=0 out of range"):
+        VarietyDescriptor("Macdonald", (0,))
     # one integer per {} of the spelling
     for kind, args in (("Pn", ()), ("ProjClosure", (2,)), ("G13", (1, 3))):
         with pytest.raises(UnsupportedRequestError):
@@ -94,7 +105,6 @@ def test_split_bundle_p0_pipeline():
     assert first_difference(closed, pipe, 6) is None
 
 
-SPLIT_KINDS = ("PnxP1", "ProjClosure", "Hirzebruch", "BlowupPn")
 CELLULAR = [parse_descriptor(text) for text in
             [f"Pn({n})" for n in range(5)]
             + [f"PnxP1({n})" for n in range(5)]
@@ -108,12 +118,10 @@ CELLULAR = [parse_descriptor(text) for text in
 def test_euler_characteristic_is_the_number_of_cells(v):
     # a variety with an algebraic cell decomposition has chi(X) equal to
     # the sum over p of rank Pi_p(X), the p-cells; E_0 of the connected X
-    # is 1/(1 - t)^chi.  A split row serves p = 0..n of its closure of
-    # dimension n + 1, so its top cell is added
+    # is 1/(1 - t)^chi
     kind = catalog.KINDS[v.kind]
     cells = sum(euler_chow(v, p, method="closed").closed_form.monoid.rank
-                for p in range(kind.top_p(v) + 1))
-    cells += v.kind in SPLIT_KINDS
+                for p in range(kind.dim(v) + 1))
     e0 = euler_chow(v, 0, method="closed").closed_form
     assert e0.numerator == (((0,), 1),)
     assert e0.denominator == (((1,), cells),)
@@ -225,20 +233,41 @@ def test_euler_chow_closed_only_for_pn():
 
 @pytest.mark.parametrize("text, checks", [
     ("Pn(3)", ["none"] * 4),
-    ("PnxP1(2)", ["identity"] * 3),
-    ("ProjClosure(n=3,d=2)", ["identity"] * 4),
-    ("Hirzebruch(2)", ["identity"] * 2),
-    ("BlowupPn(3)", ["identity"] * 3),
+    ("PnxP1(0)", ["identity", "none"]),
+    ("PnxP1(2)", ["identity"] * 3 + ["none"]),
+    ("ProjClosure(n=3,d=2)", ["identity"] * 4 + ["none"]),
+    ("Hirzebruch(2)", ["identity"] * 2 + ["none"]),
+    ("BlowupPn(3)", ["identity"] * 3 + ["none"]),
     ("Flag012", ["none", "none", "identity", "none"]),
     ("G(1,3)", ["identity"] * 5),
     ("Macdonald(5)", ["none"]),
 ])
 def test_euler_chow_cross_check_of_every_served_p(text, checks):
-    # the cross-check of every served p, one descriptor per kind: a lost
-    # pipeline fails here
+    # the cross-check of every served p, one descriptor per kind, and P^1
+    # as PnxP1(0): a lost pipeline fails here.  No pipeline checks the top
+    # dimension of a projective closure
     v = parse_descriptor(text)
     assert [euler_chow(v, p).check
-            for p in range(catalog.KINDS[v.kind].top_p(v) + 1)] == checks
+            for p in range(catalog.KINDS[v.kind].dim(v) + 1)] == checks
+
+
+@pytest.mark.parametrize("v", [parse_descriptor(text) for text in (
+    "Pn(1)", "Pn(3)", "PnxP1(0)", "ProjClosure(n=3,d=2)", "Hirzebruch(2)",
+    "BlowupPn(3)", "Flag012", "G(1,3)")], ids=str)
+def test_top_dimension_is_one_rule_for_every_kind(monkeypatch, v):
+    # E_dim is 1/(1 - g) over the row's letter for the fundamental class,
+    # and the row's own closed form is never read at p = dim
+    kind = catalog.KINDS[v.kind]
+
+    def unreadable(*args):
+        raise AssertionError("a row's closed form was read at p = dim")
+
+    monkeypatch.setitem(catalog.KINDS, v.kind,
+                        kind._replace(closed=unreadable))
+    g = GradedMonoid.free([kind.letter])
+    assert catalog.closed_form(v, kind.dim(v)) == RationalSeries(
+        g, ((g.zero(), 1),), (((1,), 1),))
+    assert kind.letter == {"Flag012": "u", "G13": "w"}.get(v.kind, "t")
 
 
 def test_euler_chow_builds_each_flag_types_symbols_once(monkeypatch):
@@ -316,7 +345,7 @@ SERVED = [parse_descriptor(text) for text in
 # every (v, p) among them that has a pipeline
 RATIONAL_PIPELINES = [
     pytest.param(v, p, id=f"{v}-p{p}")
-    for v in SERVED for p in range(catalog.KINDS[v.kind].top_p(v) + 1)
+    for v in SERVED for p in range(catalog.KINDS[v.kind].dim(v) + 1)
     if catalog.KINDS[v.kind].pipeline(v, p) is not None]
 
 
@@ -399,6 +428,6 @@ def test_g13_p3_pipeline_cancels_against_the_closed_form():
 
 @pytest.mark.parametrize("v", SERVED, ids=str)
 def test_closed_forms_round_trip_through_series_files(v):
-    for p in range(catalog.KINDS[v.kind].top_p(v) + 1):
+    for p in range(catalog.KINDS[v.kind].dim(v) + 1):
         closed = catalog.closed_form(v, p)
         assert loads(dumps(closed)) == closed

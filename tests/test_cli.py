@@ -161,7 +161,7 @@ def test_format_rational_writes_graded_lex_order():
 ])
 def test_series_rational_format_expands_nothing(capsys, monkeypatch,
                                                 variety, p, form):
-    # every stored form of the two Schubert varieties, printed exactly.
+    # every form of the two Schubert varieties, printed exactly.
     # The rational form does not depend on the degree, and every pipeline
     # is cross-checked by a rational identity, so no series is expanded
     def expand(self, degree):
@@ -225,6 +225,24 @@ def test_series_wrong_chi_exits_1(capsys, monkeypatch, variety, kind,
                    f"first difference at t^(1,): {chi + change} vs {chi}\n")
 
 
+@pytest.mark.parametrize("variety, top", [("Hirzebruch(2)", "2"),
+                                          ("PnxP1(0)", "1")])
+def test_series_serves_the_top_dimension_of_a_split_row(capsys, variety,
+                                                        top):
+    # the top cycles of the closure are the multiples of its fundamental
+    # class: E_dim = 1/(1 - t), with no pipeline to check it against
+    code, out, err = run(capsys, "series", variety, "--p", top,
+                         "--format", "rational")
+    assert (code, err) == (0, "")
+    assert out == f"# E_{top}({variety})\n1/(1-t)\n"
+    code, out, err = run(capsys, "series", variety, "--p", top,
+                         "--degree", "2")
+    assert (code, err) == (0, "")
+    assert out == (f"# E_{top}({variety}), degree <= 2\n"
+                   "# generators: t = fundamental class\n"
+                   "1: 1\nt: 1\nt^2: 1\n")
+
+
 @pytest.mark.parametrize("fmt", ["text", "rational"])
 def test_series_header_spells_the_descriptor(capsys, fmt):
     code, out, _ = run(capsys, "series", "BlowupPn(3)", "--p", "1",
@@ -255,9 +273,9 @@ def test_series_descriptor_digits_are_ascii(capsys, descriptor):
 
 
 @pytest.mark.parametrize("descriptor, p", [
-    ("Pn(2)", 5), ("Hirzebruch(2)", 2), ("BlowupPn(3)", 3),
-    ("ProjClosure(n=3,d=2)", 4), ("Flag012", 4), ("G(1,3)", 5),
-    ("Macdonald(5)", 1)])
+    ("Pn(2)", 5), ("Hirzebruch(2)", 3), ("BlowupPn(3)", 4),
+    ("ProjClosure(n=3,d=2)", 5), ("PnxP1(0)", 2), ("Flag012", 4),
+    ("G(1,3)", 5), ("Macdonald(5)", 1)])
 def test_series_p_out_of_range(capsys, descriptor, p):
     code, out, err = run(capsys, "series", descriptor, "--p", str(p))
     assert (code, out) == (2, "")
@@ -276,9 +294,9 @@ def test_series_p_out_of_range(capsys, descriptor, p):
     ("BlowupPn(0)", "n=0 out of range for BlowupPn(0): n must be >= 1"),
     ("Macdonald(-1)",
      "chi=-1 out of range for Macdonald(-1): chi must be >= 1")])
-@pytest.mark.parametrize("p", ["0", "3"])
+@pytest.mark.parametrize("p", ["-1", "0", "3"])
 def test_series_negative_descriptor_integer(capsys, descriptor, message, p):
-    # an integer below its row's range parses, and the row refuses it
+    # an integer below its row's least value is refused by the descriptor,
     # before p is read: one error line naming the descriptor and the
     # integer's range, the same at every p, and no traceback
     code, out, err = run(capsys, "series", descriptor, "--p", p)
@@ -310,6 +328,17 @@ def _file_value(text):
     return loads(_series_file(value=json.dumps(text)))
 
 
+def _descriptor_integer(text):
+    """n of the descriptor Pn(text): the grammar refuses a text that is not
+    an integer, and the descriptor an n below 0, naming the n it read."""
+    try:
+        return catalog.parse_descriptor(f"Pn({text})").args[0]
+    except catalog.UnsupportedRequestError:
+        raise
+    except ValueError as exc:
+        return int(str(exc).split()[0].removeprefix("n="))
+
+
 @given(st.text(st.sampled_from("-+_ \n0129\u0663\uff13\u00b2"), max_size=6))
 @example("-0129")
 @example("")
@@ -322,14 +351,14 @@ def test_one_integer_rule_for_files_options_and_descriptors(text):
     accepted = re.fullmatch(series.INTEGER, text) is not None
     assert _accepts(int_from_json, text) == accepted
     assert _accepts(_p_option, text) == accepted
-    assert _accepts(catalog.parse_descriptor, f"Pn({text})") == accepted
+    assert _accepts(_descriptor_integer, text) == accepted
     assert _accepts(_file_value, text) == accepted
     if accepted:
         n = int(text)
         assert int_from_json(text) == n
         assert cli.build_parser().parse_args(
             ["series", "Pn(2)", f"--p={text}"]).p == n
-        assert catalog.parse_descriptor(f"Pn({text})").args == (n,)
+        assert _descriptor_integer(text) == n
         assert _file_value(text).coefficients == ({(0,): n} if n else {})
 
 
@@ -554,6 +583,19 @@ def test_expand_rejects_series_file(capsys, tmp_path):
     code, _, err = run(capsys, "expand", str(s))
     assert code == 2
     assert "rational" in err
+
+
+@pytest.mark.parametrize("value", [1, 5])
+def test_expand_of_a_rank_0_form_is_its_one_term(capsys, tmp_path, value):
+    # a constant over the monoid with no generators: every degree keeps
+    # one term, at the one element ().  The constant 1 is the form with
+    # numerator 1 and every generator a factor, which the term cap sizes
+    empty = GradedMonoid.free([])
+    r = tmp_path / "r.json"
+    r.write_text(dumps(RationalSeries(empty, (((), value),), ())))
+    code, out, err = run(capsys, "expand", str(r), "--degree", "3")
+    assert (code, err) == (0, "")
+    assert out == dumps(FormalSeries(empty, 3, {(): value}))
 
 
 def test_missing_file(capsys, tmp_path):

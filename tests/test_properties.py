@@ -148,7 +148,7 @@ def catalog_forms():
                  "Hirzebruch(2)", "BlowupPn(3)", "Flag012", "G(1,3)",
                  "Macdonald(4)"):
         v = catalog.parse_descriptor(text)
-        for p in range(catalog.KINDS[v.kind].top_p(v) + 1):
+        for p in range(catalog.KINDS[v.kind].dim(v) + 1):
             yield (f"{text} p={p}",
                    catalog.euler_chow(v, p, method="closed").closed_form)
 

@@ -516,7 +516,7 @@ DESCRIPTORS = ["Pn(3)", "PnxP1(2)", "ProjClosure(n=3,d=2)", "Hirzebruch(2)",
 CLOSED_FORMS = [
     pytest.param(catalog.closed_form(v, p), id=f"{v}-p{p}")
     for v in map(catalog.parse_descriptor, DESCRIPTORS)
-    for p in range(catalog.KINDS[v.kind].top_p(v) + 1)
+    for p in range(catalog.KINDS[v.kind].dim(v) + 1)
 ]
 
 

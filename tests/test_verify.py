@@ -6,6 +6,8 @@ import hashlib
 import random
 import re
 
+import pytest
+
 from eulerchow import catalog, oracle, schubert, series, verify
 from eulerchow.monoid import GradedMonoid
 from eulerchow.series import (FormalSeries, pullback_bound,
@@ -14,13 +16,17 @@ from eulerchow.series import (FormalSeries, pullback_bound,
 T = GradedMonoid.free(["t"])
 
 
-def test_check_flag_names_the_one_wrong_entry(monkeypatch):
+@pytest.mark.parametrize("cell", [(3, 5), (20, 7), (7, 20)])
+def test_check_flag_names_the_one_wrong_entry(monkeypatch, cell):
+    # an inner cell, and one of the last row and of the last column
     weyl = oracle.weyl_dim_gl3
     monkeypatch.setattr(oracle, "weyl_dim_gl3",
-                        lambda r, s: weyl(r, s) + ((r, s) == (3, 5)))
+                        lambda r, s: weyl(r, s) + ((r, s) == cell))
     lines = [r.line() for r in verify.check_flag()]
-    assert lines == ["FAIL  flag divisor 21x21 table: (r,s)=(3,5): "
-                     "expansion 120, recurrence 120, Weyl 121"]
+    want = weyl(*cell)
+    assert lines == [f"FAIL  flag divisor 21x21 table: (r,s)=({cell[0]},"
+                     f"{cell[1]}): expansion {want}, recurrence {want}, "
+                     f"Weyl {want + 1}"]
 
 
 def test_law_loop_stops_at_the_first_failing_case():
@@ -211,16 +217,18 @@ def test_wrong_dimension_names_the_symbol_and_both_values(monkeypatch):
         "expected 3")
 
 
-def test_wrong_lawson_yau_denominator_names_n_p_and_planes(monkeypatch):
+@pytest.mark.parametrize("n, p, planes", [(3, 1, 6), (3, 3, 1)])
+def test_wrong_lawson_yau_denominator_names_n_p_and_planes(monkeypatch, n, p,
+                                                           planes):
     lawson_yau_pn = catalog.lawson_yau_pn
-    # one factor 1/(1 - t) too many at n = 3, p = 1
+    # one factor 1/(1 - t) too many at (n, p); p = n is the top dimension
     monkeypatch.setattr(
         catalog, "lawson_yau_pn",
-        lambda n, p: lawson_yau_pn(n, p).multiply(catalog.macdonald(1))
-        if (n, p) == (3, 1) else lawson_yau_pn(n, p))
+        lambda m, q: lawson_yau_pn(m, q).multiply(catalog.macdonald(1))
+        if (m, q) == (n, p) else lawson_yau_pn(m, q))
     lines = [r.line() for r in verify.check_macdonald()]
     assert lines == ["PASS  Macdonald coefficients chi=1..12, d<=20",
-                     "FAIL  Lawson-Yau exponents n<=6: n=3, p=1: "
-                     "denominator (((1,), 7),), expected (((1,), 6),), "
-                     "one factor 1/(1 - t) for each of the 6 coordinate "
-                     "1-planes"]
+                     f"FAIL  Lawson-Yau exponents n<=6: n={n}, p={p}: "
+                     f"denominator (((1,), {planes + 1}),), expected "
+                     f"(((1,), {planes}),), one factor 1/(1 - t) for each "
+                     f"of the {planes} coordinate {p}-planes"]
