@@ -21,8 +21,11 @@ the table it is handed; it still checks the bound and drops zeros.
 `dumps` and `loads` own the series-file format, and no other code knows
 how a series or a rational series is spelled in a file.  `dumps` is its
 one writer, from templates: `_head`, and `_entries` for all three entry
-arrays.  `loads` reads a file in that exact layout by the same templates,
-and any other valid file entry by entry.
+arrays, which formats each array whole, by one `%` of its template over
+a flat list of its numbers.  `loads` reads a file in that exact layout by
+the same templates, each array by one `translate` that leaves a JSON list
+of its numbers and one `json.loads` of that list, and any other valid
+file entry by entry.
 """
 
 from __future__ import annotations
@@ -579,6 +582,9 @@ def _table_from_json(data: dict, name: str, field: str) -> dict:
 _DENOMINATOR = ',\n  "denominator": '  # between a rational form's arrays
 _FORMAT_ERRORS = (KeyError, TypeError, AttributeError, ValueError,
                   RecursionError)  # what `loads` makes one ValueError
+# keeps the characters of a number and the comma; any other ASCII
+# character becomes a space
+_COMMAS = {c: " " for c in range(128) if chr(c) not in "-0123456789,"}
 
 
 def _head(monoid: GradedMonoid, bound: int | None) -> str:
@@ -609,33 +615,42 @@ def _array(entries: list) -> str:
 
 def _entries(monoid: GradedMonoid, table: dict, field: str,
              value: str) -> str:
-    """The text of an entry array: one `%` of one `_entry` template per
-    term, in `graded_lex` order, a value '"%d"' (a string) or '%d'; "%d"
-    is str(c) as no value or exponent is a bool (constructors check)."""
+    """The text of an entry array, by one `%` of the array of n `_entry`
+    templates: its numbers are laid out flat in `graded_lex` order, one
+    column at a time, each entry's exponents then its value.  The value
+    is '"%d"' (a string) or '%d'; "%d" is str(c) as no value or exponent
+    is a bool (constructors check)."""
+    keys = monoid.graded_lex(table)
+    step = monoid.rank + 1
+    flat = [0] * (len(keys) * step)
+    for i in range(monoid.rank):
+        flat[i::step] = map(itemgetter(i), keys)
+    flat[monoid.rank::step] = map(table.__getitem__, keys)
     entry = _entry(monoid.rank, field, value)
-    return _array([entry % (*m, table[m]) for m in monoid.graded_lex(table)])
+    return _array([entry] * len(keys)) % tuple(flat)
 
 
 def _layout_table(text: str, rank: int, field: str, value: str):
     """The table of an entry array in the layout `_entries` writes, or
     None.  The text must start and end as the template does and,
     without its digits and minus signs, be the array of n empty entries,
-    n its count of '"exponents"'.  The join of two entries and the text
-    before a value become commas, and one `json.loads` reads every
-    number: the text between two exponents is JSON already, and a piece
-    with a digit out of place keeps its `}` or `]`, which it refuses."""
+    n its count of '"exponents"'.  Then one `translate` turns every other
+    character into a space, and one `json.loads` reads every number: for
+    rank >= 1 each separator between two numbers holds one comma, and a
+    digit out of place stands apart from its neighbours by a space, which
+    JSON refuses.  A rank-0 array of two entries or more names () twice;
+    its separators hold two commas, so it is refused here too."""
     if text == "[]":
         return {}
     n = text.count('"exponents"')
     entry = _entry(rank, field, value)
-    first, *pieces, last = _array([entry] * 2).split("%d")
+    first, *_, last = _array([entry]).split("%d")
     slots = str.maketrans("", "", "-0123456789")
     if (not text.startswith(first) or not text.endswith(last)
             or text.translate(slots) != _array([entry.replace("%d", "")] * n)):
         return None
-    join = pieces[rank]
-    flat = json.loads("[" + text[len(first):len(text) - len(last)].replace(
-        join, ",").replace(pieces[rank - 1] if rank else join, ",") + "]")
+    flat = json.loads("[" + text[len(first):len(text) - len(last)].translate(
+        _COMMAS) + "]")
     values = flat[rank::rank + 1]
     del flat[rank::rank + 1]
     table = dict(zip(zip(*[iter(flat)] * rank) if rank else [()] * n,
@@ -684,7 +699,8 @@ def dumps(obj) -> str:
     and its denominator factors, each {"exponents": [...],
     "multiplicity": <int>}.  The layout is a contract, pinned by
     tests against `json.dumps`, but the text is written from templates
-    that `loads` reads back: `_head`, and `_entries` per entry array.
+    that `loads` reads back: `_head`, and `_entries` per entry array,
+    one `%` over all the array's numbers.
 
     Python limits int -> str conversion to 4300 digits by default, and
     `dumps` raises ValueError on a larger number.  `cli.main` lifts the

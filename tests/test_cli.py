@@ -6,9 +6,11 @@ import json
 import math
 import re
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulerchow import catalog, cli, series, verify
@@ -760,6 +762,80 @@ def test_exit_code(capsys, tmp_path, argv, code):
     if code in (2, 3) and not err.startswith("usage: "):
         # what argparse does not reject, main reports in one line
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# the files of the contract test: rational forms of rank 0 to 3 and their
+# expansions to degree 6; Pn(2) and Pn(3), and G(1,3) and Flag012 at
+# p = 2, share their monoids and differ
+_ABC = GradedMonoid.free(["a", "b", "c"])
+_CONTRACT_FORMS = [
+    RationalSeries(GradedMonoid(()), (((), 5),), ()),
+    RationalSeries(_ABC, ((_ABC.zero(), 1),), (((1, 0, 0), 1),
+                                                ((0, 1, 1), 2))),
+    *(catalog.euler_chow(catalog.parse_descriptor(d), p).closed_form
+      for d, p in (("Pn(2)", 1), ("Pn(3)", 1), ("G(1,3)", 2),
+                   ("Flag012", 2)))]
+_CONTRACT_FILES = {}  # the texts over each monoid
+for _form in _CONTRACT_FORMS:
+    _CONTRACT_FILES.setdefault(_form.monoid, []).extend(
+        [dumps(_form), dumps(_form.expand(6))])
+
+
+def _damaged(draw, text):
+    """`text` whole, with its first value negated, or damaged: one
+    character changed or added, or the text cut short."""
+    i = draw(st.integers(0, len(text) - 1))
+    c = draw(st.sampled_from('07-" \n,:{}[]x'))
+    negated = re.sub('"value": "(-?[0-9]+)"',
+                     lambda m: '"value": "%d"' % -int(m[1]), text, count=1)
+    return draw(st.sampled_from([text, text, negated,
+                                 text[:i] + c + text[i + 1:],
+                                 text[:i] + c + text[i:], text[:i]]))
+
+
+@st.composite
+def contract_requests(draw):
+    """A `series`, `expand` or `compare` request at a small size, and the
+    texts of the files it names: most over one monoid, so that compare
+    can find a difference."""
+    command = draw(st.sampled_from(["series", "expand", "compare"]))
+    degree = ["--degree", draw(st.sampled_from(
+        ["-1", "x", str(10**30), *map(str, range(9))]))]
+    if command == "series":
+        variety = draw(st.sampled_from([
+            "Pn(2)", "Pn(-1)", "PnxP1(0)", "G(1,3)", "Flag012", "Foo(1)",
+            "Macdonald(3)", "Hirzebruch(2)", "BlowupPn(3)", "Pn(x)",
+            "ProjClosure(n=2,d=2)"]))
+        fmt = draw(st.sampled_from(["text", "json", "rational", "xml"]))
+        return ["series", variety, "--p", str(draw(st.integers(-1, 4))),
+                "--format", fmt, *degree], []
+    groups = list(_CONTRACT_FILES.values())
+    texts = draw(st.sampled_from([*groups, sum(groups, [])]))
+    files = [_damaged(draw, draw(st.sampled_from(texts)))
+             for _ in range(1 if command == "expand" else 2)]
+    return [command, *"ab"[:len(files)], *degree], files
+
+
+@settings(max_examples=150, deadline=None)
+@given(contract_requests())
+def test_every_request_keeps_the_exit_code_contract(request):
+    # exit 0-3, 1 only for a difference that compare found, one error line
+    # with 2 and 3, and never a traceback
+    argv, files = request
+    with tempfile.TemporaryDirectory() as tmp:
+        names = dict(zip("ab", files))
+        for name, text in names.items():
+            Path(tmp, name).write_text(text)
+        argv = [str(Path(tmp, a)) if a in names else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert (code == 1) == out.startswith("first difference at ")
+    errors = [line for line in err.splitlines() if "error: " in line]
+    assert len(errors) == (code in (2, 3))
+    assert "Traceback" not in out + err
 
 
 @pytest.mark.parametrize("argv", [

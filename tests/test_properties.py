@@ -1,7 +1,8 @@
 """Property-based checks of the ring and morphism laws of `verify`, of
-`dumps` and `first_difference` against their plain reference forms, and
-of `loads` on damaged series files, compact or in the layout `dumps`
-writes, against the per-entry reader, on cases drawn by Hypothesis; that
+`dumps` and `first_difference` against their plain reference forms, of
+`_entries`' one `%` per array against one `%` per term, and of `loads`
+on damaged series files, compact or in the layout `dumps` writes,
+against the per-entry reader, on cases drawn by Hypothesis; that
 `loads` reads what `dumps` writes by that layout, with a lower memory
 peak; that every engine result, built without the key scan, passes it;
 and that `expand`'s count before dividing is the largest ray total of a
@@ -557,6 +558,23 @@ _RANK1 = RationalSeries(GradedMonoid.free(["x"]), (((0,), 1), ((2,), -4)),
 _LABELLED = FormalSeries(
     GradedMonoid.free(['a"\\\n', "\u00e9\U0001f600"]), 2,
     {(1, 0): 3, (0, 1): -1, (0, 0): 1})
+_RANK3 = RationalSeries(GradedMonoid.free(["a", "b", "c"]),
+                        (((0, 0, 0), 1),), (((1, 0, 0), 1), ((0, 1, 1), 2)))
+
+
+def _in_array(text, old, new):
+    """`text` with the first `old` from its first entry on made `new`."""
+    i = text.index('"exponents"')
+    return text[:i] + text[i:].replace(old, new, 1)
+
+
+def _rank0_repeated(exponents="[]"):
+    """The rank-0 series of one term, in the layout with its one entry
+    written twice, the second one's exponents as `exponents`."""
+    text = _in_layout({**json.loads(dumps(_RANK0)), "coefficients": [
+        {"exponents": [], "value": "7"}] * 2})
+    head, _, tail = text.rpartition('"exponents": []')
+    return head + '"exponents": ' + exponents + tail
 
 
 @settings(max_examples=600, deadline=None)
@@ -594,6 +612,21 @@ _LABELLED = FormalSeries(
     '[\n        2\n      ]', '[\n      2  \n      ]'))
 @example(dumps(_RANK1.expand(3)).replace(
     '[\n        0', '[\n    5    0', 1))
+# the separators that the layout reader makes one comma each: a digit
+# just after the comma between two entries, before a value and between
+# two exponents, and a second comma
+@example(_in_array(_in_layout(_LAYOUT), "},\n", "},5\n"))
+@example(_in_array(_in_layout(_LAYOUT), "],\n", "],5\n"))
+@example(_in_array(_in_layout(_LAYOUT), ",\n        ", ",5\n        "))
+@example(_in_array(_in_layout(_LAYOUT), "},\n", "},,\n"))
+# a rank-0 entry written twice, whose separator holds two commas; with a
+# digit between them, the numbers make a JSON list of three
+@example(_rank0_repeated())
+@example(_rank0_repeated("[5]"))
+# rank 3, as a form and expanded, and with a digit after a comma
+@example(dumps(_RANK3))
+@example(dumps(_RANK3.expand(4)))
+@example(_in_array(dumps(_RANK3.expand(4)), ",\n        ", ",5\n        "))
 @example(dumps(_RANK0))
 @example(dumps(_RANK1))
 @example(dumps(_LABELLED))
@@ -617,6 +650,33 @@ def test_loads_returns_or_raises_the_format_error(text):
     if isinstance(outcome, str):
         assert outcome.startswith("malformed series file: ")
     assert outcome == _outcome(reference_loads, text)
+
+
+def per_term_entries(monoid, table, field, value):
+    """An entry array written term by term: one `%` of one `_entry`
+    template per term, in graded-lex order."""
+    entry = series._entry(monoid.rank, field, value)
+    return series._array([entry % (*m, table[m])
+                          for m in monoid.graded_lex(table)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(printable_series() | printable_rationals())
+@example(FormalSeries(GradedMonoid(()), 0, {(): 5}))
+@example(_RANK1.expand(3))
+@example(_RANK3.expand(4))
+@example(_RANK3)
+def test_entries_writes_each_array_as_term_by_term(x):
+    # each array of the drawn series or form, and the empty table, as
+    # the one `%` over the whole array writes it and term by term
+    if isinstance(x, FormalSeries):
+        arrays = [(x.coefficients, "value", '"%d"')]
+    else:
+        arrays = [(dict(x.numerator), "value", '"%d"'),
+                  (dict(x.denominator), "multiplicity", "%d")]
+    for table, field, value in [*arrays, ({}, "value", '"%d"')]:
+        assert (series._entries(x.monoid, table, field, value)
+                == per_term_entries(x.monoid, table, field, value))
 
 
 def test_json_int_values_load_as_their_decimal_strings():
