@@ -6,14 +6,16 @@ its `least` the least value of each integer, which the descriptor checks.
 A row states the dimension `dim` and Euler characteristic `chi` of its
 variety X and its `closed` form for 0 < p < dim; `closed_form` serves
 p = 0..dim, E_0 as 1/(1-t)^chi and E_dim as 1/(1-g) over the fundamental
-class g, as Pi_dim(X) = Z_+[X] for an irreducible X.  A row's
-`pipeline` returns the (target, factors) list of its independent
-computation: one flat list of rational factors with the images of their
-generators.  `euler_chow` multiplies that list exactly by `_push_product`;
-`_assemble` truncates it at a degree for the `bundle` and `grassmann`
-verification suites.  `_split_kind` builds the rows of the projective
-closures and `_schubert_kind` those of the Schubert varieties, whose
-stored series are one table, `SCHUBERT_FORMS`.
+class g, as Pi_dim(X) = Z_+[X] for an irreducible X.  `closed_form` is
+the one reader of a stored series: `euler_chow`, the pipelines that take
+E_p(P^n) or E_p(F(0,1;2)) as a factor, and the `verify` checks all read
+through it.  A row's `pipeline` returns the (target, factors) list of its
+independent computation: one flat list of rational factors with the
+images of their generators.  `euler_chow` multiplies that list exactly by
+`_push_product`; `_assemble` truncates it at a degree for the `bundle`
+and `grassmann` verification suites.  `_split_kind` builds the rows of
+the projective closures and `_schubert_kind` those of the Schubert
+varieties, whose stored series are one table, `SCHUBERT_FORMS`.
 """
 
 from __future__ import annotations
@@ -111,18 +113,8 @@ def macdonald(chi: int, letter: str = "t") -> RationalSeries:
     return RationalSeries(basis, ((basis.zero(), 1),), (((1,), chi),))
 
 
-def lawson_yau_pn(n: int, p: int) -> RationalSeries:
-    """E_p of projective n-space: (1/(1-t))^C(n+1, p+1)."""
-    if not 0 <= p <= n:
-        raise ValueError(f"p={p} out of range for Pn({n})")
-    return macdonald(math.comb(n + 1, p + 1))
-
-
-def split_bundle_closed(n: int, d: int, p: int) -> RationalSeries:
-    """Closed form of E_p, 0 < p <= n, of the projective closure of O(d)
-    over Pn; `closed_form` serves p = 0."""
-    if not 0 < p <= n:
-        raise ValueError(f"p={p} out of range for ProjClosure(n={n},d={d})")
+def _split_closed(n: int, d: int, p: int) -> RationalSeries:
+    """E_p, 0 < p <= n, of the projective closure of O(d) over Pn."""
     return RationalSeries(SPLIT_BASIS, ((SPLIT_BASIS.zero(), 1),), (
         ((1, 0), math.comb(n + 1, p)), ((0, 1), math.comb(n + 1, p + 1)),
         ((d, 1), math.comb(n + 1, p + 1))))
@@ -157,16 +149,6 @@ def _basis(ft: schubert.FlagType, p: int) -> GradedMonoid:
     return GradedMonoid.free(letters[p])
 
 
-def schubert_closed(ft: schubert.FlagType, p: int) -> RationalSeries:
-    """Closed form of E_p, 0 < p < dim, of a flag variety of
-    `SCHUBERT_FORMS` over the symbol basis; `closed_form` serves p = 0 and
-    p = dim."""
-    stored = SCHUBERT_FORMS[ft][1]
-    if p not in stored:
-        raise ValueError(f"p={p} out of range for {ft}")
-    return RationalSeries(_basis(ft, p), *stored[p])
-
-
 # ---------------------------------------------------------------------------
 # Pipelines
 
@@ -175,10 +157,11 @@ def _split_factors(n: int, d: int, p: int):
     closure of O(d) over Pn: E_{p-1}(Pn), E_p(Pn) and E_p(Pn), with the
     images (1,0), (0,1) and (d,1) of their generators.  For p = 0 it is
     E_0(Pn) twice, once per section, each point a point of the closure."""
-    f = lawson_yau_pn(n, p)
+    pn = VarietyDescriptor("Pn", (n,))
+    f = closed_form(pn, p)
     if p == 0:
         return POINT_BASIS, [(f, [(1,)]), (f, [(1,)])]
-    return SPLIT_BASIS, [(lawson_yau_pn(n, p - 1), [(1, 0)]),
+    return SPLIT_BASIS, [(closed_form(pn, p - 1), [(1, 0)]),
                          (f, [(0, 1)]), (f, [(d, 1)])]
 
 
@@ -199,7 +182,8 @@ def _g13_factors(p: int):
         symbols = schubert.symbols_of_dimension(g, p)
         if symbols:
             # G(1,2) and G(0,2) are projective planes
-            pieces.append((lawson_yau_pn(2, p), symbols, inclusion))
+            pieces.append((closed_form(VarietyDescriptor("Pn", (2,)), p),
+                           symbols, inclusion))
     return target, [(r, [target.generator(classes.index(push(s)))
                          for s in symbols])
                     for r, symbols, push in pieces]
@@ -297,7 +281,7 @@ def flag012_divisor_by_recurrence(R: int, S: int) -> list[list[int]]:
 # `spelling`, one `{}` per integer, which `parse_descriptor` reads and `str`
 # writes; the `least` value of each integer, by name and in order; v -> its
 # `dim` and `chi`; (v, p) -> E_p for 0 < p < dim, and the `classes` of E_p's
-# generators for 0 < p <= dim (None if dim = 0); (v, p) -> the (target,
+# generators for 0 < p < dim (None if dim = 0); (v, p) -> the (target,
 # factors) `pipeline` of the series computed without the closed form, or
 # None; and the `letter` of E_dim's generator, the fundamental class
 Kind = namedtuple("Kind", "spelling least dim chi closed classes pipeline "
@@ -312,9 +296,8 @@ def _split_kind(spelling, bundle, **least) -> Kind:
         return bundle(*v.args)[0]
     return Kind(spelling, least, dim=lambda v: n(v) + 1,
                 chi=lambda v: 2 * (n(v) + 1),
-                closed=lambda v, p: split_bundle_closed(*bundle(*v.args), p),
-                classes=lambda v, p: [f"q*[P^{p - 1}]", f"section [P^{p}]"]
-                if p <= n(v) else ["fundamental class"],
+                closed=lambda v, p: _split_closed(*bundle(*v.args), p),
+                classes=lambda v, p: [f"q*[P^{p - 1}]", f"section [P^{p}]"],
                 pipeline=lambda v, p: _split_factors(*bundle(*v.args), p)
                 if p <= n(v) else None)
 
@@ -322,10 +305,10 @@ def _split_kind(spelling, bundle, **least) -> Kind:
 def _schubert_kind(spelling, ft, pipeline) -> Kind:
     """A flag variety of `SCHUBERT_FORMS`; `pipeline` maps p to its
     (target, factors) list, or None."""
-    letters = SCHUBERT_FORMS[ft][0]
+    letters, stored = SCHUBERT_FORMS[ft]
     return Kind(spelling, {}, dim=lambda v: len(letters) - 1,
                 chi=lambda v: schubert.fixed_point_count(ft),
-                closed=lambda v, p: schubert_closed(ft, p),
+                closed=lambda v, p: RationalSeries(_basis(ft, p), *stored[p]),
                 classes=lambda v, p: [
                     s.label() for s in schubert.symbols_of_dimension(ft, p)],
                 pipeline=lambda v, p: pipeline(p), letter=letters[-1])
@@ -334,7 +317,8 @@ def _schubert_kind(spelling, ft, pipeline) -> Kind:
 KINDS: dict[str, Kind] = {
     "Pn": Kind("Pn({})", {"n": 0}, dim=lambda v: v.args[0],
                chi=lambda v: v.args[0] + 1,
-               closed=lambda v, p: lawson_yau_pn(*v.args, p),
+               # one factor 1/(1-t) per coordinate p-plane (Lawson-Yau)
+               closed=lambda v, p: macdonald(math.comb(v.args[0] + 1, p + 1)),
                classes=lambda v, p: [f"degree-d multiples of [P^{p}]"]),
     "PnxP1": _split_kind("PnxP1({})", lambda n: (n, 0), n=0),
     "ProjClosure": _split_kind("ProjClosure(n={},d={})", lambda n, d: (n, d),
@@ -380,7 +364,8 @@ def euler_chow(v: VarietyDescriptor, p: int,
         raise ValueError(f"unknown method {method!r}")
     kind = KINDS[v.kind]
     closed = closed_form(v, p)
-    classes = kind.classes(v, p) if p else ["point class"]
+    classes = (["point class"] if p == 0 else ["fundamental class"]
+               if p == kind.dim(v) else kind.classes(v, p))
     dictionary = tuple(zip(closed.monoid.labels, classes, strict=True))
     factors = kind.pipeline(v, p) if method == "both" else None
     if factors is None:

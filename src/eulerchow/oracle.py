@@ -37,14 +37,11 @@ def naive_convolve(f: FormalSeries, g: FormalSeries, bound: int) -> dict:
     table = {}
     for m in elements:
         total = 0
-        first = True
         for a in elements:
             if not all(map(le, a, m)):
                 continue
             b = tuple(map(sub, m, a))
-            term = fc.get(a, 0) * gc.get(b, 0)
-            total = term if first else total + term
-            first = False
+            total += fc.get(a, 0) * gc.get(b, 0)
         if total:
             table[m] = total
     return table
@@ -61,12 +58,9 @@ def naive_pushforward(phi: MonoidMorphism, f: FormalSeries,
     table = {}
     for n in phi.target.enumerate_up_to(out_bound):
         total = 0
-        first = True
         for m, image in zip(source_elements, images):
             if image == n:
-                c = fc.get(m, 0)
-                total = c if first else total + c
-                first = False
+                total += fc.get(m, 0)
         if total:
             table[n] = total
     return table

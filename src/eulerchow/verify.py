@@ -113,7 +113,8 @@ def random_morphism(rng: random.Random, source: GradedMonoid,
 
 def check_flag() -> list[CheckResult]:
     grid = 20
-    expansion = catalog.schubert_closed(catalog.FLAG012, 2).expand(2 * grid)
+    expansion = catalog.closed_form(catalog.VarietyDescriptor("Flag012"),
+                                    2).expand(2 * grid)
     table = catalog.flag012_divisor_by_recurrence(grid, grid)
     failures = []
     for r in range(grid + 1):
@@ -139,7 +140,8 @@ BUNDLE_DEGREE, GRASSMANN_DEGREE = 10, 12
 def check_bundle() -> list[CheckResult]:
     out = []
     for n, d, p in BUNDLE_CASES:
-        closed = catalog.split_bundle_closed(n, d, p).expand(BUNDLE_DEGREE)
+        v = catalog.VarietyDescriptor("ProjClosure", (n, d))
+        closed = catalog.closed_form(v, p).expand(BUNDLE_DEGREE)
         pipeline = catalog.split_bundle_series(n, d, p, BUNDLE_DEGREE)
         out.append(_verdict(
             f"split bundle (n={n},d={d},p={p}) to degree {BUNDLE_DEGREE}",
@@ -176,9 +178,11 @@ def check_grassmann() -> list[CheckResult]:
 # Criterion 4: Macdonald / Lawson-Yau identities
 
 def _macdonald_coefficients():
-    """1/(1 - t)^chi against its coefficients C(d + chi - 1, chi - 1)."""
+    """1/(1 - t)^chi, E_0 of Macdonald(chi), against its coefficients
+    C(d + chi - 1, chi - 1)."""
     for chi in range(1, 13):
-        exp = catalog.macdonald(chi).expand(20)
+        v = catalog.VarietyDescriptor("Macdonald", (chi,))
+        exp = catalog.closed_form(v, 0).expand(20)
         want = {(d,): math.comb(d + chi - 1, chi - 1) for d in range(21)}
         yield f"chi={chi}", exp, FormalSeries(exp.monoid, 20, want)
 
@@ -186,10 +190,11 @@ def _macdonald_coefficients():
 def check_macdonald() -> list[CheckResult]:
     exponents = []
     for n in range(7):
+        pn = catalog.VarietyDescriptor("Pn", (n,))
         for p in range(n + 1):
             # one factor 1/(1 - t) per coordinate p-plane of P^n
             planes = len(list(itertools.combinations(range(n + 1), p + 1)))
-            r = catalog.lawson_yau_pn(n, p)
+            r = catalog.closed_form(pn, p)
             want = (((1,), planes),)
             if r.denominator != want:
                 exponents.append(

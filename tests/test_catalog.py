@@ -78,12 +78,12 @@ def test_macdonald_is_chi_th_geometric_power():
 
 
 def test_lawson_yau_range_check():
-    with pytest.raises(ValueError):
-        catalog.lawson_yau_pn(2, 3)
+    with pytest.raises(ValueError, match=r"^p=3 out of range for Pn\(2\)$"):
+        catalog.closed_form(parse_descriptor("Pn(2)"), 3)
 
 
 def test_split_bundle_closed_shape():
-    r = catalog.split_bundle_closed(2, 3, 1)
+    r = catalog.closed_form(parse_descriptor("ProjClosure(n=2,d=3)"), 1)
     # (1-t0)^-3 (1-t1)^-3 (1-t0^3 t1)^-3, factors in graded-lex order
     assert set(r.denominator) == {((0, 1), 3), ((1, 0), 3), ((3, 1), 3)}
     # p = 0: Macdonald's 1/(1-t)^chi over the point class, chi = 2(n + 1)
@@ -93,7 +93,8 @@ def test_split_bundle_closed_shape():
 
 def test_hirzebruch_pipeline_matches_closed_form():
     for d in range(4):
-        closed = catalog.split_bundle_closed(1, d, 1).expand(8)
+        v = parse_descriptor(f"Hirzebruch({d})")
+        closed = catalog.closed_form(v, 1).expand(8)
         pipe = catalog.split_bundle_series(1, d, 1, 8)
         assert first_difference(closed, pipe, 8) is None
 
@@ -138,7 +139,7 @@ def test_grassmannian13_out_of_range():
     with pytest.raises(ValueError):
         catalog.grassmannian13_series(5, 4)
     with pytest.raises(ValueError):
-        catalog.schubert_closed(catalog.G13, 5)
+        catalog.closed_form(parse_descriptor("G(1,3)"), 5)
 
 
 @pytest.mark.parametrize("ft", catalog.SCHUBERT_FORMS, ids=str)
@@ -202,7 +203,7 @@ def test_factored_pipeline_equals_unfactored(monkeypatch, pipeline):
 
 def test_flag012_divisor_recurrence_matches_closed_form():
     table = catalog.flag012_divisor_by_recurrence(8, 8)
-    f = catalog.schubert_closed(catalog.FLAG012, 2).expand(16)
+    f = catalog.closed_form(parse_descriptor("Flag012"), 2).expand(16)
     for r in range(9):
         for s in range(9):
             assert table[r][s] == f.coefficient((r, s))
@@ -300,17 +301,17 @@ def test_euler_chow_p_out_of_range():
 def test_euler_chow_detects_mismatch():
     # a wrong stored closed form must trip the cross-check
     v = parse_descriptor("Hirzebruch(1)")
-    good = catalog.split_bundle_closed
+    good = catalog._split_closed
 
     def bad(n, d, p):
         return good(n, d + 1, p)
 
-    catalog.split_bundle_closed = bad
+    catalog._split_closed = bad
     try:
         with pytest.raises(VerificationError):
             euler_chow(v, 1, method="both")
     finally:
-        catalog.split_bundle_closed = good
+        catalog._split_closed = good
 
 
 def test_pipeline_rejects_negative_degree():
@@ -355,21 +356,30 @@ def test_rational_pipelines_are_the_three_pipelines():
         "PnxP1", "ProjClosure", "Hirzebruch", "BlowupPn", "Flag012", "G13"}
 
 
+def _factor_reads(v, p):
+    """The (descriptor, p) of each stored series a pipeline reads, in
+    order.  A split pipeline reads E_p and E_{p-1} of its base P^n, and
+    Flag012's is the split pipeline of P1 x P1 at p = 1; G(1,3)'s reads
+    E_{p-1} of F(0,1;2) and E_p of its two planes, G(1,2) and G(0,2)."""
+    if v.kind == "G13":
+        return ([(parse_descriptor("Flag012"), p - 1)] * (p > 0)
+                + [(parse_descriptor("Pn(2)"), p)] * 2 * (p <= 2))
+    n, q = (1, 1) if v.kind == "Flag012" else (
+        catalog.KINDS[v.kind].dim(v) - 1, p)
+    pn = VarietyDescriptor("Pn", (n,))
+    return [(pn, q)] + [(pn, q - 1)] * (q > 0)
+
+
 @pytest.mark.parametrize("v, p", RATIONAL_PIPELINES)
 def test_rational_pipeline_equals_truncated_pipeline(monkeypatch, v, p):
-    # the pipelines never read the closed form they are checked against
+    # the pipelines never read the closed form they are checked against:
+    # they read their factors through `closed_form`, never their own row
     def unreadable(*args):
         raise AssertionError("a pipeline read a closed form")
 
     kind = catalog.KINDS[v.kind]
-    real, real_form = catalog.schubert_closed, catalog.closed_form
-    own = {"Flag012": catalog.FLAG012, "G13": catalog.G13}.get(v.kind)
+    real_form = catalog.closed_form
     read = []
-
-    def schubert_closed(ft, q):
-        if ft == own:
-            unreadable()
-        return real(ft, q)
 
     def closed_form(w, q):
         if w == v:
@@ -379,14 +389,11 @@ def test_rational_pipeline_equals_truncated_pipeline(monkeypatch, v, p):
 
     closed = catalog.closed_form(v, p)
     with monkeypatch.context() as m:
-        m.setattr(catalog, "split_bundle_closed", unreadable)
-        m.setattr(catalog, "schubert_closed", schubert_closed)
+        m.setitem(catalog.KINDS, v.kind, kind._replace(closed=unreadable))
+        m.setattr(catalog, "_split_closed", unreadable)
         m.setattr(catalog, "closed_form", closed_form)
         rational = catalog._push_product(*kind.pipeline(v, p))
-        # G(1,3)'s pipeline reads E_{p-1} of F(0,1;2) as a factor, E_0
-        # at p = 1
-        assert read == ([(parse_descriptor("Flag012"), p - 1)]
-                        if v.kind == "G13" and p else [])
+        assert read == _factor_reads(v, p)
         for degree in (0, 3, 10):
             assert rational.expand(degree) == _truncated(v, p, degree)
     # the identity holds as an identity of polynomials: nothing is expanded
@@ -420,7 +427,7 @@ def test_g13_p3_pipeline_cancels_against_the_closed_form():
         *catalog.KINDS["G13"].pipeline(parse_descriptor("G(1,3)"), 3))
     assert rational == RationalSeries(z, (((0,), 1), ((2,), -1)),
                                       (((1,), 6),))
-    closed = catalog.schubert_closed(catalog.G13, 3)
+    closed = catalog.closed_form(parse_descriptor("G(1,3)"), 3)
     assert closed == RationalSeries(z, (((0,), 1), ((1,), 1)), (((1,), 5),))
     assert first_rational_difference(closed, rational) is None
 

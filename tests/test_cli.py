@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulerchow import catalog, cli, series, verify
-from eulerchow.catalog import lawson_yau_pn
+from eulerchow.catalog import macdonald
 from eulerchow.monoid import GradedMonoid
 from eulerchow.series import (MAX_EXPANSION_TERMS, FormalSeries,
                               RationalSeries, dumps, int_from_json, loads)
@@ -245,6 +245,17 @@ def test_series_serves_the_top_dimension_of_a_split_row(capsys, variety,
                    "1: 1\nt: 1\nt^2: 1\n")
 
 
+@pytest.mark.parametrize("variety, top, letter", [
+    ("Pn(2)", 2, "t"), ("Flag012", 3, "u"), ("G(1,3)", 4, "w")])
+def test_series_names_the_fundamental_class_of_every_kind(capsys, variety,
+                                                          top, letter):
+    # E_dim's one generator is the fundamental class, whatever its letter
+    code, out, err = run(capsys, "series", variety, "--p", str(top),
+                         "--degree", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == f"# generators: {letter} = fundamental class"
+
+
 @pytest.mark.parametrize("fmt", ["text", "rational"])
 def test_series_header_spells_the_descriptor(capsys, fmt):
     code, out, _ = run(capsys, "series", "BlowupPn(3)", "--p", "1",
@@ -399,8 +410,8 @@ def test_verify_unknown_suite(capsys):
 def test_compare_and_expand(capsys, tmp_path):
     r5 = tmp_path / "r5.json"
     r6 = tmp_path / "r6.json"
-    r5.write_text(dumps(lawson_yau_pn(4, 0)))   # (1-t)^-5
-    r6.write_text(dumps(lawson_yau_pn(5, 0)))   # (1-t)^-6
+    r5.write_text(dumps(macdonald(5)))
+    r6.write_text(dumps(macdonald(6)))
 
     s5 = tmp_path / "s5.json"
     code = cli.main(["expand", str(r5), "--degree", "8",
@@ -424,7 +435,7 @@ def test_compare_and_expand(capsys, tmp_path):
 # (1 - xy) in its numerator and one more (1 - xy) in its denominator, and
 # forms that add one numerator term: at grade 3, within degree 24, and at
 # grade 30, above it
-_G13_P2 = catalog.schubert_closed(catalog.G13, 2)
+_G13_P2 = catalog.closed_form(catalog.parse_descriptor("G(1,3)"), 2)
 _XY = _G13_P2.monoid
 
 
@@ -481,7 +492,7 @@ def test_compare_expands_when_the_identity_passes_the_cap(capsys, tmp_path):
     # E terms, over the cap; expanding both to degree 3 is 8 terms
     e = 2 * MAX_EXPANSION_TERMS
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    a.write_text(dumps(lawson_yau_pn(0, 0)))
+    a.write_text(dumps(macdonald(1)))
     b.write_text(dumps(RationalSeries(T, ((T.zero(), 1),), (((1,), e),))))
     code, out, err = run(capsys, "compare", str(a), str(b), "--degree", "3")
     assert (code, out, err) == (1, f"first difference at t^(1,): 1 vs {e}\n",
@@ -494,7 +505,7 @@ def _macdonald_pair(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(dumps(catalog.closed_form(
         catalog.parse_descriptor("Macdonald(300000)"), 0)))
-    b.write_text(dumps(lawson_yau_pn(0, 0)))
+    b.write_text(dumps(macdonald(1)))
     return a, b
 
 
@@ -528,7 +539,7 @@ def test_compare_expands_no_difference_above_the_degree(capsys, tmp_path,
     # either is refused, and the identity's difference at grade 2000000
     # lies above the degree, so nothing more is expanded
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    a.write_text(dumps(lawson_yau_pn(0, 0)))
+    a.write_text(dumps(macdonald(1)))
     b.write_text(dumps(RationalSeries(
         T, ((T.zero(), 1), ((2 * 10**6,), 1)), (((1,), 1),))))
     degrees = []
@@ -563,8 +574,8 @@ def test_compare_refuses_a_polynomial_coefficient(capsys, tmp_path):
 def test_compare_monoid_mismatch(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    a.write_text(dumps(lawson_yau_pn(2, 0)))
-    b.write_text(dumps(catalog.schubert_closed(catalog.G13, 2)))
+    a.write_text(dumps(macdonald(3)))
+    b.write_text(dumps(_G13_P2))
     code, _, err = run(capsys, "compare", str(a), str(b))
     assert code == 2
     assert "different monoids" in err
@@ -687,8 +698,8 @@ def test_malformed_series_file_is_a_usage_error(capsys, tmp_path, command,
 def test_negative_degree_is_a_usage_error(capsys, tmp_path, argv):
     r = tmp_path / "r.json"
     s = tmp_path / "s.json"
-    r.write_text(dumps(lawson_yau_pn(2, 0)))
-    s.write_text(dumps(lawson_yau_pn(2, 0).expand(4)))
+    r.write_text(dumps(macdonald(3)))
+    s.write_text(dumps(macdonald(3).expand(4)))
     argv = [a.format(r=r, s=s) for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -748,9 +759,9 @@ EXIT_CODES = [
 @pytest.mark.parametrize("argv, code", EXIT_CODES,
                          ids=[" ".join(a) for a, _ in EXIT_CODES])
 def test_exit_code(capsys, tmp_path, argv, code):
-    files = {"r": dumps(lawson_yau_pn(2, 0)),           # (1-t)^-3
-             "s": dumps(lawson_yau_pn(2, 0).expand(4)),
-             "s6": dumps(lawson_yau_pn(5, 0).expand(4)),  # (1-t)^-6
+    files = {"r": dumps(macdonald(3)),
+             "s": dumps(macdonald(3).expand(4)),
+             "s6": dumps(macdonald(6).expand(4)),
              "bad": "[1]"}
     paths = {"out": tmp_path / "out.json", "dir": tmp_path,
              "missing": tmp_path / "missing" / "out.json"}

@@ -274,6 +274,7 @@ def printable_series(draw):
 
 # t1 of weight 2, so 1/((1 - t0)(1 - t1^2)) has about g/4 terms of grade g
 _T0T1 = GradedMonoid.free(["t0", "t1"], [1, 2])
+_FLAG012 = catalog.parse_descriptor("Flag012")
 
 
 @settings(max_examples=200, deadline=None)
@@ -283,7 +284,7 @@ _T0T1 = GradedMonoid.free(["t0", "t1"], [1, 2])
 @example(FormalSeries(GradedMonoid.free(["x"]), 2, {}))
 # realistic sizes, with many keys of one grade: the order of two stable
 # sorts against the reference's sort by grade, then element
-@example(catalog.schubert_closed(catalog.FLAG012, 1).expand(30))
+@example(catalog.closed_form(_FLAG012, 1).expand(30))
 @example(RationalSeries(_T0T1, ((_T0T1.zero(), 1),),
                         (((1, 0), 1), ((0, 2), 1))).expand(30))
 def test_dumps_is_the_reference_encoding(f):
@@ -327,7 +328,7 @@ def printable_rationals(draw):
 @example(RationalSeries(GradedMonoid(()), (), ()))
 @example(RationalSeries(GradedMonoid.free(["x"]), (), (((1,), 2),)))
 @example(RationalSeries(GradedMonoid.free(["x"]), (((0,), -10**120),), ()))
-@example(catalog.schubert_closed(catalog.FLAG012, 2))
+@example(catalog.closed_form(_FLAG012, 2))
 # (t0 + t1)/((1 - t0)(1 - t1)), t1 of weight 2: t1 = (0, 1) comes first
 # in the stored lex order, but has the higher grade
 @example(RationalSeries(_T0T1, (((1, 0), 1), ((0, 1), 1)),
@@ -728,7 +729,8 @@ def test_loads_reads_what_dumps_writes_by_its_layout(x):
 def test_loads_peak_memory_is_below_the_per_entry_readers():
     # the 13,041-term G(1,3) p = 2 file at D = 160: the layout reader holds
     # no JSON object per entry, nor a regex match of the whole array
-    text = dumps(catalog.schubert_closed(catalog.G13, 2).expand(160))
+    text = dumps(catalog.closed_form(catalog.parse_descriptor("G(1,3)"),
+                                     2).expand(160))
     assert text.count('"exponents"') == 13041
 
     def peak(read):

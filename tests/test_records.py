@@ -105,3 +105,12 @@ def test_import_stays_lean():
                      "from eulerchow import cli, verify\ncli.build_parser()")
     assert "eulerchow.verify" in loaded
     assert {"dataclasses", "inspect", "fractions"} & (loaded - bare) == set()
+
+
+@pytest.mark.parametrize("make, missing", [
+    (lambda: GradedMonoid(), "generators"),
+    (lambda: FormalSeries(T), "bound"),
+], ids=["GradedMonoid", "FormalSeries"])
+def test_missing_field_is_named(make, missing):
+    with pytest.raises(TypeError, match=f"missing field '{missing}'"):
+        make()

@@ -17,6 +17,7 @@ from eulerchow.series import (MAX_EXPANSION_TERMS, FormalSeries,
 
 T = GradedMonoid.free(["t"])
 XY = GradedMonoid.free(["x", "y"])
+GRASS = catalog.parse_descriptor("G(1,3)")
 
 
 def truncated(f, bound):
@@ -361,7 +362,7 @@ def test_first_difference():
 def test_first_difference_refuses_a_degree_above_either_bound():
     # f truncated at 2 does not know its coefficient at t^3, so no
     # difference there may be reported
-    f = catalog.lawson_yau_pn(2, 0).expand(6)
+    f = catalog.macdonald(3).expand(6)
     for a, b in ((truncated(f, 2), f), (f, truncated(f, 2))):
         with pytest.raises(TruncationError,
                            match=r"^degree 5 exceeds a series bound"):
@@ -373,7 +374,7 @@ def test_first_difference_rejects_different_monoids():
     # the G(1,3) pipeline's coefficients over the Schubert-symbol labels,
     # against the closed form over the printed letters: equal tuples,
     # different bases, so no comparison may pass
-    closed = catalog.schubert_closed(catalog.G13, 2).expand(6)
+    closed = catalog.closed_form(GRASS, 2).expand(6)
     other = FormalSeries(schubert.basis(catalog.G13, 2), 6,
                          catalog.grassmannian13_series(2, 6).coefficients)
     assert other.coefficients == closed.coefficients
@@ -419,13 +420,14 @@ def test_expand_with_an_astronomically_large_multiplicity():
     assert f.coefficients == {(j,): math.comb(j + e - 2, j)
                               for j in range(5)}
     e = math.comb(1001, 501)
-    f = catalog.lawson_yau_pn(1000, 500).expand(2)
+    f = catalog.closed_form(catalog.parse_descriptor("Pn(1000)"),
+                            500).expand(2)
     assert f.coefficients == {(0,): 1, (1,): e, (2,): e * (e + 1) // 2}
 
 
 def test_expand_refuses_more_terms_than_the_cap():
     # 1/(1-t)^3 to degree D is one ray of D + 1 terms
-    r = catalog.lawson_yau_pn(2, 0)
+    r = catalog.macdonald(3)
     for degree in (MAX_EXPANSION_TERMS, 10**30):
         with pytest.raises(TruncationError, match=r"^expansion to degree"):
             r.expand(degree)
@@ -450,7 +452,7 @@ def test_the_term_cap_is_exact(monkeypatch):
     # every element of grade <= D, (D + 1)(D + 2) / 2 of them, into rays;
     # a cap of 5000 admits their 4950 at D = 98 and refuses 5050 at D = 99
     monkeypatch.setattr(series, "MAX_EXPANSION_TERMS", 5000)
-    r = catalog.schubert_closed(catalog.G13, 2)
+    r = catalog.closed_form(GRASS, 2)
     assert len(r.expand(98).coefficients) == 99 * 100 // 2
     with pytest.raises(TruncationError, match="needs more than 5000 terms"):
         r.expand(99)
@@ -460,9 +462,11 @@ def test_the_term_cap_is_exact(monkeypatch):
     # (1-xy)^3 first: its rays hold 81 terms to degree 160, and (1-y)^4
     # then fills the 6561 elements with x <= y; graded-lex order
     # would hand `_divide` tables of 1, 161 and 13041 terms
-    (catalog.schubert_closed(catalog.G13, 2), [1, 81, 6561], 161 * 162 // 2),
+    (catalog.closed_form(GRASS, 2), [1, 81, 6561], 161 * 162 // 2),
     # ProjClosure(n=3,d=2) p=2: (1-x^2 y)^4, (1-x)^6, then (1-y)^4
-    (catalog.split_bundle_closed(3, 2, 2), [1, 54, 4401], 161 * 162 // 2),
+    (catalog.closed_form(
+        catalog.parse_descriptor("ProjClosure(n=3,d=2)"), 2),
+     [1, 54, 4401], 161 * 162 // 2),
     # (x + y)/((1-x)(1-y)), y of weight 2: (1-y) first, though y = (0, 1)
     # comes first in the stored lex order; every element of grade <= 160
     # but the zero element, 81 * 161 - 80 * 81 - 1 of them
@@ -740,29 +744,22 @@ REFUSED = [
                                   one(T, 2)),
                  MonoidMismatchError, "not over the target",
                  id="pullback-other-monoid"),
-    pytest.param(lambda: catalog.schubert_closed(catalog.FLAG012, 4),
-                 ValueError, r"^p=4 out of range for F\(0,1;2\)$",
-                 id="schubert_closed-p4"),
-    pytest.param(lambda: catalog.split_bundle_closed(-1, 0, 1), ValueError,
-                 r"^p=1 out of range for ProjClosure\(n=-1,d=0\)$",
-                 id="split_bundle_closed-negative-n"),
-    # E_0 is `closed_form`'s alone
-    pytest.param(lambda: catalog.split_bundle_closed(2, 3, 0), ValueError,
-                 r"^p=0 out of range for ProjClosure\(n=2,d=3\)$",
-                 id="split_bundle_closed-p0"),
-    pytest.param(lambda: catalog.schubert_closed(catalog.G13, 0), ValueError,
-                 r"^p=0 out of range for G\(1,3\)$",
-                 id="schubert_closed-G13-p0"),
-    pytest.param(lambda: catalog.schubert_closed(catalog.FLAG012, 0),
-                 ValueError, r"^p=0 out of range for F\(0,1;2\)$",
-                 id="schubert_closed-Flag012-p0"),
+    pytest.param(lambda: catalog.closed_form(GRASS, -1), ValueError,
+                 r"^p=-1 out of range for G\(1,3\)$",
+                 id="closed_form-negative-p"),
+    # the split pipeline reads E_p(P^n) through its descriptor
+    pytest.param(lambda: catalog.split_bundle_series(-1, 0, 1, 10),
+                 ValueError,
+                 r"^n=-1 out of range for Pn\(-1\): n must be >= 0$",
+                 id="split_bundle_series-negative-n"),
     pytest.param(lambda: catalog.euler_chow(
                      catalog.parse_descriptor("Pn(2)"), 0, method="x"),
                  ValueError, "unknown method", id="euler_chow-method"),
     pytest.param(lambda: dumps(object()), TypeError, "^object$",
                  id="dumps-other-type"),
-    pytest.param(lambda: catalog.split_bundle_closed(1, 0, 2), ValueError,
-                 "out of range", id="split_bundle_closed-p-above-n"),
+    pytest.param(lambda: catalog.split_bundle_series(1, 0, 2, 4), ValueError,
+                 r"^p=2 out of range for Pn\(1\)$",
+                 id="split_bundle_series-p-above-n"),
     pytest.param(lambda: catalog.flag012_divisor_by_recurrence(-1, 0),
                  ValueError, "R and S must be >= 0",
                  id="flag012_divisor_by_recurrence-negative-R"),

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from eulerchow import catalog, oracle, schubert, series, verify
+from eulerchow import catalog, cli, oracle, schubert, series, verify
 from eulerchow.monoid import GradedMonoid
 from eulerchow.series import (FormalSeries, pullback_bound,
                               pushforward_bound)
@@ -181,8 +181,8 @@ def test_broken_convolution_names_its_equation_and_element(monkeypatch):
 def test_broken_macdonald_fails_one_line(monkeypatch):
     macdonald = catalog.macdonald
     # chi = 11 is no C(n + 1, p + 1) with n <= 6, so Lawson-Yau still holds
-    monkeypatch.setattr(catalog, "macdonald",
-                        lambda chi: macdonald(chi + (chi == 11)))
+    monkeypatch.setattr(catalog, "macdonald", lambda chi, *letter:
+                        macdonald(chi + (chi == 11), *letter))
     lines = [r.line() for r in verify.check_macdonald()]
     assert lines == ["FAIL  Macdonald coefficients chi=1..12, d<=20: "
                      "chi=11: first difference at t^(1,): 12 vs 11",
@@ -217,18 +217,61 @@ def test_wrong_dimension_names_the_symbol_and_both_values(monkeypatch):
         "expected 3")
 
 
-@pytest.mark.parametrize("n, p, planes", [(3, 1, 6), (3, 3, 1)])
+def _lawson_yau_failure(n, p, planes, got):
+    return (f"FAIL  Lawson-Yau exponents n<=6: n={n}, p={p}: denominator "
+            f"(((1,), {got}),), expected (((1,), {planes}),), one factor "
+            f"1/(1 - t) for each of the {planes} coordinate {p}-planes")
+
+
+@pytest.mark.parametrize("n, p, planes", [(3, 1, 6), (5, 2, 20)])
 def test_wrong_lawson_yau_denominator_names_n_p_and_planes(monkeypatch, n, p,
                                                            planes):
-    lawson_yau_pn = catalog.lawson_yau_pn
-    # one factor 1/(1 - t) too many at (n, p); p = n is the top dimension
-    monkeypatch.setattr(
-        catalog, "lawson_yau_pn",
-        lambda m, q: lawson_yau_pn(m, q).multiply(catalog.macdonald(1))
-        if (m, q) == (n, p) else lawson_yau_pn(m, q))
+    # one factor 1/(1 - t) too many in the Pn row's form at (n, p)
+    row = catalog.KINDS["Pn"]
+    monkeypatch.setitem(catalog.KINDS, "Pn", row._replace(
+        closed=lambda v, q: row.closed(v, q).multiply(catalog.macdonald(1))
+        if (v.args, q) == ((n,), p) else row.closed(v, q)))
     lines = [r.line() for r in verify.check_macdonald()]
     assert lines == ["PASS  Macdonald coefficients chi=1..12, d<=20",
-                     f"FAIL  Lawson-Yau exponents n<=6: n={n}, p={p}: "
-                     f"denominator (((1,), {planes + 1}),), expected "
-                     f"(((1,), {planes}),), one factor 1/(1 - t) for each "
-                     f"of the {planes} coordinate {p}-planes"]
+                     _lawson_yau_failure(n, p, planes, planes + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_wrong_top_dimension_of_pn_names_n_equal_p(monkeypatch, capsys, n):
+    # E_n(P^n) as `closed_form` serves it, with one factor 1/(1 - t) too
+    # many: `check_macdonald` reads the form that `series` prints
+    closed_form = catalog.closed_form
+    top = catalog.parse_descriptor(f"Pn({n})")
+    monkeypatch.setattr(
+        catalog, "closed_form",
+        lambda v, q: closed_form(v, q).multiply(catalog.macdonald(1))
+        if (v, q) == (top, n) else closed_form(v, q))
+    assert cli.main(["series", str(top), "--p", str(n),
+                     "--format", "rational"]) == 0
+    assert capsys.readouterr().out == f"# E_{n}({top})\n1/(1-t)^2\n"
+    lines = [r.line() for r in verify.check_macdonald()]
+    assert lines == ["PASS  Macdonald coefficients chi=1..12, d<=20",
+                     _lawson_yau_failure(n, n, 1, 2)]
+
+
+def test_wrong_pn_chi_fails_verify_and_the_split_rows(monkeypatch, capsys):
+    # chi(P^n) = n + 2: E_0(P^n) is read from the Pn row's chi by
+    # `check_macdonald` and by every pipeline that pushes E_0(P^n) forward,
+    # the split rows' at p = 0 and 1 and G(1,3)'s at p = 0
+    row = catalog.KINDS["Pn"]
+    monkeypatch.setitem(catalog.KINDS, "Pn", row._replace(
+        chi=lambda v: v.args[0] + 2))
+    lines = [r.line() for r in verify.check_macdonald()]
+    assert lines[1] == _lawson_yau_failure(0, 0, 1, 2)
+    failed = [r.name for r in verify.run_suite("all") if not r.passed]
+    assert failed == ["Lawson-Yau exponents n<=6"] + [
+        f"split bundle (n={n},d={d},p=1) to degree {verify.BUNDLE_DEGREE}"
+        for n, d, p in verify.BUNDLE_CASES if p == 1] + [
+        f"G(1,3) pipeline p=0 to degree {verify.GRASSMANN_DEGREE}"]
+    for variety, chi in (("PnxP1(2)", 6), ("ProjClosure(n=2,d=1)", 6)):
+        assert cli.main(["series", variety, "--p", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {variety} p=0: closed form and pipeline "
+                       f"differ: first difference at t^(1,): {chi} vs "
+                       f"{2 * (chi // 2 + 1)}\n")
