@@ -22,10 +22,11 @@ the table it is handed; it still checks the bound and drops zeros.
 how a series or a rational series is spelled in a file.  `dumps` is its
 one writer, from templates: `_head`, and `_entries` for all three entry
 arrays, which formats each array whole, by one `%` of its template over
-a flat list of its numbers.  `loads` reads a file in that exact layout by
-the same templates, each array by one `translate` that leaves a JSON list
-of its numbers and one `json.loads` of that list, and any other valid
-file entry by entry.
+a flat list of its numbers.  `loads` reads a series file in that exact
+layout, of rank >= 1 and with at least one entry, by the same templates:
+one `translate` leaves a JSON list of the array's numbers, and one
+`json.loads` reads that list.  Every other valid file, rational forms,
+rank-0 series and empty arrays included, is read entry by entry.
 """
 
 from __future__ import annotations
@@ -579,7 +580,6 @@ def _table_from_json(data: dict, name: str, field: str) -> dict:
     return table
 
 
-_DENOMINATOR = ',\n  "denominator": '  # between a rational form's arrays
 _FORMAT_ERRORS = (KeyError, TypeError, AttributeError, ValueError,
                   RecursionError)  # what `loads` makes one ValueError
 # keeps the characters of a number and the comma; any other ASCII
@@ -630,42 +630,17 @@ def _entries(monoid: GradedMonoid, table: dict, field: str,
     return _array([entry] * len(keys)) % tuple(flat)
 
 
-def _layout_table(text: str, rank: int, field: str, value: str):
-    """The table of an entry array in the layout `_entries` writes, or
-    None.  The text must start and end as the template does and,
-    without its digits and minus signs, be the array of n empty entries,
-    n its count of '"exponents"'.  Then one `translate` turns every other
-    character into a space, and one `json.loads` reads every number: for
-    rank >= 1 each separator between two numbers holds one comma, and a
-    digit out of place stands apart from its neighbours by a space, which
-    JSON refuses.  A rank-0 array of two entries or more names () twice;
-    its separators hold two commas, so it is refused here too."""
-    if text == "[]":
-        return {}
-    n = text.count('"exponents"')
-    entry = _entry(rank, field, value)
-    first, *_, last = _array([entry]).split("%d")
-    slots = str.maketrans("", "", "-0123456789")
-    if (not text.startswith(first) or not text.endswith(last)
-            or text.translate(slots) != _array([entry.replace("%d", "")] * n)):
-        return None
-    flat = json.loads("[" + text[len(first):len(text) - len(last)].translate(
-        _COMMAS) + "]")
-    values = flat[rank::rank + 1]
-    del flat[rank::rank + 1]
-    table = dict(zip(zip(*[iter(flat)] * rank) if rank else [()] * n,
-                     values))
-    if (len(flat) + len(values) != n * (rank + 1) or len(table) != n
-            or min(flat, default=0) < 0):
-        return None
-    return table
-
-
 def _read_layout(text: str):
-    """The series or rational series of a text exactly as `dumps` writes
-    it, or None.  The head, up to the first entry array, must be what
-    `_head` writes back from its `json.loads`; each array is read by
-    `_layout_table`; grades are checked here, not by `_trusted`."""
+    """The series of a text exactly as `dumps` writes it, of rank >= 1 and
+    with at least one entry, or None; a rational form, a rank-0 series
+    and an empty array are None too.  The head, up to the entry array,
+    must be what `_head` writes back from its `json.loads`, and the array
+    without its digits and minus signs must be the array of n empty
+    entries, n its count of '"exponents"'.  Then one `translate` turns
+    every other character into a space, and one `json.loads` reads every
+    number: each separator between two numbers holds one comma, and a
+    digit out of place stands apart from its neighbours by a space,
+    which JSON refuses.  Grades are checked here, not by `_trusted`."""
     monoid_end = text.find("\n  },\n")
     start = text.find("[", monoid_end)
     if monoid_end < 0 or start < 0 or not text.endswith("\n}\n"):
@@ -674,20 +649,22 @@ def _read_layout(text: str):
     monoid = GradedMonoid(tuple((g["label"], g["weight"])
                                 for g in data["monoid"]["generators"]))
     bound, rank = data.get("bound"), monoid.rank
-    if _head(monoid, bound) != text[:start]:
+    body = text[start:-3]
+    n = body.count('"exponents"')
+    if bound is None or rank == 0 or n == 0:
         return None
-    if bound is not None:
-        table = _layout_table(text[start:-3], rank, "value", '"%d"')
-        if table is None or max(monoid.grades(table), default=0) > bound:
-            return None
-        return FormalSeries._trusted(monoid, bound, table)
-    mid = text.find(_DENOMINATOR, start)
-    tables = [_layout_table(text[start:mid], rank, "value", '"%d"'),
-              _layout_table(text[mid + len(_DENOMINATOR):-3], rank,
-                            "multiplicity", "%d")]
-    if mid < 0 or None in tables:
+    empty = _entry(rank, "value", '"%d"').replace("%d", "")
+    if (_head(monoid, bound) != text[:start] or body.translate(
+            str.maketrans("", "", "-0123456789")) != _array([empty] * n)):
         return None
-    return RationalSeries(monoid, *(tuple(t.items()) for t in tables))
+    flat = json.loads("[" + body.translate(_COMMAS) + "]")
+    values = flat[rank::rank + 1]
+    del flat[rank::rank + 1]
+    table = dict(zip(zip(*[iter(flat)] * rank), values))
+    if (len(flat) + len(values) != n * (rank + 1) or len(table) != n
+            or min(flat) < 0 or max(monoid.grades(table)) > bound):
+        return None
+    return FormalSeries._trusted(monoid, bound, table)
 
 
 def dumps(obj) -> str:
@@ -712,7 +689,7 @@ def dumps(obj) -> str:
     elif isinstance(obj, RationalSeries):
         parts = [_head(obj.monoid, None),
                  _entries(obj.monoid, dict(obj.numerator), "value", '"%d"'),
-                 _DENOMINATOR,
+                 ',\n  "denominator": ',
                  _entries(obj.monoid, dict(obj.denominator), "multiplicity",
                           "%d")]
     else:
@@ -725,14 +702,16 @@ def loads(text: str):
     rational series, as JSON or by the schema, is one ValueError.
 
     Integers are JSON ints or strings of the `INTEGER` rule, every value
-    is one, and no entry array may name the same exponents twice.  A text
-    in the layout `dumps` writes is read by that layout (`_read_layout`),
-    without one JSON object per entry; any other text, and one that fails
-    a check there, is parsed whole and read entry by entry, which raises
-    the error of its first bad entry, so an error's text does not depend
-    on the reader.  A number of more than 4300 digits is a ValueError
-    unless the caller has lifted Python's limit on str -> int conversion,
-    as `cli.main` does for each command (`sys.set_int_max_str_digits(0)`).
+    is one, and no entry array may name the same exponents twice.  A
+    series of rank >= 1 with at least one entry, in the layout `dumps`
+    writes, is read by that layout (`_read_layout`), without one JSON
+    object per entry.  Any other text, rational forms, rank-0 series and
+    empty arrays included, and one that fails a check there, is parsed
+    whole and read entry by entry, which raises the error of its first
+    bad entry, so an error's text does not depend on the reader.  A
+    number of more than 4300 digits is a ValueError unless the caller has
+    lifted Python's limit on str -> int conversion, as `cli.main` does
+    for each command (`sys.set_int_max_str_digits(0)`).
     """
     with suppress(*_FORMAT_ERRORS):
         if (obj := _read_layout(text)) is not None:

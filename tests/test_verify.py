@@ -275,3 +275,54 @@ def test_wrong_pn_chi_fails_verify_and_the_split_rows(monkeypatch, capsys):
         assert err == (f"error: {variety} p=0: closed form and pipeline "
                        f"differ: first difference at t^(1,): {chi} vs "
                        f"{2 * (chi // 2 + 1)}\n")
+
+
+@pytest.mark.parametrize("p, factor, line", [
+    (1, ((1,), 11), "first difference at t^(1,): 11 vs 12"),
+    (2, ((1, 1), 4), "first difference at t^(1, 1): 20 vs 19")])
+def test_wrong_stored_g13_form_fails_its_pipeline_line(monkeypatch, p,
+                                                       factor, line):
+    # one exponent of the stored E_p of G(1,3) made wrong: the last
+    # denominator factor's
+    stored = catalog.SCHUBERT_FORMS[catalog.G13][1]
+    numerator, denominator = stored[p]
+    monkeypatch.setitem(stored, p, (numerator, denominator[:-1] + (factor,)))
+    failed = [r.line() for r in verify.check_grassmann() if not r.passed]
+    assert failed == [f"FAIL  G(1,3) pipeline p={p} to degree "
+                      f"{verify.GRASSMANN_DEGREE}: closed form vs pipeline: "
+                      + line]
+
+
+def test_wrong_g13_p3_pipeline_names_both_leading_lists(monkeypatch):
+    # the p = 3 pipeline doubled: its line and the Borel-Weil check of
+    # E_3's first coefficients fail, the latter naming both lists
+    series13 = catalog.grassmannian13_series
+    monkeypatch.setattr(catalog, "grassmannian13_series", lambda p, degree:
+                        series13(p, degree).scale(1 + (p == 3)))
+    failed = [r.line() for r in verify.check_grassmann() if not r.passed]
+    assert failed == [
+        f"FAIL  G(1,3) pipeline p=3 to degree {verify.GRASSMANN_DEGREE}: "
+        "closed form vs pipeline: first difference at t^(0,): 1 vs 2",
+        "FAIL  G(1,3) E_3 leading coefficients: [2, 12, 40, 100, 210] != "
+        "[1, 6, 20, 50, 105]"]
+
+
+def test_wrong_split_closed_form_fails_the_p2_bundle_lines(monkeypatch):
+    # the (d, 1) factor of every split-bundle E_2 one exponent too high
+    split_closed = catalog._split_closed
+
+    def wrong(n, d, p):
+        r = split_closed(n, d, p)
+        if p != 2:
+            return r
+        m, e = r.denominator[-1]
+        return series.RationalSeries(r.monoid, r.numerator,
+                                     r.denominator[:-1] + ((m, e + 1),))
+
+    monkeypatch.setattr(catalog, "_split_closed", wrong)
+    failed = [r.line() for r in verify.check_bundle() if not r.passed]
+    assert failed == [
+        f"FAIL  split bundle (n={n},d={d},p=2) to degree "
+        f"{verify.BUNDLE_DEGREE}: closed form vs pipeline: first difference "
+        f"at t^({d}, 1): {want + 1} vs {want}"
+        for (n, d), want in (((2, 1), 4), ((2, 3), 11), ((3, 2), 88))]
