@@ -22,7 +22,7 @@ import sys
 from . import catalog, verify
 from .series import (FormalSeries, RationalSeries, TruncationError,
                      describe_difference, dumps, first_difference,
-                     int_from_json, loads, rational_difference_grade)
+                     first_rational_difference, int_from_json, loads)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -121,34 +121,20 @@ def _load(path: str):
         return loads(fh.read())
 
 
-def _expanded_difference(a, b, degree: int):
-    """The first difference of two loaded files up to the degree, each
-    rational form expanded to the degree; or None."""
-    a, b = (x.expand(degree) if isinstance(x, RationalSeries) else x
-            for x in (a, b))
-    return first_difference(a, b, degree)
-
-
-def _first_difference(a, b, degree: int):
-    """The first difference of two loaded files up to the degree, or None.
-    Each rational form is expanded to the degree.  Two rational forms
+def cmd_compare(args) -> int:
+    """Each rational form is expanded to --degree.  Two rational forms
     whose expansion passes the term cap are decided by identity instead:
     only a difference within the degree is expanded, to its grade."""
+    a, b = _load(args.file_a), _load(args.file_b)
     try:
-        return _expanded_difference(a, b, degree)
+        diff = first_difference(
+            *(x.expand(args.degree) if isinstance(x, RationalSeries) else x
+              for x in (a, b)), args.degree)
     except TruncationError:
         if not (isinstance(a, RationalSeries)
                 and isinstance(b, RationalSeries)):
             raise
-    g = rational_difference_grade(a, b)
-    if g is None or g > degree:
-        return None
-    return _expanded_difference(a, b, g)
-
-
-def cmd_compare(args) -> int:
-    diff = _first_difference(_load(args.file_a), _load(args.file_b),
-                             args.degree)
+        diff = first_rational_difference(a, b, args.degree)
     if diff is None:
         print(f"equal to degree {args.degree}")
         return EXIT_OK

@@ -493,15 +493,19 @@ class RationalSeries(Record):
             tuple((phi.apply(m), e) for m, e in self.denominator))
 
 
-def rational_difference_grade(a: RationalSeries, b: RationalSeries):
-    """The lowest grade at which the expansions of two rational series
-    differ, at any degree; or None when they are equal.
+def first_rational_difference(a: RationalSeries, b: RationalSeries,
+                              degree: int | None = None):
+    """First graded-lex element, up to the degree (at any degree when it
+    is None), where the expansions of two rational series differ, as
+    (element, a's value, b's value); or None when they are equal there.
 
     After the common denominator factors (same m, the smaller e) cancel,
     a - b = (N_a R_b - N_b R_a) / (C R_a R_b), where R_a and R_b are what
     remains of each denominator.  So a == b exactly when that numerator is
     the zero polynomial.  Otherwise 1/(C R_a R_b) = 1 + higher grades, so
-    the expansions first differ at the numerator's lowest grade.
+    the expansions first differ at the numerator's lowest grade g, and
+    expanding both to g finds the element.  A difference above the degree
+    is never expanded.
 
     N_a R_b and N_b R_a are built by `_divide` at -e per remaining factor
     (m, e), to the top grade they reach: the highest numerator grade plus
@@ -517,11 +521,11 @@ def rational_difference_grade(a: RationalSeries, b: RationalSeries):
         rest = [(m, e - den_x.get(m, 0)) for m, e in y.denominator
                 if e > den_x.get(m, 0)]
         table = dict(x.numerator)
-        degree = max(monoid.grades(table), default=0) + sum(
+        top = max(monoid.grades(table), default=0) + sum(
             e * monoid.grade(m) for m, e in rest)
         for m, e in rest:
             try:
-                table = _divide(monoid, table, m, -e, degree)
+                table = _divide(monoid, table, m, -e, top)
             except TruncationError:
                 raise TruncationError(
                     f"identity check of two rational series: multiplying "
@@ -533,15 +537,10 @@ def rational_difference_grade(a: RationalSeries, b: RationalSeries):
     left, right = cross(a, b), cross(b, a)
     keys = [m for m in left.keys() | right.keys()
             if left.get(m, 0) != right.get(m, 0)]
-    return min(monoid.grades(keys), default=None)
-
-
-def first_rational_difference(a: RationalSeries, b: RationalSeries):
-    """First graded-lex element, at any degree, where the expansions of two
-    rational series differ, as (element, a's value, b's value); or None.
-    The expansions to `rational_difference_grade` give it."""
-    g = rational_difference_grade(a, b)
-    return None if g is None else first_difference(a.expand(g), b.expand(g), g)
+    g = min(monoid.grades(keys), default=None)
+    if g is None or (degree is not None and g > degree):
+        return None
+    return first_difference(a.expand(g), b.expand(g), g)
 
 
 # the one rule for integer text, in a file, a descriptor or an option; `int`

@@ -515,7 +515,7 @@ def test_compare_expands_a_pair_that_fits_the_degree(capsys, tmp_path,
     def refused(*_):
         raise AssertionError("checked an identity")
 
-    monkeypatch.setattr(cli, "rational_difference_grade", refused)
+    monkeypatch.setattr(cli, "first_rational_difference", refused)
     code, out, err = run(capsys, "compare", *map(str, _macdonald_pair(
         tmp_path)), "--degree", "10")
     assert (code, out, err) == (1, "first difference at t^(1,): 300000 vs 1\n",
@@ -554,6 +554,22 @@ def test_compare_expands_no_difference_above_the_degree(capsys, tmp_path,
                          "--degree", "1500000")
     assert (code, out, err) == (0, "equal to degree 1500000\n", "")
     assert degrees == [1500000]
+
+
+def test_compare_refuses_a_difference_whose_expansion_passes_the_cap(
+        capsys, tmp_path):
+    # 1/(1-t) against (1 + t^1500000)/(1-t) at degree 1800000: the
+    # identity's difference lies within the degree, and expanding to its
+    # grade passes the cap too
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(dumps(macdonald(1)))
+    b.write_text(dumps(RationalSeries(
+        T, ((T.zero(), 1), ((1500000,), 1)), (((1,), 1),))))
+    code, out, err = run(capsys, "compare", str(a), str(b),
+                         "--degree", "1800000")
+    assert (code, out) == (3, "")
+    assert err == ("error: expansion to degree 1500000 needs more than "
+                   f"{MAX_EXPANSION_TERMS} terms\n")
 
 
 def test_compare_refuses_a_polynomial_coefficient(capsys, tmp_path):

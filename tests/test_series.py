@@ -13,7 +13,7 @@ from eulerchow.series import (MAX_EXPANSION_TERMS, FormalSeries,
                               dumps, exterior, first_difference,
                               first_rational_difference, loads, one,
                               pullback, pullback_bound, pushforward,
-                              pushforward_bound, rational_difference_grade)
+                              pushforward_bound)
 
 T = GradedMonoid.free(["t"])
 XY = GradedMonoid.free(["x", "y"])
@@ -635,6 +635,7 @@ def test_first_rational_difference_is_first_difference_at_every_degree(
         assert truncated is None
     else:
         assert truncated == diff
+    assert first_rational_difference(a, b, degree) == truncated
 
 
 def test_first_rational_difference_beyond_any_expansion(monkeypatch):
@@ -653,6 +654,10 @@ def test_first_rational_difference_beyond_any_expansion(monkeypatch):
     monkeypatch.setattr(RationalSeries, "expand", recording)
     assert first_rational_difference(a, b) == ((50,), 1, 2)
     assert degrees == [50, 50]
+    # a difference above the degree is never expanded
+    assert first_rational_difference(a, b, 49) is None
+    assert degrees == [50, 50]
+    assert first_rational_difference(a, b, 50) == ((50,), 1, 2)
     assert first_rational_difference(a, a.multiply(a)) == ((1,), 1, 2)
     with pytest.raises(MonoidMismatchError):
         first_rational_difference(a, RationalSeries(XY, (), ()))
@@ -672,11 +677,12 @@ def test_first_rational_difference_multiplies_along_rays():
                              r"m = \(2,\), e = 1000000 needs more than"):
         first_rational_difference(*pair(10**6))
     # E + 1 terms of up to E bits each count as 1 + E // 64 words: 5000
-    # is 79 words a term and fits, 100000 is 1563 and does not
-    assert rational_difference_grade(*pair(5000)) == 1
+    # is 79 words a term and fits, 100000 is 1563 and does not; the
+    # difference at grade 1 lies above degree 0
+    assert first_rational_difference(*pair(5000), 0) is None
     with pytest.raises(TruncationError,
                        match=r"m = \(2,\), e = 100000 needs more than"):
-        rational_difference_grade(*pair(10**5))
+        first_rational_difference(*pair(10**5))
 
 
 def test_rational_rejects_grade_zero_denominator():

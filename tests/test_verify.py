@@ -9,7 +9,7 @@ import re
 import pytest
 
 from eulerchow import catalog, cli, oracle, schubert, series, verify
-from eulerchow.monoid import GradedMonoid
+from eulerchow.monoid import GradedMonoid, MonoidMorphism, compose
 from eulerchow.series import (FormalSeries, pullback_bound,
                               pushforward_bound)
 
@@ -176,6 +176,64 @@ def test_broken_convolution_names_its_equation_and_element(monkeypatch):
     assert engine.startswith("FAIL  engine matches naive oracle "
                              "bit-exactly: case ")
     assert ": convolution oracle: first difference at t^" in engine
+
+
+def _scaled_pushforward(phi, f):
+    return series.pushforward(phi, f).scale(2)
+
+
+def _shifted_pullback(phi, f):
+    pulled = series.pullback(phi, f)
+    return pulled + series.one(pulled.monoid, pulled.bound)
+
+
+def _doubled_compose(psi, phi):
+    return MonoidMorphism(phi.source, psi.target,
+                          [tuple(2 * x for x in img) for img in
+                           compose(psi, phi).generator_images])
+
+
+def _headless_exterior(f, g):
+    # the first factor loses its constant term
+    return series.exterior(FormalSeries(
+        f.monoid, f.bound, {m: c for m, c in f.coefficients.items()
+                            if any(m)}), g)
+
+
+# (name patched in verify, defect, the line it is planted for, the case
+# and equation that line names, every line that fails)
+PLANTED_DEFECTS = {
+    "pushforward scaled": (
+        "pushforward", _scaled_pushforward,
+        "push-forward is a ring homomorphism",
+        "case 0: push-forward of a product",
+        {"push-forward is a ring homomorphism",
+         "functoriality under composition",
+         "engine matches naive oracle bit-exactly"}),
+    "pullback shifted": (
+        "pullback", _shifted_pullback, "pull-back linearity",
+        "case 0: linearity",
+        {"pull-back linearity", "functoriality under composition"}),
+    "compose doubled": (
+        "compose", _doubled_compose, "functoriality under composition",
+        "case 0: push-forward functoriality",
+        {"functoriality under composition"}),
+    "exterior headless": (
+        "exterior", _headless_exterior, "exterior-product associativity",
+        "case 5: exterior associativity",
+        {"exterior-product associativity"}),
+}
+
+
+@pytest.mark.parametrize("defect", PLANTED_DEFECTS)
+def test_planted_defect_names_its_equation_and_element(monkeypatch, defect):
+    attr, broken, name, equation, failing = PLANTED_DEFECTS[defect]
+    monkeypatch.setattr(verify, attr, broken)
+    lines = {r.name: r.line() for r in verify.check_algebra()
+             if not r.passed}
+    assert lines.keys() == failing
+    assert lines[name].startswith(
+        f"FAIL  {name}: {equation}: first difference at t^")
 
 
 def test_broken_macdonald_fails_one_line(monkeypatch):
