@@ -3,30 +3,26 @@
 A FormalSeries stores a sparse table of integer coefficients valid up to
 an explicit grade bound; every operation computes the exact bound of its
 output and errors rather than returning silently invalid coefficients.
+A RationalSeries expands by `_divide`, one denominator factor at a time:
+between factors its table is exponent columns, one list per generator,
+and a list of values, and `expand` builds the key table once, at the end.
 
 Every FormalSeries satisfies one invariant: each key is a tuple and a
 valid element of its monoid (one `int`, not a `bool`, >= 0 per
 generator); the bound is an int >= 0 and no key has a grade above it;
 every stored coefficient is a nonzero `int`, not a `bool`.  Keys and
 values are checked at the boundary, where they come from outside the
-engine: the public constructor, and so `loads`, scans the whole table in
-a few builtin passes, walks a key table that fails key by key to name
-the first bad key, and keeps its own copy of the caller's table.
-The operations of this module trust the invariant of their operands:
-each adds, maps, filters or walks valid keys, keeps only grades within
-the bound it computes, and sums and multiplies ints.  They build their
-results with `FormalSeries._trusted`, which skips both scans and keeps
-the table it is handed; it still checks the bound and drops zeros.
+engine: the public constructor, and so `loads`, scans them and keeps its
+own copy of the caller's table.  The operations of this module trust
+the invariant of their operands, and build their results with
+`FormalSeries._trusted`, which skips the scans and keeps the table it is
+handed; it still checks the bound and drops zeros.
 
 `dumps` and `loads` own the series-file format, and no other code knows
-how a series or a rational series is spelled in a file.  `dumps` is its
-one writer, from templates: `_head`, and `_entries` for all three entry
-arrays, which formats each array whole, by one `%` of its template over
-a flat list of its numbers.  `loads` reads a series file in that exact
-layout, of rank >= 1 and with at least one entry, by the same templates:
-one `translate` leaves a JSON list of the array's numbers, and one
-`json.loads` reads that list.  Every other valid file, rational forms,
-rank-0 series and empty arrays included, is read entry by entry.
+how a series or a rational series is spelled in a file.  Both work from
+the templates of `_head` and `_entry`: `dumps` formats each entry array
+whole, and `loads` reads a file in that exact layout by one `json.loads`
+of its numbers, and every other valid file entry by entry.
 """
 
 from __future__ import annotations
@@ -276,10 +272,9 @@ def first_difference(f: FormalSeries, g: FormalSeries, degree: int):
     """First graded-lex element of grade <= degree where the coefficients
     differ, as (element, f's value, g's value); or None.
 
-    Equal tables give None after one dict comparison.  Otherwise only
-    the keys whose values differ are collected, by lookups in both
-    tables, and graded in one pass; the first of those of grade <= degree
-    in `graded_lex` order is the answer.
+    Equal tables give None after one dict comparison.  Otherwise the keys
+    whose values differ are graded in one pass, and the first of grade
+    <= degree in `graded_lex` order is the answer.
     Series over different monoids raise MonoidMismatchError: equal
     exponent tuples over different bases are not the same coefficient.
     A degree above either bound raises TruncationError: a coefficient
@@ -328,41 +323,40 @@ def _simplex_exceeds(n: int, r: int, cap: int) -> bool:
     return False
 
 
-def _divide(monoid: GradedMonoid, table: dict, m: Element, e: int,
-            degree: int) -> dict:
+def _divide(monoid: GradedMonoid, columns: list, values: list, m: Element,
+            e: int, degree: int) -> tuple[list, list]:
     """table / (1 - t^m)^e up to the degree, for any integer e: a negative
-    e multiplies by the polynomial (1 - t^m)^-e.
+    e multiplies by the polynomial (1 - t^m)^-e.  A table comes and goes
+    as exponent columns, one list per generator, and its nonzero values.
 
     The terms are grouped by the ray x + N*m they lie on, keyed by its
     base (x minus the largest multiple k of m that keeps every exponent
-    >= 0, with k and the base computed by column), and each ray is one
-    dense list of its values up to the degree.  Dividing by (1 - t^m) is
-    a running sum, so when 0 < e <= the ray's nonzero count `accumulate`
-    runs over it e times.  Any other ray is convolved with the kernel of
-    1/(1 - t)^e, b_j = b_(j-1) * (j - 1 + e) // j: C(j + e - 1, e - 1)
-    for e > 0, and for e < 0 (-1)^j C(-e, j), zero past j = -e.  So a ray
-    costs about its length times min(|e|, its nonzero count).  The kernel
-    is built once per call, and shorter rays use a prefix of it.  Rays
-    are disjoint, so their lengths sum to at most the number of elements
-    of grade <= degree; once that sum passes MAX_EXPANSION_TERMS,
-    TruncationError is raised before the ray that passes it is allocated.
+    >= 0); k, the bases and the grades are computed by column.  Each ray
+    is one dense list of its values up to the degree.  Dividing by
+    (1 - t^m) is a running sum, so when 0 < e <= the ray's nonzero count
+    `accumulate` runs over it e times.  Any other ray is convolved with the
+    kernel of 1/(1 - t)^e, b_j = b_(j-1) * (j - 1 + e) // j: C(j + e - 1,
+    e - 1) for e > 0, and for e < 0 (-1)^j C(-e, j), zero past j = -e,
+    built once per call.  So a ray costs about its length times min(|e|,
+    its nonzero count).  Rays are disjoint, so their lengths sum to at most
+    the number of elements of grade <= degree; TruncationError is raised
+    before allocating the ray that takes that sum past MAX_EXPANSION_TERMS.
+    Each ray extends the new columns; zeros are dropped once, at the end.
     For e < 0 the kernel's C(-e, j) have up to -e bits, so each term
-    counts as 1 + (-e) // 64 terms, about the 64-bit words of its digits.
-    """
-    if not table:
-        return {}  # zero stays zero, and an empty table has no columns
+    counts as 1 + (-e) // 64 terms, about the 64-bit words of its digits."""
+    if not values:
+        return columns, values  # zero stays zero
     gm = monoid.grade(m)
-    keys = list(table)
-    columns = list(zip(*keys))
-    steps = [list(map(floordiv, columns[i], repeat(x)))
-             for i, x in enumerate(m) if x]
+    steps = [list(map(floordiv, col, repeat(x)))
+             for col, x in zip(columns, m) if x]
     ks = steps[0] if len(steps) == 1 else list(map(min, *steps))
     bases = zip(*[map(sub, col, map(mul, ks, repeat(x))) if x
                   else col for col, x in zip(columns, m)])
-    rays = {}
-    total = 0
-    words = 1 + max(-e, 0) // 64
-    for y, k, c, g in zip(bases, ks, table.values(), monoid.grades(keys)):
+    grades = repeat(0)
+    for col, w in zip(columns, monoid.weights):
+        grades = map(add, grades, col if w == 1 else map(mul, col, repeat(w)))
+    rays, total, words = {}, 0, 1 + max(-e, 0) // 64
+    for y, k, c, g in zip(bases, ks, values, grades):
         ray = rays.get(y)
         if ray is None:
             # grade(y) = g - k * gm, so the ray has this many steps
@@ -372,8 +366,7 @@ def _divide(monoid: GradedMonoid, table: dict, m: Element, e: int,
                 raise _too_many_terms(degree)
             ray = rays[y] = [0] * n
         ray[k] = c
-    out = {}
-    kernel = [1]
+    columns, values, kernel = [[] for _ in m], [], [1]
     for y, ray in rays.items():
         n = len(ray)
         if 0 < e <= n - ray.count(0):
@@ -387,10 +380,18 @@ def _divide(monoid: GradedMonoid, table: dict, m: Element, e: int,
                 s = slice(i, i + len(kernel))
                 conv[s] = map(add, conv[s], map(mul, kernel, repeat(ray[i])))
             ray = conv
-        points = zip(*[range(a, a + x * len(ray), x) if x
-                       else repeat(a) for a, x in zip(y, m)])
-        out.update(filter(itemgetter(1), zip(points, ray)))
-    return out
+        for col, a, x in zip(columns, y, m):
+            col.extend(range(a, a + x * n, x) if x else repeat(a, n))
+        values.extend(ray)
+    if 0 in values:
+        columns = [list(compress(col, values)) for col in columns]
+        values = list(filter(None, values))
+    return columns, values
+
+
+def _table(columns: list, values: list) -> dict:
+    """The key table of exponent columns and values; rank 0 keys by ()."""
+    return dict(zip(zip(*columns) if columns else repeat(()), values))
 
 
 class RationalSeries(Record):
@@ -427,29 +428,21 @@ class RationalSeries(Record):
 
     def expand(self, degree: int) -> FormalSeries:
         """Truncated expansion, exact to the degree: the numerator up to
-        the degree, divided by each factor in turn with `_divide`, the
-        highest-grade factor first.
+        the degree, as exponent columns, divided by each factor in turn
+        with `_divide`; the key table is built once, from the last columns.
+        The factors commute, and one of grade g stretches each ray by about
+        degree / g terms, so they go in falling grade (reversed `graded_lex`
+        order): the grade-1 factors, divided last, meet the smallest tables.
 
-        The factors commute, so any order gives the same series.  A factor
-        (1 - t^m)^e of grade g stretches each ray of the table by about
-        degree / g terms, so the table it leaves grows least when g is
-        large, and the grade-1 factors, divided by last, walk the
-        smallest tables.  The factors are divided in reversed
-        `graded_lex` order, which is falling grade.
-
-        A form with numerator 1 and every generator as a denominator
-        factor is refused before any division when C(degree // w + r, r),
-        for rank r and largest weight w, passes MAX_EXPANSION_TERMS.
-        `_divide` would refuse it later: with numerator 1 no coefficient
-        of a partial product is negative, so nothing cancels, and the
-        table before the last factor, a generator of least weight (least
-        grade, so first in graded-lex order), holds every element of
-        grade <= degree built from the other generators.  Those are its
-        ray bases, so its ray total is the number of elements of grade
-        <= degree: at least C(degree // w + r, r), and equal to it when
-        every weight is 1.  Rays are disjoint and within the degree, so
-        no earlier factor's total is larger.  Other forms keep the
-        per-factor check alone."""
+        A form with numerator 1 and every generator a denominator factor
+        is refused before any division when C(degree // w + r, r), for
+        rank r and largest weight w, passes MAX_EXPANSION_TERMS; `_divide`
+        would refuse it later.  With numerator 1 nothing cancels, so the
+        table before the last factor, a generator of least weight, holds
+        every element of grade <= degree built from the others, its ray
+        bases; so its ray total, the largest, counts every element of
+        grade <= degree: at least that binomial, and equal to it when all
+        weights are 1.  Other forms keep the per-factor check alone."""
         _check_bound(degree)
         monoid = self.monoid
         # the generators are the elements of exponent sum 1, and the
@@ -462,12 +455,14 @@ class RationalSeries(Record):
                                      monoid.rank, MAX_EXPANSION_TERMS)):
             raise _too_many_terms(degree)
         grades = monoid.grades([m for m, _ in self.numerator])
-        out = {m: c for (m, c), g in zip(self.numerator, grades)
+        num = {m: c for (m, c), g in zip(self.numerator, grades)
                if g <= degree}
+        columns, values = list(zip(*num)), list(num.values())
         den = dict(self.denominator)
         for m in reversed(monoid.graded_lex(den)):
-            out = _divide(monoid, out, m, den[m], degree)
-        return FormalSeries._trusted(monoid, degree, out)
+            columns, values = _divide(monoid, columns, values, m, den[m],
+                                      degree)
+        return FormalSeries._trusted(monoid, degree, _table(columns, values))
 
     def multiply(self, other: "RationalSeries") -> "RationalSeries":
         _check_monoids(self, other)
@@ -500,18 +495,17 @@ def first_rational_difference(a: RationalSeries, b: RationalSeries,
     (element, a's value, b's value); or None when they are equal there.
 
     After the common denominator factors (same m, the smaller e) cancel,
-    a - b = (N_a R_b - N_b R_a) / (C R_a R_b), where R_a and R_b are what
-    remains of each denominator.  So a == b exactly when that numerator is
-    the zero polynomial.  Otherwise 1/(C R_a R_b) = 1 + higher grades, so
-    the expansions first differ at the numerator's lowest grade g, and
-    expanding both to g finds the element.  A difference above the degree
-    is never expanded.
+    a - b = (N_a R_b - N_b R_a) / (C R_a R_b), R_a and R_b what remains
+    of each denominator.  So a == b exactly when that numerator is zero.
+    Otherwise 1/(C R_a R_b) = 1 + higher grades, so the expansions first
+    differ at the numerator's lowest grade g, and expanding both to g
+    finds the element.  A difference above the degree is never expanded.
 
     N_a R_b and N_b R_a are built by `_divide` at -e per remaining factor
     (m, e), to the top grade they reach: the highest numerator grade plus
     the sum of e * grade(m).  One that passes MAX_EXPANSION_TERMS, its
     terms weighted by their digits, raises TruncationError naming the
-    identity check and the factor.
+    identity check and the factor; so does an expansion to g, naming g.
     """
     _check_monoids(a, b)
     monoid = a.monoid
@@ -520,19 +514,20 @@ def first_rational_difference(a: RationalSeries, b: RationalSeries,
         den_x = dict(x.denominator)
         rest = [(m, e - den_x.get(m, 0)) for m, e in y.denominator
                 if e > den_x.get(m, 0)]
-        table = dict(x.numerator)
-        top = max(monoid.grades(table), default=0) + sum(
+        num = dict(x.numerator)
+        columns, values = list(zip(*num)), list(num.values())
+        top = max(monoid.grades(num), default=0) + sum(
             e * monoid.grade(m) for m, e in rest)
         for m, e in rest:
             try:
-                table = _divide(monoid, table, m, -e, top)
+                columns, values = _divide(monoid, columns, values, m, -e, top)
             except TruncationError:
                 raise TruncationError(
                     f"identity check of two rational series: multiplying "
                     f"by the factor (1 - t^m)^e with m = {m}, e = {e} "
                     f"needs more than {MAX_EXPANSION_TERMS} terms, each "
                     f"counted as 1 + e // 64 for its digits") from None
-        return table
+        return _table(columns, values)
 
     left, right = cross(a, b), cross(b, a)
     keys = [m for m in left.keys() | right.keys()
@@ -540,7 +535,13 @@ def first_rational_difference(a: RationalSeries, b: RationalSeries,
     g = min(monoid.grades(keys), default=None)
     if g is None or (degree is not None and g > degree):
         return None
-    return first_difference(a.expand(g), b.expand(g), g)
+    try:
+        return first_difference(a.expand(g), b.expand(g), g)
+    except TruncationError:
+        within = "" if degree is None else f", within degree {degree},"
+        raise TruncationError(
+            f"the first difference lies at grade {g}{within} and expanding "
+            f"to it needs more than {MAX_EXPANSION_TERMS} terms") from None
 
 
 # the one rule for integer text, in a file, a descriptor or an option; `int`
@@ -672,11 +673,10 @@ def dumps(obj) -> str:
     documents hold the monoid, {"generators": [{"label", "weight"}, ...]}.
     A series adds its bound and its coefficient entries, a rational series
     its numerator entries, each {"exponents": [...], "value": "<int>"},
-    and its denominator factors, each {"exponents": [...],
-    "multiplicity": <int>}.  The layout is a contract, pinned by
-    tests against `json.dumps`, but the text is written from templates
-    that `loads` reads back: `_head`, and `_entries` per entry array,
-    one `%` over all the array's numbers.
+    and its denominator factors, each {"exponents": [...], "multiplicity":
+    <int>}.  The layout is a contract, pinned by tests against
+    `json.dumps`, but the text is written from templates that `loads`
+    reads back: `_head`, and `_entries` per entry array.
 
     Python limits int -> str conversion to 4300 digits by default, and
     `dumps` raises ValueError on a larger number.  `cli.main` lifts the

@@ -270,6 +270,27 @@ def test_series_default_degree_in_header(capsys):
     assert "degree <= 10" in out
 
 
+def test_series_default_p_is_0(capsys):
+    # without --p, `series` prints E_0, byte for byte, and not E_1
+    outs = {}
+    for extra in ((), ("--p", "0"), ("--p", "1")):
+        code, outs[extra], err = run(capsys, "series", "Pn(2)", "--degree",
+                                     "2", *extra)
+        assert (code, err) == (0, "")
+    assert outs[()] == outs[("--p", "0")]
+    assert outs[()] != outs[("--p", "1")]
+
+
+def test_series_names_the_classes_of_a_split_row(capsys):
+    # below the top dimension a split row's generators are the
+    # pulled-back class q*[P^(p-1)] and the section class [P^p]
+    code, out, err = run(capsys, "series", "Hirzebruch(2)", "--p", "1",
+                         "--degree", "1")
+    assert (code, err) == (0, "")
+    assert (out.splitlines()[1]
+            == "# generators: t0 = q*[P^0], t1 = section [P^1]")
+
+
 def test_series_unknown_descriptor(capsys):
     code, _, err = run(capsys, "series", "Quadric(3)")
     assert code == 2
@@ -568,8 +589,9 @@ def test_compare_refuses_a_difference_whose_expansion_passes_the_cap(
     code, out, err = run(capsys, "compare", str(a), str(b),
                          "--degree", "1800000")
     assert (code, out) == (3, "")
-    assert err == ("error: expansion to degree 1500000 needs more than "
-                   f"{MAX_EXPANSION_TERMS} terms\n")
+    assert err == ("error: the first difference lies at grade 1500000, "
+                   "within degree 1800000, and expanding to it needs more "
+                   f"than {MAX_EXPANSION_TERMS} terms\n")
 
 
 def test_compare_refuses_a_polynomial_coefficient(capsys, tmp_path):

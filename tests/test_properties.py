@@ -172,11 +172,12 @@ def counted_before_dividing(r):
                     for i in range(r.monoid.rank)))
 
 
-def ray_total(monoid, table, m, degree):
-    """The terms `_divide` allocates for table / (1 - t^m)^e: one ray per
-    distinct base, from the base up to the degree."""
+def ray_total(monoid, columns, m, degree):
+    """The terms `_divide` allocates for table / (1 - t^m)^e, the table's
+    keys given as exponent columns: one ray per distinct base, from the
+    base up to the degree."""
     bases = set()
-    for x in table:
+    for x in zip(*columns):
         k = min(a // b for a, b in zip(x, m) if b)
         bases.add(tuple(a - k * b for a, b in zip(x, m)))
     return sum((degree - monoid.grade(y)) // monoid.grade(m) + 1
@@ -194,9 +195,9 @@ def test_the_largest_ray_total_is_the_simplex_count(monkeypatch, r):
     totals = []
     divide = series._divide
 
-    def spy(monoid, table, m, e, degree):
-        totals.append(ray_total(monoid, table, m, degree))
-        return divide(monoid, table, m, e, degree)
+    def spy(monoid, columns, values, m, e, degree):
+        totals.append(ray_total(monoid, columns, m, degree))
+        return divide(monoid, columns, values, m, e, degree)
 
     monkeypatch.setattr(series, "_divide", spy)
     rank = r.monoid.rank

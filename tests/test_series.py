@@ -473,15 +473,21 @@ def test_the_term_cap_is_exact(monkeypatch):
     (RationalSeries(GradedMonoid.free(["x", "y"], [1, 2]),
                     (((1, 0), 1), ((0, 1), 1)), (((1, 0), 1), ((0, 1), 1))),
      [2, 160], 81 * 161 - 80 * 81 - 1),
+    # (1 - x)/((1 - x)(1 - y)): (1 - x) cancels along the x ray, and its
+    # 160 zeros are dropped, so (1 - y) is handed the one term 1
+    (RationalSeries(GradedMonoid.free(["x", "y"]),
+                    (((0, 0), 1), ((1, 0), -1)), (((1, 0), 1), ((0, 1), 1))),
+     [2, 1], 161),
 ])
 def test_expand_divides_by_the_highest_grade_factor_first(monkeypatch, r,
                                                           sizes, terms):
     handed = []
     divide = series._divide
 
-    def counting(monoid, table, m, e, degree):
-        handed.append(len(table))
-        return divide(monoid, table, m, e, degree)
+    def counting(monoid, columns, values, m, e, degree):
+        assert [len(col) for col in columns] == [len(values)] * monoid.rank
+        handed.append(len(values))
+        return divide(monoid, columns, values, m, e, degree)
 
     monkeypatch.setattr(series, "_divide", counting)
     assert len(r.expand(160).coefficients) == terms
