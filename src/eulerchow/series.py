@@ -3,9 +3,7 @@
 A FormalSeries stores a sparse table of integer coefficients valid up to
 an explicit grade bound; every operation computes the exact bound of its
 output and errors rather than returning silently invalid coefficients.
-A RationalSeries expands by `_divide`, one denominator factor at a time:
-between factors its table is exponent columns, one list per generator,
-and a list of values, and `expand` builds the key table once, at the end.
+A RationalSeries expands by `_divide`, one denominator factor at a time.
 
 Every FormalSeries satisfies one invariant: each key is a tuple and a
 valid element of its monoid (one `int`, not a `bool`, >= 0 per
@@ -37,8 +35,8 @@ from .monoid import (Element, GradedMonoid, MonoidMismatchError,
                      MonoidMorphism, Record)
 
 
-# the most terms `_divide` may allocate for one denominator factor; a larger
-# expansion or product raises TruncationError before it allocates more
+# the most terms `_divide` or `_multiply` may allocate for one denominator
+# factor; a larger expansion or product raises TruncationError before it does
 MAX_EXPANSION_TERMS = 10**6
 
 
@@ -325,25 +323,20 @@ def _simplex_exceeds(n: int, r: int, cap: int) -> bool:
 
 def _divide(monoid: GradedMonoid, columns: list, values: list, m: Element,
             e: int, degree: int) -> tuple[list, list]:
-    """table / (1 - t^m)^e up to the degree, for any integer e: a negative
-    e multiplies by the polynomial (1 - t^m)^-e.  A table comes and goes
+    """table / (1 - t^m)^e up to the degree, e >= 1; a table comes and goes
     as exponent columns, one list per generator, and its nonzero values.
 
     The terms are grouped by the ray x + N*m they lie on, keyed by its
     base (x minus the largest multiple k of m that keeps every exponent
-    >= 0); k, the bases and the grades are computed by column.  Each ray
-    is one dense list of its values up to the degree.  Dividing by
-    (1 - t^m) is a running sum, so when 0 < e <= the ray's nonzero count
-    `accumulate` runs over it e times.  Any other ray is convolved with the
-    kernel of 1/(1 - t)^e, b_j = b_(j-1) * (j - 1 + e) // j: C(j + e - 1,
-    e - 1) for e > 0, and for e < 0 (-1)^j C(-e, j), zero past j = -e,
-    built once per call.  So a ray costs about its length times min(|e|,
-    its nonzero count).  Rays are disjoint, so their lengths sum to at most
-    the number of elements of grade <= degree; TruncationError is raised
-    before allocating the ray that takes that sum past MAX_EXPANSION_TERMS.
-    Each ray extends the new columns; zeros are dropped once, at the end.
-    For e < 0 the kernel's C(-e, j) have up to -e bits, so each term
-    counts as 1 + (-e) // 64 terms, about the 64-bit words of its digits."""
+    >= 0), computed by column.  Each ray is one dense list of its values
+    up to the degree.  Dividing by (1 - t^m) is a running sum, so when
+    e <= the ray's nonzero count `accumulate` runs over it e times; any
+    other ray is convolved with the kernel C(j + e - 1, e - 1) of
+    1/(1 - t)^e, built once per call.  So a ray costs about its length
+    times min(e, its nonzero count).  Rays are disjoint, so their lengths
+    sum to at most the number of elements of grade <= degree; the ray
+    that takes that sum past MAX_EXPANSION_TERMS raises TruncationError
+    before it is allocated.  Zeros are dropped once, at the end."""
     if not values:
         return columns, values  # zero stays zero
     gm = monoid.grade(m)
@@ -355,13 +348,13 @@ def _divide(monoid: GradedMonoid, columns: list, values: list, m: Element,
     grades = repeat(0)
     for col, w in zip(columns, monoid.weights):
         grades = map(add, grades, col if w == 1 else map(mul, col, repeat(w)))
-    rays, total, words = {}, 0, 1 + max(-e, 0) // 64
+    rays, total = {}, 0
     for y, k, c, g in zip(bases, ks, values, grades):
         ray = rays.get(y)
         if ray is None:
             # grade(y) = g - k * gm, so the ray has this many steps
             n = (degree - g) // gm + k + 1
-            total += n * words
+            total += n
             if total > MAX_EXPANSION_TERMS:
                 raise _too_many_terms(degree)
             ray = rays[y] = [0] * n
@@ -369,11 +362,11 @@ def _divide(monoid: GradedMonoid, columns: list, values: list, m: Element,
     columns, values, kernel = [[] for _ in m], [], [1]
     for y, ray in rays.items():
         n = len(ray)
-        if 0 < e <= n - ray.count(0):
+        if e <= n - ray.count(0):
             for _ in range(e):
                 ray = list(accumulate(ray))
         else:
-            for j in range(len(kernel), n if e > 0 else min(n, 1 - e)):
+            for j in range(len(kernel), n):
                 kernel.append(kernel[-1] * (j - 1 + e) // j)
             conv = [0] * n
             for i in compress(range(n), ray):
@@ -389,9 +382,32 @@ def _divide(monoid: GradedMonoid, columns: list, values: list, m: Element,
     return columns, values
 
 
-def _table(columns: list, values: list) -> dict:
-    """The key table of exponent columns and values; rank 0 keys by ()."""
-    return dict(zip(zip(*columns) if columns else repeat(()), values))
+def _multiply(table: dict, m: Element, e: int) -> dict:
+    """table * (1 - t^m)^e exactly, e >= 1: pass j = 0..e adds c * b_j at
+    x + j*m for each term c t^x, b_j = (-1)^j C(e, j); zeros go at the end.
+    Only the product terms are stored (one b_j at a time), each charged as
+    made at 1 + e // 64 words for its digits, and refused past the cap."""
+    if not table:
+        return table
+    room = MAX_EXPANSION_TERMS // (1 + e // 64)  # product terms
+    refused = TruncationError(
+        f"identity check of two rational series: multiplying by the factor "
+        f"(1 - t^m)^e with m = {m}, e = {e} needs more than "
+        f"{MAX_EXPANSION_TERMS} terms, each counted as 1 + e // 64 for its "
+        f"digits")
+    columns, values, out, b = list(zip(*table)), list(table.values()), {}, 1
+    for j in range(e + 1):
+        keys = zip(*[map(add, col, repeat(j * x)) if x else col
+                     for col, x in zip(columns, m)])
+        for y, v in zip(keys, map(mul, values, repeat(b))):
+            if y in out:
+                out[y] += v
+            elif len(out) < room:
+                out[y] = v
+            else:
+                raise refused
+        b = -b * (e - j) // (j + 1)
+    return {y: v for y, v in out.items() if v}
 
 
 class RationalSeries(Record):
@@ -436,13 +452,11 @@ class RationalSeries(Record):
 
         A form with numerator 1 and every generator a denominator factor
         is refused before any division when C(degree // w + r, r), for
-        rank r and largest weight w, passes MAX_EXPANSION_TERMS; `_divide`
-        would refuse it later.  With numerator 1 nothing cancels, so the
-        table before the last factor, a generator of least weight, holds
-        every element of grade <= degree built from the others, its ray
-        bases; so its ray total, the largest, counts every element of
-        grade <= degree: at least that binomial, and equal to it when all
-        weights are 1.  Other forms keep the per-factor check alone."""
+        rank r and largest weight w, passes MAX_EXPANSION_TERMS: nothing
+        cancels, so the last factor, a generator of least weight, meets
+        every element of grade <= degree as a ray base or a ray point, and
+        its ray total is at least that binomial (equal when all weights
+        are 1).  Other forms keep the per-factor check alone."""
         _check_bound(degree)
         monoid = self.monoid
         # the generators are the elements of exponent sum 1, and the
@@ -462,7 +476,8 @@ class RationalSeries(Record):
         for m in reversed(monoid.graded_lex(den)):
             columns, values = _divide(monoid, columns, values, m, den[m],
                                       degree)
-        return FormalSeries._trusted(monoid, degree, _table(columns, values))
+        keys = zip(*columns) if columns else repeat(())  # rank 0: ()
+        return FormalSeries._trusted(monoid, degree, dict(zip(keys, values)))
 
     def multiply(self, other: "RationalSeries") -> "RationalSeries":
         _check_monoids(self, other)
@@ -501,38 +516,23 @@ def first_rational_difference(a: RationalSeries, b: RationalSeries,
     differ at the numerator's lowest grade g, and expanding both to g
     finds the element.  A difference above the degree is never expanded.
 
-    N_a R_b and N_b R_a are built by `_divide` at -e per remaining factor
-    (m, e), to the top grade they reach: the highest numerator grade plus
-    the sum of e * grade(m).  One that passes MAX_EXPANSION_TERMS, its
-    terms weighted by their digits, raises TruncationError naming the
-    identity check and the factor; so does an expansion to g, naming g.
+    N_a R_b and N_b R_a are built by `_multiply`, term by term, one
+    remaining factor (m, e) at a time; one past MAX_EXPANSION_TERMS raises
+    TruncationError naming the factor, and an expansion to g, naming g.
     """
     _check_monoids(a, b)
-    monoid = a.monoid
 
     def cross(x, y):  # N_x R_y
-        den_x = dict(x.denominator)
-        rest = [(m, e - den_x.get(m, 0)) for m, e in y.denominator
-                if e > den_x.get(m, 0)]
-        num = dict(x.numerator)
-        columns, values = list(zip(*num)), list(num.values())
-        top = max(monoid.grades(num), default=0) + sum(
-            e * monoid.grade(m) for m, e in rest)
-        for m, e in rest:
-            try:
-                columns, values = _divide(monoid, columns, values, m, -e, top)
-            except TruncationError:
-                raise TruncationError(
-                    f"identity check of two rational series: multiplying "
-                    f"by the factor (1 - t^m)^e with m = {m}, e = {e} "
-                    f"needs more than {MAX_EXPANSION_TERMS} terms, each "
-                    f"counted as 1 + e // 64 for its digits") from None
-        return _table(columns, values)
+        den_x, table = dict(x.denominator), dict(x.numerator)
+        for m, e in y.denominator:
+            if e > den_x.get(m, 0):
+                table = _multiply(table, m, e - den_x.get(m, 0))
+        return table
 
     left, right = cross(a, b), cross(b, a)
     keys = [m for m in left.keys() | right.keys()
             if left.get(m, 0) != right.get(m, 0)]
-    g = min(monoid.grades(keys), default=None)
+    g = min(a.monoid.grades(keys), default=None)
     if g is None or (degree is not None and g > degree):
         return None
     try:

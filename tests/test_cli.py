@@ -594,6 +594,23 @@ def test_compare_refuses_a_difference_whose_expansion_passes_the_cap(
                    f"than {MAX_EXPANSION_TERMS} terms\n")
 
 
+def test_compare_multiplies_only_the_terms_an_identity_has(capsys,
+                                                           tmp_path):
+    # Macdonald(3) against (1 + t^2000000)/(1-t) at degree 1500000:
+    # expanding either is refused, and N_b R_a = (1 + t^2000000)(1-t)^2
+    # has six terms, however far apart; a dense span from 1 to t^2000002
+    # would pass the cap
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(dumps(catalog.closed_form(
+        catalog.parse_descriptor("Macdonald(3)"), 0)))
+    b.write_text(dumps(RationalSeries(
+        T, ((T.zero(), 1), ((2 * 10**6,), 1)), (((1,), 1),))))
+    code, out, err = run(capsys, "compare", str(a), str(b),
+                         "--degree", "1500000")
+    assert (code, out, err) == (1, "first difference at t^(1,): 3 vs 1\n",
+                                "")
+
+
 def test_compare_refuses_a_polynomial_coefficient(capsys, tmp_path):
     # every coefficient is an integer: a value {"poly": [...]}, as series
     # files once held for polynomial coefficients, is a format error

@@ -6,8 +6,9 @@ against the per-entry reader, on cases drawn by Hypothesis; that
 `loads` reads a series of rank >= 1 with a term that `dumps` writes by
 that layout, with a lower memory peak, and rational forms, rank-0 and
 empty series entry by entry; that every engine result, built without
-the key scan, passes it; and that `expand`'s count before dividing is
-the largest ray total of a catalog form."""
+the key scan, passes it; that `expand`'s count before dividing is
+the largest ray total of a catalog form; and that `_multiply` is the
+product by 1 - t^m taken e times."""
 
 import gc
 import json
@@ -213,6 +214,44 @@ def test_the_largest_ray_total_is_the_simplex_count(monkeypatch, r):
                            match=f"needs more than {count - 1} terms"):
             r.expand(degree)
         assert totals == []
+
+
+@st.composite
+def factor_products(draw):
+    """(monoid, table, m, e) for table * (1 - t^m)^e: a few terms on each
+    of one to three rays x + N*m, so products along a ray can cancel."""
+    monoid = draw(monoids())
+    small = st.tuples(*[st.integers(0, 2)] * monoid.rank)
+    m = draw(small.filter(any))
+    table = {}
+    for x in draw(st.lists(small, min_size=1, max_size=3)):
+        for k in range(draw(st.integers(1, 3))):
+            table[tuple(a + k * b for a, b in zip(x, m))] = draw(
+                st.integers(-3, 3).filter(bool))
+    return monoid, table, m, draw(st.integers(1, 6))
+
+
+def naive_multiply(monoid, table, m, e):
+    """table * (1 - t^m)^e as e products by the numerator 1 - t^m, with
+    `RationalSeries.multiply` and no denominators."""
+    r = RationalSeries(monoid, tuple(table.items()), ())
+    factor = RationalSeries(monoid, ((monoid.zero(), 1), (m, -1)), ())
+    for _ in range(e):
+        r = r.multiply(factor)
+    return dict(r.numerator)
+
+
+_XY12 = GradedMonoid.free(["x", "y"], [1, 2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(factor_products())
+@example((_XY12, {}, (0, 1), 4))
+# (1 + 2t + t^2)(1 - t)^2 = 1 - 2t^2 + t^4 for t = xy: t and t^3 cancel
+@example((_XY12, {(0, 0): 1, (1, 1): 2, (2, 2): 1}, (1, 1), 2))
+def test_multiply_is_the_naive_product(case):
+    monoid, table, m, e = case
+    assert series._multiply(dict(table), m, e) == naive_multiply(*case)
 
 
 @settings(max_examples=40, deadline=None)

@@ -670,25 +670,45 @@ def test_first_rational_difference_beyond_any_expansion(monkeypatch):
 
 
 def test_first_rational_difference_multiplies_along_rays():
-    # 1/(1-t)^E against 1/(1-t^2)^E: the cross products (1-t^2)^E and
-    # (1-t)^E are one ray each, convolved once with the kernel at -E
+    # 1/(1-t)^E against 1/(1-t^2)^E: the cross products are (1-t^2)^E and
+    # (1-t)^E, each the numerator 1 times E + 1 binomials
     def pair(e):
         return (RationalSeries(T, ((T.zero(), 1),), (((1,), e),)),
                 RationalSeries(T, ((T.zero(), 1),), (((2,), e),)))
 
     assert first_rational_difference(*pair(5000)) == ((1,), 5000, 0)
-    # (1-t^2)^E reaches grade 2E: a ray of E + 1 terms, over the cap
+    # (1-t^2)^E makes E + 1 terms, each charged as it is made
     with pytest.raises(TruncationError,
                        match=r"^identity check of two rational series: .*"
                              r"m = \(2,\), e = 1000000 needs more than"):
         first_rational_difference(*pair(10**6))
-    # E + 1 terms of up to E bits each count as 1 + E // 64 words: 5000
-    # is 79 words a term and fits, 100000 is 1563 and does not; the
-    # difference at grade 1 lies above degree 0
+    # binomials of up to E bits count as 1 + E // 64 words a term: 5000
+    # is 79 words a term, 5001 terms a product, and fits; 100000 is 1563
+    # and does not; the difference at grade 1 lies above degree 0
     assert first_rational_difference(*pair(5000), 0) is None
     with pytest.raises(TruncationError,
                        match=r"m = \(2,\), e = 100000 needs more than"):
         first_rational_difference(*pair(10**5))
+
+
+@pytest.mark.parametrize("e, cap, refused", [
+    (63, 5000, False), (63, 163, False), (63, 162, True),
+    (64, 328, False), (64, 327, True)])
+def test_the_identity_charges_the_terms_it_makes(monkeypatch, e, cap,
+                                                 refused):
+    # a dense 100-term numerator times (1-t)^63: 6400 products, but only
+    # the 163 terms of grade 0..162 are stored, at one word a term, as the
+    # dense span from 1 to t^162 was charged.  At e = 64: 2 * 164 words
+    monkeypatch.setattr(series, "MAX_EXPANSION_TERMS", cap)
+    a = RationalSeries(T, tuple(((i,), i + 1) for i in range(100)), ())
+    b = RationalSeries(T, ((T.zero(), 1),), (((1,), e),))
+    if refused:
+        with pytest.raises(TruncationError,
+                           match=f"m = \\(1,\\), e = {e} needs more than "
+                                 f"{cap} "):
+            first_rational_difference(a, b)
+    else:
+        assert first_rational_difference(a, b) == ((1,), 2, e)
 
 
 def test_rational_rejects_grade_zero_denominator():

@@ -3,6 +3,7 @@ reported on one line, naming its first failure, and a failing equation
 names its element and both values."""
 
 import hashlib
+import inspect
 import random
 import re
 
@@ -66,6 +67,14 @@ def test_the_seeded_algebra_suite_draws_the_same_cases():
                                 if isinstance(x, FormalSeries)]).encode())
     assert digest.hexdigest() == ("38b6388355bd6fa24c977a3db10055ce"
                                   "9e6e7ac0cdbccff14b23fc2307c3a10d")
+
+
+def test_the_suites_default_to_the_seeds_their_digests_pin():
+    # the digests above and below draw from SEED and SEED + 1; a changed
+    # default would run cases that no digest pins
+    defaults = [inspect.signature(check).parameters["seed"].default
+                for check in (verify.check_algebra, verify.check_hilbert)]
+    assert defaults == [verify.SEED, verify.SEED + 1] == [20240811, 20240812]
 
 
 def _drawn(case):
