@@ -41,7 +41,7 @@ def _supports_unicode(stream) -> bool:
 
 def _emit(text: str, output: str | None):
     """Write text to the output file, or to stdout."""
-    if output:
+    if output is not None:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
         return

@@ -11,7 +11,10 @@ whole run peaks at about 75 MB RSS and 200 MB of address space (Python
 
 import faulthandler
 import os
+import subprocess
+import sys
 import traceback
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,7 @@ except ImportError:  # not on Windows
     resource = None
 
 TEST_TIME_LIMIT_S = 120
+CHILD_TIME_LIMIT_S = 60
 TEST_MEMORY_LIMIT_BYTES = 2 * 2**30
 _STDERR = pytest.StashKey[int]()
 _RLIMIT_AS = pytest.StashKey[tuple]()
@@ -55,3 +59,19 @@ def time_limit(pytestconfig):
                                       file=pytestconfig.stash[_STDERR])
     yield
     faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture
+def python():
+    """Run this interpreter in a child process on the package's source, as
+    `python(*args, **environ)`; its output is text, and it ends within
+    CHILD_TIME_LIMIT_S or raises `subprocess.TimeoutExpired`."""
+    src = str(Path(__file__).parents[1] / "src")
+
+    def run(*args, **environ):
+        return subprocess.run(
+            [sys.executable, *args],
+            env=dict(os.environ, PYTHONPATH=src, **environ),
+            capture_output=True, text=True, timeout=CHILD_TIME_LIMIT_S)
+
+    return run

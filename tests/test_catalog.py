@@ -1,3 +1,4 @@
+import json
 import re
 from pathlib import Path
 
@@ -435,6 +436,9 @@ def test_g13_p3_pipeline_cancels_against_the_closed_form():
 
 @pytest.mark.parametrize("v", SERVED, ids=str)
 def test_closed_forms_round_trip_through_series_files(v):
+    # each file is the json.dumps(indent=2) text of its document
     for p in range(catalog.KINDS[v.kind].dim(v) + 1):
         closed = catalog.closed_form(v, p)
-        assert loads(dumps(closed)) == closed
+        text = dumps(closed)
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert loads(text) == closed

@@ -126,6 +126,52 @@ def test_series_text_spells_brackets_in_ascii_where_stdout_needs_it(
             in stdout.buffer.getvalue().decode("ascii"))
 
 
+def _console(python, *argv, **environ):
+    """The command run as its own process: exit code, stdout, stderr."""
+    proc = python("-m", "eulerchow.cli", *argv, **environ)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_console_process_spells_brackets_in_ascii(python):
+    # the same, where the process's stdout is opened in ASCII
+    code, out, err = _console(python, "series", "Flag012", "--p", "1",
+                              "--format", "text", PYTHONIOENCODING="ascii")
+    assert (code, err) == (0, "")
+    assert "# generators: r = <0;0,2>^2, s = <1;0,1>^2\n" in out
+
+
+@pytest.mark.parametrize("argv", [
+    # a descriptor integer below its row's least value, and an expansion
+    # over the term cap
+    ["series", "Hirzebruch(-1)"],
+    ["series", "Pn(2)", "--degree", str(10**30)]], ids=["exit-2", "exit-3"])
+def test_console_process_reports_an_error_in_one_line(capsys, python, argv):
+    # the process exits with main's code and writes main's one error
+    # line: no traceback
+    code, out, err = _console(python, *argv)
+    assert (code, out, err) == run(capsys, *argv)
+    assert code in (2, 3)
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_main_writes_what_the_console_process_writes(capsys, python):
+    # main three times in one process, a usage error between two series
+    # requests: each series output is the console process's, and each
+    # call leaves the int <-> str digit limit as it found it
+    series = ["series", "G(1,3)", "--p", "2", "--degree", "24",
+              "--format", "json"]
+    code, expected, err = _console(python, *series)
+    assert (code, err) == (0, "")
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = digits()
+    for argv, code in ((series, 0), (["series", "Pn(2)", "--p", "x"], 2),
+                       (series, 0)):
+        got, out, _ = run(capsys, *argv)
+        assert (got, digits()) == (code, limit), argv
+        if code == 0:
+            assert out == expected
+
+
 T = GradedMonoid.free(["t"])
 
 
@@ -151,6 +197,7 @@ def test_format_rational_writes_graded_lex_order():
 
 
 @pytest.mark.parametrize("variety, p, form", [
+    ("PnxP1(2)", 0, "1/(1-t)^6"),
     ("G(1,3)", 2, "1/(1-y)^4(1-x)^4(1-x*y)^3"),
     ("Flag012", 2, "(1 - x*y)/(1-y)^3(1-x)^3"),
     ("Flag012", 0, "1/(1-t)^6"),
@@ -163,7 +210,8 @@ def test_format_rational_writes_graded_lex_order():
 ])
 def test_series_rational_format_expands_nothing(capsys, monkeypatch,
                                                 variety, p, form):
-    # every form of the two Schubert varieties, printed exactly.
+    # every form of the two Schubert varieties, and E_0 of a split row,
+    # printed exactly.
     # The rational form does not depend on the degree, and every pipeline
     # is cross-checked by a rational identity, so no series is expanded
     def expand(self, degree):
@@ -256,12 +304,33 @@ def test_series_names_the_fundamental_class_of_every_kind(capsys, variety,
     assert out.splitlines()[1] == f"# generators: {letter} = fundamental class"
 
 
-@pytest.mark.parametrize("fmt", ["text", "rational"])
-def test_series_header_spells_the_descriptor(capsys, fmt):
+# E_0 of every kind to degree 3: 1/(1-t)^chi over the point class
+E0_LINES = [("Pn(3)", 4, 10, 20), ("PnxP1(2)", 6, 21, 56),
+            ("ProjClosure(n=3,d=2)", 8, 36, 120), ("Hirzebruch(2)", 4, 10, 20),
+            ("BlowupPn(3)", 6, 21, 56), ("Flag012", 6, 21, 56),
+            ("G(1,3)", 6, 21, 56), ("Macdonald(5)", 5, 15, 35)]
+
+
+@pytest.mark.parametrize("variety, t1, t2, t3", E0_LINES)
+def test_series_names_the_point_class_of_every_kind(capsys, variety, t1, t2,
+                                                    t3):
+    assert {catalog.parse_descriptor(v).kind for v, *_ in E0_LINES} == set(
+        catalog.KINDS)
+    code, out, err = run(capsys, "series", variety, "--p", "0", "--degree",
+                         "3", "--format", "text")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["# generators: t = point class", "1: 1",
+                                    f"t: {t1}", f"t^2: {t2}", f"t^3: {t3}"]
+
+
+@pytest.mark.parametrize("fmt, head", [
+    ("text", "# E_1(BlowupPn(3)), degree <= 10"),
+    ("rational", "# E_1(BlowupPn(3))")], ids=["text", "rational"])
+def test_series_header_spells_the_descriptor(capsys, fmt, head):
     code, out, _ = run(capsys, "series", "BlowupPn(3)", "--p", "1",
                        "--format", fmt)
     assert code == 0
-    assert out.startswith("# E_1(BlowupPn(3))")
+    assert out.splitlines()[0] == head
 
 
 def test_series_default_degree_in_header(capsys):
@@ -508,6 +577,26 @@ def test_compare_rational_files_at_any_degree(capsys, tmp_path, name):
         assert out == "equal to degree 10000000\n"
 
 
+@pytest.mark.parametrize("degree, code, out, err", [
+    ("1413", 0, "equal to degree 1413\n", ""),
+    ("10000000", 3, "", "error: the first difference lies at grade 2000, "
+     "within degree 10000000, and expanding to it needs more than "
+     f"{MAX_EXPANSION_TERMS} terms\n")])
+def test_compare_rational_files_past_the_cap(capsys, tmp_path, degree, code,
+                                             out, err):
+    # G(1,3)'s E_2 against the form with one more numerator term at
+    # (2000, 0): expanding either to degree 1413 passes the cap, so the
+    # identity decides.  Its difference lies above degree 1413, so nothing
+    # more is expanded; within degree 10^7, expanding to its grade passes
+    # the cap
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(dumps(_G13_P2))
+    b.write_text(dumps(RationalSeries(
+        _XY, _G13_P2.numerator + (((2000, 0), 1),), _G13_P2.denominator)))
+    assert run(capsys, "compare", str(a), str(b), "--degree", degree) == (
+        code, out, err)
+
+
 def test_compare_expands_when_the_identity_passes_the_cap(capsys, tmp_path):
     # 1/(1-t) against 1/(1-t)^E: the identity multiplies 1 by (1-t)^(E-1),
     # E terms, over the cap; expanding both to degree 3 is 8 terms
@@ -666,6 +755,76 @@ def test_expand_of_a_rank_0_form_is_its_one_term(capsys, tmp_path, value):
     assert out == dumps(FormalSeries(empty, 3, {(): value}))
 
 
+def _in_json_dumps_layout(text) -> bool:
+    """A series file is the json.dumps(indent=2) text of its document."""
+    return text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+_ABW = GradedMonoid.free(["a", "b", "c"], [1, 2, 1])
+# rational forms and the degree each is expanded to: one with no
+# numerator, whose expansion has no coefficient, and forms of rank 1-3
+LAYOUT_FORMS = {
+    "Flag012-p1": (catalog.closed_form(catalog.parse_descriptor("Flag012"),
+                                       1), "160"),
+    "empty": (RationalSeries(T, (), (((1,), 3),)), "12"),
+    "rank-3": (RationalSeries(_ABW, ((_ABW.zero(), 1), ((1, 1, 0), -2)),
+                              (((1, 0, 0), 2), ((0, 1, 0), 1),
+                               ((0, 0, 1), 3))), "12"),
+    "rank-1": (RationalSeries(T, ((T.zero(), 1), ((2,), -1)), (((1,), 3),)),
+               "12"),
+}
+
+
+@pytest.mark.parametrize("name", LAYOUT_FORMS)
+def test_expand_writes_the_layout_and_compare_reads_it(capsys, tmp_path,
+                                                       name):
+    # the form's file and two expansions of it, each in the layout; the
+    # form compared with itself by identity, the expansions by their terms
+    form, degree = LAYOUT_FORMS[name]
+    r = tmp_path / "r.json"
+    r.write_text(dumps(form))
+    assert _in_json_dumps_layout(r.read_text())
+    expansions = []
+    for i in range(2):
+        code, out, err = run(capsys, "expand", str(r), "--degree", degree)
+        assert (code, err) == (0, "")
+        assert _in_json_dumps_layout(out)
+        empty = '  "coefficients": []' in out.splitlines()
+        assert empty == (name == "empty")
+        expansions.append(tmp_path / f"e{i}.json")
+        expansions[-1].write_text(out)
+    assert run(capsys, "compare", str(r), str(r), "--degree", "10000000") == (
+        0, "equal to degree 10000000\n", "")
+    assert run(capsys, "compare", *map(str, expansions), "--degree",
+               degree) == (0, f"equal to degree {degree}\n", "")
+
+
+@pytest.mark.parametrize("pattern, replacement, code, out", [
+    # a value written "010" reads 10
+    ('"value": "10"', '"value": "010"', 0, "equal to degree 160\n"),
+    # an exponent written 01 is not JSON
+    ("(?m)^        1(,?)$", r"        01\1", 2, "")], ids=["010", "01"])
+def test_compare_reads_a_number_rewritten_in_a_written_file(
+        capsys, tmp_path, pattern, replacement, code, out):
+    # G(1,3)'s E_2 to degree 160 as `series` writes it, in the layout, and
+    # a copy with the first match of one number rewritten
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(capsys, "series", "G(1,3)", "--p", "2", "--degree", "160",
+               "--format", "json", "--output", str(a)) == (0, "", "")
+    assert _in_json_dumps_layout(a.read_text())
+    text, n = re.subn(pattern, replacement, a.read_text(), count=1)
+    assert n == 1
+    b.write_text(text)
+    got, stdout, err = run(capsys, "compare", str(a), str(b),
+                           "--degree", "160")
+    assert (got, stdout) == (code, out)
+    if code:
+        assert err.startswith("error: malformed series file: ")
+        assert err.count("\n") == 1
+    else:
+        assert err == ""
+
+
 def test_missing_file(capsys, tmp_path):
     code, _, _ = run(capsys, "compare", str(tmp_path / "no.json"),
                      str(tmp_path / "no.json"))
@@ -769,6 +928,11 @@ EXIT_CODES = [
     (["compare", "{r}", "{s}", "--degree", "4"], 0),
     (["verify", "--suite", "flag"], 0),
     (["series", "Flag012", "--p", "3"], 0),
+    # a multiplicity of about 5.4e299, and a coefficient of about 6000
+    # digits printed exactly
+    (["series", "Pn(1000)", "--p", "500", "--degree", "2"], 0),
+    (["series", "Pn(20000)", "--p", "10000", "--degree", "1",
+      "--format", "text"], 0),
     (["compare", "{s}", "{s6}", "--degree", "1"], 1),
     (["series", "Quadric(3)"], 2),
     (["series", "Pn(2)", "--p", "5"], 2),
@@ -803,6 +967,17 @@ EXIT_CODES = [
     (["series", "Pn(2)", "--degree", str(MAX_EXPANSION_TERMS)], 3),
     (["expand", "{r}", "--degree", str(10**30)], 3),
     (["expand", "{r}", "--degree", str(MAX_EXPANSION_TERMS)], 3),
+    # numerator 1 and every generator a factor: the last factor needs
+    # C(D + 2, 2) > 10^6 terms at D = 1413, so these rank-2 forms are
+    # refused by that count before any division; E_0 of the projective
+    # closure is 1/(1-t)^8, one ray over the cap
+    (["series", "G(1,3)", "--p", "2", "--degree", "1413"], 3),
+    (["series", "Flag012", "--p", "1", "--degree", "1413"], 3),
+    (["series", "ProjClosure(n=3,d=2)", "--p", "0", "--degree",
+      str(10**30)], 3),
+    # a rank-2 form that lacks the factor (1 - t0) is refused per factor,
+    # when its first factor passes the cap
+    (["expand", "{lacking}", "--degree", str(10**30)], 3),
     # two rational forms are compared by identity, at any degree; a
     # series file beside a rational one is compared by expanding it
     (["compare", "{r}", "{r}", "--degree", str(10**30)], 0),
@@ -814,9 +989,12 @@ EXIT_CODES = [
 @pytest.mark.parametrize("argv, code", EXIT_CODES,
                          ids=[" ".join(a) for a, _ in EXIT_CODES])
 def test_exit_code(capsys, tmp_path, argv, code):
+    split = catalog.SPLIT_BASIS
     files = {"r": dumps(macdonald(3)),
              "s": dumps(macdonald(3).expand(4)),
              "s6": dumps(macdonald(6).expand(4)),
+             "lacking": dumps(RationalSeries(
+                 split, ((split.zero(), 1),), (((0, 1), 4), ((2, 1), 4)))),
              "bad": "[1]"}
     paths = {"out": tmp_path / "out.json", "dir": tmp_path,
              "missing": tmp_path / "missing" / "out.json"}
@@ -907,6 +1085,9 @@ def test_every_request_keeps_the_exit_code_contract(request):
 @pytest.mark.parametrize("argv", [
     ["series", "Pn(2)", "--output", "{dir}"],
     ["verify", "--suite", "flag", "--output", "{missing}"],
+    # an empty path is not stdout
+    ["series", "Pn(2)", "--output", ""],
+    ["verify", "--suite", "flag", "--output", ""],
 ])
 def test_unwritable_output_is_reported_without_a_traceback(capsys, tmp_path,
                                                            argv):

@@ -2,10 +2,6 @@
 and immutability, and an import that leaves out what they do not need."""
 
 import copy
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -89,15 +85,12 @@ def test_record_semantics(i):
     assert repr(r) == text
 
 
-def test_import_stays_lean():
+def test_import_stays_lean(python):
     # the package, its CLI and its verification suites, with the CLI's
     # parser built, load none of these unless the interpreter already has
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-
     def modules(code):
-        proc = subprocess.run(
-            [sys.executable, "-c", code + "\nprint(*sys.modules)"],
-            env=env, capture_output=True, text=True, timeout=60, check=True)
+        proc = python("-c", code + "\nprint(*sys.modules)")
+        assert proc.returncode == 0, proc.stderr
         return set(proc.stdout.split())
 
     bare = modules("import sys")

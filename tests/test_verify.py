@@ -173,15 +173,21 @@ def test_law_failure_compares_up_to_the_smaller_bound():
     assert verify.law_failure([("e", low, high), ("f", high, low)]) is None
 
 
-def test_broken_convolution_names_its_equation_and_element(monkeypatch):
+def test_broken_convolution_names_its_equation_and_element(monkeypatch,
+                                                          capsys):
+    # `verify` exits 1 and its report names the case, the equation, the
+    # element and both values
     convolve = series.convolve
     monkeypatch.setattr(verify, "convolve",
                         lambda f, g: convolve(f, g).scale(2))
-    lines = {r.name: r.line() for r in verify.check_algebra()}
-    ring = lines["convolution ring laws"]
+    assert cli.main(["verify", "--suite", "algebra"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = {line.split(": ")[0]: line for line in out.splitlines()}
+    ring = lines["FAIL  convolution ring laws"]
     assert ring.startswith("FAIL  convolution ring laws: case ")
     assert ": unit: first difference at t^" in ring
-    engine = lines["engine matches naive oracle bit-exactly"]
+    engine = lines["FAIL  engine matches naive oracle bit-exactly"]
     assert engine.startswith("FAIL  engine matches naive oracle "
                              "bit-exactly: case ")
     assert ": convolution oracle: first difference at t^" in engine
