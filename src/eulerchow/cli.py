@@ -5,8 +5,8 @@ Commands raise; `main` maps each error to its exit code in one place:
 0 success, 1 verification failure (also a compare that finds a
 difference), 2 usage or format error (an unknown descriptor, a p out of
 range, a file that cannot be read or parsed, an --output file that
-cannot be written), 3 a degree above a series file's bound or an
-expansion over `series.MAX_EXPANSION_TERMS` terms.
+cannot be written), 3 a degree above a series file's bound, or an
+expansion or identity check over `series.MAX_EXPANSION_TERMS` terms.
 
 `main` can be called repeatedly in one process: it builds its parser
 once, on the first call, and leaves the interpreter's int <-> str digit
@@ -124,7 +124,7 @@ def _load(path: str):
 def cmd_compare(args) -> int:
     """Each rational form is expanded to --degree.  Two rational forms
     whose expansion passes the term cap are decided by identity instead:
-    only a difference within the degree is expanded, to its grade."""
+    file_a alone is expanded, to the grade of a difference within --degree."""
     a, b = _load(args.file_a), _load(args.file_b)
     try:
         diff = first_difference(

@@ -509,16 +509,12 @@ def first_rational_difference(a: RationalSeries, b: RationalSeries,
     is None), where the expansions of two rational series differ, as
     (element, a's value, b's value); or None when they are equal there.
 
-    After the common denominator factors (same m, the smaller e) cancel,
-    a - b = (N_a R_b - N_b R_a) / (C R_a R_b), R_a and R_b what remains
-    of each denominator.  So a == b exactly when that numerator is zero.
-    Otherwise 1/(C R_a R_b) = 1 + higher grades, so the expansions first
-    differ at the numerator's lowest grade g, and expanding both to g
-    finds the element.  A difference above the degree is never expanded.
-
-    N_a R_b and N_b R_a are built by `_multiply`, term by term, one
-    remaining factor (m, e) at a time; one past MAX_EXPANSION_TERMS raises
-    TruncationError naming the factor, and an expansion to g, naming g.
+    With the common denominator factors cancelled, a - b = D / (C R_a R_b)
+    for D = N_a R_b - N_b R_a, built by `_multiply`, and 1/(C R_a R_b) is
+    1 plus higher grades.  So the answer is D's first element m in
+    `graded_lex` order, of grade g, with b's value a(m) - D(m): only a,
+    the first operand, is expanded, to g, and only when g is within the
+    degree.  A TruncationError names the factor `_multiply` refused, or g.
     """
     _check_monoids(a, b)
 
@@ -530,18 +526,22 @@ def first_rational_difference(a: RationalSeries, b: RationalSeries,
         return table
 
     left, right = cross(a, b), cross(b, a)
-    keys = [m for m in left.keys() | right.keys()
-            if left.get(m, 0) != right.get(m, 0)]
-    g = min(a.monoid.grades(keys), default=None)
-    if g is None or (degree is not None and g > degree):
+    delta = {m: d for m in left.keys() | right.keys()
+             if (d := left.get(m, 0) - right.get(m, 0))}
+    if not delta:
+        return None
+    m = a.monoid.graded_lex(delta)[0]
+    g = a.monoid.grade(m)
+    if degree is not None and g > degree:
         return None
     try:
-        return first_difference(a.expand(g), b.expand(g), g)
+        value = a.expand(g).coefficient(m)
     except TruncationError:
         within = "" if degree is None else f", within degree {degree},"
         raise TruncationError(
             f"the first difference lies at grade {g}{within} and expanding "
             f"to it needs more than {MAX_EXPANSION_TERMS} terms") from None
+    return m, value, value - delta[m]
 
 
 # the one rule for integer text, in a file, a descriptor or an option; `int`

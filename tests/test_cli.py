@@ -597,6 +597,27 @@ def test_compare_rational_files_past_the_cap(capsys, tmp_path, degree, code,
         code, out, err)
 
 
+@pytest.mark.parametrize("order, code, out, err", [
+    ("ab", 1, "first difference at t^(0, 1500): 0 vs 1\n", ""),
+    ("ba", 3, "", "error: the first difference lies at grade 1500, within "
+     f"degree 2000, and expanding to it needs more than {MAX_EXPANSION_TERMS} "
+     "terms\n")])
+def test_compare_expands_only_the_first_file_to_a_difference(
+        capsys, tmp_path, order, code, out, err):
+    # 1/(1-x) against ((1-y) + y^1500)/((1-x)(1-y)): expanding the second
+    # to degree 2000 passes the cap, so the identity decides, and its
+    # difference at y^1500 is read off the first file's expansion alone
+    xy = GradedMonoid.free(["x", "y"])
+    forms = {"a": RationalSeries(xy, ((xy.zero(), 1),), (((1, 0), 1),)),
+             "b": RationalSeries(xy, ((xy.zero(), 1), ((0, 1), -1),
+                                      ((0, 1500), 1)),
+                                 (((1, 0), 1), ((0, 1), 1)))}
+    for name, form in forms.items():
+        (tmp_path / name).write_text(dumps(form))
+    assert run(capsys, "compare", *(str(tmp_path / name) for name in order),
+               "--degree", "2000") == (code, out, err)
+
+
 def test_compare_expands_when_the_identity_passes_the_cap(capsys, tmp_path):
     # 1/(1-t) against 1/(1-t)^E: the identity multiplies 1 by (1-t)^(E-1),
     # E terms, over the cap; expanding both to degree 3 is 8 terms

@@ -646,7 +646,7 @@ def test_first_rational_difference_is_first_difference_at_every_degree(
 
 def test_first_rational_difference_beyond_any_expansion(monkeypatch):
     # 1/(1-t) against (1 + t^50 + t^90)/(1-t): equal below grade 50, and
-    # expanded only to the lowest grade of the difference
+    # only the first form is expanded, to the lowest grade of the difference
     a = RationalSeries(T, ((T.zero(), 1),), (((1,), 1),))
     b = RationalSeries(T, ((T.zero(), 1), ((50,), 1), ((90,), 1)),
                        (((1,), 1),))
@@ -657,16 +657,35 @@ def test_first_rational_difference_beyond_any_expansion(monkeypatch):
         degrees.append(degree)
         return expand(self, degree)
 
+    def refused(*_):
+        raise AssertionError("compared two expansions")
+
     monkeypatch.setattr(RationalSeries, "expand", recording)
+    monkeypatch.setattr(series, "first_difference", refused)
     assert first_rational_difference(a, b) == ((50,), 1, 2)
-    assert degrees == [50, 50]
+    assert degrees == [50]
     # a difference above the degree is never expanded
     assert first_rational_difference(a, b, 49) is None
-    assert degrees == [50, 50]
+    assert degrees == [50]
     assert first_rational_difference(a, b, 50) == ((50,), 1, 2)
     assert first_rational_difference(a, a.multiply(a)) == ((1,), 1, 2)
     with pytest.raises(MonoidMismatchError):
         first_rational_difference(a, RationalSeries(XY, (), ()))
+
+
+def test_first_rational_difference_expands_only_the_first_form():
+    # 1/(1-x) against ((1-y) + y^1500)/((1-x)(1-y)) = 1/(1-x) +
+    # y^1500/((1-x)(1-y)): they first differ at y^1500.  The first form's
+    # expansion to grade 1500 is 1501 terms; the second's passes the cap
+    a = RationalSeries(XY, ((XY.zero(), 1),), (((1, 0), 1),))
+    b = RationalSeries(XY, ((XY.zero(), 1), ((0, 1), -1), ((0, 1500), 1)),
+                       (((1, 0), 1), ((0, 1), 1)))
+    assert first_rational_difference(a, b) == ((0, 1500), 0, 1)
+    with pytest.raises(TruncationError) as refusal:
+        first_rational_difference(b, a)
+    assert str(refusal.value) == (
+        "the first difference lies at grade 1500 and expanding to it needs "
+        f"more than {MAX_EXPANSION_TERMS} terms")
 
 
 def test_first_rational_difference_multiplies_along_rays():
