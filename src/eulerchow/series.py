@@ -382,27 +382,30 @@ def _divide(monoid: GradedMonoid, columns: list, values: list, m: Element,
     return columns, values
 
 
-def _multiply(table: dict, m: Element, e: int) -> dict:
-    """table * (1 - t^m)^e exactly, e >= 1: pass j = 0..e adds c * b_j at
-    x + j*m for each term c t^x, b_j = (-1)^j C(e, j); zeros go at the end.
-    Only the product terms are stored (one b_j at a time), each charged as
-    made at 1 + e // 64 words for its digits, and refused past the cap."""
-    if not table:
-        return table
-    room = MAX_EXPANSION_TERMS // (1 + e // 64)  # product terms
+def _multiply(monoid: GradedMonoid, table: dict, m: Element, e: int,
+              bound: int) -> dict:
+    """table * (1 - t^m)^e exactly up to the bound, e >= 1: pass j adds
+    c * b_j at x + j*m for each term c t^x of grade <= bound - j*grade(m),
+    b_j = (-1)^j C(e, j); zeros go at the end.  Each term is charged as it
+    is made, at 1 + b_j.bit_length() // 64 words, and refused past the cap."""
     refused = TruncationError(
         f"identity check of two rational series: multiplying by the factor "
         f"(1 - t^m)^e with m = {m}, e = {e} needs more than "
-        f"{MAX_EXPANSION_TERMS} terms, each counted as 1 + e // 64 for its "
-        f"digits")
+        f"{MAX_EXPANSION_TERMS} terms, each counted as 1 + b.bit_length() "
+        f"// 64 for the digits of its binomial b")
     columns, values, out, b = list(zip(*table)), list(table.values()), {}, 1
-    for j in range(e + 1):
+    gm, grades, words = monoid.grade(m), monoid.grades(list(table)), 0
+    for j in range(min(e, bound // gm) + 1):
+        if not all(keep := list(map((bound - j * gm).__ge__, grades))):
+            *columns, values, grades = (list(compress(col, keep)) for col
+                                        in (*columns, values, grades))
+        w = 1 + b.bit_length() // 64
         keys = zip(*[map(add, col, repeat(j * x)) if x else col
                      for col, x in zip(columns, m)])
         for y, v in zip(keys, map(mul, values, repeat(b))):
             if y in out:
                 out[y] += v
-            elif len(out) < room:
+            elif (words := words + w) <= MAX_EXPANSION_TERMS:
                 out[y] = v
             else:
                 raise refused
@@ -510,38 +513,50 @@ def first_rational_difference(a: RationalSeries, b: RationalSeries,
     (element, a's value, b's value); or None when they are equal there.
 
     With the common denominator factors cancelled, a - b = D / (C R_a R_b)
-    for D = N_a R_b - N_b R_a, built by `_multiply`, and 1/(C R_a R_b) is
-    1 plus higher grades.  So the answer is D's first element m in
-    `graded_lex` order, of grade g, with b's value a(m) - D(m): only a,
-    the first operand, is expanded, to g, and only when g is within the
-    degree.  A TruncationError names the factor `_multiply` refused, or g.
+    for D = N_a R_b - N_b R_a, and 1/(C R_a R_b) is 1 plus higher grades,
+    so the answer is D's first element m in `graded_lex` order, and
+    a(m) - b(m) = D(m).  Each factor only raises grades, so D built by
+    `_multiply` up to a bound is exact there: the bound starts at 1 and
+    doubles until D has a term or it reaches the degree, or the top grade
+    of N_a R_b and N_b R_a.  a(m) is read off a's expansion to m's grade,
+    or b(m) off b's when a's is refused; a TruncationError names the factor
+    `_multiply` refused, or the grade when both expansions are.
     """
     _check_monoids(a, b)
+    monoid = a.monoid
 
-    def cross(x, y):  # N_x R_y
-        den_x, table = dict(x.denominator), dict(x.numerator)
-        for m, e in y.denominator:
-            if e > den_x.get(m, 0):
-                table = _multiply(table, m, e - den_x.get(m, 0))
+    def factors(x, y):  # the factors of R_y that R_x lacks
+        return [(m, d) for m, e in y.denominator
+                if (d := e - dict(x.denominator).get(m, 0)) > 0]
+
+    def cross(x, y, bound):  # N_x R_y, exact up to the bound
+        table = {m: c for m, c in x.numerator if monoid.grade(m) <= bound}
+        for m, e in factors(x, y):
+            table = _multiply(monoid, table, m, e, bound)
         return table
 
-    left, right = cross(a, b), cross(b, a)
-    delta = {m: d for m in left.keys() | right.keys()
-             if (d := left.get(m, 0) - right.get(m, 0))}
+    def difference(bound):  # D up to the bound, its nonzero values
+        left, right = cross(a, b, bound), cross(b, a, bound)
+        return {m: d for m in left.keys() | right.keys()
+                if (d := left.get(m, 0) - right.get(m, 0))}
+
+    top = max(max(map(monoid.grade, dict(x.numerator)), default=0)
+              + sum(e * monoid.grade(m) for m, e in factors(x, y))
+              for x, y in ((a, b), (b, a)))
+    bound = min(1, stop := top if degree is None else min(degree, top))
+    while not (delta := difference(bound)) and bound < stop:
+        bound = min(2 * bound, stop)
     if not delta:
         return None
-    m = a.monoid.graded_lex(delta)[0]
-    g = a.monoid.grade(m)
-    if degree is not None and g > degree:
-        return None
-    try:
-        value = a.expand(g).coefficient(m)
-    except TruncationError:
-        within = "" if degree is None else f", within degree {degree},"
-        raise TruncationError(
-            f"the first difference lies at grade {g}{within} and expanding "
-            f"to it needs more than {MAX_EXPANSION_TERMS} terms") from None
-    return m, value, value - delta[m]
+    m = monoid.graded_lex(delta)[0]
+    for x, shift in ((a, 0), (b, delta[m])):
+        with suppress(TruncationError):
+            value = x.expand(monoid.grade(m)).coefficient(m) + shift
+            return m, value, value - delta[m]
+    within = "" if degree is None else f", within degree {degree},"
+    raise TruncationError(
+        f"the first difference lies at grade {monoid.grade(m)}{within} and "
+        f"expanding to it needs more than {MAX_EXPANSION_TERMS} terms")
 
 
 # the one rule for integer text, in a file, a descriptor or an option; `int`

@@ -597,16 +597,13 @@ def test_compare_rational_files_past_the_cap(capsys, tmp_path, degree, code,
         code, out, err)
 
 
-@pytest.mark.parametrize("order, code, out, err", [
-    ("ab", 1, "first difference at t^(0, 1500): 0 vs 1\n", ""),
-    ("ba", 3, "", "error: the first difference lies at grade 1500, within "
-     f"degree 2000, and expanding to it needs more than {MAX_EXPANSION_TERMS} "
-     "terms\n")])
-def test_compare_expands_only_the_first_file_to_a_difference(
-        capsys, tmp_path, order, code, out, err):
-    # 1/(1-x) against ((1-y) + y^1500)/((1-x)(1-y)): expanding the second
-    # to degree 2000 passes the cap, so the identity decides, and its
-    # difference at y^1500 is read off the first file's expansion alone
+@pytest.mark.parametrize("order, out", [
+    ("ab", "first difference at t^(0, 1500): 0 vs 1\n"),
+    ("ba", "first difference at t^(0, 1500): 1 vs 0\n")])
+def test_compare_answers_in_either_file_order(capsys, tmp_path, order, out):
+    # 1/(1-x) against ((1-y) + y^1500)/((1-x)(1-y)): they first differ at
+    # y^1500, and expanding the second to grade 1500 passes the cap, so
+    # in either order the value there is read off 1/(1-x), which fits
     xy = GradedMonoid.free(["x", "y"])
     forms = {"a": RationalSeries(xy, ((xy.zero(), 1),), (((1, 0), 1),)),
              "b": RationalSeries(xy, ((xy.zero(), 1), ((0, 1), -1),
@@ -615,64 +612,27 @@ def test_compare_expands_only_the_first_file_to_a_difference(
     for name, form in forms.items():
         (tmp_path / name).write_text(dumps(form))
     assert run(capsys, "compare", *(str(tmp_path / name) for name in order),
-               "--degree", "2000") == (code, out, err)
+               "--degree", "2000") == (1, out, "")
 
 
-def test_compare_expands_when_the_identity_passes_the_cap(capsys, tmp_path):
-    # 1/(1-t) against 1/(1-t)^E: the identity multiplies 1 by (1-t)^(E-1),
-    # E terms, over the cap; expanding both to degree 3 is 8 terms
+@pytest.mark.parametrize("degree", ["3", "10000000"])
+def test_compare_multiplies_only_up_to_the_difference(capsys, tmp_path,
+                                                      degree):
+    # 1/(1-t) against 1/(1-t)^E: the identity multiplies 1 by
+    # (1-t)^(E-1), E terms, over the cap; they differ at t, so only the
+    # two terms up to grade 1 are made
     e = 2 * MAX_EXPANSION_TERMS
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(dumps(macdonald(1)))
     b.write_text(dumps(RationalSeries(T, ((T.zero(), 1),), (((1,), e),))))
-    code, out, err = run(capsys, "compare", str(a), str(b), "--degree", "3")
+    code, out, err = run(capsys, "compare", str(a), str(b), "--degree", degree)
     assert (code, out, err) == (1, f"first difference at t^(1,): 1 vs {e}\n",
                                 "")
 
 
-def _macdonald_pair(tmp_path):
-    # Macdonald(300000) against Macdonald(1): the identity would multiply
-    # 1 by (1-t)^299999, 300000 binomials of up to 299999 bits
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    a.write_text(dumps(catalog.closed_form(
-        catalog.parse_descriptor("Macdonald(300000)"), 0)))
-    b.write_text(dumps(macdonald(1)))
-    return a, b
-
-
-def test_compare_expands_a_pair_that_fits_the_degree(capsys, tmp_path,
-                                                     monkeypatch):
-    # expanding both to degree 10 answers, so no identity is checked
-    def refused(*_):
-        raise AssertionError("checked an identity")
-
-    monkeypatch.setattr(cli, "first_rational_difference", refused)
-    code, out, err = run(capsys, "compare", *map(str, _macdonald_pair(
-        tmp_path)), "--degree", "10")
-    assert (code, out, err) == (1, "first difference at t^(1,): 300000 vs 1\n",
-                                "")
-
-
-def test_compare_refuses_an_identity_over_the_cap_by_its_digits(capsys,
-                                                                tmp_path):
-    # over the cap at degree 10^7, the identity counts each term of
-    # (1-t)^299999 as 4688 words and is refused before it allocates
-    code, out, err = run(capsys, "compare", *map(str, _macdonald_pair(
-        tmp_path)), "--degree", "10000000")
-    assert (code, out) == (3, "")
-    assert err.startswith("error: identity check of two rational series: ")
-    assert "e = 299999 needs more than" in err
-
-
-def test_compare_expands_no_difference_above_the_degree(capsys, tmp_path,
-                                                        monkeypatch):
-    # 1/(1-t) against (1 + t^2000000)/(1-t) at degree 1500000: expanding
-    # either is refused, and the identity's difference at grade 2000000
-    # lies above the degree, so nothing more is expanded
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    a.write_text(dumps(macdonald(1)))
-    b.write_text(dumps(RationalSeries(
-        T, ((T.zero(), 1), ((2 * 10**6,), 1)), (((1,), 1),))))
+def _recording_expand(monkeypatch):
+    """The degrees RationalSeries.expand is called with, from now on;
+    first_difference, which compares two expansions, fails if called."""
     degrees = []
     expand = RationalSeries.expand
 
@@ -680,11 +640,98 @@ def test_compare_expands_no_difference_above_the_degree(capsys, tmp_path,
         degrees.append(degree)
         return expand(self, degree)
 
+    def refused(*_):
+        raise AssertionError("compared two expansions")
+
     monkeypatch.setattr(RationalSeries, "expand", recording)
+    monkeypatch.setattr(cli, "first_difference", refused)
+    return degrees
+
+
+@pytest.mark.parametrize("degree", ["10", "10000000"])
+def test_compare_decides_two_rational_files_by_identity_alone(
+        capsys, tmp_path, monkeypatch, degree):
+    # Macdonald(300000) against Macdonald(1): the identity multiplies 1 by
+    # (1-t)^299999 up to grade 1, and a's expansion to grade 1 has the
+    # value; at any degree, nothing else is expanded
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(dumps(catalog.closed_form(
+        catalog.parse_descriptor("Macdonald(300000)"), 0)))
+    b.write_text(dumps(macdonald(1)))
+    degrees = _recording_expand(monkeypatch)
+    code, out, err = run(capsys, "compare", str(a), str(b), "--degree", degree)
+    assert (code, out, err) == (1, "first difference at t^(1,): 300000 vs 1\n",
+                                "")
+    assert degrees == [1]
+
+
+def test_compare_expands_one_file_to_the_difference(capsys, tmp_path,
+                                                    monkeypatch):
+    # G(1,3)'s E_2 against the form with one more numerator term at
+    # (1000, 0), at degree 1000: the identity finds the difference at
+    # grade 1000, and only the first file is expanded, to that grade, once
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(dumps(_G13_P2))
+    b.write_text(dumps(RationalSeries(
+        _XY, _G13_P2.numerator + (((1000, 0), 1),), _G13_P2.denominator)))
+    degrees = _recording_expand(monkeypatch)
+    code, out, err = run(capsys, "compare", str(a), str(b),
+                         "--degree", "1000")
+    assert (code, err) == (1, "")
+    assert out.startswith("first difference at t^(1000, 0): ")
+    assert degrees == [1000]
+
+
+def test_compare_refuses_products_over_the_cap_below_the_difference(
+        capsys, tmp_path, monkeypatch):
+    # 1/(1-t)^100 against ((1+t)^100 + t^150)/(1-t^2)^100: equal below
+    # t^150.  The identity multiplies 1 by (1-t^2)^100; up to the bound
+    # 128 its 65 terms count 112 words (C(100, j) of 64 bits or more
+    # counts 2), past a cap of 100, so the difference is never reached
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(dumps(RationalSeries(T, ((T.zero(), 1),), (((1,), 100),))))
+    b.write_text(dumps(RationalSeries(
+        T, tuple(((j,), math.comb(100, j)) for j in range(101))
+        + (((150,), 1),), (((2,), 100),))))
+    argv = "compare", str(a), str(b), "--degree", "10000000"
+    c = math.comb(249, 99)  # t^150 in 1/(1-t)^100
+    assert run(capsys, *argv) == (
+        1, f"first difference at t^(150,): {c} vs {c + 1}\n", "")
+    monkeypatch.setattr(series, "MAX_EXPANSION_TERMS", 100)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: identity check of two rational series: ")
+    assert "m = (2,), e = 100 needs more than 100 terms" in err
+
+
+def test_compare_expands_no_difference_above_the_degree(capsys, tmp_path,
+                                                        monkeypatch):
+    # 1/(1-t) against (1 + t^2000000)/(1-t) at degree 1500000: the
+    # identity's difference at grade 2000000 lies above the degree, so
+    # nothing is expanded
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(dumps(macdonald(1)))
+    b.write_text(dumps(RationalSeries(
+        T, ((T.zero(), 1), ((2 * 10**6,), 1)), (((1,), 1),))))
+    degrees = _recording_expand(monkeypatch)
     code, out, err = run(capsys, "compare", str(a), str(b),
                          "--degree", "1500000")
     assert (code, out, err) == (0, "equal to degree 1500000\n", "")
-    assert degrees == [1500000]
+    assert degrees == []
+
+
+def test_identity_check_at_e_20000(capsys, tmp_path):
+    # 1/(1-t)^E against 1/(1-t^2)^E: the cross products (1-t^2)^E and
+    # (1-t)^E are made only up to grade 1, where they differ
+    t, e = GradedMonoid.free(["t"]), 20000
+    a, b = (RationalSeries(t, ((t.zero(), 1),), (((m,), e),)) for m in (1, 2))
+    assert series.first_rational_difference(a, b) == ((1,), e, 0)
+    fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+    fa.write_text(dumps(a))
+    fb.write_text(dumps(b))
+    assert run(capsys, "compare", str(fa), str(fb), "--degree",
+               "10000000") == (
+        1, "first difference at t^(1,): 20000 vs 0\n", "")
 
 
 def test_compare_refuses_a_difference_whose_expansion_passes_the_cap(

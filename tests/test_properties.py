@@ -8,7 +8,7 @@ that layout, with a lower memory peak, and rational forms, rank-0 and
 empty series entry by entry; that every engine result, built without
 the key scan, passes it; that `expand`'s count before dividing is
 the largest ray total of a catalog form; and that `_multiply` is the
-product by 1 - t^m taken e times."""
+product by 1 - t^m taken e times, up to its bound."""
 
 import gc
 import json
@@ -218,8 +218,10 @@ def test_the_largest_ray_total_is_the_simplex_count(monkeypatch, r):
 
 @st.composite
 def factor_products(draw):
-    """(monoid, table, m, e) for table * (1 - t^m)^e: a few terms on each
-    of one to three rays x + N*m, so products along a ray can cancel."""
+    """(monoid, table, m, e, bound) for table * (1 - t^m)^e up to the
+    bound: a few terms on each of one to three rays x + N*m, so products
+    along a ray can cancel, and a bound from 0 to one past the product's
+    highest grade."""
     monoid = draw(monoids())
     small = st.tuples(*[st.integers(0, 2)] * monoid.rank)
     m = draw(small.filter(any))
@@ -228,7 +230,9 @@ def factor_products(draw):
         for k in range(draw(st.integers(1, 3))):
             table[tuple(a + k * b for a, b in zip(x, m))] = draw(
                 st.integers(-3, 3).filter(bool))
-    return monoid, table, m, draw(st.integers(1, 6))
+    e = draw(st.integers(1, 6))
+    top = max(monoid.grades(list(table))) + e * monoid.grade(m)
+    return monoid, table, m, e, draw(st.integers(0, top + 1))
 
 
 def naive_multiply(monoid, table, m, e):
@@ -246,12 +250,16 @@ _XY12 = GradedMonoid.free(["x", "y"], [1, 2])
 
 @settings(max_examples=150, deadline=None)
 @given(factor_products())
-@example((_XY12, {}, (0, 1), 4))
+@example((_XY12, {}, (0, 1), 4, 10))
 # (1 + 2t + t^2)(1 - t)^2 = 1 - 2t^2 + t^4 for t = xy: t and t^3 cancel
-@example((_XY12, {(0, 0): 1, (1, 1): 2, (2, 2): 1}, (1, 1), 2))
+@example((_XY12, {(0, 0): 1, (1, 1): 2, (2, 2): 1}, (1, 1), 2, 12))
+# up to grade 6 of t = xy, of grade 3: 1 - 2t^2
+@example((_XY12, {(0, 0): 1, (1, 1): 2, (2, 2): 1}, (1, 1), 2, 6))
 def test_multiply_is_the_naive_product(case):
-    monoid, table, m, e = case
-    assert series._multiply(dict(table), m, e) == naive_multiply(*case)
+    monoid, table, m, e, bound = case
+    product = naive_multiply(monoid, table, m, e)
+    assert series._multiply(monoid, dict(table), m, e, bound) == {
+        y: v for y, v in product.items() if monoid.grade(y) <= bound}
 
 
 @settings(max_examples=40, deadline=None)

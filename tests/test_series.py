@@ -673,61 +673,89 @@ def test_first_rational_difference_beyond_any_expansion(monkeypatch):
         first_rational_difference(a, RationalSeries(XY, (), ()))
 
 
-def test_first_rational_difference_expands_only_the_first_form():
+def test_first_rational_difference_reads_either_form(monkeypatch):
     # 1/(1-x) against ((1-y) + y^1500)/((1-x)(1-y)) = 1/(1-x) +
     # y^1500/((1-x)(1-y)): they first differ at y^1500.  The first form's
-    # expansion to grade 1500 is 1501 terms; the second's passes the cap
+    # expansion to grade 1500 is 1501 terms; the second's passes the cap,
+    # so in either order the value is read off 1/(1-x)
     a = RationalSeries(XY, ((XY.zero(), 1),), (((1, 0), 1),))
     b = RationalSeries(XY, ((XY.zero(), 1), ((0, 1), -1), ((0, 1500), 1)),
                        (((1, 0), 1), ((0, 1), 1)))
     assert first_rational_difference(a, b) == ((0, 1500), 0, 1)
+    assert first_rational_difference(b, a) == ((0, 1500), 1, 0)
+    # under a cap of 1000 terms both expansions to grade 1500 are refused
+    monkeypatch.setattr(series, "MAX_EXPANSION_TERMS", 1000)
     with pytest.raises(TruncationError) as refusal:
-        first_rational_difference(b, a)
+        first_rational_difference(b, a, 2000)
     assert str(refusal.value) == (
-        "the first difference lies at grade 1500 and expanding to it needs "
-        f"more than {MAX_EXPANSION_TERMS} terms")
+        "the first difference lies at grade 1500, within degree 2000, and "
+        "expanding to it needs more than 1000 terms")
 
 
-def test_first_rational_difference_multiplies_along_rays():
+def test_first_rational_difference_multiplies_up_to_the_difference():
     # 1/(1-t)^E against 1/(1-t^2)^E: the cross products are (1-t^2)^E and
-    # (1-t)^E, each the numerator 1 times E + 1 binomials
+    # (1-t)^E, each E + 1 binomials, but they first differ at t, so only
+    # the terms up to the bound 1 are made, whatever E is
     def pair(e):
         return (RationalSeries(T, ((T.zero(), 1),), (((1,), e),)),
                 RationalSeries(T, ((T.zero(), 1),), (((2,), e),)))
 
-    assert first_rational_difference(*pair(5000)) == ((1,), 5000, 0)
-    # (1-t^2)^E makes E + 1 terms, each charged as it is made
-    with pytest.raises(TruncationError,
-                       match=r"^identity check of two rational series: .*"
-                             r"m = \(2,\), e = 1000000 needs more than"):
-        first_rational_difference(*pair(10**6))
-    # binomials of up to E bits count as 1 + E // 64 words a term: 5000
-    # is 79 words a term, 5001 terms a product, and fits; 100000 is 1563
-    # and does not; the difference at grade 1 lies above degree 0
+    for e in (5000, 20000, 10**6):
+        assert first_rational_difference(*pair(e)) == ((1,), e, 0)
+        assert first_rational_difference(*pair(e), 10**7) == ((1,), e, 0)
+    # the difference at grade 1 lies above degree 0
     assert first_rational_difference(*pair(5000), 0) is None
-    with pytest.raises(TruncationError,
-                       match=r"m = \(2,\), e = 100000 needs more than"):
-        first_rational_difference(*pair(10**5))
 
 
-@pytest.mark.parametrize("e, cap, refused", [
-    (63, 5000, False), (63, 163, False), (63, 162, True),
-    (64, 328, False), (64, 327, True)])
-def test_the_identity_charges_the_terms_it_makes(monkeypatch, e, cap,
-                                                 refused):
-    # a dense 100-term numerator times (1-t)^63: 6400 products, but only
-    # the 163 terms of grade 0..162 are stored, at one word a term, as the
-    # dense span from 1 to t^162 was charged.  At e = 64: 2 * 164 words
+def test_first_rational_difference_doubles_its_bound(monkeypatch):
+    # 1/(1-t) against (1 + t^50)/((1-t)(1-t^3)): the products are made up
+    # to bounds 1, 2 and 4, the first bound past the difference at t^3, or
+    # up to the degree when it is nearer.  Equal forms stop at the highest
+    # grade a product term can have: 51, for b against b(1-t)/(1-t), whose
+    # numerator (1 + t^50)(1-t) takes no factor, and b's, of grade 50,
+    # takes 1 - t
+    a = RationalSeries(T, ((T.zero(), 1),), (((1,), 1),))
+    b = RationalSeries(T, ((T.zero(), 1), ((50,), 1)),
+                       (((1,), 1), ((3,), 1)))
+    bounds = []
+    multiply = series._multiply
+
+    def recording(monoid, table, m, e, bound):
+        bounds.append(bound)
+        return multiply(monoid, table, m, e, bound)
+
+    monkeypatch.setattr(series, "_multiply", recording)
+    assert first_rational_difference(a, b) == ((3,), 1, 2)
+    assert bounds == [1, 2, 4]
+    bounds.clear()
+    assert first_rational_difference(a, b, 2) is None
+    assert bounds == [1, 2]
+    bounds.clear()
+    assert first_rational_difference(b, b.multiply(a).multiply(
+        RationalSeries(T, (((0,), 1), ((1,), -1)), ()))) is None
+    assert bounds == [1, 2, 4, 8, 16, 32, 51]
+
+
+@pytest.mark.parametrize("cap, refused", [(166, False), (165, True)])
+def test_multiply_charges_each_term_by_its_binomial(monkeypatch, cap,
+                                                    refused):
+    # 1 times (1-t)^100: 101 terms, C(100, j) has 64 bits or more for
+    # j = 18..82, so those 65 count 2 words and the other 36 one, 166 in
+    # all; counted as 1 + e // 64 they would be 202
+    words = sum(1 + math.comb(100, j).bit_length() // 64
+                for j in range(101))
+    assert (words, 101 * (1 + 100 // 64)) == (166, 202)
     monkeypatch.setattr(series, "MAX_EXPANSION_TERMS", cap)
-    a = RationalSeries(T, tuple(((i,), i + 1) for i in range(100)), ())
-    b = RationalSeries(T, ((T.zero(), 1),), (((1,), e),))
     if refused:
         with pytest.raises(TruncationError,
-                           match=f"m = \\(1,\\), e = {e} needs more than "
-                                 f"{cap} "):
-            first_rational_difference(a, b)
+                           match=r"m = \(1,\), e = 100 needs more than 165 "):
+            series._multiply(T, {(0,): 1}, (1,), 100, 100)
     else:
-        assert first_rational_difference(a, b) == ((1,), 2, e)
+        assert series._multiply(T, {(0,): 1}, (1,), 100, 100) == {
+            (j,): (-1) ** j * math.comb(100, j) for j in range(101)}
+    # up to the bound 17, 18 one-word terms are made and charged
+    monkeypatch.setattr(series, "MAX_EXPANSION_TERMS", 18)
+    assert len(series._multiply(T, {(0,): 1}, (1,), 100, 17)) == 18
 
 
 def test_rational_rejects_grade_zero_denominator():

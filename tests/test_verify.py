@@ -77,6 +77,24 @@ def test_the_suites_default_to_the_seeds_their_digests_pin():
     assert defaults == [verify.SEED, verify.SEED + 1] == [20240811, 20240812]
 
 
+def test_the_suites_seed_their_generators_with_their_seeds(monkeypatch):
+    # with no laws to run, each suite still builds its generator: from
+    # SEED and SEED + 1 by default, and from the seed it is given
+    seeds = []
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(verify.random, "Random", Recording)
+    monkeypatch.setattr(verify, "ALGEBRA_LAWS", ())
+    monkeypatch.setattr(verify, "HILBERT_LAWS", ())
+    assert verify.check_algebra() == verify.check_hilbert() == []
+    assert verify.check_algebra(7) == verify.check_hilbert(8) == []
+    assert seeds == [verify.SEED, verify.SEED + 1, 7, 8]
+
+
 def _drawn(case):
     """phi and the series a Hilbert case draws over M x u, each as its
     M-bound B and its (m, k, c) triples in draw order."""
