@@ -1084,7 +1084,7 @@ _CONTRACT_FORMS = [
     RationalSeries(GradedMonoid(()), (((), 5),), ()),
     RationalSeries(_ABC, ((_ABC.zero(), 1),), (((1, 0, 0), 1),
                                                 ((0, 1, 1), 2))),
-    *(catalog.euler_chow(catalog.parse_descriptor(d), p).closed_form
+    *(catalog.closed_form(catalog.parse_descriptor(d), p)
       for d, p in (("Pn(2)", 1), ("Pn(3)", 1), ("G(1,3)", 2),
                    ("Flag012", 2)))]
 _CONTRACT_FILES = {}  # the texts over each monoid

@@ -758,6 +758,14 @@ def test_multiply_charges_each_term_by_its_binomial(monkeypatch, cap,
     assert len(series._multiply(T, {(0,): 1}, (1,), 100, 17)) == 18
 
 
+def test_multiply_makes_no_pass_past_the_bound():
+    # (1 - t^1000)^(10^6) up to grade 10^6 is 1001 passes; a pass for each
+    # of the 10^6 + 1 binomials, with up to 10^6 bits each, would not end
+    # within the time limit
+    assert series._multiply(T, {(0,): 1}, (1000,), 10**6, 10**6) == {
+        (1000 * j,): (-1) ** j * math.comb(10**6, j) for j in range(1001)}
+
+
 def test_rational_rejects_grade_zero_denominator():
     m = GradedMonoid.free(["a", "b"])
     with pytest.raises(ValueError):
