@@ -209,7 +209,7 @@ class MonoidMorphism(Record):
 
     def apply(self, m: Element) -> Element:
         """Image of a valid element of the source."""
-        out = list(self.target.zero())
+        out = [0] * self.target.rank
         for e, img in zip(m, self.generator_images):
             if e:
                 for j, v in enumerate(img):

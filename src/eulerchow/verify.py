@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 
 from . import catalog, oracle, schubert
 from .monoid import GradedMonoid, MonoidMorphism, Record, compose
@@ -56,43 +56,43 @@ def law_failure(equations):
 # ---------------------------------------------------------------------------
 # Random case generation (fixed seed; sizes bounded for the naive oracles).
 # `randrange(k) + a` draws what `randint(a, a + k - 1)` draws, one call
-# shallower.  A case that draws several series over one monoid and bound
-# enumerates its elements once.  Drawn series are built trusted: their
-# keys come from `enumerate_up_to`.
+# shallower.  Drawn monoids are interned, one object per tuple of
+# generators, and each (monoid, bound) is enumerated once per process.
+# The draws have rank <= 3, weights 1 or 2, a generator u more for the
+# Hilbert cases, and bounds <= 8, so both caches stay at a few hundred
+# small immutable entries.  Drawn series are built trusted: their keys
+# come from `enumerate_up_to`.
+
+_monoid = cache(GradedMonoid)
+
+
+@cache
+def _elements(monoid: GradedMonoid, bound: int) -> tuple:
+    return tuple(monoid.enumerate_up_to(bound))
+
 
 def random_monoid(rng: random.Random, max_rank=3) -> GradedMonoid:
     rank = rng.randint(1, max_rank)
-    weights = [rng.choice([1, 1, 1, 2]) for _ in range(rank)]
-    labels = [f"g{i}" for i in range(rank)]
-    return GradedMonoid.free(labels, weights)
+    return _monoid(tuple((f"g{i}", rng.choice([1, 1, 1, 2]))
+                         for i in range(rank)))
 
 
 def random_bound(rng: random.Random, monoid: GradedMonoid) -> int:
     return rng.randint(2, 5 if monoid.rank == 3 else 8)
 
 
-def random_series(rng: random.Random, monoid: GradedMonoid, bound: int,
-                  elements=None) -> FormalSeries:
-    """About 40 % of `elements`, by default those of grade <= bound,
-    drawn in order as keys of nonzero coefficients."""
-    if elements is None:
-        elements = monoid.enumerate_up_to(bound)
+def random_series(rng: random.Random, monoid: GradedMonoid,
+                  bound: int) -> FormalSeries:
+    """About 40 % of the elements of grade <= bound, drawn in order as
+    keys of nonzero coefficients."""
     rand, randrange = rng.random, rng.randrange
     coeffs = {}
-    for m in elements:
+    for m in _elements(monoid, bound):
         if rand() < 0.4:
             c = randrange(11) - 5
             if c:
                 coeffs[m] = c
     return FormalSeries._trusted(monoid, bound, coeffs)
-
-
-def random_series_over(rng: random.Random, monoid: GradedMonoid,
-                       bound: int, count: int) -> list[FormalSeries]:
-    """`count` random series, drawn in turn over one enumeration."""
-    elements = monoid.enumerate_up_to(bound)
-    return [random_series(rng, monoid, bound, elements=elements)
-            for _ in range(count)]
 
 
 def random_morphism(rng: random.Random, source: GradedMonoid,
@@ -220,7 +220,7 @@ def _random_morphism(rng: random.Random) -> MonoidMorphism:
 def series_triple_case(rng):
     m = random_monoid(rng)
     bound = random_bound(rng, m)
-    return tuple(random_series_over(rng, m, bound, 3))
+    return tuple(random_series(rng, m, bound) for _ in range(3))
 
 
 def ring_laws(case):
@@ -236,7 +236,8 @@ def ring_laws(case):
 def pushforward_case(rng):
     phi = _random_morphism(rng)
     bound = random_bound(rng, phi.source)
-    return (phi, *random_series_over(rng, phi.source, bound, 2))
+    return (phi, random_series(rng, phi.source, bound),
+            random_series(rng, phi.source, bound))
 
 
 def pushforward_is_homomorphism(case):
@@ -248,7 +249,8 @@ def pushforward_is_homomorphism(case):
 def pullback_case(rng):
     phi = _random_morphism(rng)
     bound = random_bound(rng, phi.target)
-    f, g = random_series_over(rng, phi.target, bound, 2)
+    f = random_series(rng, phi.target, bound)
+    g = random_series(rng, phi.target, bound)
     return phi, f, g, rng.randint(-3, 3)
 
 
@@ -293,7 +295,7 @@ def exterior_associativity(case):
 def oracle_case(rng):
     m = random_monoid(rng)
     bound = random_bound(rng, m)
-    f, g = random_series_over(rng, m, bound, 2)
+    f, g = random_series(rng, m, bound), random_series(rng, m, bound)
     return f, g, random_morphism(rng, m, random_monoid(rng))
 
 
@@ -338,8 +340,8 @@ def times_u(phi: MonoidMorphism, pick) -> MonoidMorphism:
     g, w = pick(zip(map(phi.target.grade, phi.generator_images),
                     phi.source.weights), key=cmp_to_key(_by_ratio))
     images = [img + (0,) for img in phi.generator_images]
-    return MonoidMorphism(GradedMonoid(phi.source.generators + (("u", w),)),
-                          GradedMonoid(phi.target.generators + (("u", g),)),
+    return MonoidMorphism(_monoid(phi.source.generators + (("u", w),)),
+                          _monoid(phi.target.generators + (("u", g),)),
                           (*images, phi.target.zero() + (1,)))
 
 
@@ -350,7 +352,7 @@ def random_u_series(rng: random.Random, monoid: GradedMonoid,
     bound = random_bound(rng, monoid)
     rand, randrange = rng.random, rng.randrange
     coeffs = {}
-    for m in monoid.enumerate_up_to(bound):
+    for m in _elements(monoid, bound):
         if rand() < 0.4:
             for k in range(randrange(U_DEGREE + 1) + 1):
                 c = randrange(7) - 3

@@ -4,6 +4,7 @@ names its element and both values."""
 
 import hashlib
 import inspect
+import itertools
 import random
 import re
 
@@ -93,6 +94,50 @@ def test_the_suites_seed_their_generators_with_their_seeds(monkeypatch):
     assert verify.check_algebra() == verify.check_hilbert() == []
     assert verify.check_algebra(7) == verify.check_hilbert(8) == []
     assert seeds == [verify.SEED, verify.SEED + 1, 7, 8]
+
+
+# the generators of every monoid `random_monoid` draws: rank 1 to 3,
+# weights 1 or 2
+DRAWABLE = [tuple((f"g{i}", w) for i, w in enumerate(weights))
+            for rank in (1, 2, 3)
+            for weights in itertools.product((1, 2), repeat=rank)]
+
+
+def test_random_monoid_returns_one_object_per_weight_tuple():
+    rng = random.Random(verify.SEED)
+    drawn = {}
+    for _ in range(2000):
+        m = verify.random_monoid(rng)
+        assert drawn.setdefault(m.weights, m) is m
+    assert sorted(m.generators for m in drawn.values()) == sorted(DRAWABLE)
+    phi = verify.random_morphism(rng, drawn[(1, 2)], drawn[(2, 1, 1)])
+    a, b = verify.times_u(phi, max), verify.times_u(phi, max)
+    assert a.source is b.source and a.target is b.target
+
+
+def test_elements_are_the_enumeration_once():
+    for generators in DRAWABLE:
+        m = GradedMonoid(generators)
+        for bound in range(2, 9):
+            elements = verify._elements(m, bound)
+            assert elements == tuple(m.enumerate_up_to(bound))
+            assert verify._elements(m, bound) is elements
+
+
+def test_the_suites_report_the_same_with_the_caches_cleared_and_warm():
+    def lines():
+        return [r.line() for r in verify.check_algebra(verify.SEED)
+                + verify.check_hilbert(verify.SEED + 1)]
+
+    verify._monoid.cache_clear()
+    verify._elements.cache_clear()
+    cold, enumerated = lines(), verify._elements.cache_info().misses
+    assert enumerated > 0
+    assert lines() == cold
+    assert verify._elements.cache_info().misses == enumerated
+    assert cold == [f"PASS  {name}: {verify.ALGEBRA_CASES} random cases"
+                    for name, _, _ in verify.ALGEBRA_LAWS
+                    + verify.HILBERT_LAWS]
 
 
 def _drawn(case):
