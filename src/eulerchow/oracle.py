@@ -1,14 +1,16 @@
 """Deliberately naive reference implementations used to validate the
-engine: definition-level convolution and push-forward by scanning every
-element up to the bound, plus the closed-form count oracles.  The
-convolution and push-forward return plain {element: value} tables of
-their nonzero values, the form of `FormalSeries.coefficients`.
+engine: definition-level convolution over every a + b = m up to the
+bound and push-forward by scanning every source element up to it, plus
+the closed-form count oracles.  The convolution and push-forward return
+plain {element: value} tables of their nonzero values, the form of
+`FormalSeries.coefficients`.
 
 Both oracles read the plain coefficient tables of their operands and
 call no `FormalSeries` method: every element they look up comes from
-`enumerate_up_to`, so it is valid by construction.  `naive_convolve`
-refuses, with TruncationError, a bound beyond either operand's bound,
-where a coefficient is not known.
+`enumerate_up_to`, or from the box below one, so it is valid by
+construction.  Both refuse, with ValueError, a series over another
+monoid, and `naive_convolve` refuses, with TruncationError, a bound
+beyond either operand's bound, where a coefficient is not known.
 
 The push-forward maps each source element once, since its image depends
 on that element alone, and then every target element still scans the
@@ -18,30 +20,30 @@ no early exits and no engine calls; keep these inspectable.
 
 from __future__ import annotations
 
-from operator import le, sub
+from itertools import product, repeat
+from operator import mul
 
 from .monoid import MonoidMorphism
 from .series import FormalSeries, TruncationError
 
 
 def naive_convolve(f: FormalSeries, g: FormalSeries, bound: int) -> dict:
-    """Literal double enumeration of (f*g)(m) = sum over a+b=m."""
+    """Literal sum of (f*g)(m) = f(a)g(b) over every a + b = m, zero
+    values included.  a runs over the box of elements a <= m in lex order;
+    read backwards, that order is the complement m - a, so b runs over
+    the same box reversed."""
     monoid = f.monoid
     if monoid != g.monoid:
         raise ValueError("series over different monoids")
     if bound > min(f.bound, g.bound):
         raise TruncationError(
             f"bound {bound} exceeds a series bound ({f.bound}, {g.bound})")
-    fc, gc = f.coefficients, g.coefficients
-    elements = monoid.enumerate_up_to(bound)
+    fget, gget = f.coefficients.get, g.coefficients.get
     table = {}
-    for m in elements:
-        total = 0
-        for a in elements:
-            if not all(map(le, a, m)):
-                continue
-            b = tuple(map(sub, m, a))
-            total += fc.get(a, 0) * gc.get(b, 0)
+    for m in monoid.enumerate_up_to(bound):
+        box = list(product(*[range(x + 1) for x in m]))
+        total = sum(map(mul, map(fget, box, repeat(0)),
+                        map(gget, reversed(box), repeat(0))))
         if total:
             table[m] = total
     return table
@@ -50,6 +52,8 @@ def naive_convolve(f: FormalSeries, g: FormalSeries, bound: int) -> dict:
 def naive_pushforward(phi: MonoidMorphism, f: FormalSeries,
                       out_bound: int) -> dict:
     """Exhaustive fiber enumeration by scanning the whole source domain."""
+    if f.monoid != phi.source:
+        raise ValueError("series not over the source of the morphism")
     if not phi.has_finite_fibers():
         raise ValueError("push-forward requires finite fibers")
     fc = f.coefficients

@@ -253,16 +253,25 @@ def pullback_bound(phi: MonoidMorphism, target_bound: int) -> int:
 
 
 def pullback(phi: MonoidMorphism, g: FormalSeries) -> FormalSeries:
-    """Precompose: (pullback g)(m) = g(phi(m))."""
+    """Precompose: (pullback g)(m) = g(phi(m)).  The source elements up
+    to the bound are built one generator at a time, as `enumerate_up_to`
+    builds them, each with its image: a copy of generator i adds image_i.
+    The table's keys are in that build order, not graded-lex."""
     if phi.target != g.monoid:
         raise MonoidMismatchError("series not over the target of the morphism")
     bound = pullback_bound(phi, g.bound)
-    acc = {}
-    for m in phi.source.enumerate_up_to(bound):
-        # grade(phi(m)) <= g.bound for every m up to the pull-back bound
-        c = g.coefficients.get(phi.apply(m), 0)
-        if c:
-            acc[m] = c
+    level = [((), phi.target.zero(), bound)]
+    for w, img in zip(phi.source.weights, phi.generator_images):
+        grown = []
+        for prefix, image, budget in level:
+            grown.append((prefix + (0,), image, budget))
+            for e in range(1, budget // w + 1):
+                image = tuple(map(add, image, img))
+                grown.append((prefix + (e,), image, budget - e * w))
+        level = grown
+    # grade(phi(m)) <= g.bound for every m up to the pull-back bound
+    gc = g.coefficients
+    acc = {m: c for m, image, _ in level if (c := gc.get(image))}
     return FormalSeries._trusted(phi.source, bound, acc)
 
 

@@ -1,9 +1,17 @@
+import ast
+import random
+from itertools import product
+from operator import attrgetter, le, sub
+from pathlib import Path
+
 import pytest
 
+from eulerchow import oracle
 from eulerchow.monoid import GradedMonoid, MonoidMorphism
 from eulerchow.oracle import naive_convolve, naive_pushforward, weyl_dim_gl3
 from eulerchow.series import (FormalSeries, TruncationError, convolve,
                               pushforward)
+from eulerchow.verify import random_monoid, random_series
 
 T = GradedMonoid.free(["t"])
 XY = GradedMonoid.free(["x", "y"])
@@ -40,6 +48,61 @@ def test_naive_convolve_refuses_a_bound_beyond_its_operands():
 def test_naive_convolve_rejects_mixed_monoids():
     with pytest.raises(ValueError):
         naive_convolve(FormalSeries(T, 2, {}), FormalSeries(XY, 2, {}), 2)
+
+
+def convolve_by_pairs(f, g, bound):
+    """The convolution as a literal double scan: for every m up to the
+    bound, every a up to the bound, kept when a <= m, with b = m - a."""
+    elements = f.monoid.enumerate_up_to(bound)
+    table = {}
+    for m in elements:
+        total = sum(f.coefficients.get(a, 0)
+                    * g.coefficients.get(tuple(map(sub, m, a)), 0)
+                    for a in elements if all(map(le, a, m)))
+        if total:
+            table[m] = total
+    return table
+
+
+def test_naive_convolve_is_the_double_scan():
+    # values and key order over the 14 monoids `random_monoid` draws
+    # (tests/test_verify.py pins them), g drawn at the bound or beyond it
+    rng = random.Random(4301)
+    drawable = sorted({random_monoid(rng) for _ in range(400)},
+                      key=attrgetter("generators"))
+    assert len(drawable) == 14
+    for monoid in drawable:
+        for bound in range(2, 9):
+            f = random_series(rng, monoid, bound)
+            g = random_series(rng, monoid, rng.randint(bound, 8))
+            got = naive_convolve(f, g, bound)
+            assert list(got.items()) == list(
+                convolve_by_pairs(f, g, bound).items())
+            assert got == convolve(f, g).coefficients
+    # the rank-0 monoid has one element, and an empty series gives {}
+    point = GradedMonoid(())
+    for d in (0, 3):
+        f = FormalSeries(point, d, {(): 3})
+        g = FormalSeries(point, d, {(): -2})
+        assert naive_convolve(f, g, d) == convolve_by_pairs(f, g, d)
+        assert naive_convolve(f, g, d) == {(): -6}
+        assert naive_convolve(f, FormalSeries(point, d), d) == {}
+    for monoid in drawable:
+        f = random_series(rng, monoid, 4)
+        assert naive_convolve(f, FormalSeries(monoid, 4), 4) == {}
+        assert naive_convolve(FormalSeries(monoid, 4), f, 4) == {}
+
+
+@pytest.mark.parametrize("m", [(), (0,), (3,), (0, 2), (2, 0), (0, 0),
+                               (1, 0, 2), (0, 3, 0), (0, 0, 0), (2, 1, 3)])
+def test_a_box_read_backwards_is_its_complement(m):
+    # the box of a <= m in lex order is every element a <= m, and its
+    # reversal is m - a, a zero entry of m included
+    box = list(product(*[range(x + 1) for x in m]))
+    monoid = GradedMonoid.free([f"g{i}" for i in range(len(m))])
+    assert box == sorted(a for a in monoid.enumerate_up_to(sum(m))
+                         if all(map(le, a, m)))
+    assert box[::-1] == [tuple(map(sub, m, a)) for a in box]
 
 
 def test_naive_pushforward_matches_engine():
@@ -81,6 +144,38 @@ def test_naive_pushforward_requires_finite_fibers():
     phi = MonoidMorphism(XY, T, ((1,), (0,)))
     with pytest.raises(ValueError):
         naive_pushforward(phi, FormalSeries(XY, 2, {}), 2)
+
+
+def test_naive_pushforward_rejects_a_series_over_another_monoid():
+    phi = MonoidMorphism(XY, T, ((1,), (2,)))
+    with pytest.raises(ValueError, match="not over the source"):
+        naive_pushforward(phi, FormalSeries(T, 2, {(0,): 5, (1,): 7}), 2)
+
+
+ENGINE_OPERATIONS = {"convolve", "pushforward", "pullback", "expand",
+                     "_divide"}
+
+
+def test_the_oracle_is_independent_of_the_engine():
+    # it imports two names from the series module and one from the monoid
+    # module, and names no engine operation, to call it or to pass it on
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    relative = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names}
+    assert relative == {("series", "FormalSeries"),
+                        ("series", "TruncationError"),
+                        ("monoid", "MonoidMorphism")}
+    absolute = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    absolute |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and not node.level}
+    assert not {name for name in absolute if name.startswith("eulerchow")}
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)}
+    assert {"enumerate_up_to", "coefficients"} <= named  # the walk works
+    assert not named & ENGINE_OPERATIONS
 
 
 def test_weyl_dim_known_values():

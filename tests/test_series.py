@@ -1,4 +1,5 @@
 import math
+import random
 from collections.abc import Hashable
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eulerchow import catalog, schubert, series
+from eulerchow import catalog, schubert, series, verify
 from eulerchow.monoid import GradedMonoid, MonoidMismatchError, MonoidMorphism
 from eulerchow.series import (MAX_EXPANSION_TERMS, FormalSeries,
                               RationalSeries, TruncationError, convolve,
@@ -344,6 +345,37 @@ def test_push_pull_adjoint_on_monomials():
     f = FormalSeries(XY, 4, {(2, 1): 5, (0, 2): 1})
     g = pushforward(phi, f)
     assert g.coefficient((4,)) == 6
+
+
+def pullback_by_apply(phi, g):
+    """The pull-back by its definition: g(phi(m)) at every m up to the
+    pull-back bound, each m mapped by `apply`, kept when nonzero."""
+    bound = pullback_bound(phi, g.bound)
+    values = ((m, g.coefficients.get(phi.apply(m), 0))
+              for m in phi.source.enumerate_up_to(bound))
+    return {m: c for m, c in values if c}
+
+
+def test_pullback_maps_each_element_as_apply_does():
+    rng = random.Random(4302)
+    drawn = [verify.random_morphism(rng, verify.random_monoid(rng),
+                                    verify.random_monoid(rng))
+             for _ in range(40)]
+    abc = GradedMonoid.free(["a", "b", "c"], [2, 1, 2])
+    made = [MonoidMorphism(abc, XY, ((0, 0), (1, 2), (2, 1))),  # a -> 0
+            MonoidMorphism(XY, abc, ((1, 0, 1), (0, 2, 0))),
+            MonoidMorphism(GradedMonoid(()), XY, ()),
+            MonoidMorphism(XY, T, ((3,), (4,)))]
+    assert pullback_bound(made[-1], 2) == 0
+    nonempty = 0
+    for phi in drawn + made:
+        for d in (0, 1, 2, 5, 8):
+            g = verify.random_series(rng, phi.target, d)
+            f = pullback(phi, g)
+            assert f.bound == pullback_bound(phi, d)
+            assert f.coefficients == pullback_by_apply(phi, g)
+            nonempty += bool(f.coefficients)
+    assert nonempty > 100
 
 
 # ---------------------------------------------------------------------------
