@@ -90,9 +90,11 @@ def _series_text(result: catalog.EulerChowResult, expansion: FormalSeries,
     pairs = ", ".join(f"{var} = {cls}"
                       for var, cls in result.generator_dictionary)
     lines.append(f"# generators: {pairs}")
-    table = expansion.coefficients
-    for m in expansion.monoid.graded_lex(table):
-        lines.append(f"{_monomial(expansion.monoid.labels, m)}: {table[m]}")
+    columns, values = expansion._columns  # an expansion's, by index
+    keys = list(zip(*columns)) if columns else [()] * len(values)
+    for i in expansion.monoid.graded_lex_order(columns, len(values)):
+        lines.append(f"{_monomial(expansion.monoid.labels, keys[i])}: "
+                     f"{values[i]}")
     return "\n".join(lines) + "\n"
 
 

@@ -6,8 +6,9 @@ fields `rank`, `labels` and `weights` are computed at construction.
 `validate` checks one element entering from outside, such as a generator
 image of a morphism.  Grading, `add` and `MonoidMorphism.apply` trust
 their input and do not re-check it.  `grade` serves one element and
-`grades` a whole table at once.  `graded_lex` is the one statement of
-graded-lex order: by grade, then by exponent tuple.
+`grades` a whole table at once.  Graded-lex order is by grade, then by
+exponent tuple: `graded_lex` sorts tuples by it, and `graded_lex_order`
+puts exponent columns in the same order, as a permutation of indices.
 
 `Record` is the base of the package's immutable records, this module's
 two classes among them.
@@ -173,6 +174,19 @@ class GradedMonoid(Record):
         keys = sorted(elements)
         grade_of = dict(zip(keys, self.grades(keys)))
         return sorted(keys, key=grade_of.__getitem__)
+
+    def graded_lex_order(self, columns, n: int) -> list[int]:
+        """The indices of n valid elements, given as exponent columns, in
+        `graded_lex` order: sorted by one int code per element, its grade
+        then its exponents as digits in a base above every exponent.  The
+        code is linear in the exponents: column i adds e_i times w_i
+        base^r (its share of the grade) plus base^(r - 1 - i)."""
+        base = 1 + max(map(max, columns), default=0) if n else 1
+        codes, r = repeat(0, n), len(columns)
+        for i, (col, w) in enumerate(zip(columns, self.weights)):
+            unit = w * base ** r + base ** (r - 1 - i)
+            codes = map(add, codes, map(mul, col, repeat(unit)))
+        return sorted(range(n), key=list(codes).__getitem__)
 
     def enumerate_up_to(self, bound: int) -> list[Element]:
         """All elements of grade <= bound, in graded-lex order.

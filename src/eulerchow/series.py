@@ -14,7 +14,8 @@ engine: the public constructor, and so `loads`, scans them and keeps its
 own copy of the caller's table.  The operations of this module trust
 the invariant of their operands, and build their results with
 `FormalSeries._trusted`, which skips the scans and keeps the table it is
-handed; it still checks the bound and drops zeros.
+handed; it still checks the bound and drops zeros.  An expansion holds
+exponent columns and values, and builds its table when it is read.
 
 `dumps` and `loads` own the series-file format, and no other code knows
 how a series or a rational series is spelled in a file.  Both work from
@@ -29,7 +30,7 @@ import json
 import re
 from contextlib import suppress
 from itertools import accumulate, chain, compress, repeat
-from operator import add, floordiv, itemgetter, mul, sub
+from operator import add, floordiv, mul, sub
 
 from .monoid import (Element, GradedMonoid, MonoidMismatchError,
                      MonoidMorphism, Record)
@@ -74,7 +75,8 @@ def _check_bound(bound):
 class FormalSeries(Record):
     """Element of the convolution ring, truncated at a grade bound."""
 
-    __slots__ = _fields = ("monoid", "bound", "coefficients")
+    _fields = ("monoid", "bound", "coefficients")
+    __slots__ = _fields + ("_columns",)  # an expansion's: see `_Expansion`
     _defaults = {"coefficients": dict}
     monoid: GradedMonoid
     bound: int
@@ -161,11 +163,52 @@ class FormalSeries(Record):
             {m: c * s for m, c in self.coefficients.items()})
 
 
+def _built(name: str):
+    """The method `name` of an `_Expansion`: reading `coefficients` makes
+    the series a FormalSeries, whose method `name` it then calls."""
+    def method(self, *args):
+        self.coefficients
+        return getattr(self, name)(*args)
+    return method
+
+
+class _Expansion(FormalSeries):
+    """A series from `expand`, holding the exponent columns and nonzero
+    values of `_divide` as `_columns`.  Reading `coefficients` builds the
+    table, in `zip(*columns)` order, and makes the series a FormalSeries,
+    as equality, repr, copy and pickle do first.  A property here, unlike
+    a hook on FormalSeries, keeps every series' fast slot reads."""
+
+    __slots__ = ()
+
+    def __init__(self, monoid: GradedMonoid, bound: int, columns: tuple):
+        object.__setattr__(self, "monoid", monoid)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "_columns", columns)
+
+    @property
+    def coefficients(self) -> dict[Element, int]:
+        columns, values = self._columns
+        keys = zip(*columns) if columns else repeat(())  # rank 0: ()
+        table = dict(zip(keys, values))
+        object.__setattr__(self, "__class__", FormalSeries)
+        object.__setattr__(self, "coefficients", table)
+        return table
+
+    __eq__, __repr__, __reduce__ = map(_built, ("__eq__", "__repr__",
+                                                "__reduce__"))
+
+
 def _terms_up_to(f: FormalSeries, bound: int):
     """The (element, coefficient) pairs of f of grade <= bound, with its
     key table graded in one `grades` pass."""
     keep = map(bound.__ge__, f.monoid.grades(f.coefficients))
     return compress(f.coefficients.items(), keep)
+
+
+def _columns_of(table: dict) -> tuple[list, list]:
+    """A table as its exponent columns and its values."""
+    return list(zip(*table)), list(table.values())
 
 
 def one(monoid: GradedMonoid, bound: int) -> FormalSeries:
@@ -402,7 +445,7 @@ def _multiply(monoid: GradedMonoid, table: dict, m: Element, e: int,
         f"(1 - t^m)^e with m = {m}, e = {e} needs more than "
         f"{MAX_EXPANSION_TERMS} terms, each counted as 1 + b.bit_length() "
         f"// 64 for the digits of its binomial b")
-    columns, values, out, b = list(zip(*table)), list(table.values()), {}, 1
+    (columns, values), out, b = _columns_of(table), {}, 1
     gm, grades, words = monoid.grade(m), monoid.grades(list(table)), 0
     for j in range(min(e, bound // gm) + 1):
         if not all(keep := list(map((bound - j * gm).__ge__, grades))):
@@ -457,7 +500,8 @@ class RationalSeries(Record):
     def expand(self, degree: int) -> FormalSeries:
         """Truncated expansion, exact to the degree: the numerator up to
         the degree, as exponent columns, divided by each factor in turn
-        with `_divide`; the key table is built once, from the last columns.
+        with `_divide`.  The series holds the last columns and builds its
+        table when it is read; `dumps` writes it from the columns.
         The factors commute, and one of grade g stretches each ray by about
         degree / g terms, so they go in falling grade (reversed `graded_lex`
         order): the grade-1 factors, divided last, meet the smallest tables.
@@ -483,13 +527,12 @@ class RationalSeries(Record):
         grades = monoid.grades([m for m, _ in self.numerator])
         num = {m: c for (m, c), g in zip(self.numerator, grades)
                if g <= degree}
-        columns, values = list(zip(*num)), list(num.values())
+        columns, values = _columns_of(num)
         den = dict(self.denominator)
         for m in reversed(monoid.graded_lex(den)):
             columns, values = _divide(monoid, columns, values, m, den[m],
                                       degree)
-        keys = zip(*columns) if columns else repeat(())  # rank 0: ()
-        return FormalSeries._trusted(monoid, degree, dict(zip(keys, values)))
+        return _Expansion(monoid, degree, (columns, values))
 
     def multiply(self, other: "RationalSeries") -> "RationalSeries":
         _check_monoids(self, other)
@@ -637,21 +680,20 @@ def _array(entries: list) -> str:
     return "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
 
 
-def _entries(monoid: GradedMonoid, table: dict, field: str,
+def _entries(monoid: GradedMonoid, columns, values: list, field: str,
              value: str) -> str:
-    """The text of an entry array, by one `%` of the array of n `_entry`
-    templates: its numbers are laid out flat in `graded_lex` order, one
-    column at a time, each entry's exponents then its value.  The value
-    is '"%d"' (a string) or '%d'; "%d" is str(c) as no value or exponent
-    is a bool (constructors check)."""
-    keys = monoid.graded_lex(table)
+    """The text of an entry array of exponent columns and values, by one
+    `%` of the array of n `_entry` templates: its numbers are laid out
+    flat by index in `graded_lex_order`, each entry's exponents then its
+    value.  The value is '"%d"' (a string) or '%d'; "%d" is str(c) as no
+    value or exponent is a bool (constructors check)."""
+    order = monoid.graded_lex_order(columns, len(values))
     step = monoid.rank + 1
-    flat = [0] * (len(keys) * step)
-    for i in range(monoid.rank):
-        flat[i::step] = map(itemgetter(i), keys)
-    flat[monoid.rank::step] = map(table.__getitem__, keys)
+    flat = [0] * (len(order) * step)
+    for i, col in enumerate([*columns, values]):  # values at i = rank
+        flat[i::step] = map(col.__getitem__, order)
     entry = _entry(monoid.rank, field, value)
-    return _array([entry] * len(keys)) % tuple(flat)
+    return _array([entry] * len(order)) % tuple(flat)
 
 
 def _read_layout(text: str):
@@ -700,21 +742,23 @@ def dumps(obj) -> str:
     and its denominator factors, each {"exponents": [...], "multiplicity":
     <int>}.  The layout is a contract, pinned by tests against
     `json.dumps`, but the text is written from templates that `loads`
-    reads back: `_head`, and `_entries` per entry array.
+    reads back: `_head`, and `_entries` per entry array, by columns.
 
     Python limits int -> str conversion to 4300 digits by default, and
     `dumps` raises ValueError on a larger number.  `cli.main` lifts the
     limit for each command and restores it afterwards; a library caller
     lifts it itself, with `sys.set_int_max_str_digits(0)`."""
     if isinstance(obj, FormalSeries):
+        table = getattr(obj, "_columns", None) or _columns_of(obj.coefficients)
         parts = [_head(obj.monoid, obj.bound),
-                 _entries(obj.monoid, obj.coefficients, "value", '"%d"')]
+                 _entries(obj.monoid, *table, "value", '"%d"')]
     elif isinstance(obj, RationalSeries):
+        num, den = (_columns_of(dict(pairs))
+                    for pairs in (obj.numerator, obj.denominator))
         parts = [_head(obj.monoid, None),
-                 _entries(obj.monoid, dict(obj.numerator), "value", '"%d"'),
+                 _entries(obj.monoid, *num, "value", '"%d"'),
                  ',\n  "denominator": ',
-                 _entries(obj.monoid, dict(obj.denominator), "multiplicity",
-                          "%d")]
+                 _entries(obj.monoid, *den, "multiplicity", "%d")]
     else:
         raise TypeError(type(obj).__name__)
     return "".join([*parts, "\n}\n"])

@@ -801,6 +801,37 @@ def test_compare_degree_beyond_bound(capsys, tmp_path):
     assert code == 3
 
 
+def test_series_json_and_expand_write_without_building_the_table(
+        capsys, monkeypatch, tmp_path):
+    # the expansion reaches `dumps` with its table slot, read past the
+    # `_Expansion` property, unset, and `dumps` leaves it unset
+    slot, seen = FormalSeries.__dict__["coefficients"], []
+
+    def unset(f):
+        try:
+            slot.__get__(f, FormalSeries)
+        except AttributeError:
+            return True
+        return False
+
+    def spy(obj):
+        before = unset(obj)
+        text = dumps(obj)
+        seen.append((before, unset(obj)))
+        return text
+
+    monkeypatch.setattr(cli, "dumps", spy)
+    form = tmp_path / "g13.json"
+    form.write_text(dumps(_G13_P2))
+    for argv in (("series", "G(1,3)", "--p", "2", "--degree", "12",
+                  "--format", "json"),
+                 ("expand", str(form), "--degree", "12")):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == dumps(_G13_P2.expand(12))
+    assert seen == [(True, True)] * 2
+
+
 def test_expand_rejects_series_file(capsys, tmp_path):
     s = tmp_path / "s.json"
     cli.main(["series", "Pn(1)", "--p", "0", "--degree", "2",

@@ -99,6 +99,35 @@ def test_graded_lex_is_the_sort_by_grade_then_element(case):
         elements, key=graded_lex_key(monoid))
 
 
+@st.composite
+def column_lists(draw):
+    """(monoid, elements): rank 0-4, weights 1-2, exponents small or at
+    and above 2^30, where a code passes one machine digit."""
+    rank = draw(st.integers(0, 4))
+    weights = draw(st.lists(st.integers(1, 2), min_size=rank, max_size=rank))
+    monoid = GradedMonoid.free([f"g{i}" for i in range(rank)], weights)
+    exponents = st.integers(0, 3) | st.integers(2**30, 2**30 + 3)
+    elements = st.tuples(*[exponents] * rank)
+    return monoid, draw(st.lists(elements, max_size=12, unique=True))
+
+
+@given(column_lists())
+@example((GradedMonoid(()), [()]))
+@example((GradedMonoid(()), []))
+@example((GradedMonoid.free("abcd", [1, 2, 1, 2]), []))
+@example((GradedMonoid.free("abcd", [2, 1, 2, 1]),
+          [(2**30, 0, 0, 1), (0, 2**31, 0, 0), (1, 0, 0, 2**30), (0,) * 4]))
+@example((_XY, _XY_160[::-1]))
+def test_graded_lex_order_is_the_sort_by_grade_then_element(case):
+    # the indices of elements given as columns, in the order `graded_lex`
+    # puts the tuples: one order, on tuples and on columns
+    monoid, elements = case
+    columns = [list(col) for col in zip(*elements)]
+    order = monoid.graded_lex_order(columns, len(elements))
+    assert [elements[i] for i in order] == sorted(
+        elements, key=graded_lex_key(monoid)) == monoid.graded_lex(elements)
+
+
 def test_validate_rejects_wrong_rank_and_negatives():
     m = GradedMonoid.free(["a", "b"])
     with pytest.raises(MonoidMismatchError):

@@ -1,14 +1,15 @@
 """Property-based checks of the ring and morphism laws of `verify`, of
 `dumps` and `first_difference` against their plain reference forms, of
-`_entries`' one `%` per array against one `%` per term, and of `loads`
-on damaged series files, compact or in the layout `dumps` writes,
-against the per-entry reader, on cases drawn by Hypothesis; that
-`loads` reads a series of rank >= 1 with a term that `dumps` writes by
-that layout, with a lower memory peak, and rational forms, rank-0 and
-empty series entry by entry; that every engine result, built without
-the key scan, passes it; that `expand`'s count before dividing is
-the largest ray total of a catalog form; and that `_multiply` is the
-product by 1 - t^m taken e times, up to its bound."""
+`_entries`' one `%` per array of exponent columns against one `%` per
+term in `graded_lex` order, of `dumps` of an expansion against `dumps` of
+its table, and of `loads` on damaged series files, compact or in the
+layout `dumps` writes, against the per-entry reader, on cases drawn by
+Hypothesis; that `loads` reads a series of rank >= 1 with a term that
+`dumps` writes by that layout, with a lower memory peak, and rational
+forms, rank-0 and empty series entry by entry; that every engine result,
+built without the key scan, passes it; that `expand`'s count before
+dividing is the largest ray total of a catalog form; and that
+`_multiply` is the product by 1 - t^m taken e times, up to its bound."""
 
 import gc
 import json
@@ -725,8 +726,45 @@ def test_entries_writes_each_array_as_term_by_term(x):
         arrays = [(dict(x.numerator), "value", '"%d"'),
                   (dict(x.denominator), "multiplicity", "%d")]
     for table, field, value in [*arrays, ({}, "value", '"%d"')]:
-        assert (series._entries(x.monoid, table, field, value)
+        columns, values = list(zip(*table)), list(table.values())
+        assert (series._entries(x.monoid, columns, values, field, value)
                 == per_term_entries(x.monoid, table, field, value))
+
+
+@st.composite
+def expansion_forms(draw):
+    """(form, degree): rank 0-3, weights 1-2, numerator terms of grade up
+    to 8, above the degree at times, or none, with values up to 10^200."""
+    rank = draw(st.integers(0, 3))
+    weights = draw(st.lists(st.integers(1, 2), min_size=rank, max_size=rank))
+    monoid = GradedMonoid.free([f"g{i}" for i in range(rank)], weights)
+    elements = st.lists(st.integers(0, 4), min_size=rank,
+                        max_size=rank).map(tuple)
+    values = (st.integers(-3, 3) | st.sampled_from([10**200, -10**200])
+              | st.integers(-10**200, 10**200))
+    numerator = draw(st.lists(st.tuples(elements, values), max_size=4))
+    denominator = draw(st.lists(st.tuples(elements.filter(any),
+                                          st.integers(1, 3)), max_size=3)
+                       if rank else st.just([]))
+    return (RationalSeries(monoid, tuple(numerator), tuple(denominator)),
+            draw(st.integers(0, 8)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(expansion_forms())
+@example((RationalSeries(GradedMonoid(()), (((), -10**200),), ()), 0))
+@example((RationalSeries(_T0T1, (), (((1, 0), 1),)), 4))
+@example((RationalSeries(_T0T1, (((4, 4), 10**200),), (((0, 1), 2),)), 0))
+def test_dumps_writes_an_expansion_as_the_series_of_its_table(case):
+    # byte for byte, from the columns; the table slot, read past the
+    # `_Expansion` property, stays unset
+    r, degree = case
+    f = r.expand(degree)
+    text = dumps(f)
+    table = dict(r.expand(degree).coefficients)
+    assert text == dumps(FormalSeries(r.monoid, degree, table))
+    with pytest.raises(AttributeError):
+        FormalSeries.__dict__["coefficients"].__get__(f, FormalSeries)
 
 
 def test_json_int_values_load_as_their_decimal_strings():

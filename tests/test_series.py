@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from collections.abc import Hashable
 from fractions import Fraction
@@ -823,6 +825,95 @@ def test_rational_rejects_values_and_multiplicities_that_are_not_ints(
 def test_rational_merges_repeated_factors():
     r = RationalSeries(T, ((T.zero(), 1),), (((1,), 1), ((1,), 2)))
     assert r.denominator == (((1,), 3),)
+
+
+# ---------------------------------------------------------------------------
+# An expansion holds exponent columns until its table is read
+
+# the slot of the table: reading it directly, past the `_Expansion`
+# property, shows whether the table has been built
+_TABLE = FormalSeries.__dict__["coefficients"]
+
+
+def has_table(f):
+    try:
+        _TABLE.__get__(f, FormalSeries)
+    except AttributeError:
+        return False
+    return True
+
+
+_AB2 = GradedMonoid.free(["a", "b"], [1, 2])
+# catalog forms, a weight-2 generator, an empty numerator, a term above
+# the degree and a rank-0 form, each with the degree it is expanded to
+COLUMN_FORMS = [
+    pytest.param(catalog.closed_form(GRASS, 2), 9, id="G(1,3)-p2"),
+    pytest.param(catalog.closed_form(catalog.parse_descriptor("Flag012"), 1),
+                 12, id="Flag012-p1"),
+    pytest.param(RationalSeries(_AB2, (((0, 0), 3), ((1, 1), -10**200),
+                                       ((9, 0), 1)),
+                                (((1, 0), 2), ((0, 1), 1), ((1, 1), 1))),
+                 7, id="weights-1-2"),
+    pytest.param(RationalSeries(XY, (), (((1, 0), 2),)), 5, id="empty"),
+    pytest.param(RationalSeries(T, (((0,), 2),), (((1,), 1),)), 0,
+                 id="degree-0"),
+    pytest.param(RationalSeries(GradedMonoid(()), (((), 7),), ()), 3,
+                 id="rank-0"),
+]
+
+
+@pytest.mark.parametrize("r, degree", COLUMN_FORMS)
+def test_an_expansion_reads_as_the_series_of_its_table(r, degree):
+    # every reader of a series sees an expansion as the dict-built series
+    # of the same table, with the table's key order of the columns
+    def fresh():
+        f = r.expand(degree)
+        assert not has_table(f)
+        return f
+
+    columns, values = fresh()._columns
+    keys = zip(*columns) if columns else [()] * len(values)
+    table = dict(zip(keys, values))
+    t = FormalSeries(r.monoid, degree, table)
+    assert fresh() == t and t == fresh()
+    assert list(fresh().coefficients.items()) == list(table.items())
+    assert repr(fresh()) == repr(t)
+    for clone in (copy.copy, copy.deepcopy,
+                  lambda f: pickle.loads(pickle.dumps(f))):
+        twin = clone(fresh())
+        assert twin == t and list(twin.coefficients) == list(table)
+    f = fresh()
+    for m in r.monoid.enumerate_up_to(degree):
+        assert f.coefficient(m) == t.coefficient(m)
+    assert convolve(fresh(), fresh()) == convolve(t, t)
+    assert fresh() + t == t + t and t + fresh() == t + t
+    phi = MonoidMorphism(r.monoid, T, ((1,),) * r.monoid.rank)
+    assert pushforward(phi, fresh()) == pushforward(phi, t)
+    assert first_difference(fresh(), t, degree) is None
+    zero = r.monoid.zero()
+    changed = FormalSeries(r.monoid, degree,
+                           {**table, zero: table.get(zero, 0) + 1})
+    assert (first_difference(fresh(), changed, degree)
+            == first_difference(t, changed, degree))
+    assert (first_difference(changed, fresh(), degree)
+            == first_difference(changed, t, degree))
+    assert dumps(fresh()) == dumps(t)
+
+
+def test_an_unknown_attribute_raises_the_default_error():
+    expansion = RationalSeries(T, (((0,), 1),), (((1,), 2),)).expand(3)
+    table = FormalSeries(T, 3, {(0,): 1})
+    for f, name in ((expansion, "nope"), (table, "nope"),
+                    (table, "_columns")):
+        with pytest.raises(AttributeError) as caught:
+            getattr(f, name)
+        assert str(caught.value) == (f"'{type(f).__name__}' object has no "
+                                     f"attribute '{name}'")
+        assert getattr(f, name, None) is None
+    assert not has_table(expansion)
+    # once its table is read, an expansion is a FormalSeries
+    assert type(expansion) is not FormalSeries
+    assert expansion.coefficients and type(expansion) is FormalSeries
 
 
 # ---------------------------------------------------------------------------
