@@ -19,9 +19,12 @@ exponent columns and values, and builds its table when it is read.
 
 `dumps` and `loads` own the series-file format, and no other code knows
 how a series or a rational series is spelled in a file.  Both work from
-the templates of `_head` and `_entry`: `dumps` formats each entry array
-whole, and `loads` reads a file in that exact layout by one `json.loads`
-of its numbers, and every other valid file entry by entry.
+the templates of `_head` and `_entry`, and neither holds the text of a
+whole entry array beside the file's text: `dumps` formats each array
+in blocks of `BLOCK` entries and joins them with the file's other parts
+once; `loads` reads a file in that exact layout a block of about
+`_READ_BLOCK` characters at a time, by one `json.loads` of the block's
+numbers, and every other valid file entry by entry.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import json
 import re
 from contextlib import suppress
 from itertools import accumulate, chain, compress, repeat
-from operator import add, floordiv, mul, sub
+from operator import add, floordiv, indexOf, mul, sub
 
 from .monoid import (Element, GradedMonoid, MonoidMismatchError,
                      MonoidMorphism, Record)
@@ -558,6 +561,17 @@ class RationalSeries(Record):
             tuple((phi.apply(m), e) for m, e in self.denominator))
 
 
+def _value_at(f: _Expansion, m: Element) -> int:
+    """An expansion's coefficient at a valid m of grade <= its bound, read
+    off its exponent columns without building its table."""
+    columns, values = f._columns
+    keys = zip(*columns) if columns else repeat((), len(values))  # rank 0
+    try:
+        return values[indexOf(keys, m)]
+    except ValueError:  # m is not a key: its coefficient is 0
+        return 0
+
+
 def first_rational_difference(a: RationalSeries, b: RationalSeries,
                               degree: int | None = None):
     """First graded-lex element, up to the degree (at any degree when it
@@ -570,9 +584,10 @@ def first_rational_difference(a: RationalSeries, b: RationalSeries,
     a(m) - b(m) = D(m).  Each factor only raises grades, so D built by
     `_multiply` up to a bound is exact there: the bound starts at 1 and
     doubles until D has a term or it reaches the degree, or the top grade
-    of N_a R_b and N_b R_a.  a(m) is read off a's expansion to m's grade,
-    or b(m) off b's when a's is refused; a TruncationError names the factor
-    `_multiply` refused, or the grade when both expansions are.
+    of N_a R_b and N_b R_a.  a(m) is read off the columns of a's expansion
+    to m's grade, without its table, or b(m) off b's when a's is refused;
+    a TruncationError names the factor `_multiply` refused, or the grade
+    when both expansions are.
     """
     _check_monoids(a, b)
     monoid = a.monoid
@@ -603,7 +618,7 @@ def first_rational_difference(a: RationalSeries, b: RationalSeries,
     m = monoid.graded_lex(delta)[0]
     for x, shift in ((a, 0), (b, delta[m])):
         with suppress(TruncationError):
-            value = x.expand(monoid.grade(m)).coefficient(m) + shift
+            value = _value_at(x.expand(monoid.grade(m)), m) + shift
             return m, value, value - delta[m]
     within = "" if degree is None else f", within degree {degree},"
     raise TruncationError(
@@ -652,6 +667,13 @@ _FORMAT_ERRORS = (KeyError, TypeError, AttributeError, ValueError,
 # keeps the characters of a number and the comma; any other ASCII
 # character becomes a space
 _COMMAS = {c: " " for c in range(128) if chr(c) not in "-0123456789,"}
+# drops the characters of a number but the comma
+_DIGITS = str.maketrans("", "", "-0123456789")
+# the entries of one block of `dumps`' text
+BLOCK = 1024
+# the characters after which `_read_layout` cuts an array, at the end of
+# the next entry
+_READ_BLOCK = 1 << 16
 
 
 def _head(monoid: GradedMonoid, bound: int | None) -> str:
@@ -675,38 +697,52 @@ def _entry(rank: int, field: str, value: str) -> str:
             f'{value}\n    }}')
 
 
-def _array(entries: list) -> str:
-    """An entry array, from the texts of its entries."""
-    return "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
-
-
 def _entries(monoid: GradedMonoid, columns, values: list, field: str,
-             value: str) -> str:
-    """The text of an entry array of exponent columns and values, by one
-    `%` of the array of n `_entry` templates: its numbers are laid out
-    flat by index in `graded_lex_order`, each entry's exponents then its
-    value.  The value is '"%d"' (a string) or '%d'; "%d" is str(c) as no
-    value or exponent is a bool (constructors check)."""
-    order = monoid.graded_lex_order(columns, len(values))
-    step = monoid.rank + 1
-    flat = [0] * (len(order) * step)
-    for i, col in enumerate([*columns, values]):  # values at i = rank
-        flat[i::step] = map(col.__getitem__, order)
-    entry = _entry(monoid.rank, field, value)
-    return _array([entry] * len(order)) % tuple(flat)
+             value: str):
+    """The text of an entry array of exponent columns and values, in
+    chunks: "[\n", then each block of up to `BLOCK` entries of
+    `graded_lex_order`, by one `%` of its `_entry` templates joined by
+    ",\n", its numbers laid out flat by index, each entry's exponents
+    then its value; ",\n" between two blocks, and "\n  ]" after the last.
+    An empty array is "[]".  The value is '"%d"' (a string) or '%d'; "%d" is
+    str(c) as no value or exponent is a bool (constructors check)."""
+    n = len(values)
+    if not n:
+        yield "[]"
+        return
+    order, step = monoid.graded_lex_order(columns, n), monoid.rank + 1
+    entry, k = _entry(monoid.rank, field, value), min(n, BLOCK)
+    template, sep = ",\n".join([entry] * k), "[\n"
+    for s in range(0, n, BLOCK):
+        block = order[s:s + BLOCK]
+        if len(block) < k:  # the last block, shorter than the others
+            template = ",\n".join([entry] * len(block))
+        flat = [0] * (len(block) * step)
+        for i, col in enumerate([*columns, values]):  # values at i = rank
+            flat[i::step] = map(col.__getitem__, block)
+        yield sep
+        yield template % tuple(flat)
+        sep = ",\n"
+    yield "\n  ]"
 
 
 def _read_layout(text: str):
     """The series of a text exactly as `dumps` writes it, of rank >= 1 and
     with at least one entry, or None; a rational form, a rank-0 series
     and an empty array are None too.  The head, up to the entry array,
-    must be what `_head` writes back from its `json.loads`, and the array
-    without its digits and minus signs must be the array of n empty
-    entries, n its count of '"exponents"'.  Then one `translate` turns
-    every other character into a space, and one `json.loads` reads every
-    number: each separator between two numbers holds one comma, and a
-    digit out of place stands apart from its neighbours by a space,
-    which JSON refuses.  Grades are checked here, not by `_trusted`."""
+    must be what `_head` writes back from its `json.loads`.  The array is
+    read in blocks: each is cut at the first end of an entry and its
+    comma, "\n    },", found at least `_READ_BLOCK` characters into it,
+    just before the comma, and the next block starts after the comma; the
+    last block runs to the end of the array.  A block without its digits
+    and minus signs must be its k empty entries, k >= 1 its count of
+    '"exponents"', joined by ",\n", after "[\n" for the first block or
+    "\n" for any other, and before "\n  ]" for the last.  Then one
+    `translate` turns every other character of the block into a space,
+    and one `json.loads` reads its numbers: each separator between two
+    numbers holds one comma, and a digit out of place stands apart from
+    its neighbours by a space, which JSON refuses.  Grades are checked
+    here, not by `_trusted`."""
     monoid_end = text.find("\n  },\n")
     start = text.find("[", monoid_end)
     if monoid_end < 0 or start < 0 or not text.endswith("\n}\n"):
@@ -715,20 +751,31 @@ def _read_layout(text: str):
     monoid = GradedMonoid(tuple((g["label"], g["weight"])
                                 for g in data["monoid"]["generators"]))
     bound, rank = data.get("bound"), monoid.rank
-    body = text[start:-3]
-    n = body.count('"exponents"')
-    if bound is None or rank == 0 or n == 0:
+    if bound is None or rank == 0 or _head(monoid, bound) != text[:start]:
         return None
     empty = _entry(rank, "value", '"%d"').replace("%d", "")
-    if (_head(monoid, bound) != text[:start] or body.translate(
-            str.maketrans("", "", "-0123456789")) != _array([empty] * n)):
-        return None
-    flat = json.loads("[" + body.translate(_COMMAS) + "]")
-    values = flat[rank::rank + 1]
-    del flat[rank::rank + 1]
-    table = dict(zip(zip(*[iter(flat)] * rank), values))
-    if (len(flat) + len(values) != n * (rank + 1) or len(table) != n
-            or min(flat) < 0 or max(monoid.grades(table)) > bound):
+    end, step, table, n = len(text) - 3, rank + 1, {}, 0
+    pos, prefix = start, "[\n"
+    while True:
+        cut = text.find("\n    },", pos + _READ_BLOCK, end)
+        last = cut < 0
+        cut = end if last else cut + len("\n    }")
+        block = text[pos:cut]
+        k = block.count('"exponents"')
+        skeleton = prefix + ",\n".join([empty] * k) + ("\n  ]" if last else "")
+        if k == 0 or block.translate(_DIGITS) != skeleton:
+            return None
+        flat = json.loads("[" + block.translate(_COMMAS) + "]")
+        values = flat[rank::step]
+        del flat[rank::step]
+        if len(flat) + len(values) != k * step or min(flat) < 0:
+            return None
+        table.update(zip(zip(*[iter(flat)] * rank), values))
+        n += k
+        if last:
+            break
+        pos, prefix = cut + 1, "\n"
+    if len(table) != n or max(monoid.grades(table)) > bound:
         return None
     return FormalSeries._trusted(monoid, bound, table)
 
@@ -742,7 +789,8 @@ def dumps(obj) -> str:
     and its denominator factors, each {"exponents": [...], "multiplicity":
     <int>}.  The layout is a contract, pinned by tests against
     `json.dumps`, but the text is written from templates that `loads`
-    reads back: `_head`, and `_entries` per entry array, by columns.
+    reads back: `_head`, and `_entries` per entry array, by columns, in
+    blocks of `BLOCK` entries, all joined once.
 
     Python limits int -> str conversion to 4300 digits by default, and
     `dumps` raises ValueError on a larger number.  `cli.main` lifts the
@@ -751,14 +799,14 @@ def dumps(obj) -> str:
     if isinstance(obj, FormalSeries):
         table = getattr(obj, "_columns", None) or _columns_of(obj.coefficients)
         parts = [_head(obj.monoid, obj.bound),
-                 _entries(obj.monoid, *table, "value", '"%d"')]
+                 *_entries(obj.monoid, *table, "value", '"%d"')]
     elif isinstance(obj, RationalSeries):
         num, den = (_columns_of(dict(pairs))
                     for pairs in (obj.numerator, obj.denominator))
         parts = [_head(obj.monoid, None),
-                 _entries(obj.monoid, *num, "value", '"%d"'),
+                 *_entries(obj.monoid, *num, "value", '"%d"'),
                  ',\n  "denominator": ',
-                 _entries(obj.monoid, *den, "multiplicity", "%d")]
+                 *_entries(obj.monoid, *den, "multiplicity", "%d")]
     else:
         raise TypeError(type(obj).__name__)
     return "".join([*parts, "\n}\n"])
@@ -771,14 +819,15 @@ def loads(text: str):
     Integers are JSON ints or strings of the `INTEGER` rule, every value
     is one, and no entry array may name the same exponents twice.  A
     series of rank >= 1 with at least one entry, in the layout `dumps`
-    writes, is read by that layout (`_read_layout`), without one JSON
-    object per entry.  Any other text, rational forms, rank-0 series and
-    empty arrays included, and one that fails a check there, is parsed
-    whole and read entry by entry, which raises the error of its first
-    bad entry, so an error's text does not depend on the reader.  A
-    number of more than 4300 digits is a ValueError unless the caller has
-    lifted Python's limit on str -> int conversion, as `cli.main` does
-    for each command (`sys.set_int_max_str_digits(0)`).
+    writes, is read by that layout (`_read_layout`), in blocks, without
+    one JSON object per entry or a copy of the whole array.  Any other
+    text, rational forms, rank-0 series and empty arrays included, and
+    one that fails a check there, is parsed whole and read entry by
+    entry, which raises the error of its first bad entry, so an error's
+    text does not depend on the reader.  A number of more than 4300
+    digits is a ValueError unless the caller has lifted Python's limit on
+    str -> int conversion, as `cli.main` does for each command
+    (`sys.set_int_max_str_digits(0)`).
     """
     with suppress(*_FORMAT_ERRORS):
         if (obj := _read_layout(text)) is not None:

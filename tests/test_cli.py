@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import math
 import re
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -830,6 +832,46 @@ def test_series_json_and_expand_write_without_building_the_table(
         assert (code, err) == (0, "")
         assert out == dumps(_G13_P2.expand(12))
     assert seen == [(True, True)] * 2
+
+
+def test_writing_an_expansion_peaks_near_twice_its_text(tmp_path):
+    # the 13,041-term expansion of G(1,3)'s E_2 at D = 160, already built,
+    # written to a file as the CLI writes it: `dumps` holds its blocks and
+    # their one join, about twice the text, and no third whole-array copy
+    # (a whole-array template and its `%` would be two more)
+    f, out = _G13_P2.expand(160), tmp_path / "f.json"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cli._emit(cli.dumps(f), str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = out.read_text(encoding="utf-8")
+    assert text.count('"exponents"') == 13041 and text == dumps(f)
+    assert peak < 2.25 * out.stat().st_size
+
+
+@pytest.mark.parametrize("argv, code", [
+    # a form over the cap, and a p out of range for G(1,3)
+    (["expand", "{form}", "--degree", "1413"], 3),
+    (["series", "G(1,3)", "--p", "5", "--format", "json"], 2),
+    (["series", "G(1,3)", "--p", "5", "--format", "text"], 2),
+])
+def test_a_refused_request_leaves_no_output_file(capsys, tmp_path, argv,
+                                                 code):
+    # --output is opened only once the command has computed what it
+    # writes; a request that succeeds writes `dumps`
+    form, out = tmp_path / "g13.json", tmp_path / "f"
+    form.write_text(dumps(_G13_P2))
+    argv = [a.format(form=form) for a in argv]
+    assert run(capsys, *argv, "--output", str(out))[0] == code
+    assert not out.exists()
+    for argv in (["expand", str(form)],
+                 ["series", "G(1,3)", "--p", "2", "--format", "json"]):
+        assert run(capsys, *argv, "--degree", "40", "--output",
+                   str(out)) == (0, "", "")
+        assert out.read_bytes() == dumps(_G13_P2.expand(40)).encode()
 
 
 def test_expand_rejects_series_file(capsys, tmp_path):

@@ -1,9 +1,10 @@
 """Property-based checks of the ring and morphism laws of `verify`, of
 `dumps` and `first_difference` against their plain reference forms, of
-`_entries`' one `%` per array of exponent columns against one `%` per
-term in `graded_lex` order, of `dumps` of an expansion against `dumps` of
-its table, and of `loads` on damaged series files, compact or in the
-layout `dumps` writes, against the per-entry reader, on cases drawn by
+`_entries`' one `%` per block of exponent columns against one `%` per
+term in `graded_lex` order, of `dumps` at the seams of its blocks, of
+`dumps` of an expansion against `dumps` of its table, and of `loads` on
+damaged series files, compact or in the layout `dumps` writes, against
+the per-entry reader, at the seams of its blocks too, on cases drawn by
 Hypothesis; that `loads` reads a series of rank >= 1 with a term that
 `dumps` writes by that layout, with a lower memory peak, and rational
 forms, rank-0 and empty series entry by entry; that every engine result,
@@ -327,6 +328,14 @@ _T0T1 = GradedMonoid.free(["t0", "t1"], [1, 2])
 _FLAG012 = catalog.parse_descriptor("Flag012")
 
 
+def _of_terms(n):
+    """A series of n terms over _T0T1, the first n elements in graded-lex
+    order, of alternating sign and up to 34 digits."""
+    elements = _T0T1.enumerate_up_to(120)[:n]
+    return FormalSeries(_T0T1, 120, {m: (-1) ** i * 7 ** (i % 40)
+                                     for i, m in enumerate(elements)})
+
+
 @settings(max_examples=200, deadline=None)
 @given(printable_series())
 @example(FormalSeries(GradedMonoid(()), 0, {}))
@@ -337,6 +346,13 @@ _FLAG012 = catalog.parse_descriptor("Flag012")
 @example(catalog.closed_form(_FLAG012, 1).expand(30))
 @example(RationalSeries(_T0T1, ((_T0T1.zero(), 1),),
                         (((1, 0), 1), ((0, 2), 1))).expand(30))
+# the seams of the writer's blocks: 0, 1, B - 1, B, B + 1 and 2B + 1 terms
+@example(_of_terms(0))
+@example(_of_terms(1))
+@example(_of_terms(series.BLOCK - 1))
+@example(_of_terms(series.BLOCK))
+@example(_of_terms(series.BLOCK + 1))
+@example(_of_terms(2 * series.BLOCK + 1))
 def test_dumps_is_the_reference_encoding(f):
     text = dumps(f)
     assert text == json.dumps(reference_payload(f), indent=2,
@@ -619,6 +635,50 @@ def _in_array(text, old, new):
     return text[:i] + text[i:].replace(old, new, 1)
 
 
+# the 13,041-term G(1,3) p = 2 file at D = 160, which the layout reader
+# reads in about 19 blocks
+_G13_160 = dumps(catalog.closed_form(catalog.parse_descriptor("G(1,3)"),
+                                     2).expand(160))
+
+
+def _cut(text):
+    """The layout reader's first cut in `text`: just after the end of the
+    first entry that ends, with a comma after it, at least `_READ_BLOCK`
+    characters into the array."""
+    start = text.index("[\n    {")
+    return text.index("\n    },", start + series._READ_BLOCK) + len("\n    }")
+
+
+def _last_entry_at_read_block():
+    """The series of `_of_terms` whose array holds the point `_READ_BLOCK`
+    characters into it in its last entry: that entry's end follows the
+    point, but no cut, so the array is one block."""
+    text = dumps(_of_terms(2 * series.BLOCK))
+    start = text.index("[\n    {")
+    return _of_terms(text.count("\n    }", start, start + series._READ_BLOCK)
+                     + 1)
+
+
+# _G13_160 damaged exactly at the first cut C, which a comma follows; the
+# entry before C ends with its value's last digit, '"' and "\n    }", and
+# the first exponent digit after C is at J
+_C = _cut(_G13_160)
+_J = _C + re.search("[0-9]", _G13_160[_C:]).start()
+_AT_CUT = [
+    _G13_160[:_C] + _G13_160[_C + 1:],           # the comma dropped
+    _G13_160[:_C] + "," + _G13_160[_C:],         # the comma doubled
+    # the digit before C moved after the comma, and the digit at J
+    # moved before it
+    _G13_160[:_C - 8] + _G13_160[_C - 7:_C + 1] + _G13_160[_C - 8]
+    + _G13_160[_C + 1:],
+    _G13_160[:_C] + _G13_160[_J] + _G13_160[_C:_J] + _G13_160[_J + 1:],
+    # an extra "\n    }", and an extra "\n    },", which the reader
+    # finds first and cuts at, before the value's last digit
+    _G13_160[:_C - 8] + "\n    }" + _G13_160[_C - 8:],
+    _G13_160[:_C - 8] + "\n    }," + _G13_160[_C - 8:],
+]
+
+
 def _rank0_repeated(exponents="[]"):
     """The rank-0 series of one term, in the layout with its one entry
     written twice, the second one's exponents as `exponents`."""
@@ -678,6 +738,14 @@ def _rank0_repeated(exponents="[]"):
 @example(dumps(_RANK3))
 @example(dumps(_RANK3.expand(4)))
 @example(_in_array(dumps(_RANK3.expand(4)), ",\n        ", ",5\n        "))
+# a file of many blocks, whole and damaged exactly at the first cut
+@example(_G13_160)
+@example(_AT_CUT[0])
+@example(_AT_CUT[1])
+@example(_AT_CUT[2])
+@example(_AT_CUT[3])
+@example(_AT_CUT[4])
+@example(_AT_CUT[5])
 @example(dumps(_RANK0))
 @example(dumps(_RANK1))
 @example(dumps(_LABELLED))
@@ -707,8 +775,8 @@ def per_term_entries(monoid, table, field, value):
     """An entry array written term by term: one `%` of one `_entry`
     template per term, in graded-lex order."""
     entry = series._entry(monoid.rank, field, value)
-    return series._array([entry % (*m, table[m])
-                          for m in monoid.graded_lex(table)])
+    entries = [entry % (*m, table[m]) for m in monoid.graded_lex(table)]
+    return "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
 
 
 @settings(max_examples=100, deadline=None)
@@ -719,7 +787,7 @@ def per_term_entries(monoid, table, field, value):
 @example(_RANK3)
 def test_entries_writes_each_array_as_term_by_term(x):
     # each array of the drawn series or form, and the empty table, as
-    # the one `%` over the whole array writes it and term by term
+    # the one `%` per block writes it and term by term
     if isinstance(x, FormalSeries):
         arrays = [(x.coefficients, "value", '"%d"')]
     else:
@@ -727,7 +795,8 @@ def test_entries_writes_each_array_as_term_by_term(x):
                   (dict(x.denominator), "multiplicity", "%d")]
     for table, field, value in [*arrays, ({}, "value", '"%d"')]:
         columns, values = list(zip(*table)), list(table.values())
-        assert (series._entries(x.monoid, columns, values, field, value)
+        assert ("".join(series._entries(x.monoid, columns, values, field,
+                                        value))
                 == per_term_entries(x.monoid, table, field, value))
 
 
@@ -793,6 +862,8 @@ _FORM3 = RationalSeries(_SPY_MONOIDS[3], (((0, 0, 0), 1),),
 @example(FormalSeries(_SPY_MONOIDS[1], 4, {(0,): 1, (4,): 10**200}))
 @example(_FORM2.expand(6))
 @example(_FORM3.expand(5))
+@example(_of_terms(2 * series.BLOCK + 1))  # several blocks of the reader
+@example(_last_entry_at_read_block())
 def test_loads_reads_what_dumps_writes_by_its_layout(x):
     # a series of rank >= 1 with a term is read by the layout reader,
     # never entry by entry: a writer that drifted from the reader would
@@ -832,8 +903,7 @@ def test_loads_reads_forms_rank0_and_empty_series_entry_by_entry(
 def test_loads_peak_memory_is_below_the_per_entry_readers():
     # the 13,041-term G(1,3) p = 2 file at D = 160: the layout reader holds
     # no JSON object per entry, nor a regex match of the whole array
-    text = dumps(catalog.closed_form(catalog.parse_descriptor("G(1,3)"),
-                                     2).expand(160))
+    text = _G13_160
     assert text.count('"exponents"') == 13041
 
     def peak(read):

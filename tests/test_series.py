@@ -726,6 +726,30 @@ def test_first_rational_difference_reads_either_form(monkeypatch):
         "expanding to it needs more than 1000 terms")
 
 
+def test_first_rational_difference_reads_values_off_the_columns(
+        monkeypatch):
+    # a(m) is read off the columns of the expansion to m's grade, and no
+    # expansion builds its table: at a key, at an element that is no key
+    # (value 0), and over the rank-0 monoid
+    def refused(self):
+        raise AssertionError("built an expansion's table")
+
+    monkeypatch.setattr(series._Expansion, "coefficients", property(refused))
+    one_over = RationalSeries(T, ((T.zero(), 1),), (((1,), 1),))
+    assert first_rational_difference(one_over, RationalSeries(
+        T, ((T.zero(), 1), ((50,), 1)), (((1,), 1),))) == ((50,), 1, 2)
+    x = RationalSeries(XY, ((XY.zero(), 1),), (((1, 0), 1),))
+    y = RationalSeries(XY, ((XY.zero(), 1), ((0, 40), 1)), (((1, 0), 1),))
+    assert first_rational_difference(x, y) == ((0, 40), 0, 1)
+    point = GradedMonoid(())
+    assert first_rational_difference(
+        RationalSeries(point, (((), 2),), ()),
+        RationalSeries(point, (((), 3),), ())) == ((), 2, 3)
+    assert first_rational_difference(
+        RationalSeries(point, (), ()),
+        RationalSeries(point, (((), 3),), ())) == ((), 0, 3)
+
+
 def test_first_rational_difference_multiplies_up_to_the_difference():
     # 1/(1-t)^E against 1/(1-t^2)^E: the cross products are (1-t^2)^E and
     # (1-t)^E, each E + 1 binomials, but they first differ at t, so only
