@@ -21,8 +21,9 @@ import sys
 
 from . import catalog, verify
 from .series import (FormalSeries, RationalSeries, TruncationError,
-                     describe_difference, dumps, first_difference,
-                     first_rational_difference, int_from_json, loads)
+                     _graded_terms, describe_difference, dumps,
+                     first_difference, first_rational_difference,
+                     int_from_json, loads)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -90,9 +91,9 @@ def _series_text(result: catalog.EulerChowResult, expansion: FormalSeries,
     pairs = ", ".join(f"{var} = {cls}"
                       for var, cls in result.generator_dictionary)
     lines.append(f"# generators: {pairs}")
-    columns, values = expansion._columns  # an expansion's, by index
+    columns, values, order = _graded_terms(expansion)
     keys = list(zip(*columns)) if columns else [()] * len(values)
-    for i in expansion.monoid.graded_lex_order(columns, len(values)):
+    for i in order:
         lines.append(f"{_monomial(expansion.monoid.labels, keys[i])}: "
                      f"{values[i]}")
     return "\n".join(lines) + "\n"
@@ -118,14 +119,27 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 
-def _load(path: str):
+def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
+        return fh.read()
+
+
+def _load_pair(path_a: str, path_b: str):
+    """The objects of two files: path_a is read and parsed first, so its
+    error comes first, and a path_b of the same text is not parsed again,
+    as `loads` depends on its text alone.  No text outlives the call."""
+    text = _read(path_a)
+    a = loads(text)
+    other = _read(path_b)
+    if other == text:
+        return a, a
+    del text  # not held through the second parse
+    return a, loads(other)
 
 
 def cmd_compare(args) -> int:
     """Two rational files are compared by identity, others by expansion."""
-    a, b = _load(args.file_a), _load(args.file_b)
+    a, b = _load_pair(args.file_a, args.file_b)
     if isinstance(a, RationalSeries) and isinstance(b, RationalSeries):
         diff = first_rational_difference(a, b, args.degree)
     else:
@@ -140,7 +154,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    obj = _load(args.file)
+    obj = loads(_read(args.file))
     if not isinstance(obj, RationalSeries):
         raise ValueError("expand requires a rational-series file")
     _emit(dumps(obj.expand(args.degree)), args.output)

@@ -8,7 +8,8 @@ image of a morphism.  Grading, `add` and `MonoidMorphism.apply` trust
 their input and do not re-check it.  `grade` serves one element and
 `grades` a whole table at once.  Graded-lex order is by grade, then by
 exponent tuple: `graded_lex` sorts tuples by it, and `graded_lex_order`
-puts exponent columns in the same order, as a permutation of indices.
+puts exponent columns in the same order, as a permutation of indices,
+by the int codes of `graded_lex_codes`, the one definition of the code.
 
 `Record` is the base of the package's immutable records, this module's
 two classes among them.
@@ -175,18 +176,28 @@ class GradedMonoid(Record):
         grade_of = dict(zip(keys, self.grades(keys)))
         return sorted(keys, key=grade_of.__getitem__)
 
-    def graded_lex_order(self, columns, n: int) -> list[int]:
-        """The indices of n valid elements, given as exponent columns, in
-        `graded_lex` order: sorted by one int code per element, its grade
-        then its exponents as digits in a base above every exponent.  The
-        code is linear in the exponents: column i adds e_i times w_i
-        base^r (its share of the grade) plus base^(r - 1 - i)."""
-        base = 1 + max(map(max, columns), default=0) if n else 1
+    def graded_lex_codes(self, columns, n: int, base: int) -> list[int]:
+        """The graded-lex code of each of n valid elements, given as
+        exponent columns: its grade, then its exponents as digits, in a
+        base above every exponent, so sorting by code is `graded_lex`
+        order.  The code is linear in the exponents: column i adds e_i
+        times w_i base^r (its share of the grade) plus base^(r - 1 - i).
+        So along a ray x + j*m the code is code(x) + j * code(m), which
+        `series._divide` lays out per ray for `RationalSeries.expand`."""
         codes, r = repeat(0, n), len(columns)
         for i, (col, w) in enumerate(zip(columns, self.weights)):
             unit = w * base ** r + base ** (r - 1 - i)
             codes = map(add, codes, map(mul, col, repeat(unit)))
-        return sorted(range(n), key=list(codes).__getitem__)
+        return list(codes)
+
+    def graded_lex_order(self, columns, n: int) -> list[int]:
+        """The indices of n valid elements, given as exponent columns, in
+        `graded_lex` order: sorted by `graded_lex_codes` in the base one
+        above the largest exponent.  `series.dumps` orders a table or a
+        rational form by it; an expansion carries its own codes."""
+        base = 1 + max(map(max, columns), default=0) if n else 1
+        return sorted(range(n),
+                      key=self.graded_lex_codes(columns, n, base).__getitem__)
 
     def enumerate_up_to(self, bound: int) -> list[Element]:
         """All elements of grade <= bound, in graded-lex order.

@@ -15,7 +15,10 @@ own copy of the caller's table.  The operations of this module trust
 the invariant of their operands, and build their results with
 `FormalSeries._trusted`, which skips the scans and keeps the table it is
 handed; it still checks the bound and drops zeros.  An expansion holds
-exponent columns and values, and builds its table when it is read.
+exponent columns, values and the graded-lex code of each term, which the
+last division of `expand` lays out one range per ray; `dumps` and the
+CLI's text writer sort the codes, and the expansion builds its table,
+and drops the columns, when it is read.
 
 `dumps` and `loads` own the series-file format, and no other code knows
 how a series or a rational series is spelled in a file.  Both work from
@@ -176,11 +179,13 @@ def _built(name: str):
 
 
 class _Expansion(FormalSeries):
-    """A series from `expand`, holding the exponent columns and nonzero
-    values of `_divide` as `_columns`.  Reading `coefficients` builds the
-    table, in `zip(*columns)` order, and makes the series a FormalSeries,
-    as equality, repr, copy and pickle do first.  A property here, unlike
-    a hook on FormalSeries, keeps every series' fast slot reads."""
+    """A series from `expand`, holding the exponent columns, nonzero values
+    and graded-lex codes of `_divide` as `_columns`.  Reading
+    `coefficients` builds the table, in `zip(*columns)` order, makes the
+    series a FormalSeries, as equality, repr, copy and pickle do first,
+    and unsets `_columns`, so the series holds one copy of its terms.  A
+    property here, unlike a hook on FormalSeries, keeps every series'
+    fast slot reads."""
 
     __slots__ = ()
 
@@ -191,11 +196,12 @@ class _Expansion(FormalSeries):
 
     @property
     def coefficients(self) -> dict[Element, int]:
-        columns, values = self._columns
+        columns, values, _ = self._columns
         keys = zip(*columns) if columns else repeat(())  # rank 0: ()
         table = dict(zip(keys, values))
         object.__setattr__(self, "__class__", FormalSeries)
         object.__setattr__(self, "coefficients", table)
+        object.__delattr__(self, "_columns")
         return table
 
     __eq__, __repr__, __reduce__ = map(_built, ("__eq__", "__repr__",
@@ -377,9 +383,12 @@ def _simplex_exceeds(n: int, r: int, cap: int) -> bool:
 
 
 def _divide(monoid: GradedMonoid, columns: list, values: list, m: Element,
-            e: int, degree: int) -> tuple[list, list]:
+            e: int, degree: int, base: int | None = None):
     """table / (1 - t^m)^e up to the degree, e >= 1; a table comes and goes
     as exponent columns, one list per generator, and its nonzero values.
+    Returns (columns, values, codes): with a base above every exponent,
+    codes holds the `graded_lex_codes` of the terms in that base, else it
+    is None.
 
     The terms are grouped by the ray x + N*m they lie on, keyed by its
     base (x minus the largest multiple k of m that keeps every exponent
@@ -391,9 +400,12 @@ def _divide(monoid: GradedMonoid, columns: list, values: list, m: Element,
     times min(e, its nonzero count).  Rays are disjoint, so their lengths
     sum to at most the number of elements of grade <= degree; the ray
     that takes that sum past MAX_EXPANSION_TERMS raises TruncationError
-    before it is allocated.  Zeros are dropped once, at the end."""
+    before it is allocated.  A code is linear in the exponents, so a ray
+    of n terms from base y has the codes range(code(y), code(y) + n *
+    code(m), code(m)): one code per ray is computed, not one per term.
+    Zeros are dropped once, at the end, from the codes too."""
     if not values:
-        return columns, values  # zero stays zero
+        return columns, values, [] if base else None  # zero stays zero
     gm = monoid.grade(m)
     steps = [list(map(floordiv, col, repeat(x)))
              for col, x in zip(columns, m) if x]
@@ -431,10 +443,19 @@ def _divide(monoid: GradedMonoid, columns: list, values: list, m: Element,
         for col, a, x in zip(columns, y, m):
             col.extend(range(a, a + x * n, x) if x else repeat(a, n))
         values.extend(ray)
+    codes = None
+    if base:
+        [step] = monoid.graded_lex_codes([[x] for x in m], 1, base)
+        starts = monoid.graded_lex_codes(list(zip(*rays)), len(rays), base)
+        codes = list(chain.from_iterable(
+            range(c, c + len(ray) * step, step)
+            for c, ray in zip(starts, rays.values())))
     if 0 in values:
         columns = [list(compress(col, values)) for col in columns]
+        if base:
+            codes = list(compress(codes, values))
         values = list(filter(None, values))
-    return columns, values
+    return columns, values, codes
 
 
 def _multiply(monoid: GradedMonoid, table: dict, m: Element, e: int,
@@ -503,8 +524,12 @@ class RationalSeries(Record):
     def expand(self, degree: int) -> FormalSeries:
         """Truncated expansion, exact to the degree: the numerator up to
         the degree, as exponent columns, divided by each factor in turn
-        with `_divide`.  The series holds the last columns and builds its
-        table when it is read; `dumps` writes it from the columns.
+        with `_divide`.  The last division also returns the terms'
+        `graded_lex_codes` in base degree + 1, which is above every
+        exponent of a term of grade <= degree (the numerator's are coded
+        directly when there is no factor).  The series holds the last
+        columns, values and codes, and builds its table when it is read;
+        `dumps` and `cli._series_text` write it in the order of the codes.
         The factors commute, and one of grade g stretches each ray by about
         degree / g terms, so they go in falling grade (reversed `graded_lex`
         order): the grade-1 factors, divided last, meet the smallest tables.
@@ -532,10 +557,15 @@ class RationalSeries(Record):
                if g <= degree}
         columns, values = _columns_of(num)
         den = dict(self.denominator)
-        for m in reversed(monoid.graded_lex(den)):
-            columns, values = _divide(monoid, columns, values, m, den[m],
-                                      degree)
-        return _Expansion(monoid, degree, (columns, values))
+        base = degree + 1  # above every exponent of a grade <= degree
+        factors = monoid.graded_lex(den)[::-1]
+        codes = (None if factors
+                 else monoid.graded_lex_codes(columns, len(values), base))
+        for n, m in enumerate(factors, 1):  # only the last division codes
+            columns, values, codes = _divide(
+                monoid, columns, values, m, den[m], degree,
+                base if n == len(factors) else None)
+        return _Expansion(monoid, degree, (columns, values, codes))
 
     def multiply(self, other: "RationalSeries") -> "RationalSeries":
         _check_monoids(self, other)
@@ -564,7 +594,7 @@ class RationalSeries(Record):
 def _value_at(f: _Expansion, m: Element) -> int:
     """An expansion's coefficient at a valid m of grade <= its bound, read
     off its exponent columns without building its table."""
-    columns, values = f._columns
+    columns, values, _ = f._columns
     keys = zip(*columns) if columns else repeat((), len(values))  # rank 0
     try:
         return values[indexOf(keys, m)]
@@ -697,20 +727,37 @@ def _entry(rank: int, field: str, value: str) -> str:
             f'{value}\n    }}')
 
 
+def _graded_terms(f: FormalSeries) -> tuple[list, list, list[int]]:
+    """f's exponent columns, its values, and the indices of its terms in
+    graded-lex order.  An unread expansion gives its own columns, ordered
+    by the sort of the codes `expand` made with them; any other series its
+    table, split by `_columns_of` and ordered by `graded_lex_order`.  The
+    series writers, `dumps` and the CLI's text format, read terms here."""
+    columns, values, codes = (getattr(f, "_columns", None)
+                              or (*_columns_of(f.coefficients), None))
+    order = (f.monoid.graded_lex_order(columns, len(values)) if codes is None
+             else sorted(range(len(codes)), key=codes.__getitem__))
+    return columns, values, order
+
+
 def _entries(monoid: GradedMonoid, columns, values: list, field: str,
-             value: str):
+             value: str, order: list[int] | None = None):
     """The text of an entry array of exponent columns and values, in
-    chunks: "[\n", then each block of up to `BLOCK` entries of
-    `graded_lex_order`, by one `%` of its `_entry` templates joined by
-    ",\n", its numbers laid out flat by index, each entry's exponents
-    then its value; ",\n" between two blocks, and "\n  ]" after the last.
-    An empty array is "[]".  The value is '"%d"' (a string) or '%d'; "%d" is
-    str(c) as no value or exponent is a bool (constructors check)."""
+    chunks: "[\n", then each block of up to `BLOCK` entries in graded-lex
+    order, by one `%` of its `_entry` templates joined by ",\n", its
+    numbers laid out flat by index, each entry's exponents then its value;
+    ",\n" between two blocks, and "\n  ]" after the last.  The order is
+    the given permutation of the indices (`_graded_terms`' of a series),
+    or else `graded_lex_order`.  An empty array is "[]".  The value is
+    '"%d"' (a string) or '%d'; "%d" is str(c) as no value or exponent is
+    a bool (constructors check)."""
     n = len(values)
     if not n:
         yield "[]"
         return
-    order, step = monoid.graded_lex_order(columns, n), monoid.rank + 1
+    if order is None:
+        order = monoid.graded_lex_order(columns, n)
+    step = monoid.rank + 1
     entry, k = _entry(monoid.rank, field, value), min(n, BLOCK)
     template, sep = ",\n".join([entry] * k), "[\n"
     for s in range(0, n, BLOCK):
@@ -790,16 +837,21 @@ def dumps(obj) -> str:
     <int>}.  The layout is a contract, pinned by tests against
     `json.dumps`, but the text is written from templates that `loads`
     reads back: `_head`, and `_entries` per entry array, by columns, in
-    blocks of `BLOCK` entries, all joined once.
+    blocks of `BLOCK` entries, all joined once.  Entries go in graded-lex
+    order: a series' as `_graded_terms` gives them, so an unread
+    expansion's by the codes `expand` made with its columns, and a
+    table's or a rational form's by `graded_lex_order`.
 
     Python limits int -> str conversion to 4300 digits by default, and
     `dumps` raises ValueError on a larger number.  `cli.main` lifts the
     limit for each command and restores it afterwards; a library caller
     lifts it itself, with `sys.set_int_max_str_digits(0)`."""
     if isinstance(obj, FormalSeries):
-        table = getattr(obj, "_columns", None) or _columns_of(obj.coefficients)
+        columns, values, order = _graded_terms(obj)
         parts = [_head(obj.monoid, obj.bound),
-                 *_entries(obj.monoid, *table, "value", '"%d"')]
+                 *_entries(obj.monoid, columns, values, "value", '"%d"',
+                           order)]
+        del order  # an int per term, not held through the join
     elif isinstance(obj, RationalSeries):
         num, den = (_columns_of(dict(pairs))
                     for pairs in (obj.numerator, obj.denominator))

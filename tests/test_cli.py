@@ -834,6 +834,33 @@ def test_series_json_and_expand_write_without_building_the_table(
     assert seen == [(True, True)] * 2
 
 
+@pytest.mark.parametrize("variety, p, degree", [
+    ("G(1,3)", "2", "12"), ("Pn(6)", "2", "40"), ("Macdonald(3)", "0", "9"),
+])
+def test_text_format_is_the_same_once_the_table_is_read(capsys, monkeypatch,
+                                                         variety, p, degree):
+    # an unread expansion is written in the order of its codes; one whose
+    # table was read first (as a caller counting its terms may) has
+    # released its columns and is written from the table, line for line
+    # the same, in `graded_lex` order
+    argv = ("series", variety, "--p", p, "--degree", degree)
+    code, unread, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    text = cli._series_text
+
+    def after_reading(result, expansion, degree):
+        table = expansion.coefficients
+        assert not hasattr(expansion, "_columns")
+        lines = text(result, expansion, degree).splitlines()[2:]
+        labels = expansion.monoid.labels
+        assert [line.rpartition(": ")[0] for line in lines] == [
+            cli._monomial(labels, m) for m in expansion.monoid.graded_lex(table)]
+        return text(result, expansion, degree)
+
+    monkeypatch.setattr(cli, "_series_text", after_reading)
+    assert run(capsys, *argv) == (0, unread, "")
+
+
 def test_writing_an_expansion_peaks_near_twice_its_text(tmp_path):
     # the 13,041-term expansion of G(1,3)'s E_2 at D = 160, already built,
     # written to a file as the CLI writes it: `dumps` holds its blocks and
@@ -1041,6 +1068,54 @@ def test_malformed_series_file_is_a_usage_error(capsys, tmp_path, command,
     assert code == 2
     assert err.startswith("error: malformed series file: ")
     assert len(err.splitlines()) == 1
+
+
+def _twins(tmp_path, text):
+    """A file of the text, and the pairs `compare` may get with it: the
+    file and itself, and the file and a byte-identical copy."""
+    a, b = tmp_path / "a.json", tmp_path / "copy.json"
+    a.write_text(text, encoding="utf-8")
+    b.write_text(text, encoding="utf-8")
+    return a, [(a, a), (a, b)]
+
+
+@pytest.mark.parametrize("text, degree, code, out, err", [
+    (dumps(_G13_P2.expand(24)), "24", 0, "equal to degree 24\n", ""),
+    (dumps(_G13_P2.expand(24)), "3", 0, "equal to degree 3\n", ""),
+    (dumps(RationalSeries(GradedMonoid(()), (((), 7),), ()).expand(5)), "5",
+     0, "equal to degree 5\n", ""),
+    (dumps(_G13_P2), "30", 0, "equal to degree 30\n", ""),
+    (dumps(macdonald(3)), "1000", 0, "equal to degree 1000\n", ""),
+    (dumps(_G13_P2.expand(24)), "25", 3, "",
+     "error: degree 25 exceeds a series bound (24, 24)\n"),
+], ids=["series", "series-below-bound", "rank-0", "rational",
+        "rational-high-degree", "above-bound"])
+def test_compare_parses_a_file_and_its_twin_once(capsys, monkeypatch,
+                                                 tmp_path, text, degree,
+                                                 code, out, err):
+    # a file_b of file_a's text is read and not parsed again: `loads`
+    # depends on its text alone, so the answer is that of two parses
+    parsed = []
+    monkeypatch.setattr(cli, "loads", lambda t: parsed.append(t) or loads(t))
+    _, pairs = _twins(tmp_path, text)
+    for a, b in pairs:
+        parsed.clear()
+        assert run(capsys, "compare", str(a), str(b),
+                   "--degree", degree) == (code, out, err)
+        assert parsed == [text]
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_compare_reports_file_a_malformed_beside_any_file_b(
+        capsys, tmp_path, text):
+    # the error of parsing file_a alone, whether file_b is file_a, a copy
+    # of it, or a file that cannot be read
+    with pytest.raises(ValueError) as caught:
+        loads(text)
+    first, pairs = _twins(tmp_path, text)
+    for a, b in [*pairs, (first, tmp_path / "missing.json")]:
+        assert run(capsys, "compare", str(a), str(b)) == (
+            2, "", f"error: {caught.value}\n")
 
 
 @pytest.mark.parametrize("argv", [

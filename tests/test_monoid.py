@@ -118,6 +118,11 @@ def column_lists(draw):
 @example((GradedMonoid.free("abcd", [2, 1, 2, 1]),
           [(2**30, 0, 0, 1), (0, 2**31, 0, 0), (1, 0, 0, 2**30), (0,) * 4]))
 @example((_XY, _XY_160[::-1]))
+# a digit equal to the base carries: in base 2, (0, 0, 2), grade 4, and
+# (2, 1, 0), grade 3, get one code, and a stable sort keeps them in this
+# order; in base 3, (3, 2, 0), grade 5, gets the larger code
+@example((GradedMonoid.free("abc", [1, 1, 2]), [(0, 0, 2), (2, 1, 0)]))
+@example((GradedMonoid.free("abc", [1, 1, 2]), [(3, 2, 0), (0, 0, 3)]))
 def test_graded_lex_order_is_the_sort_by_grade_then_element(case):
     # the indices of elements given as columns, in the order `graded_lex`
     # puts the tuples: one order, on tuples and on columns

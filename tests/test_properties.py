@@ -2,7 +2,8 @@
 `dumps` and `first_difference` against their plain reference forms, of
 `_entries`' one `%` per block of exponent columns against one `%` per
 term in `graded_lex` order, of `dumps` at the seams of its blocks, of
-`dumps` of an expansion against `dumps` of its table, and of `loads` on
+`dumps` of an expansion against `dumps` of its table, of the per-ray
+codes of `expand` against `graded_lex_codes`, and of `loads` on
 damaged series files, compact or in the layout `dumps` writes, against
 the per-entry reader, at the seams of its blocks too, on cases drawn by
 Hypothesis; that `loads` reads a series of rank >= 1 with a term that
@@ -198,9 +199,9 @@ def test_the_largest_ray_total_is_the_simplex_count(monkeypatch, r):
     totals = []
     divide = series._divide
 
-    def spy(monoid, columns, values, m, e, degree):
+    def spy(monoid, columns, values, m, e, degree, *base):
         totals.append(ray_total(monoid, columns, m, degree))
-        return divide(monoid, columns, values, m, e, degree)
+        return divide(monoid, columns, values, m, e, degree, *base)
 
     monkeypatch.setattr(series, "_divide", spy)
     rank = r.monoid.rank
@@ -834,6 +835,59 @@ def test_dumps_writes_an_expansion_as_the_series_of_its_table(case):
     assert text == dumps(FormalSeries(r.monoid, degree, table))
     with pytest.raises(AttributeError):
         FormalSeries.__dict__["coefficients"].__get__(f, FormalSeries)
+
+
+@st.composite
+def coded_forms(draw):
+    """(form, degree) for the codes an expansion carries: rank 0-3,
+    weights 1-2, denominator elements among the generators, their sums
+    (such as (1, 1)) and 2 g_i + g_j (such as (2, 1)); numerator 1, at
+    times minus a denominator element (1 - xy over (1 - xy)^e cancels a
+    power, and over (1 - xy)^1 leaves its rays' zeros), plus a few small
+    terms; degree 0-12.  A weight-1 generator factor puts a term of
+    exponent equal to the degree in the expansion."""
+    rank = draw(st.integers(0, 3))
+    weights = draw(st.lists(st.integers(1, 2), min_size=rank, max_size=rank))
+    monoid = GradedMonoid.free([f"g{i}" for i in range(rank)], weights)
+    gens = [monoid.generator(i) for i in range(rank)]
+    candidates = gens + [monoid.add(a, b) for a in gens for b in gens] + [
+        monoid.add(monoid.add(a, a), b) for a in gens for b in gens if a != b]
+    denominator = (draw(st.lists(st.tuples(st.sampled_from(candidates),
+                                           st.integers(1, 3)), max_size=3))
+                   if rank else [])
+    numerator = [(monoid.zero(), 1)]
+    if denominator and draw(st.booleans()):
+        numerator.append((draw(st.sampled_from(denominator))[0], -1))
+    elements = st.lists(st.integers(0, 3), min_size=rank,
+                        max_size=rank).map(tuple)
+    numerator += draw(st.lists(st.tuples(elements, st.integers(-3, 3)),
+                               max_size=2))
+    return (RationalSeries(monoid, tuple(numerator), tuple(denominator)),
+            draw(st.integers(0, 12)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(coded_forms())
+@example((RationalSeries(_XY, (((0, 0), 1), ((1, 1), -1)),
+                         (((1, 0), 1), ((0, 1), 2), ((1, 1), 1))), 12))
+@example((RationalSeries(_T0T1, (((0, 0), 1),),
+                         (((2, 1), 2), ((1, 0), 1))), 12))
+@example((RationalSeries(_XY, (((0, 0), 1),), (((1, 0), 1),)), 0))
+@example((RationalSeries(_XY, (((0, 0), 5), ((3, 0), 1)), ()), 3))
+@example((RationalSeries(GradedMonoid(()), (((), 4),), ()), 0))
+def test_an_expansion_is_written_in_the_order_of_its_codes(case):
+    # the codes `expand` lays out per ray are `graded_lex_codes` of its
+    # terms in base degree + 1, so `dumps` writes the graded-lex order of
+    # the table, the text of the same table as a plain series
+    r, degree = case
+    f = r.expand(degree)
+    columns, values, codes = f._columns
+    assert codes == r.monoid.graded_lex_codes(columns, len(values),
+                                              degree + 1)
+    table = r.expand(degree).coefficients
+    text = dumps(f)
+    assert list(loads(text).coefficients) == r.monoid.graded_lex(table)
+    assert text == dumps(FormalSeries(r.monoid, degree, table))
 
 
 def test_json_int_values_load_as_their_decimal_strings():
