@@ -20,7 +20,7 @@ import functools
 import sys
 
 from . import catalog, verify
-from .series import (FormalSeries, RationalSeries, TruncationError,
+from .series import (FormalSeries, RationalSeries, TruncationError, _Terms,
                      _graded_terms, describe_difference, dumps,
                      first_difference, first_rational_difference,
                      int_from_json, loads)
@@ -85,8 +85,8 @@ def _format_rational(r: RationalSeries) -> str:
         for m in order(den))
 
 
-def _series_text(result: catalog.EulerChowResult, expansion: FormalSeries,
-                 degree: int) -> str:
+def _series_text(result: catalog.EulerChowResult,
+                 expansion: FormalSeries | _Terms, degree: int) -> str:
     lines = [f"# E_{result.p}({result.variety}), degree <= {degree}"]
     pairs = ", ".join(f"{var} = {cls}"
                       for var, cls in result.generator_dictionary)
@@ -106,7 +106,7 @@ def cmd_series(args) -> int:
         text = (f"# E_{result.p}({result.variety})\n"
                 f"{_format_rational(result.closed_form)}\n")
     else:
-        expansion = result.closed_form.expand(args.degree)
+        expansion = result.closed_form._expansion(args.degree)
         text = (_series_text(result, expansion, args.degree)
                 if args.format == "text" else dumps(expansion))
     _emit(text, args.output)
@@ -157,7 +157,7 @@ def cmd_expand(args) -> int:
     obj = loads(_read(args.file))
     if not isinstance(obj, RationalSeries):
         raise ValueError("expand requires a rational-series file")
-    _emit(dumps(obj.expand(args.degree)), args.output)
+    _emit(dumps(obj._expansion(args.degree)), args.output)
     return EXIT_OK
 
 

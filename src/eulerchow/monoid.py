@@ -183,7 +183,7 @@ class GradedMonoid(Record):
         order.  The code is linear in the exponents: column i adds e_i
         times w_i base^r (its share of the grade) plus base^(r - 1 - i).
         So along a ray x + j*m the code is code(x) + j * code(m), which
-        `series._divide` lays out per ray for `RationalSeries.expand`."""
+        `series._divide` lays out per ray for `RationalSeries._expansion`."""
         codes, r = repeat(0, n), len(columns)
         for i, (col, w) in enumerate(zip(columns, self.weights)):
             unit = w * base ** r + base ** (r - 1 - i)
@@ -193,8 +193,9 @@ class GradedMonoid(Record):
     def graded_lex_order(self, columns, n: int) -> list[int]:
         """The indices of n valid elements, given as exponent columns, in
         `graded_lex` order: sorted by `graded_lex_codes` in the base one
-        above the largest exponent.  `series.dumps` orders a table or a
-        rational form by it; an expansion carries its own codes."""
+        above the largest exponent.  `series.dumps` orders a series' table
+        or a rational form by it; the `series._Terms` record of an
+        expansion holds the codes `_divide` laid out, in base degree + 1."""
         base = 1 + max(map(max, columns), default=0) if n else 1
         return sorted(range(n),
                       key=self.graded_lex_codes(columns, n, base).__getitem__)

@@ -14,11 +14,11 @@ engine: the public constructor, and so `loads`, scans them and keeps its
 own copy of the caller's table.  The operations of this module trust
 the invariant of their operands, and build their results with
 `FormalSeries._trusted`, which skips the scans and keeps the table it is
-handed; it still checks the bound and drops zeros.  An expansion holds
-exponent columns, values and the graded-lex code of each term, which the
-last division of `expand` lays out one range per ray; `dumps` and the
-CLI's text writer sort the codes, and the expansion builds its table,
-and drops the columns, when it is read.
+handed; it still checks the bound and drops zeros.  `expand` returns
+such a series.  `RationalSeries._expansion` stops one step short: its
+`_Terms` record holds exponent columns, values and the graded-lex code
+of each term, which the last division lays out one range per ray, and
+`dumps` and the CLI's text writer sort the codes, building no table.
 
 `dumps` and `loads` own the series-file format, and no other code knows
 how a series or a rational series is spelled in a file.  Both work from
@@ -81,8 +81,7 @@ def _check_bound(bound):
 class FormalSeries(Record):
     """Element of the convolution ring, truncated at a grade bound."""
 
-    _fields = ("monoid", "bound", "coefficients")
-    __slots__ = _fields + ("_columns",)  # an expansion's: see `_Expansion`
+    __slots__ = _fields = ("monoid", "bound", "coefficients")
     _defaults = {"coefficients": dict}
     monoid: GradedMonoid
     bound: int
@@ -169,45 +168,6 @@ class FormalSeries(Record):
             {m: c * s for m, c in self.coefficients.items()})
 
 
-def _built(name: str):
-    """The method `name` of an `_Expansion`: reading `coefficients` makes
-    the series a FormalSeries, whose method `name` it then calls."""
-    def method(self, *args):
-        self.coefficients
-        return getattr(self, name)(*args)
-    return method
-
-
-class _Expansion(FormalSeries):
-    """A series from `expand`, holding the exponent columns, nonzero values
-    and graded-lex codes of `_divide` as `_columns`.  Reading
-    `coefficients` builds the table, in `zip(*columns)` order, makes the
-    series a FormalSeries, as equality, repr, copy and pickle do first,
-    and unsets `_columns`, so the series holds one copy of its terms.  A
-    property here, unlike a hook on FormalSeries, keeps every series'
-    fast slot reads."""
-
-    __slots__ = ()
-
-    def __init__(self, monoid: GradedMonoid, bound: int, columns: tuple):
-        object.__setattr__(self, "monoid", monoid)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "_columns", columns)
-
-    @property
-    def coefficients(self) -> dict[Element, int]:
-        columns, values, _ = self._columns
-        keys = zip(*columns) if columns else repeat(())  # rank 0: ()
-        table = dict(zip(keys, values))
-        object.__setattr__(self, "__class__", FormalSeries)
-        object.__setattr__(self, "coefficients", table)
-        object.__delattr__(self, "_columns")
-        return table
-
-    __eq__, __repr__, __reduce__ = map(_built, ("__eq__", "__repr__",
-                                                "__reduce__"))
-
-
 def _terms_up_to(f: FormalSeries, bound: int):
     """The (element, coefficient) pairs of f of grade <= bound, with its
     key table graded in one `grades` pass."""
@@ -218,6 +178,25 @@ def _terms_up_to(f: FormalSeries, bound: int):
 def _columns_of(table: dict) -> tuple[list, list]:
     """A table as its exponent columns and its values."""
     return list(zip(*table)), list(table.values())
+
+
+class _Terms(Record):
+    """An expansion as `_divide` leaves it: one exponent column per
+    generator, the nonzero values, and each term's graded-lex code in a
+    base above every exponent.  `expand` builds its table from it; `dumps`,
+    the CLI's text format and `_value_at` read it without one."""
+
+    __slots__ = _fields = ("monoid", "bound", "columns", "values", "codes")
+    monoid: GradedMonoid
+    bound: int
+    columns: list
+    values: list
+    codes: list
+
+    def keys(self):
+        """The terms' exponent tuples, in column order (rank 0: ())."""
+        return (zip(*self.columns) if self.columns
+                else repeat((), len(self.values)))
 
 
 def one(monoid: GradedMonoid, bound: int) -> FormalSeries:
@@ -521,15 +500,15 @@ class RationalSeries(Record):
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)
 
-    def expand(self, degree: int) -> FormalSeries:
-        """Truncated expansion, exact to the degree: the numerator up to
-        the degree, as exponent columns, divided by each factor in turn
-        with `_divide`.  The last division also returns the terms'
+    def _expansion(self, degree: int) -> _Terms:
+        """The terms of the expansion, exact to the degree: the numerator
+        up to the degree, as exponent columns, divided by each factor in
+        turn with `_divide`.  The last division also returns the terms'
         `graded_lex_codes` in base degree + 1, which is above every
         exponent of a term of grade <= degree (the numerator's are coded
-        directly when there is no factor).  The series holds the last
-        columns, values and codes, and builds its table when it is read;
-        `dumps` and `cli._series_text` write it in the order of the codes.
+        directly when there is no factor).  `expand` builds the record's
+        table; the CLI writes the record in the order of its codes, and
+        `first_rational_difference` reads one value off it, with no table.
         The factors commute, and one of grade g stretches each ray by about
         degree / g terms, so they go in falling grade (reversed `graded_lex`
         order): the grade-1 factors, divided last, meet the smallest tables.
@@ -565,7 +544,14 @@ class RationalSeries(Record):
             columns, values, codes = _divide(
                 monoid, columns, values, m, den[m], degree,
                 base if n == len(factors) else None)
-        return _Expansion(monoid, degree, (columns, values, codes))
+        return _Terms(monoid, degree, columns, values, codes)
+
+    def expand(self, degree: int) -> FormalSeries:
+        """Truncated expansion, exact to the degree: the series of the
+        table of `_expansion(degree)`, keyed in its column order."""
+        terms = self._expansion(degree)
+        return FormalSeries._trusted(self.monoid, degree,
+                                     dict(zip(terms.keys(), terms.values)))
 
     def multiply(self, other: "RationalSeries") -> "RationalSeries":
         _check_monoids(self, other)
@@ -591,13 +577,11 @@ class RationalSeries(Record):
             tuple((phi.apply(m), e) for m, e in self.denominator))
 
 
-def _value_at(f: _Expansion, m: Element) -> int:
+def _value_at(terms: _Terms, m: Element) -> int:
     """An expansion's coefficient at a valid m of grade <= its bound, read
-    off its exponent columns without building its table."""
-    columns, values, _ = f._columns
-    keys = zip(*columns) if columns else repeat((), len(values))  # rank 0
+    off the exponent columns of its `_Terms` record, with no table built."""
     try:
-        return values[indexOf(keys, m)]
+        return terms.values[indexOf(terms.keys(), m)]
     except ValueError:  # m is not a key: its coefficient is 0
         return 0
 
@@ -648,7 +632,7 @@ def first_rational_difference(a: RationalSeries, b: RationalSeries,
     m = monoid.graded_lex(delta)[0]
     for x, shift in ((a, 0), (b, delta[m])):
         with suppress(TruncationError):
-            value = _value_at(x.expand(monoid.grade(m)), m) + shift
+            value = _value_at(x._expansion(monoid.grade(m)), m) + shift
             return m, value, value - delta[m]
     within = "" if degree is None else f", within degree {degree},"
     raise TruncationError(
@@ -727,17 +711,17 @@ def _entry(rank: int, field: str, value: str) -> str:
             f'{value}\n    }}')
 
 
-def _graded_terms(f: FormalSeries) -> tuple[list, list, list[int]]:
-    """f's exponent columns, its values, and the indices of its terms in
-    graded-lex order.  An unread expansion gives its own columns, ordered
-    by the sort of the codes `expand` made with them; any other series its
-    table, split by `_columns_of` and ordered by `graded_lex_order`.  The
-    series writers, `dumps` and the CLI's text format, read terms here."""
-    columns, values, codes = (getattr(f, "_columns", None)
-                              or (*_columns_of(f.coefficients), None))
-    order = (f.monoid.graded_lex_order(columns, len(values)) if codes is None
-             else sorted(range(len(codes)), key=codes.__getitem__))
-    return columns, values, order
+def _graded_terms(f: FormalSeries | _Terms) -> tuple[list, list, list[int]]:
+    """The exponent columns, values, and indices in graded-lex order of
+    the terms of a series or an expansion's `_Terms`: the record's own
+    columns, ordered by the sort of its codes, or the series' table, split
+    by `_columns_of` and ordered by `graded_lex_order`.  The series
+    writers, `dumps` and the CLI's text format, read terms here."""
+    if isinstance(f, _Terms):
+        return f.columns, f.values, sorted(range(len(f.codes)),
+                                           key=f.codes.__getitem__)
+    columns, values = _columns_of(f.coefficients)
+    return columns, values, f.monoid.graded_lex_order(columns, len(values))
 
 
 def _entries(monoid: GradedMonoid, columns, values: list, field: str,
@@ -828,7 +812,8 @@ def _read_layout(text: str):
 
 
 def dumps(obj) -> str:
-    """Byte-stable JSON text for a series or rational series: the text of
+    """Byte-stable JSON text for a series, an expansion's `_Terms` (the
+    text of its series) or a rational series: the text of
     `json.dumps(payload, indent=2, ensure_ascii=True)` and a newline.  Both
     documents hold the monoid, {"generators": [{"label", "weight"}, ...]}.
     A series adds its bound and its coefficient entries, a rational series
@@ -838,15 +823,15 @@ def dumps(obj) -> str:
     `json.dumps`, but the text is written from templates that `loads`
     reads back: `_head`, and `_entries` per entry array, by columns, in
     blocks of `BLOCK` entries, all joined once.  Entries go in graded-lex
-    order: a series' as `_graded_terms` gives them, so an unread
-    expansion's by the codes `expand` made with its columns, and a
+    order: a series' or an expansion's as `_graded_terms` gives them, so
+    the expansion's by the codes `_divide` made with its columns, and a
     table's or a rational form's by `graded_lex_order`.
 
     Python limits int -> str conversion to 4300 digits by default, and
     `dumps` raises ValueError on a larger number.  `cli.main` lifts the
     limit for each command and restores it afterwards; a library caller
     lifts it itself, with `sys.set_int_max_str_digits(0)`."""
-    if isinstance(obj, FormalSeries):
+    if isinstance(obj, (FormalSeries, _Terms)):
         columns, values, order = _graded_terms(obj)
         parts = [_head(obj.monoid, obj.bound),
                  *_entries(obj.monoid, columns, values, "value", '"%d"',

@@ -633,19 +633,20 @@ def test_compare_multiplies_only_up_to_the_difference(capsys, tmp_path,
 
 
 def _recording_expand(monkeypatch):
-    """The degrees RationalSeries.expand is called with, from now on;
-    first_difference, which compares two expansions, fails if called."""
+    """The degrees RationalSeries._expansion, which `expand` calls too, is
+    called with, from now on; first_difference, which compares two
+    expansions, fails if called."""
     degrees = []
-    expand = RationalSeries.expand
+    expansion = RationalSeries._expansion
 
     def recording(self, degree):
         degrees.append(degree)
-        return expand(self, degree)
+        return expansion(self, degree)
 
     def refused(*_):
         raise AssertionError("compared two expansions")
 
-    monkeypatch.setattr(RationalSeries, "expand", recording)
+    monkeypatch.setattr(RationalSeries, "_expansion", recording)
     monkeypatch.setattr(cli, "first_difference", refused)
     return degrees
 
@@ -805,68 +806,57 @@ def test_compare_degree_beyond_bound(capsys, tmp_path):
 
 def test_series_json_and_expand_write_without_building_the_table(
         capsys, monkeypatch, tmp_path):
-    # the expansion reaches `dumps` with its table slot, read past the
-    # `_Expansion` property, unset, and `dumps` leaves it unset
-    slot, seen = FormalSeries.__dict__["coefficients"], []
-
-    def unset(f):
-        try:
-            slot.__get__(f, FormalSeries)
-        except AttributeError:
-            return True
-        return False
-
-    def spy(obj):
-        before = unset(obj)
-        text = dumps(obj)
-        seen.append((before, unset(obj)))
-        return text
-
-    monkeypatch.setattr(cli, "dumps", spy)
+    # the CLI writes the `_Terms` record of `_expansion`, in the order of
+    # its codes: no request builds a series or a table of exponent tuples,
+    # and each writes the text of the expansion's series
+    f = _G13_P2.expand(12)
+    result = catalog.euler_chow(catalog.parse_descriptor("G(1,3)"), 2)
     form = tmp_path / "g13.json"
     form.write_text(dumps(_G13_P2))
-    for argv in (("series", "G(1,3)", "--p", "2", "--degree", "12",
-                  "--format", "json"),
-                 ("expand", str(form), "--degree", "12")):
-        code, out, err = run(capsys, *argv)
-        assert (code, err) == (0, "")
-        assert out == dumps(_G13_P2.expand(12))
-    assert seen == [(True, True)] * 2
+    cases = [(("series", "G(1,3)", "--p", "2", "--degree", "12",
+               "--format", "json"), dumps(f)),
+             (("series", "G(1,3)", "--p", "2", "--degree", "12",
+               "--format", "text"), cli._series_text(result, f, 12)),
+             (("expand", str(form), "--degree", "12"), dumps(f))]
+
+    def refused(*_):
+        raise AssertionError("built a series table")
+
+    monkeypatch.setattr(FormalSeries, "_trusted", classmethod(refused))
+    monkeypatch.setattr(FormalSeries, "__post_init__", refused)
+    monkeypatch.setattr(series._Terms, "keys", refused)
+    for argv, text in cases:
+        assert run(capsys, *argv) == (0, text, "")
 
 
 @pytest.mark.parametrize("variety, p, degree", [
     ("G(1,3)", "2", "12"), ("Pn(6)", "2", "40"), ("Macdonald(3)", "0", "9"),
 ])
-def test_text_format_is_the_same_once_the_table_is_read(capsys, monkeypatch,
-                                                         variety, p, degree):
-    # an unread expansion is written in the order of its codes; one whose
-    # table was read first (as a caller counting its terms may) has
-    # released its columns and is written from the table, line for line
-    # the same, in `graded_lex` order
-    argv = ("series", variety, "--p", p, "--degree", degree)
-    code, unread, err = run(capsys, *argv)
+def test_text_format_writes_the_expansion_in_graded_lex_order(
+        capsys, variety, p, degree):
+    # the CLI writes the `_Terms` record in the order of its codes: line
+    # for line the text of the plain series `expand` builds, one line per
+    # term of its table, in `graded_lex` order
+    code, out, err = run(capsys, "series", variety, "--p", p,
+                         "--degree", degree)
     assert (code, err) == (0, "")
-    text = cli._series_text
-
-    def after_reading(result, expansion, degree):
-        table = expansion.coefficients
-        assert not hasattr(expansion, "_columns")
-        lines = text(result, expansion, degree).splitlines()[2:]
-        labels = expansion.monoid.labels
-        assert [line.rpartition(": ")[0] for line in lines] == [
-            cli._monomial(labels, m) for m in expansion.monoid.graded_lex(table)]
-        return text(result, expansion, degree)
-
-    monkeypatch.setattr(cli, "_series_text", after_reading)
-    assert run(capsys, *argv) == (0, unread, "")
-
+    result = catalog.euler_chow(catalog.parse_descriptor(variety), int(p))
+    f = result.closed_form.expand(int(degree))
+    assert out == cli._series_text(result, f, int(degree))
+    lines = out.splitlines()[2:]
+    labels = f.monoid.labels
+    assert [line.rpartition(": ")[0] for line in lines] == [
+        cli._monomial(labels, m) for m in f.monoid.graded_lex(f.coefficients)]
+    assert [int(line.rpartition(": ")[2]) for line in lines] == [
+        f.coefficients[m] for m in f.monoid.graded_lex(f.coefficients)]
 
 def test_writing_an_expansion_peaks_near_twice_its_text(tmp_path):
-    # the 13,041-term expansion of G(1,3)'s E_2 at D = 160, already built,
-    # written to a file as the CLI writes it: `dumps` holds its blocks and
-    # their one join, about twice the text, and no third whole-array copy
-    # (a whole-array template and its `%` would be two more)
-    f, out = _G13_P2.expand(160), tmp_path / "f.json"
+    # the 13,041-term expansion of G(1,3)'s E_2 at D = 160, already
+    # built as the `_Terms` record the CLI passes to `dumps`, written to a
+    # file as the CLI writes it: `dumps` holds its blocks and their one
+    # join, about twice the text, and no third whole-array copy (a
+    # whole-array template and its `%` would be two more)
+    f, out = _G13_P2._expansion(160), tmp_path / "f.json"
     gc.collect()
     tracemalloc.start()
     try:

@@ -3,7 +3,7 @@
 `_entries`' one `%` per block of exponent columns against one `%` per
 term in `graded_lex` order, of `dumps` at the seams of its blocks, of
 `dumps` of an expansion against `dumps` of its table, of the per-ray
-codes of `expand` against `graded_lex_codes`, and of `loads` on
+codes of `_expansion` against `graded_lex_codes`, and of `loads` on
 damaged series files, compact or in the layout `dumps` writes, against
 the per-entry reader, at the seams of its blocks too, on cases drawn by
 Hypothesis; that `loads` reads a series of rank >= 1 with a term that
@@ -826,15 +826,11 @@ def expansion_forms(draw):
 @example((RationalSeries(_T0T1, (), (((1, 0), 1),)), 4))
 @example((RationalSeries(_T0T1, (((4, 4), 10**200),), (((0, 1), 2),)), 0))
 def test_dumps_writes_an_expansion_as_the_series_of_its_table(case):
-    # byte for byte, from the columns; the table slot, read past the
-    # `_Expansion` property, stays unset
+    # byte for byte, from the columns of `_expansion`'s record
     r, degree = case
-    f = r.expand(degree)
-    text = dumps(f)
-    table = dict(r.expand(degree).coefficients)
-    assert text == dumps(FormalSeries(r.monoid, degree, table))
-    with pytest.raises(AttributeError):
-        FormalSeries.__dict__["coefficients"].__get__(f, FormalSeries)
+    table = r.expand(degree).coefficients
+    assert (dumps(r._expansion(degree))
+            == dumps(FormalSeries(r.monoid, degree, table)))
 
 
 @st.composite
@@ -876,16 +872,15 @@ def coded_forms(draw):
 @example((RationalSeries(_XY, (((0, 0), 5), ((3, 0), 1)), ()), 3))
 @example((RationalSeries(GradedMonoid(()), (((), 4),), ()), 0))
 def test_an_expansion_is_written_in_the_order_of_its_codes(case):
-    # the codes `expand` lays out per ray are `graded_lex_codes` of its
-    # terms in base degree + 1, so `dumps` writes the graded-lex order of
-    # the table, the text of the same table as a plain series
+    # the codes `_expansion` lays out per ray are `graded_lex_codes` of
+    # its terms in base degree + 1, so `dumps` writes the graded-lex order
+    # of the table, the text of the same table as a plain series
     r, degree = case
-    f = r.expand(degree)
-    columns, values, codes = f._columns
-    assert codes == r.monoid.graded_lex_codes(columns, len(values),
-                                              degree + 1)
+    terms = r._expansion(degree)
+    assert terms.codes == r.monoid.graded_lex_codes(
+        terms.columns, len(terms.values), degree + 1)
     table = r.expand(degree).coefficients
-    text = dumps(f)
+    text = dumps(terms)
     assert list(loads(text).coefficients) == r.monoid.graded_lex(table)
     assert text == dumps(FormalSeries(r.monoid, degree, table))
 

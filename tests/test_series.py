@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eulerchow import catalog, schubert, series, verify
+from eulerchow import catalog, cli, schubert, series, verify
 from eulerchow.monoid import GradedMonoid, MonoidMismatchError, MonoidMorphism
 from eulerchow.series import (MAX_EXPANSION_TERMS, FormalSeries,
                               RationalSeries, TruncationError, convolve,
@@ -492,6 +492,19 @@ def test_the_term_cap_is_exact(monkeypatch):
         r.expand(99)
 
 
+def test_the_count_before_dividing_divides_the_degree_by_the_weight(
+        monkeypatch):
+    # 1/(1-t) with t of weight 2 to degree D is D // 2 + 1 terms, and the
+    # count before any division is C(D // 2 + 1, 1): a cap of 10 admits
+    # degree 19 and refuses degree 20
+    monkeypatch.setattr(series, "MAX_EXPANSION_TERMS", 10)
+    t2 = GradedMonoid.free(["t"], [2])
+    r = RationalSeries(t2, ((t2.zero(), 1),), (((1,), 1),))
+    assert r.expand(19).coefficients == {(j,): 1 for j in range(10)}
+    with pytest.raises(TruncationError, match="needs more than 10 terms"):
+        r.expand(20)
+
+
 @pytest.mark.parametrize("r, sizes, terms", [
     # (1-xy)^3 first: its rays hold 81 terms to degree 160, and (1-y)^4
     # then fills the 6561 elements with x <= y; graded-lex order
@@ -685,16 +698,16 @@ def test_first_rational_difference_beyond_any_expansion(monkeypatch):
     b = RationalSeries(T, ((T.zero(), 1), ((50,), 1), ((90,), 1)),
                        (((1,), 1),))
     degrees = []
-    expand = RationalSeries.expand
+    expansion = RationalSeries._expansion
 
     def recording(self, degree):
         degrees.append(degree)
-        return expand(self, degree)
+        return expansion(self, degree)
 
     def refused(*_):
         raise AssertionError("compared two expansions")
 
-    monkeypatch.setattr(RationalSeries, "expand", recording)
+    monkeypatch.setattr(RationalSeries, "_expansion", recording)
     monkeypatch.setattr(series, "first_difference", refused)
     assert first_rational_difference(a, b) == ((50,), 1, 2)
     assert degrees == [50]
@@ -731,10 +744,10 @@ def test_first_rational_difference_reads_values_off_the_columns(
     # a(m) is read off the columns of the expansion to m's grade, and no
     # expansion builds its table: at a key, at an element that is no key
     # (value 0), and over the rank-0 monoid
-    def refused(self):
+    def refused(self, degree):
         raise AssertionError("built an expansion's table")
 
-    monkeypatch.setattr(series._Expansion, "coefficients", property(refused))
+    monkeypatch.setattr(RationalSeries, "expand", refused)
     one_over = RationalSeries(T, ((T.zero(), 1),), (((1,), 1),))
     assert first_rational_difference(one_over, RationalSeries(
         T, ((T.zero(), 1), ((50,), 1)), (((1,), 1),))) == ((50,), 1, 2)
@@ -852,20 +865,7 @@ def test_rational_merges_repeated_factors():
 
 
 # ---------------------------------------------------------------------------
-# An expansion holds exponent columns until its table is read
-
-# the slot of the table: reading it directly, past the `_Expansion`
-# property, shows whether the table has been built
-_TABLE = FormalSeries.__dict__["coefficients"]
-
-
-def has_table(f):
-    try:
-        _TABLE.__get__(f, FormalSeries)
-    except AttributeError:
-        return False
-    return True
-
+# An expansion is the series of the table of its `_Terms` record
 
 _AB2 = GradedMonoid.free(["a", "b"], [1, 2])
 # catalog forms, a weight-2 generator, an empty numerator, a term above
@@ -888,79 +888,66 @@ COLUMN_FORMS = [
 
 @pytest.mark.parametrize("r, degree", COLUMN_FORMS)
 def test_an_expansion_reads_as_the_series_of_its_table(r, degree):
-    # every reader of a series sees an expansion as the dict-built series
-    # of the same table, with the table's key order of the columns
-    def fresh():
-        f = r.expand(degree)
-        assert not has_table(f)
-        return f
-
-    columns, values, _ = fresh()._columns
-    keys = zip(*columns) if columns else [()] * len(values)
-    table = dict(zip(keys, values))
-    t = FormalSeries(r.monoid, degree, table)
-    assert fresh() == t and t == fresh()
-    assert list(fresh().coefficients.items()) == list(table.items())
-    assert repr(fresh()) == repr(t)
-    for clone in (copy.copy, copy.deepcopy,
-                  lambda f: pickle.loads(pickle.dumps(f))):
-        twin = clone(fresh())
-        assert twin == t and list(twin.coefficients) == list(table)
-    f = fresh()
-    for m in r.monoid.enumerate_up_to(degree):
-        assert f.coefficient(m) == t.coefficient(m)
-    assert convolve(fresh(), fresh()) == convolve(t, t)
-    assert fresh() + t == t + t and t + fresh() == t + t
-    phi = MonoidMorphism(r.monoid, T, ((1,),) * r.monoid.rank)
-    assert pushforward(phi, fresh()) == pushforward(phi, t)
-    assert first_difference(fresh(), t, degree) is None
-    zero = r.monoid.zero()
-    changed = FormalSeries(r.monoid, degree,
-                           {**table, zero: table.get(zero, 0) + 1})
-    assert (first_difference(fresh(), changed, degree)
-            == first_difference(t, changed, degree))
-    assert (first_difference(changed, fresh(), degree)
-            == first_difference(changed, t, degree))
-    assert dumps(fresh()) == dumps(t)
-
-
-def test_an_unknown_attribute_raises_the_default_error():
-    # the interpreter's own error, whose text varies by version (3.13
-    # names the type of an unset slot with its module): it carries the
-    # attribute's name, and its text names the attribute and the class;
-    # an AttributeError raised with a message of its own has no name
-    expansion = RationalSeries(T, (((0,), 1),), (((1,), 2),)).expand(3)
-    table = FormalSeries(T, 3, {(0,): 1})
-    for f, name in ((expansion, "nope"), (table, "nope"),
-                    (table, "_columns")):
-        with pytest.raises(AttributeError) as caught:
-            getattr(f, name)
-        assert caught.value.name == name
-        assert f"'{name}'" in str(caught.value)
-        assert type(f).__name__ in str(caught.value)
-        assert getattr(f, name, None) is None
-    assert not has_table(expansion)
-    # once its table is read, an expansion is a FormalSeries
-    assert type(expansion) is not FormalSeries
-    assert expansion.coefficients and type(expansion) is FormalSeries
+    # `expand` is the plain series of the table of `_expansion`'s record,
+    # keyed in its column order, and both writers give the record the
+    # text of that series
+    terms, f = r._expansion(degree), r.expand(degree)
+    assert type(f) is FormalSeries and f.bound == terms.bound == degree
+    keys = zip(*terms.columns) if terms.columns else [()] * len(terms.values)
+    table = dict(zip(keys, terms.values))
+    assert f == FormalSeries(r.monoid, degree, table)
+    assert list(f.coefficients.items()) == list(table.items())
+    assert dumps(terms) == dumps(f)
+    result = catalog.EulerChowResult(
+        GRASS, 0, r, "none", tuple((lab, "c") for lab in r.monoid.labels))
+    assert (cli._series_text(result, terms, degree)
+            == cli._series_text(result, f, degree))
 
 
 @pytest.mark.parametrize("r, degree", COLUMN_FORMS)
-def test_reading_an_expansion_releases_its_columns(r, degree):
-    # the table, once built, is the one copy of the terms: the columns,
-    # values and codes go, and `_columns` is unset as on any FormalSeries;
-    # `dumps` then writes the series from its table, byte for byte
+def test_every_reader_sees_an_expansion_as_the_dict_built_series(r, degree):
+    # `expand` builds its series with `_trusted`, past `__post_init__`:
+    # equality both ways, repr, copies, coefficients, products, sums,
+    # push-forward and `first_difference` read it as the series built
+    # from a dict of the same table
     f = r.expand(degree)
-    text, table = dumps(f), f.coefficients
-    plain = FormalSeries(r.monoid, degree, table)
-    errors = []
-    for x in (f, plain):
+    table = dict(f.coefficients)
+    t = FormalSeries(r.monoid, degree, table)
+    assert f == t and t == f
+    assert repr(f) == repr(t)
+    for clone in (copy.copy, copy.deepcopy,
+                  lambda f: pickle.loads(pickle.dumps(f))):
+        twin = clone(f)
+        assert twin == t and list(twin.coefficients) == list(table)
+    for m in r.monoid.enumerate_up_to(degree):
+        assert f.coefficient(m) == t.coefficient(m)
+    assert convolve(f, f) == convolve(t, t)
+    assert f + t == t + t and t + f == t + t
+    phi = MonoidMorphism(r.monoid, T, ((1,),) * r.monoid.rank)
+    assert pushforward(phi, f) == pushforward(phi, t)
+    assert first_difference(f, t, degree) is None
+    zero = r.monoid.zero()
+    changed = FormalSeries(r.monoid, degree,
+                           {**table, zero: table.get(zero, 0) + 1})
+    assert (first_difference(f, changed, degree)
+            == first_difference(t, changed, degree))
+    assert (first_difference(changed, f, degree)
+            == first_difference(changed, t, degree))
+
+def test_an_unknown_attribute_raises_the_default_error():
+    # the interpreter's own error, whose text varies by version: it
+    # carries the attribute's name, and its text names the attribute and
+    # the class; an AttributeError raised with a message of its own has
+    # no name
+    expansion = RationalSeries(T, (((0,), 1),), (((1,), 2),)).expand(3)
+    table = FormalSeries(T, 3, {(0,): 1})
+    for f in (expansion, table):
         with pytest.raises(AttributeError) as caught:
-            x._columns
-        errors.append((caught.value.name, str(caught.value)))
-    assert errors[0] == errors[1] and errors[0][0] == "_columns"
-    assert f.coefficients is table and f == plain
-    assert dumps(f) == text == dumps(plain)
+            f.nope
+        assert caught.value.name == "nope"
+        assert "'nope'" in str(caught.value)
+        assert type(f).__name__ in str(caught.value)
+        assert getattr(f, "nope", None) is None
 
 
 # ---------------------------------------------------------------------------
